@@ -166,7 +166,7 @@ let bench_config ~models ~data cfg_name base_options : config_result =
     vm_s jit_s (vm_s /. jit_s) !identical;
   { cfg_name; vm_s; jit_s; identical = !identical }
 
-(* -- Sustained throughput (docs/PERFORMANCE.md §5) ---------------------------- *)
+(* -- Sustained throughput (docs/PERFORMANCE.md §4) ---------------------------- *)
 
 (* The serving scenario: many small executes against one loaded kernel.
    The pool side loads the kernel once (its worker domains persist across
@@ -384,7 +384,7 @@ let () =
   let identical = scalar.identical && best.identical in
   let speedup = best.vm_s /. best.jit_s in
   (* sustained serving throughput on the first speaker model: persistent
-     pool vs spawn-per-call (docs/PERFORMANCE.md §5) *)
+     pool vs spawn-per-call (docs/PERFORMANCE.md §4) *)
   let pool, spawn = bench_sustained ~model:models.(0) ~data in
   let sustained_speedup = pool.calls_per_sec /. spawn.calls_per_sec in
   Fmt.pr

@@ -1,5 +1,5 @@
 (** bench_gpu — monolithic vs stream-pipelined GPU schedule on the
-    speaker-ID workload, writing [BENCH_gpu.json] (docs/PERFORMANCE.md §6).
+    speaker-ID workload, writing [BENCH_gpu.json] (docs/PERFORMANCE.md §5).
 
     The paper's Fig. 9 point: at the DSE-best batch/block size of 64 the
     GPU schedule is transfer-bound — most of the modelled time is PCIe

@@ -1,34 +1,29 @@
-(** spnc_fuzz — differential fuzzing driver (docs/RESILIENCE.md).
+(** spnc_fuzz — the differential fuzzing driver (docs/FUZZING.md).
 
-    Generates seeded random SPNs ([Spnc_resilience.Fuzz]) and
-    cross-checks, for every case, the reference evaluator against:
-
-    - the bufferized LoSPN interpreter (the target-independent pipeline),
-    - the CPU backend at every [-O] level on BOTH execution engines (the
-      reference VM interpreter and the closure-compiled JIT),
-    - the GPU backend in the functional simulator,
-
-    and additionally cross-checks the two CPU engines for {e bit-exact}
-    agreement across [-O0..-O3] and worker-thread counts 1/2/4 (disable
-    with [--no-cross-engine]).
-
-    A mismatch or crash is shrunk by structural reduction and written as
-    a reproducer bundle (model text, evidence data, diagnostic, replay
-    instructions).  Exit code is nonzero iff any case failed, so the run
-    gates CI.
+    One case loop: {!Spnc_smith.Smith.case} draws case [id] of the seed
+    (even ids IR-level programs, odd ids [Random_spn] models translated
+    to HiSPN), {!Spnc_smith.Harness.check_program} runs every check on
+    it, and a failure is shrunk ({!Spnc_smith.Shrink}) and written as a
+    reproducer bundle with a one-line replay command.  [--chaos] adds a
+    fault-injected replay of each model-derived case's compiled run and
+    a cache-recovery check at the end.  Exit code is nonzero iff a case
+    failed, so the run gates CI.
 
     {v
-    spnc_fuzz --seed 7 --cases 200
-    spnc_fuzz --seed 7 --cases 50 --inject-bad-peephole   # must fail
+    spnc_fuzz --seed 5 --cases 200
+    spnc_fuzz --seed 7 --cases 30 --inject-bad-peephole   # must fail
+    spnc_fuzz --chaos --seed 23 --cases 50
     v} *)
 
 open Cmdliner
-module Fuzz = Spnc_resilience.Fuzz
-module Diag = Spnc_resilience.Diag
 module Smith = Spnc_smith.Smith
 module Harness = Spnc_smith.Harness
 module Shrink = Spnc_smith.Shrink
 module Passorder = Spnc_smith.Passorder
+module Fault = Spnc_resilience.Fault
+module Rng = Spnc_data.Rng
+module Options = Spnc.Options
+module Compiler = Spnc.Compiler
 
 (* sysexits, matching the spnc CLI convention (README exit table):
    65 EX_DATAERR for failures the harness FOUND (miscompiles, divergence,
@@ -37,268 +32,16 @@ let exit_ok = 0
 let exit_data = 65
 let exit_internal = 70
 
-(* -- Oracles ------------------------------------------------------------------ *)
-
-let base_options ~marginal threads =
-  {
-    Spnc.Options.default with
-    Spnc.Options.threads;
-    batch_size = 8;
-    (* NaN evidence means marginalization: the kernels must be compiled
-       with marginal support or they diverge from the reference by design *)
-    support_marginal = marginal;
-  }
-
-(* Run the bufferized LoSPN module of a compile through the reference
-   interpreter; converts linear-space kernels to log on the way out. *)
-let lospn_interp_eval ~marginal threads (model : Spnc_spn.Model.t)
-    (data : float array array) : float array =
-  let c = Spnc.Compiler.compile ~options:(base_options ~marginal threads) model in
-  let rows = Array.length data in
-  let flat = Array.concat (Array.to_list data) in
-  let out = Spnc_lospn.Interp.run_kernel c.Spnc.Compiler.lospn ~inputs:[ flat ] ~rows in
-  let slot0 = Array.sub out 0 rows in
-  if c.Spnc.Compiler.datatype.Spnc_lospn.Lower_hispn.use_log_space then slot0
-  else Array.map log slot0
-
-let cpu_eval ~marginal ~engine threads level (model : Spnc_spn.Model.t)
-    (data : float array array) : float array =
-  let options =
-    {
-      (base_options ~marginal threads) with
-      Spnc.Options.opt_level = level;
-      engine;
-    }
-  in
-  Spnc.Compiler.execute (Spnc.Compiler.compile ~options model) data
-
-let gpu_eval ~marginal (model : Spnc_spn.Model.t) (data : float array array) :
-    float array =
-  let options =
-    {
-      (base_options ~marginal 1) with
-      Spnc.Options.target = Spnc.Options.Gpu;
-      batch_size = 16;
-      block_size = 8;
-      gpu_fallback = false;
-    }
-  in
-  Spnc.Compiler.execute (Spnc.Compiler.compile ~options model) data
-
-let oracles ~marginal ~threads ~with_gpu : Fuzz.oracle list =
-  let vm l = cpu_eval ~marginal ~engine:Spnc_cpu.Jit.Vm threads l in
-  let jit l = cpu_eval ~marginal ~engine:Spnc_cpu.Jit.Jit threads l in
-  [
-    { Fuzz.oracle_name = "lospn-interp"; eval = lospn_interp_eval ~marginal threads };
-    { Fuzz.oracle_name = "vm-O0"; eval = vm Spnc_cpu.Optimizer.O0 };
-    { Fuzz.oracle_name = "vm-O1"; eval = vm Spnc_cpu.Optimizer.O1 };
-    { Fuzz.oracle_name = "vm-O2"; eval = vm Spnc_cpu.Optimizer.O2 };
-    { Fuzz.oracle_name = "vm-O3"; eval = vm Spnc_cpu.Optimizer.O3 };
-    { Fuzz.oracle_name = "jit-O0"; eval = jit Spnc_cpu.Optimizer.O0 };
-    { Fuzz.oracle_name = "jit-O1"; eval = jit Spnc_cpu.Optimizer.O1 };
-    { Fuzz.oracle_name = "jit-O2"; eval = jit Spnc_cpu.Optimizer.O2 };
-    { Fuzz.oracle_name = "jit-O3"; eval = jit Spnc_cpu.Optimizer.O3 };
-  ]
-  @
-  if with_gpu then [ { Fuzz.oracle_name = "gpu-sim"; eval = gpu_eval ~marginal } ]
-  else []
-
-(* -- Cross-engine bit-identity ------------------------------------------------- *)
-
-let exact_eq (a : float array) (b : float array) =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri
-        (fun i x ->
-          if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then ok := false)
-        a;
-      !ok)
-
-(* The tolerance-based oracles above catch algorithmic divergence; this
-   check is stricter: at every -O level, the JIT engine and the VM must
-   produce EXACTLY the same bits as single-threaded VM execution,
-   regardless of the worker-domain count.  Returns a diagnostic on the
-   first divergence, [None] when everything agrees.  A case where both
-   sides trap identically counts as agreement (the engines must also
-   agree on {e rejecting} malformed kernels). *)
-let bit_identity_check ~marginal (model : Spnc_spn.Model.t)
-    (data : float array array) : string option =
-  let eval engine threads level =
-    match cpu_eval ~marginal ~engine threads level model data with
-    | v -> Ok v
-    | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
-    | exception e -> Error (Printexc.to_string e)
-  in
-  let levels =
-    Spnc_cpu.Optimizer.[ O0; O1; O2; O3 ]
-  and variants =
-    Spnc_cpu.Jit.[ (Vm, 2); (Vm, 4); (Jit, 1); (Jit, 2); (Jit, 4) ]
-  in
-  let describe engine threads level =
-    Printf.sprintf "%s-%s/threads=%d"
-      (Spnc_cpu.Jit.engine_to_string engine)
-      (Spnc_cpu.Optimizer.level_to_string level)
-      threads
-  in
-  List.fold_left
-    (fun acc level ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-          let base = eval Spnc_cpu.Jit.Vm 1 level in
-          List.fold_left
-            (fun acc (engine, threads) ->
-              match acc with
-              | Some _ -> acc
-              | None -> (
-                  match (base, eval engine threads level) with
-                  | Ok b, Ok v when exact_eq b v -> None
-                  | Ok _, Ok _ ->
-                      Some
-                        (Printf.sprintf
-                           "bit-identity violation: %s differs from %s"
-                           (describe engine threads level)
-                           (describe Spnc_cpu.Jit.Vm 1 level))
-                  | Error _, Error _ -> None
-                  | Ok _, Error e ->
-                      Some
-                        (Printf.sprintf "%s trapped (%s) but %s succeeded"
-                           (describe engine threads level)
-                           e
-                           (describe Spnc_cpu.Jit.Vm 1 level))
-                  | Error e, Ok _ ->
-                      Some
-                        (Printf.sprintf "%s trapped (%s) but %s succeeded"
-                           (describe Spnc_cpu.Jit.Vm 1 level)
-                           e
-                           (describe engine threads level))))
-            None variants))
-    None levels
-
-(* -- Scheduler stress ---------------------------------------------------------- *)
-
-(* Streaming-layer stress (docs/PERFORMANCE.md §5/§6): random batch sizes
-   × pool sizes × static-vs-stealing schedulers must be bit-identical to
-   the single-threaded reference, and the GPU stream-pipelined schedule
-   at 2/4 streams must be bit-identical to the monolithic one.  [salt]
-   keeps the drawn configurations deterministic per (seed, case) yet
-   different across cases; the check is self-contained so the shrinker
-   can replay it. *)
-let sched_stress_check ~marginal ~with_gpu ~salt (model : Spnc_spn.Model.t)
-    (data : float array array) : string option =
-  let rng = Spnc_data.Rng.create ~seed:salt in
-  let eval options =
-    match Spnc.Compiler.execute (Spnc.Compiler.compile ~options model) data with
-    | v -> Ok v
-    | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
-    | exception e -> Error (Printexc.to_string e)
-  in
-  let compare_to ~what reference candidate =
-    match (reference, candidate) with
-    | Ok r, Ok c when exact_eq r c -> None
-    | Ok _, Ok _ ->
-        Some
-          (Printf.sprintf
-             "scheduler stress: %s differs from the single-threaded reference"
-             what)
-    | Error _, Error _ -> None
-    | Ok _, Error e ->
-        Some (Printf.sprintf "scheduler stress: %s trapped (%s)" what e)
-    | Error e, Ok _ ->
-        Some
-          (Printf.sprintf
-             "scheduler stress: reference trapped (%s) but %s succeeded" e what)
-  in
-  let cpu_reference = eval (base_options ~marginal 1) in
-  let cpu_variant acc _ =
-    match acc with
-    | Some _ -> acc
-    | None ->
-        let batch = Spnc_data.Rng.choose rng [ 1; 3; 5; 8; 16; 32 ] in
-        let threads = Spnc_data.Rng.choose rng [ 2; 3; 4; 8 ] in
-        let sched =
-          Spnc_data.Rng.choose rng Spnc.Options.[ Static; Stealing ]
-        in
-        let options =
-          { (base_options ~marginal threads) with
-            Spnc.Options.batch_size = batch; sched }
-        in
-        compare_to
-          ~what:
-            (Printf.sprintf "batch=%d/threads=%d/sched=%s" batch threads
-               (Spnc.Options.sched_to_string sched))
-          cpu_reference (eval options)
-  in
-  let cpu_failure = List.fold_left cpu_variant None [ 1; 2; 3; 4 ] in
-  match cpu_failure with
-  | Some _ -> cpu_failure
-  | None when not with_gpu -> None
-  | None ->
-      let gpu_options streams =
-        {
-          (base_options ~marginal 1) with
-          Spnc.Options.target = Spnc.Options.Gpu;
-          batch_size = 16;
-          block_size = 8;
-          gpu_fallback = false;
-          streams;
-        }
-      in
-      let gpu_reference = eval (gpu_options 1) in
-      List.fold_left
-        (fun acc streams ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-              compare_to
-                ~what:(Printf.sprintf "gpu streams=%d" streams)
-                gpu_reference
-                (eval (gpu_options streams)))
-        None [ 2; 4 ]
-
-(* -- Reporting ---------------------------------------------------------------- *)
-
-let data_to_csv (data : float array array) : string =
-  let buf = Buffer.create 256 in
-  Array.iter
-    (fun row ->
-      Buffer.add_string buf
-        (String.concat ","
-           (Array.to_list (Array.map (Printf.sprintf "%.17g") row)));
-      Buffer.add_char buf '\n')
-    data;
-  Buffer.contents buf
-
-let write_bundle ~out_dir ~(case : Fuzz.case) ~(diag_text : string)
-    ~(shrunk : Spnc_spn.Model.t) ~(shrunk_data : float array array) =
-  let options_text =
-    Printf.sprintf "seed=%d case=%d tol-policy=differential" case.Fuzz.seed
-      case.Fuzz.id
-  in
-  Spnc_resilience.Reproducer.write ?dir:out_dir
-    ~extra:
-      [
-        ("model.txt", Spnc_spn.Text.to_string shrunk);
-        ("model-original.txt", Spnc_spn.Text.to_string case.Fuzz.model);
-        ("data.csv", data_to_csv shrunk_data);
-      ]
-    ~ir:"// differential fuzz failure: see model.txt / data.csv\n"
-    ~pipeline:
-      "(differential: reference vs lospn-interp vs vm/jit-O0..O3 vs gpu-sim)"
-    ~options:options_text ~diag:diag_text ()
-
-(* -- Chaos mode ---------------------------------------------------------------- *)
-
-module Fault = Spnc_resilience.Fault
+(* -- Chaos -------------------------------------------------------------------- *)
 
 (* Everything the resilience layer is allowed to surface under injected
-   faults.  Anything else escaping a run is a crash — the chaos harness
+   faults.  Anything else escaping a run is a crash — the chaos replay
    exists to prove this set is closed. *)
 let is_clean_diagnostic = function
   | Spnc_resilience.Diag.Diag_error _ | Spnc_resilience.Guard.Guard_failure _
-  | Fault.Transient _
-  | Spnc_runtime.Exec.Chunk_error _ | Spnc_runtime.Exec.Deadline_exceeded _
-  | Spnc_mlir.Pass.Pipeline_error _ | Spnc_spn.Validate.Invalid _ ->
+  | Fault.Transient _ | Spnc_runtime.Exec.Chunk_error _
+  | Spnc_runtime.Exec.Deadline_exceeded _ | Spnc_mlir.Pass.Pipeline_error _
+  | Spnc_spn.Validate.Invalid _ ->
       true
   | _ -> false
 
@@ -315,528 +58,371 @@ let chaos_families =
     "repro.write_fail";
   ]
 
-type chaos_outcome = (float array * bool (* gpu->cpu fallback fired *), exn) result
-
-let chaos_eval options model data : chaos_outcome =
-  match Spnc.Compiler.compile ~options model with
-  | c -> (
-      match Spnc.Compiler.execute c data with
-      | v -> Ok (v, c.Spnc.Compiler.diags <> [])
-      | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
-      | exception e -> Error e)
+(* Outputs and whether a GPU->CPU fallback fired, or the exception. *)
+let chaos_eval options model data =
+  match Compiler.compile ~options model with
   | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
   | exception e -> Error e
+  | c -> (
+      match Compiler.execute c data with
+      | v -> Ok (v, c.Compiler.diags <> [])
+      | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
+      | exception e -> Error e)
 
-(* One chaos case: run a workload clean, then replay it bit-for-bit under
-   a deterministic fault schedule.  The run must either agree with the
-   clean output EXACTLY or surface one clean structured diagnostic —
-   wrong bits are "silent corruption", an unlisted exception is a crash. *)
-let run_chaos seed cases rows no_gpu out_dir verbose =
-  let cache_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "spnc-chaos-kcache-%d-%d" seed (Unix.getpid ()))
-  in
-  let failures = ref 0 in
-  let fault_total = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  let fail ~id ~schedule ~model msg =
-    incr failures;
-    Fmt.epr "CHAOS FAIL case %d (seed %d): %s@." id seed msg;
-    (match
-       Spnc_resilience.Reproducer.write ?dir:out_dir
-         ~extra:[ ("model.txt", Spnc_spn.Text.to_string model) ]
-         ~ir:"// chaos-mode failure: see model.txt and options.txt\n"
-         ~pipeline:"(chaos: clean run vs fault-injected replay)"
-         ~options:schedule ~diag:msg ()
-     with
-    | Ok b -> Fmt.epr "reproducer written to %s@." b.Spnc_resilience.Reproducer.dir
-    | Error e -> Fmt.epr "(reproducer dump failed: %s)@." e)
-  in
-  for id = 0 to cases - 1 do
-    let rng = Spnc_data.Rng.create ~seed:((seed * 7_368_787) + id) in
-    (* workload: alternate the paper's speaker-ID shape and the fuzzer's
-       adversarial random SPNs *)
-    let model, data =
-      if id mod 2 = 0 then begin
-        let m =
-          Spnc_spn.Random_spn.generate_sized rng
-            Spnc_spn.Random_spn.speaker_id_config ~min_ops:200
-        in
-        let d =
-          Array.init rows (fun _ ->
-              Array.init m.Spnc_spn.Model.num_features (fun _ ->
-                  Spnc_data.Rng.range rng (-3.0) 3.0))
-        in
-        (m, d)
-      end
-      else
-        let case =
-          Fuzz.gen_case
-            ~config:{ Fuzz.default_config with Fuzz.rows }
-            ~seed:(seed + 1) ~id ()
-        in
-        (case.Fuzz.model, case.Fuzz.data)
-    in
-    (* the randomized dimensions: engine x threads x target x schedule *)
-    let threads = Spnc_data.Rng.choose rng [ 1; 2; 4 ] in
-    let engine = Spnc_data.Rng.choose rng Spnc_cpu.Jit.[ Vm; Jit ] in
-    let use_gpu = (not no_gpu) && Spnc_data.Rng.range rng 0.0 1.0 < 0.25 in
-    let gpu_fallback = Spnc_data.Rng.range rng 0.0 1.0 < 0.5 in
-    let deadline_ms =
-      (* mostly none; sometimes generous (must not fire by itself);
-         occasionally absurdly tight (must fire as a clean timeout) *)
-      let p = Spnc_data.Rng.range rng 0.0 1.0 in
-      if p < 0.70 then None else if p < 0.95 then Some 30_000.0 else Some 0.001
-    in
-    let options =
-      {
-        Spnc.Options.default with
-        Spnc.Options.threads;
-        engine;
-        batch_size = 8;
-        target = (if use_gpu then Spnc.Options.Gpu else Spnc.Options.Cpu);
-        gpu_fallback;
-        kernel_cache_dir = Some cache_dir;
-        kernel_cache_mb = 1;
-        deadline_ms;
-        exec_retries = Spnc_data.Rng.choose rng [ 0; 2; 4 ];
-      }
-    in
-    let rate = Spnc_data.Rng.range rng 0.02 0.35 in
-    let chaos_seed = (seed * 1_000_003) + id in
-    let points =
-      (* half the cases arm everything; the rest arm a random subset *)
-      if Spnc_data.Rng.range rng 0.0 1.0 < 0.5 then None
-      else
+let injected_faults = ref 0
+
+(* Replay a model-derived case's compiled run under a deterministic fault
+   schedule drawn from (seed, id), over random engine × threads × target ×
+   deadline × retries, against a persistent cache in [cache_dir].  The
+   replay must give the clean run's bits, the CPU-fallback bits, or one
+   clean structured diagnostic: other bits are silent corruption, any
+   other exception is a crash. *)
+let chaos_replay ~seed ~cache_dir (p : Smith.program) : Harness.failure option
+    =
+  match p.Smith.model with
+  | None -> None
+  | Some model ->
+      let rng = Rng.create ~seed:((seed * 7_368_787) + p.Smith.id) in
+      let threads = Rng.choose rng [ 1; 2; 4 ] in
+      let engine = Rng.choose rng Spnc_cpu.Jit.[ Vm; Jit ] in
+      let use_gpu = Rng.float rng < 0.25 in
+      let gpu_fallback = Rng.float rng < 0.5 in
+      let deadline_ms =
+        (* mostly none; sometimes generous (must not fire by itself);
+           occasionally absurdly tight (must fire as a clean timeout) *)
+        let r = Rng.float rng in
+        if r < 0.70 then None
+        else if r < 0.95 then Some 30_000.0
+        else Some 0.001
+      in
+      let options =
+        {
+          Options.default with
+          Options.threads;
+          engine;
+          batch_size = p.Smith.batch_size;
+          support_marginal = p.Smith.support_marginal;
+          target = (if use_gpu then Options.Gpu else Options.Cpu);
+          gpu_fallback;
+          kernel_cache_dir = Some cache_dir;
+          kernel_cache_mb = 1;
+          deadline_ms;
+          exec_retries = Rng.choose rng [ 0; 2; 4 ];
+        }
+      in
+      let rate = Rng.range rng 0.02 0.35 in
+      let chaos_seed = (seed * 1_000_003) + p.Smith.id in
+      let points =
+        (* half the cases arm everything; the rest a random subset *)
+        if Rng.float rng < 0.5 then None
+        else Some (List.filter (fun _ -> Rng.float rng < 0.5) chaos_families)
+      in
+      let schedule =
+        Printf.sprintf
+          "chaos-seed=%d rate=%.3f points=%s threads=%d engine=%s target=%s \
+           fallback=%b deadline=%s retries=%d"
+          chaos_seed rate
+          (match points with None -> "all" | Some ps -> String.concat ";" ps)
+          threads
+          (Spnc_cpu.Jit.engine_to_string engine)
+          (Options.target_to_string options.Options.target)
+          gpu_fallback
+          (match deadline_ms with None -> "none" | Some ms -> Fmt.str "%gms" ms)
+          options.Options.exec_retries
+      in
+      let data = p.Smith.data in
+      (* clean references, faults disarmed; an injected GPU failure with
+         fallback on yields a CPU artifact, whose bits must match the CPU
+         reference, not the GPU one *)
+      Fault.disarm ();
+      let clean = chaos_eval options model data in
+      let clean_fallback =
+        if use_gpu && gpu_fallback then
+          chaos_eval { options with Options.target = Options.Cpu } model data
+        else clean
+      in
+      (* reset occurrence counters so the case is self-contained, and
+         drop the memory cache so the replay goes through the disk tier:
+         read-side corruption then exercises quarantine and recompile *)
+      Compiler.reset_kernel_cache ();
+      Fault.reset_for_tests ();
+      Fault.arm ?points ~seed:chaos_seed ~rate ();
+      let chaotic = chaos_eval options model data in
+      Fault.disarm ();
+      List.iter
+        (fun pt -> injected_faults := !injected_faults + Fault.fired_count pt)
+        (Fault.points ());
+      let fail detail =
         Some
-          (List.filter
-             (fun _ -> Spnc_data.Rng.range rng 0.0 1.0 < 0.5)
-             chaos_families)
-    in
-    let schedule =
-      Printf.sprintf
-        "chaos-seed=%d rate=%.3f points=%s threads=%d engine=%s target=%s \
-         fallback=%b deadline=%s retries=%d"
-        chaos_seed rate
-        (match points with
-        | None -> "all"
-        | Some ps -> String.concat ";" ps)
-        threads
-        (Spnc_cpu.Jit.engine_to_string engine)
-        (if use_gpu then "gpu" else "cpu")
-        gpu_fallback
-        (match deadline_ms with None -> "none" | Some ms -> Fmt.str "%gms" ms)
-        options.Spnc.Options.exec_retries
-    in
-    if verbose then Fmt.epr "case %d: %s@." id schedule;
-    (* clean references, faults disarmed.  For GPU cases also compute the
-       CPU reference: an injected GPU failure with fallback on yields a
-       CPU artifact, whose outputs must match the CPU reference bit-ford
-       bit — NOT the GPU one. *)
-    Fault.disarm ();
-    let clean = chaos_eval options model data in
-    let clean_cpu_fallback =
-      if use_gpu && gpu_fallback then
-        Some (chaos_eval { options with Spnc.Options.target = Spnc.Options.Cpu } model data)
-      else None
-    in
-    (* deterministic chaos replay: reset occurrence counters so the case
-       is self-contained (same schedule + workload => same faults).  The
-       memory cache is dropped so the replay recompiles through the disk
-       tier — read-side corruption faults then exercise quarantine and
-       the transparent recompile fallback. *)
-    Spnc.Compiler.reset_kernel_cache ();
-    Fault.reset_for_tests ();
-    Fault.arm ?points ~seed:chaos_seed ~rate ();
-    let chaotic =
-      match chaos_eval options model data with
-      | r -> r
-      | exception e -> Error e
-      (* chaos_eval already catches; this belt-and-braces keeps the
-         harness alive even if the barrier itself is buggy *)
-    in
-    Fault.disarm ();
-    List.iter
-      (fun p -> fault_total := !fault_total + Fault.fired_count p)
-      (Fault.points ());
-    (match (clean, chaotic) with
-    | Ok (c, _), Ok (v, fb) ->
-        let matches_clean = exact_eq c v in
-        let matches_cpu_fallback =
-          fb
-          &&
-          match clean_cpu_fallback with
-          | Some (Ok (cc, _)) -> exact_eq cc v
-          | _ -> false
-        in
-        if not (matches_clean || matches_cpu_fallback) then
-          fail ~id ~schedule ~model
-            "silent corruption: fault-injected run produced different bits \
-             with no diagnostic"
-    | _, Error e when is_clean_diagnostic e ->
-        if verbose then
-          Fmt.epr "case %d: clean diagnostic (%s)@." id (Printexc.to_string e)
-    | _, Error e ->
-        fail ~id ~schedule ~model
-          (Printf.sprintf "crash: unstructured exception escaped: %s"
-             (Printexc.to_string e))
-    | Error e, Ok _ ->
-        (* only plausible when the clean run timed out on a tight
-           deadline that the chaotic run (different scheduling) met;
-           anything else means the clean run itself is broken *)
-        if not (is_clean_diagnostic e) then
-          fail ~id ~schedule ~model
-            (Printf.sprintf "clean run crashed without faults armed: %s"
-               (Printexc.to_string e)))
-  done;
-  (* recovery invariant: after every schedule ran, the cache directory
-     must still be usable — a fresh process-equivalent (memory cache
-     dropped) must load-or-recompile cleanly and agree with a cache-free
-     compile bit-for-bit *)
+          {
+            Harness.case_id = p.Smith.id;
+            check = "chaos";
+            pipeline = schedule;
+            detail;
+          }
+      in
+      match (clean, chaotic) with
+      | Ok _, Ok (v, fallback) ->
+          let same = function
+            | Ok (b, _) -> Harness.exact_eq b v
+            | Error _ -> false
+          in
+          if same clean || (fallback && same clean_fallback) then None
+          else
+            fail
+              "silent corruption: fault-injected run produced different bits \
+               with no diagnostic"
+      | _, Error e when is_clean_diagnostic e -> None
+      | _, Error e ->
+          fail
+            ("crash: unstructured exception escaped: " ^ Printexc.to_string e)
+      | Error e, Ok _ ->
+          (* only a clean timeout the replay happened to meet is benign *)
+          if is_clean_diagnostic e then None
+          else
+            fail
+              ("clean run crashed without faults armed: "
+              ^ Printexc.to_string e)
+
+(* After every schedule ran, the cache directory must still be usable: a
+   fresh process (memory cache dropped) is served by the surviving disk
+   tier and agrees bit for bit with a cache-free compile. *)
+let cache_recovery ~seed ~cache_dir ~rows =
   Fault.disarm ();
-  let recovery_failed = ref false in
-  (let rng = Spnc_data.Rng.create ~seed in
-   let model =
-     Spnc_spn.Random_spn.generate_sized rng
-       Spnc_spn.Random_spn.speaker_id_config ~min_ops:200
-   in
-   let data =
-     Array.init rows (fun _ ->
-         Array.init model.Spnc_spn.Model.num_features (fun _ ->
-             Spnc_data.Rng.range rng (-3.0) 3.0))
-   in
-   let with_cache =
-     {
-       Spnc.Options.default with
-       Spnc.Options.kernel_cache_dir = Some cache_dir;
-       kernel_cache_mb = 1;
-     }
-   in
-   let no_cache =
-     { Spnc.Options.default with Spnc.Options.use_kernel_cache = false }
-   in
-   Spnc.Compiler.reset_kernel_cache ();
-   let first = chaos_eval with_cache model data in
-   (* a fresh "process" (memory cache dropped) must now be served by the
-      surviving disk tier *)
-   Spnc.Compiler.reset_kernel_cache ();
-   let second = chaos_eval with_cache model data in
-   let disk_hits = (Spnc.Compiler.cache_counters ()).Spnc.Compiler.disk_hits in
-   match (first, second, chaos_eval no_cache model data) with
-   | Ok (a0, _), Ok (a, _), Ok (b, _)
-     when exact_eq a0 a && exact_eq a b && disk_hits >= 1 ->
-       Fmt.pr "cache recovery: OK (%d entr(ies) live, %d quarantined)@."
-         (match Spnc.Kcache.open_ ~dir:cache_dir ~max_mb:1 with
-         | Ok t -> List.length (Spnc.Kcache.entry_keys t)
-         | Error _ -> -1)
-         (match Spnc.Kcache.open_ ~dir:cache_dir ~max_mb:1 with
-         | Ok t -> Spnc.Kcache.quarantined_count t
-         | Error _ -> -1)
-   | Ok _, Ok _, Ok _ ->
-       recovery_failed := true;
-       Fmt.epr
-         "CHAOS FAIL: post-chaos cached compile diverged from a cache-free \
-          compile (or the disk tier served no hit)@."
-   | _ ->
-       recovery_failed := true;
-       Fmt.epr "CHAOS FAIL: post-chaos compile through the surviving cache \
-                directory failed@.");
-  if !recovery_failed then incr failures;
-  let dt = Unix.gettimeofday () -. t0 in
-  let d = Spnc.Kcache.counters () in
-  Fmt.pr
-    "spnc_fuzz --chaos: %d schedule(s), %d failure(s), %d injected fault(s), \
-     %.1fs (disk cache: %d hit(s), %d miss(es), %d store(s), %d eviction(s), \
-     %d corrupt, %d store failure(s))@."
-    cases !failures !fault_total dt d.Spnc.Kcache.hits d.Spnc.Kcache.misses
-    d.Spnc.Kcache.stores d.Spnc.Kcache.evictions d.Spnc.Kcache.corrupt
-    d.Spnc.Kcache.store_failures;
-  if !failures > 0 then exit_data else exit_ok
-
-(* -- Smith mode: grammar-based pipeline fuzzing (docs/FUZZING.md) -------------- *)
-
-let smith_repro_command ~seed ~id ~cases ~rows ~target_ops ~max_depth
-    ~orderings =
-  Printf.sprintf
-    "spnc_fuzz --smith --seed %d --case %d --cases %d --rows %d --target-ops \
-     %d --max-depth %d --smith-orderings %d"
-    seed id cases rows target_ops max_depth orderings
-
-let write_smith_bundle ~out_dir ~(p : Smith.program) ~(f : Harness.failure)
-    ~(shrunk : Spnc_mlir.Ir.modul) ~(shrunk_data : float array array) ~repro =
-  Spnc_resilience.Reproducer.write ?dir:out_dir
-    ~extra:
-      [
-        ( "program-original.mlir",
-          Spnc_mlir.Printer.modul_to_string p.Smith.modul );
-        ("data.csv", Smith.data_to_csv shrunk_data);
-        ("repro-command.txt", repro ^ "\n");
-      ]
-    ~ir:(Spnc_mlir.Printer.modul_to_string shrunk)
-    ~pipeline:f.Harness.pipeline
-    ~options:repro
-    ~diag:(Fmt.str "%a" Harness.pp_failure f)
-    ()
-
-let run_smith ~seed ~cases ~rows ~target_ops ~max_depth ~tol ~orderings
-    ~forced_order ~explore ~passorder_out ~budget_s ~case_only ~corpus_dir
-    ~no_shrink ~out_dir ~inject ~verbose =
-  if inject then Spnc_cpu.Optimizer.inject_bad_peephole := true;
-  (* a forced ordering is legality-gated up front: the CI canary feeds an
-     intentionally mis-ordered pass pair here and asserts a loud failure *)
-  let forced_ok =
-    match forced_order with
-    | None -> true
-    | Some spec -> (
-        match Spnc.Pipelines.validate_pipeline spec with
-        | Ok () -> true
-        | Error e ->
-            Fmt.epr "ILLEGAL PIPELINE %S: %s@." spec e;
-            false)
+  let rng = Rng.create ~seed in
+  let model =
+    Spnc_spn.Random_spn.generate_sized rng Spnc_spn.Random_spn.speaker_id_config
+      ~min_ops:200
   in
-  if not forced_ok then exit_data
-  else begin
-    let config =
-      { Smith.default_config with Smith.rows; target_ops; max_depth }
-    in
-    let hconfig = { Harness.default_config with Harness.orderings; tol } in
-    let failures = ref 0 in
-    let programs = ref [] in
-    let ran = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    (match corpus_dir with
-    | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
-    | _ -> ());
-    let first, last =
-      match case_only with Some c -> (c, c) | None -> (0, cases - 1)
-    in
-    (try
-       for id = first to last do
-         if budget_s > 0.0 && Unix.gettimeofday () -. t0 > budget_s then
-           raise Exit;
-         let p = Smith.generate ~config ~seed ~id () in
-         incr ran;
-         if List.length !programs < 32 then programs := p :: !programs;
-         (match corpus_dir with
-         | Some d when id - first < 1000 ->
-             let oc =
-               open_out
-                 (Filename.concat d (Printf.sprintf "case_s%d_c%d.mlir" seed id))
-             in
-             output_string oc (Spnc_mlir.Printer.modul_to_string p.Smith.modul);
-             close_out oc
-         | _ -> ());
-         if verbose then
-           Fmt.epr "case %d: %d features, %d rows, space=%s, batch=%d@." id
-             p.Smith.num_features p.Smith.rows
-             (match p.Smith.space with
-             | Spnc_lospn.Lower_hispn.Auto -> "auto"
-             | Spnc_lospn.Lower_hispn.Force_linear -> "linear"
-             | Spnc_lospn.Lower_hispn.Force_log -> "log")
-             p.Smith.batch_size;
-         let failure =
-           match forced_order with
-           | Some spec -> (
-               (* forced mode: run the given full pipeline and compare its
-                  interp result against the baseline pipeline's *)
-               match
-                 ( Harness.run_pipeline ~pipeline:Harness.baseline_pipeline
-                     p.Smith.modul,
-                   Harness.run_pipeline ~pipeline:spec p.Smith.modul )
-               with
-               | Ok base, Ok forced -> (
-                   match
-                     ( Harness.eval_interp base p,
-                       Harness.eval_interp forced p )
-                   with
-                   | Ok a, Ok b when Harness.tol_eq ~tol a b -> None
-                   | Ok _, Ok _ ->
-                       Some
-                         {
-                           Harness.case_id = id;
-                           check = "ordering-divergence";
-                           pipeline = spec;
-                           detail = "forced ordering diverges from baseline";
-                         }
-                   | Error _, Error _ -> None
-                   | _, Error e | Error e, _ ->
-                       Some
-                         {
-                           Harness.case_id = id;
-                           check = "pipeline";
-                           pipeline = spec;
-                           detail = e;
-                         })
-               | _, Error e ->
-                   Some
-                     {
-                       Harness.case_id = id;
-                       check = "pipeline";
-                       pipeline = spec;
-                       detail = e;
-                     }
-               | Error e, _ ->
-                   Some
-                     {
-                       Harness.case_id = id;
-                       check = "pipeline";
-                       pipeline = Harness.baseline_pipeline;
-                       detail = e;
-                     })
-           | None -> Harness.check_program ~config:hconfig p
-         in
-         match failure with
-         | None -> ()
-         | Some f ->
-             incr failures;
-             let repro =
-               smith_repro_command ~seed ~id ~cases ~rows ~target_ops
-                 ~max_depth ~orderings
-             in
-             Fmt.epr "SMITH FAIL %a@.repro: %s@." Harness.pp_failure f repro;
-             let still_fails m d =
-               Harness.check_program ~config:hconfig
-                 { p with Smith.modul = m; data = d; rows = Array.length d }
-               <> None
-             in
-             let shrunk, shrunk_data =
-               if no_shrink || forced_order <> None then
-                 (p.Smith.modul, p.Smith.data)
-               else Shrink.shrink ~still_fails p.Smith.modul p.Smith.data
-             in
-             if not (no_shrink || forced_order <> None) then
-               Fmt.epr "shrunk: %d -> %d ops, %d -> %d rows@."
-                 (Shrink.count_ops p.Smith.modul)
-                 (Shrink.count_ops shrunk)
-                 (Array.length p.Smith.data)
-                 (Array.length shrunk_data);
-             (match
-                write_smith_bundle ~out_dir ~p ~f ~shrunk ~shrunk_data ~repro
-              with
-             | Ok b ->
-                 Fmt.epr "reproducer written to %s@."
-                   b.Spnc_resilience.Reproducer.dir
-             | Error e -> Fmt.epr "(reproducer dump failed: %s)@." e)
-       done
-     with Exit -> ());
-    (* pass-ordering exploration over a corpus sample *)
-    if explore then begin
-      let rng = Spnc_data.Rng.create ~seed:(seed + 997) in
-      let orders = Passorder.candidate_orders ~rng ~extra:4 in
-      let sample = List.rev !programs in
-      let scores = Harness.explore ~programs:sample ~orders in
-      Passorder.write_leaderboard ~path:passorder_out ~seed scores;
-      Fmt.pr "pass-ordering leaderboard (%d orderings over %d programs) -> %s@."
-        (List.length orders) (List.length sample) passorder_out;
-      match Passorder.best scores with
-      | Some s ->
-          Fmt.pr "best promotable ordering: %s (%d ops, %.4fs, %.0f cycles)@."
-            (Passorder.order_to_string s.Passorder.order)
-            s.Passorder.final_ops s.Passorder.compile_s s.Passorder.est_cycles
-      | None -> Fmt.pr "no bit-identical ordering found (nothing promotable)@."
-    end;
-    let dt = Unix.gettimeofday () -. t0 in
-    Fmt.pr
-      "spnc_fuzz --smith: %d program(s), %d failure(s), %d random legal \
-       ordering(s)/case, levels O0..O3, engines vm+jit, threads 1/%d, %.1fs@."
-      !ran !failures
-      (match forced_order with Some _ -> 0 | None -> orderings)
-      hconfig.Harness.threads dt;
-    if !failures > 0 then exit_data else exit_ok
-  end
+  let data =
+    Array.init rows (fun _ ->
+        Array.init model.Spnc_spn.Model.num_features (fun _ ->
+            Rng.range rng (-3.0) 3.0))
+  in
+  let cached =
+    {
+      Options.default with
+      Options.kernel_cache_dir = Some cache_dir;
+      kernel_cache_mb = 1;
+    }
+  in
+  Compiler.reset_kernel_cache ();
+  let first = chaos_eval cached model data in
+  Compiler.reset_kernel_cache ();
+  let second = chaos_eval cached model data in
+  let disk_hits = (Compiler.cache_counters ()).Compiler.disk_hits in
+  let uncached =
+    chaos_eval
+      { Options.default with Options.use_kernel_cache = false }
+      model data
+  in
+  match (first, second, uncached) with
+  | Ok (a0, _), Ok (a, _), Ok (b, _)
+    when Harness.exact_eq a0 a && Harness.exact_eq a b && disk_hits >= 1 ->
+      let live, quarantined =
+        match Spnc.Kcache.open_ ~dir:cache_dir ~max_mb:1 with
+        | Ok t ->
+            ( List.length (Spnc.Kcache.entry_keys t),
+              Spnc.Kcache.quarantined_count t )
+        | Error _ -> (-1, -1)
+      in
+      Fmt.pr "cache recovery: OK (%d entr(ies) live, %d quarantined)@." live
+        quarantined;
+      true
+  | Ok _, Ok _, Ok _ ->
+      Fmt.epr
+        "CHAOS FAIL: post-chaos cached compile diverged from a cache-free \
+         compile (or the disk tier served no hit)@.";
+      false
+  | _ ->
+      Fmt.epr
+        "CHAOS FAIL: post-chaos compile through the surviving cache directory \
+         failed@.";
+      false
+
+(* -- Failure reporting -------------------------------------------------------- *)
+
+(* Shrink a failing case and write its reproducer bundle.  A failure the
+   IR-level checks reproduce with the model dropped shrinks the IR; one
+   found through the model shrinks rows only and keeps model.txt. *)
+let report ~out_dir ~no_shrink ~repro ~check (p : Smith.program)
+    (f : Harness.failure) =
+  let source = if p.Smith.model = None then "ir" else "model" in
+  Fmt.epr "FAIL [%s] %a@.repro: %s@." source Harness.pp_failure f repro;
+  let with_case m d =
+    { p with Smith.modul = m; data = d; rows = Array.length d }
+  in
+  let ir_fails m d =
+    check { (with_case m d) with Smith.model = None } <> None
+  in
+  let rows_only =
+    p.Smith.model <> None && not (ir_fails p.Smith.modul p.Smith.data)
+  in
+  let shrunk, shrunk_data =
+    if no_shrink then (p.Smith.modul, p.Smith.data)
+    else
+      Shrink.shrink ~rows_only
+        ~still_fails:
+          (if rows_only then fun m d -> check (with_case m d) <> None
+           else ir_fails)
+        p.Smith.modul p.Smith.data
+  in
+  if not no_shrink then
+    Fmt.epr "shrunk: %d -> %d ops, %d -> %d rows@."
+      (Shrink.count_ops p.Smith.modul)
+      (Shrink.count_ops shrunk)
+      (Array.length p.Smith.data)
+      (Array.length shrunk_data);
+  let model_txt =
+    match p.Smith.model with
+    | Some m when rows_only -> [ ("model.txt", Spnc_spn.Text.to_string m) ]
+    | _ -> []
+  in
+  match
+    Spnc_resilience.Reproducer.write ?dir:out_dir
+      ~extra:
+        ([
+           ( "program-original.mlir",
+             Spnc_mlir.Printer.modul_to_string p.Smith.modul );
+           ("data.csv", Smith.data_to_csv shrunk_data);
+           ("repro-command.txt", repro ^ "\n");
+         ]
+        @ model_txt)
+      ~ir:(Spnc_mlir.Printer.modul_to_string shrunk)
+      ~pipeline:f.Harness.pipeline ~options:repro
+      ~diag:(Fmt.str "[%s] %a" source Harness.pp_failure f)
+      ()
+  with
+  | Ok b ->
+      Fmt.epr "reproducer written to %s@." b.Spnc_resilience.Reproducer.dir
+  | Error e -> Fmt.epr "(reproducer dump failed: %s)@." e
 
 (* -- Driver ------------------------------------------------------------------- *)
 
-let run seed cases rows target_ops max_depth tol threads no_gpu no_shrink
-    no_cross_engine sched_stress chaos marginal_fraction out_dir inject verbose
-    smith smith_orderings smith_order smith_explore passorder_out budget_s
-    case_only corpus_dir =
+let run seed cases rows target_ops max_depth tol no_shrink chaos out_dir
+    inject verbose orderings order explore passorder_out budget_s case_only
+    corpus_dir =
   try
-  if smith then
-    run_smith ~seed ~cases ~rows ~target_ops ~max_depth ~tol
-      ~orderings:smith_orderings ~forced_order:smith_order
-      ~explore:smith_explore ~passorder_out ~budget_s ~case_only ~corpus_dir
-      ~no_shrink ~out_dir ~inject ~verbose
-  else if chaos then run_chaos seed cases (max rows 8) no_gpu out_dir verbose
-  else begin
-  if inject then Spnc_cpu.Optimizer.inject_bad_peephole := true;
-  let config =
-    {
-      Fuzz.default_config with
-      Fuzz.rows;
-      target_ops;
-      max_depth;
-      marginal_fraction;
-    }
-  in
-  let marginal = marginal_fraction > 0.0 in
-  let oracles = oracles ~marginal ~threads ~with_gpu:(not no_gpu) in
-  let failures = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  let report ~id ~(case : Fuzz.case) ~diag_text ~still_fails =
-    incr failures;
-    Fmt.epr "FAIL case %d (seed %d): %s@." id seed diag_text;
-    let shrunk, shrunk_data =
-      if no_shrink then (case.Fuzz.model, case.Fuzz.data)
-      else Fuzz.shrink ~still_fails case.Fuzz.model case.Fuzz.data
-    in
-    if not no_shrink then
-      Fmt.epr "shrunk: %d -> %d nodes, %d -> %d rows@."
-        (Spnc_spn.Model.node_count case.Fuzz.model)
-        (Spnc_spn.Model.node_count shrunk)
-        (Array.length case.Fuzz.data)
-        (Array.length shrunk_data);
-    match write_bundle ~out_dir ~case ~diag_text ~shrunk ~shrunk_data with
-    | Ok b -> Fmt.epr "reproducer written to %s@." b.Spnc_resilience.Reproducer.dir
-    | Error e -> Fmt.epr "(reproducer dump failed: %s)@." e
-  in
-  for id = 0 to cases - 1 do
-    let case = Fuzz.gen_case ~config ~seed ~id () in
-    if verbose then
-      Fmt.epr "case %d: %d nodes, %d rows@." id
-        (Spnc_spn.Model.node_count case.Fuzz.model)
-        (Array.length case.Fuzz.data);
-    (match Fuzz.check_case ~tol ~oracles case with
-    | None -> ()
-    | Some failure ->
-        report ~id ~case
-          ~diag_text:(Fmt.str "%a" Fuzz.pp_failure_kind failure.Fuzz.kind)
-          ~still_fails:(fun m d -> Fuzz.check ~tol ~oracles m d <> None));
-    (* strict engine cross-check: VM and JIT must agree bit-for-bit at
-       every -O level and thread count (threads 1/2/4) *)
-    (if not no_cross_engine then
-       match bit_identity_check ~marginal case.Fuzz.model case.Fuzz.data with
-       | None -> ()
-       | Some diag_text ->
-           report ~id ~case ~diag_text ~still_fails:(fun m d ->
-               bit_identity_check ~marginal m d <> None));
-    (* streaming-layer stress: random batch × pool size × scheduler and
-       GPU streams 1/2/4, all bit-identical to single-threaded *)
-    if sched_stress then begin
-      let salt = (seed * 1_000_003) + id in
-      match
-        sched_stress_check ~marginal ~with_gpu:(not no_gpu) ~salt
-          case.Fuzz.model case.Fuzz.data
-      with
-      | None -> ()
-      | Some diag_text ->
-          report ~id ~case ~diag_text ~still_fails:(fun m d ->
-              sched_stress_check ~marginal ~with_gpu:(not no_gpu) ~salt m d
-              <> None)
-    end
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let k = Spnc.Compiler.cache_counters () in
-  Fmt.pr
-    "spnc_fuzz: %d cases, %d failure(s), %d oracle(s)%s, %.1fs (kernel \
-     cache: %d hit(s), %d miss(es), %d full compile(s))@."
-    cases !failures (List.length oracles)
-    ((if no_cross_engine then "" else " + engine bit-identity")
-    ^ if sched_stress then " + scheduler stress" else "")
-    dt k.Spnc.Compiler.hits k.Spnc.Compiler.misses k.Spnc.Compiler.full_compiles;
-  if !failures > 0 then exit_data else exit_ok
-  end
+    if inject then Spnc_cpu.Optimizer.inject_bad_peephole := true;
+    (* a forced ordering is legality-gated up front: the CI canary feeds
+       an intentionally mis-ordered pass pair here *)
+    match Option.map Spnc.Pipelines.validate_pipeline order with
+    | Some (Error e) ->
+        Fmt.epr "ILLEGAL PIPELINE %S: %s@." (Option.get order) e;
+        exit_data
+    | _ ->
+        let config =
+          { Smith.default_config with Smith.rows; target_ops; max_depth }
+        in
+        let hconfig = { Harness.orderings; tol } in
+        let cache_dir =
+          Filename.concat
+            (Filename.get_temp_dir_name ())
+            (Printf.sprintf "spnc-chaos-kcache-%d-%d" seed (Unix.getpid ()))
+        in
+        let check p =
+          match Harness.check_program ~config:hconfig ?order p with
+          | None when chaos -> chaos_replay ~seed ~cache_dir p
+          | r -> r
+        in
+        let repro id =
+          String.concat ""
+            [
+              Printf.sprintf
+                "spnc_fuzz --seed %d --case %d --rows %d --target-ops %d \
+                 --max-depth %d --smith-orderings %d --tol %g"
+                seed id rows target_ops max_depth orderings tol;
+              (if chaos then " --chaos" else "");
+              (if inject then " --inject-bad-peephole" else "");
+              (match order with
+              | Some o -> Printf.sprintf " --smith-order '%s'" o
+              | None -> "");
+            ]
+        in
+        let failures = ref 0 and ran = ref 0 and models = ref 0 in
+        let sample = ref [] in
+        let t0 = Unix.gettimeofday () in
+        (match corpus_dir with
+        | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
+        | _ -> ());
+        let first, last =
+          match case_only with Some c -> (c, c) | None -> (0, cases - 1)
+        in
+        (try
+           for id = first to last do
+             if budget_s > 0.0 && Unix.gettimeofday () -. t0 > budget_s then
+               raise Exit;
+             let p = Smith.case ~config ~seed ~id () in
+             incr ran;
+             if p.Smith.model <> None then incr models;
+             if List.length !sample < 32 then sample := p :: !sample;
+             (match corpus_dir with
+             | Some d when id - first < 1000 ->
+                 Out_channel.with_open_text
+                   (Filename.concat d
+                      (Printf.sprintf "case_s%d_c%d.mlir" seed id))
+                   (fun oc ->
+                     output_string oc
+                       (Spnc_mlir.Printer.modul_to_string p.Smith.modul))
+             | _ -> ());
+             if verbose then
+               Fmt.epr "case %d: %s, %d features, %d rows, %d ops, batch=%d%s@."
+                 id
+                 (if p.Smith.model = None then "ir" else "model")
+                 p.Smith.num_features p.Smith.rows
+                 (Shrink.count_ops p.Smith.modul)
+                 p.Smith.batch_size
+                 (if p.Smith.support_marginal then ", marginal" else "");
+             match check p with
+             | None -> ()
+             | Some f ->
+                 incr failures;
+                 report ~out_dir ~no_shrink ~repro:(repro id) ~check p f
+           done
+         with Exit -> ());
+        let recovered =
+          (not chaos) || cache_recovery ~seed ~cache_dir ~rows:(max rows 8)
+        in
+        if not recovered then incr failures;
+        (* pass-ordering exploration over a sample of the cases *)
+        if explore then begin
+          let rng = Rng.create ~seed:(seed + 997) in
+          let orders = Passorder.candidate_orders ~rng ~extra:4 in
+          let scores = Harness.explore ~programs:(List.rev !sample) ~orders in
+          Passorder.write_leaderboard ~path:passorder_out ~seed scores;
+          Fmt.pr
+            "pass-ordering leaderboard (%d orderings over %d programs) -> %s@."
+            (List.length orders) (List.length !sample) passorder_out;
+          match Passorder.best scores with
+          | Some s ->
+              Fmt.pr
+                "best promotable ordering: %s (%d ops, %.4fs, %.0f cycles)@."
+                (Passorder.order_to_string s.Passorder.order)
+                s.Passorder.final_ops s.Passorder.compile_s
+                s.Passorder.est_cycles
+          | None ->
+              Fmt.pr "no bit-identical ordering found (nothing promotable)@."
+        end;
+        let k = Compiler.cache_counters () in
+        Fmt.pr
+          "spnc_fuzz: %d case(s) (%d ir, %d model), %d failure(s), %s, %.1fs \
+           (kernel cache: %d hit(s), %d miss(es), %d full compile(s))@."
+          !ran (!ran - !models) !models !failures
+          (match order with
+          | Some _ -> "forced ordering"
+          | None -> Printf.sprintf "%d random legal ordering(s)/case" orderings)
+          (Unix.gettimeofday () -. t0)
+          k.Compiler.hits k.Compiler.misses k.Compiler.full_compiles;
+        if chaos then begin
+          let d = Spnc.Kcache.counters () in
+          Fmt.pr
+            "chaos: %d injected fault(s) (disk cache: %d hit(s), %d miss(es), \
+             %d store(s), %d eviction(s), %d corrupt, %d store failure(s))@."
+            !injected_faults d.Spnc.Kcache.hits d.Spnc.Kcache.misses
+            d.Spnc.Kcache.stores d.Spnc.Kcache.evictions d.Spnc.Kcache.corrupt
+            d.Spnc.Kcache.store_failures
+        end;
+        if !failures > 0 then exit_data else exit_ok
   with
   | (Stack_overflow | Out_of_memory) as e -> raise e
   | e ->
@@ -849,7 +435,7 @@ let run seed cases rows target_ops max_depth tol threads no_gpu no_shrink
 let cmd =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Base RNG seed.") in
   let cases =
-    Arg.(value & opt int 100 & info [ "cases"; "n" ] ~doc:"Number of random cases.")
+    Arg.(value & opt int 100 & info [ "cases"; "n" ] ~doc:"Number of cases.")
   in
   let rows =
     Arg.(value & opt int 24 & info [ "rows" ] ~doc:"Evidence rows per case.")
@@ -857,63 +443,36 @@ let cmd =
   let target_ops =
     Arg.(
       value & opt int 60
-      & info [ "target-ops" ] ~doc:"Soft node budget of generated SPNs.")
+      & info [ "target-ops" ] ~doc:"Soft op budget of IR-level programs.")
   in
   let max_depth =
     Arg.(value & opt int 6 & info [ "max-depth" ] ~doc:"Maximum SPN depth.")
   in
   let tol =
     Arg.(
-      value & opt float Fuzz.default_tol
+      value
+      & opt float Harness.default_config.Harness.tol
       & info [ "tol" ] ~doc:"Comparison tolerance (relative to the reference).")
-  in
-  let threads =
-    Arg.(value & opt int 1 & info [ "threads" ] ~doc:"Runtime worker threads.")
-  in
-  let no_gpu =
-    Arg.(value & flag & info [ "no-gpu" ] ~doc:"Skip the GPU-simulator oracle.")
   in
   let no_shrink =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report failures unshrunk.")
-  in
-  let no_cross_engine =
-    Arg.(
-      value & flag
-      & info [ "no-cross-engine" ]
-          ~doc:
-            "Skip the VM-vs-JIT bit-identity cross-check over -O levels and \
-             thread counts.")
-  in
-  let sched_stress =
-    Arg.(
-      value & flag
-      & info [ "sched-stress" ]
-          ~doc:
-            "Scheduler stress mode: per case, draw random batch sizes × pool \
-             sizes × static-vs-stealing schedulers (and GPU streams 1/2/4) \
-             and require bit-identity with the single-threaded reference.")
   in
   let chaos =
     Arg.(
       value & flag
       & info [ "chaos" ]
           ~doc:
-            "Chaos mode: run speaker-ID and random-SPN workloads under \
-             deterministic randomized fault-injection schedules (cache I/O, \
-             pool workers, JIT/GPU builds) across threads and engines; every \
-             run must be bit-identical to its clean reference or fail with \
-             one clean structured diagnostic, and the persistent kernel \
-             cache must stay usable afterwards.")
-  in
-  let marginal =
-    Arg.(
-      value & opt float 0.0
-      & info [ "marginal-fraction" ]
-          ~doc:"Fraction of NaN (marginalized) evidence entries.")
+            "Also replay every model-derived case's compiled run under a \
+             deterministic randomized fault-injection schedule (cache I/O, \
+             pool workers, JIT/GPU builds) across threads, engines and \
+             targets; the replay must be bit-identical to its clean run or \
+             fail with one clean structured diagnostic, and the persistent \
+             kernel cache must stay usable afterwards.")
   in
   let out_dir =
     Arg.(
-      value & opt (some string) None
+      value
+      & opt (some string) None
       & info [ "out-dir" ] ~docv:"DIR"
           ~doc:
             "Parent directory for reproducer bundles (default: \
@@ -927,43 +486,37 @@ let cmd =
             "Fault injection: enable a deliberately unsound -O1+ peephole; \
              the run must then report mismatches.")
   in
-  let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Per-case log.") in
-  let smith =
-    Arg.(
-      value & flag
-      & info [ "smith" ]
-          ~doc:
-            "Smith mode: grammar-based IR-level generation (spnc_smith) with \
-             the differential pipeline harness — every program is checked \
-             across -O0..-O3 × VM/JIT × threads and randomized legal pass \
-             orderings against the LoSPN interpreter reference.")
+  let verbose =
+    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Per-case log.")
   in
-  let smith_orderings =
+  let orderings =
     Arg.(
       value & opt int 5
       & info [ "smith-orderings" ]
-          ~doc:"Random legal pass orderings checked per program (smith mode).")
+          ~doc:"Random legal pass orderings checked per case.")
   in
-  let smith_order =
+  let order =
     Arg.(
-      value & opt (some string) None
+      value
+      & opt (some string) None
       & info [ "smith-order" ] ~docv:"PIPELINE"
           ~doc:
-            "Run every generated program through this exact textual pipeline \
-             instead of random orderings; the pipeline is legality-checked \
-             first and an illegal ordering fails loudly (exit 65).")
+            "Check every case through this exact textual pipeline instead of \
+             random orderings; the pipeline is legality-checked first and an \
+             illegal ordering fails loudly (exit 65).")
   in
-  let smith_explore =
+  let explore =
     Arg.(
       value & flag
       & info [ "smith-explore" ]
           ~doc:
-            "Score candidate LoSPN opt-stage pass orderings over the \
-             generated corpus and write a leaderboard (see --passorder-out).")
+            "Score candidate LoSPN opt-stage pass orderings over the first 32 \
+             cases and write a leaderboard (see --passorder-out).")
   in
   let passorder_out =
     Arg.(
-      value & opt string "PASSORDER_cpu.json"
+      value
+      & opt string "PASSORDER_cpu.json"
       & info [ "passorder-out" ] ~docv:"FILE"
           ~doc:"Leaderboard output path for --smith-explore.")
   in
@@ -977,28 +530,30 @@ let cmd =
   in
   let case_only =
     Arg.(
-      value & opt (some int) None
+      value
+      & opt (some int) None
       & info [ "case" ] ~docv:"ID"
           ~doc:"Replay exactly one case id (reproducer bundles print this).")
   in
   let corpus_dir =
     Arg.(
-      value & opt (some string) None
+      value
+      & opt (some string) None
       & info [ "corpus-dir" ] ~docv:"DIR"
           ~doc:"Dump generated programs (first 1000) as .mlir files here.")
   in
   Cmd.v
     (Cmd.info "spnc_fuzz" ~version:"1.0.0"
        ~doc:
-         "Differential fuzzing of the SPNC pipeline: reference evaluator vs \
-          LoSPN interpreter vs CPU -O0..-O3 vs GPU simulator. Exit codes: 0 \
-          clean, 65 failures found (EX_DATAERR), 70 internal harness error \
-          (EX_SOFTWARE).")
+         "Differential fuzzing of the SPNC pipeline: IR-level and \
+          model-derived cases across -O levels, engines, threads, pass \
+          orderings, the vectorized lowering, the GPU simulator and the \
+          reference evaluator. Exit codes: 0 clean, 65 failures found \
+          (EX_DATAERR), 70 internal harness error (EX_SOFTWARE).")
     Term.(
-      const run $ seed $ cases $ rows $ target_ops $ max_depth $ tol $ threads
-      $ no_gpu $ no_shrink $ no_cross_engine $ sched_stress $ chaos $ marginal
-      $ out_dir $ inject $ verbose $ smith $ smith_orderings $ smith_order
-      $ smith_explore $ passorder_out $ budget_s $ case_only $ corpus_dir)
+      const run $ seed $ cases $ rows $ target_ops $ max_depth $ tol
+      $ no_shrink $ chaos $ out_dir $ inject $ verbose $ orderings $ order
+      $ explore $ passorder_out $ budget_s $ case_only $ corpus_dir)
 
 let () =
   Printexc.record_backtrace true;

@@ -95,12 +95,18 @@ let handle_connection server fd =
               Serve.submit_async server ~model:wr.Proto.wr_model ?deadline
                 wr.Proto.wr_rows
             in
+            let settle () = respond ~id:wr.Proto.wr_id (Serve.await ticket) in
             (* pipelining: settle out of band so slow batches never block
-               the read loop; responses carry the caller's id *)
-            ignore
-              (Thread.create
-                 (fun () -> respond ~id:wr.Proto.wr_id (Serve.await ticket))
-                 ()));
+               the read loop; responses carry the caller's id.  Under
+               overload the spawn itself can fail (EAGAIN): then settle
+               inline, which slows this reader down but keeps it alive *)
+            match
+              if Spnc_resilience.Fault.fire "serve.spawn_fail" then
+                failwith "injected fault at serve.spawn_fail"
+              else Thread.create settle ()
+            with
+            | _ -> ()
+            | exception (Failure _ | Sys_error _) -> settle ());
         loop ()
   in
   loop ()

@@ -561,7 +561,7 @@ let load_exec ?pool (c : compiled) : Spnc_runtime.Exec.t =
       in
       let threads = Options.effective_threads c.options in
       (* engine handles share the process-wide pool: domains are spawned
-         once, not per loaded model (docs/PERFORMANCE.md §5) *)
+         once, not per loaded model (docs/PERFORMANCE.md §4) *)
       let pool =
         match pool with
         | Some p -> Some p

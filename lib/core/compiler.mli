@@ -60,6 +60,10 @@ type compiled = {
           GPU→CPU fallback notice); empty on a clean compile *)
 }
 
+(** [out_cols_of_lospn m] — slots per sample in the output buffer of a
+    bufferized LoSPN kernel (the columns of its last memref parameter). *)
+val out_cols_of_lospn : Ir.modul -> int
+
 (** [compile_seconds c] — total measured compile time. *)
 val compile_seconds : compiled -> float
 

@@ -40,10 +40,10 @@ type t = {
   base_type : Spnc_mlir.Types.t;  (** computation base type: F32 or F64 *)
   support_marginal : bool;
   threads : int;  (** runtime worker domains; [<= 0] means auto *)
-  sched : sched;  (** parallel chunk scheduler (docs/PERFORMANCE.md §5) *)
+  sched : sched;  (** parallel chunk scheduler (docs/PERFORMANCE.md §4) *)
   streams : int;
       (** GPU stream chunks for transfer/compute overlap; 1 = monolithic
-          schedule (docs/PERFORMANCE.md §6) *)
+          schedule (docs/PERFORMANCE.md §5) *)
   engine : Spnc_cpu.Jit.engine;
       (** CPU execution engine: closure compiler (default) or reference
           interpreter VM (docs/PERFORMANCE.md) *)

@@ -54,5 +54,5 @@ val run : level -> Lir.modul -> Lir.modul
 (** [run_func level f] — the same pipeline on a single function.  Used by
     the auto-tuner's profile-guided per-task refinement: task functions
     that dominate dynamic cycles get extra [-O3] effort, cold ones keep
-    the module's base level (docs/PERFORMANCE.md §7). *)
+    the module's base level (docs/PERFORMANCE.md §6). *)
 val run_func : level -> Lir.func -> Lir.func

@@ -370,7 +370,7 @@ let estimate_chunked (m : Ir.modul) ~gpu ~entry ~rows ~chunk : ledger =
   let l_full = scale_ledger (estimate m ~gpu ~entry ~rows:chunk) (float_of_int full) in
   if rem = 0 then l_full else add_ledger l_full (estimate m ~gpu ~entry ~rows:rem)
 
-(* -- Stream pipelining (docs/PERFORMANCE.md §6) -------------------------------- *)
+(* -- Stream pipelining (docs/PERFORMANCE.md §5) -------------------------------- *)
 
 (* Discrete-event model of an [streams]-deep double-buffered pipeline:
    one DMA engine (uploads and downloads share the PCIe link) and one

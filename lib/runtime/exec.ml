@@ -11,7 +11,7 @@
     (oversubscription so work stealing has slack to rebalance) with a
     floor at the SIMD width so JIT lane loops stay full.
 
-    Streaming execution (docs/PERFORMANCE.md §5): the pool is created
+    Streaming execution (docs/PERFORMANCE.md §4): the pool is created
     {e once} — at [load] time, or passed in by the caller (the compiler
     shares one process-wide pool) — and reused across every [execute]
     call, as are the per-worker contexts (JIT register frames + scratch).

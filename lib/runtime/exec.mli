@@ -7,7 +7,7 @@
     on the chunk size; in parallel runs {!chunk_plan} targets ~4 chunks
     per worker with a floor at the SIMD width.
 
-    Streaming execution (docs/PERFORMANCE.md §5): the worker pool and the
+    Streaming execution (docs/PERFORMANCE.md §4): the worker pool and the
     per-worker contexts (JIT register frames + scratch) are created once
     per loaded kernel — or shared, via [?pool] — and reused across every
     [execute] call; nothing is spawned per call.  Chunks are zero-copy:

@@ -1,5 +1,5 @@
 (** Persistent worker pool with a work-stealing deque scheduler
-    (docs/PERFORMANCE.md §5).
+    (docs/PERFORMANCE.md §4).
 
     The pre-streaming runtime re-spawned its worker domains on every
     [Exec.execute] call; at serving rates ("heavy traffic from millions

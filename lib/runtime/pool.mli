@@ -2,7 +2,7 @@
 
     Created once (per compiled kernel, or per process via {!global}),
     the pool keeps its domains parked between execution rounds instead
-    of re-spawning them per call.  See docs/PERFORMANCE.md §5. *)
+    of re-spawning them per call.  See docs/PERFORMANCE.md §4. *)
 
 type sched =
   | Static  (** contiguous block per worker, no rebalancing *)

@@ -1,5 +1,4 @@
-(** Differential pipeline harness over generated programs
-    (docs/FUZZING.md).
+(** Differential harness over fuzz cases (docs/FUZZING.md).
 
     For each {!Smith.program} the harness asserts, with the verifier
     running after {e every} pass:
@@ -7,23 +6,32 @@
     - the module verifies and round-trips the printer/parser exactly;
     - the baseline pipeline lowers it to bufferized LoSPN, whose
       {!Spnc_lospn.Interp} evaluation is the semantic reference;
-    - across -O0..-O3 × VM/JIT × 1/2 threads the CPU backend is
+    - across -O0..-O3 × VM/JIT × threads 1/2/4 the CPU backend is
       bit-identical to the level's VM single-thread run and within
       tolerance of the reference (trap classes must match: if one
       engine fails, all must fail);
     - across randomized legal pass orderings ({!Passorder}) the interp
       result stays within tolerance of the reference and one
-      seed-chosen (level, VM-vs-JIT) pair stays bit-identical.
+      seed-chosen (level, VM-vs-JIT) pair stays bit-identical;
+    - the paper's best CPU lowering (AVX2, 8 lanes, veclib, shuffled
+      loads) at one seed-chosen level is VM/JIT bit-identical and within
+      tolerance of the reference, over enough rows that both the vector
+      body and the scalar epilogue run.
 
-    Any violation is a structured {!failure} carrying the pipeline
-    string and detail text; [bin/spnc_fuzz --smith] shrinks the program
-    ({!Shrink}) and writes a reproducer bundle. *)
+    A model-derived case is further checked end to end against
+    {!Spnc_spn.Infer} ({!check_model}).  Any violation is a structured
+    {!failure} carrying the pipeline string and detail text;
+    [bin/spnc_fuzz] shrinks the case ({!Shrink}) and writes a
+    reproducer bundle. *)
 
 open Spnc_mlir
 module Rng = Spnc_data.Rng
 module Pipelines = Spnc.Pipelines
+module Options = Spnc.Options
+module Compiler = Spnc.Compiler
 module Interp = Spnc_lospn.Interp
 module Optimizer = Spnc_cpu.Optimizer
+module Jit = Spnc_cpu.Jit
 module Exec = Spnc_runtime.Exec
 module Pool = Spnc_runtime.Pool
 
@@ -40,11 +48,14 @@ let pp_failure ppf (f : failure) =
 
 type config = {
   orderings : int;  (** random legal pipelines checked per program *)
-  tol : float;  (** relative tolerance against the interp reference *)
-  threads : int;  (** parallel thread count exercised (beside 1) *)
+  tol : float;  (** relative tolerance against the reference *)
 }
 
-let default_config = { orderings = 5; tol = 1e-6; threads = 2 }
+let default_config = { orderings = 5; tol = 1e-6 }
+
+(* Every check raises this on the first violation; [check_program] and
+   [check_model] turn it back into an option. *)
+exception Check_failed of failure
 
 (* -- Output comparison ------------------------------------------------------- *)
 
@@ -82,6 +93,13 @@ let tol_eq ~tol (a : float array) (b : float array) =
         a;
       !eq)
 
+(* Two outcomes agree when both trap or both succeed with [eq] outputs. *)
+let agree eq a b =
+  match (a, b) with
+  | Ok x, Ok y -> eq x y
+  | Error _, Error _ -> true
+  | _ -> false
+
 let pp_outcome ppf = function
   | Ok out ->
       Fmt.pf ppf "ok [%s]"
@@ -91,42 +109,33 @@ let pp_outcome ppf = function
 
 (* -- Pipeline execution ------------------------------------------------------ *)
 
-(** [run_pipeline ~pipeline m] — parse, legality-check and run a textual
-    pipeline over [m] with the verifier after every pass. *)
-let run_pipeline ~(pipeline : string) (m : Ir.modul) :
+(* Parse, legality-check from [start] and run a textual pipeline with the
+   verifier after every pass.  The pass manager's checked runner would
+   also print the IR after every pass; the fuzzer only needs the verdict. *)
+let run_from ~start ~(pipeline : string) (m : Ir.modul) :
     (Ir.modul, string) result =
-  match Pipelines.parse_pipeline pipeline with
-  | Error e -> Error ("invalid pipeline: " ^ e)
-  | Ok passes -> (
-      match Pass.validate_ordering ~start:"hispn" passes with
-      | Error e -> Error e
-      | Ok () -> (
-          match
-            Pass.run_pipeline_checked ~verify_each:true ~dump_policy:No_dump
-              passes m
-          with
-          | Ok r -> Ok r.Pass.modul
-          | Error f ->
-              Error
-                (Fmt.str "pass %s: %s" f.Pass.failed_pass
-                   f.Pass.diag.Pass.Diag.message)))
+  let ( let* ) = Result.bind in
+  let* passes =
+    Result.map_error (( ^ ) "invalid pipeline: ")
+      (Pipelines.parse_pipeline pipeline)
+  in
+  let* () = Pass.validate_ordering ~start passes in
+  List.fold_left
+    (fun acc (ps : Pass.pass) ->
+      let* m = acc in
+      let err e = Error (Fmt.str "pass %s: %s" ps.Pass.name e) in
+      match Result.map (fun m' -> (m', Verifier.verify m')) (ps.Pass.run m) with
+      | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
+      | exception e -> err (Printexc.to_string e)
+      | Error e -> err e
+      | Ok (m', []) -> Ok m'
+      | Ok (_, errs) ->
+          err
+            ("verifier failed after pass:\n" ^ Verifier.errors_to_string errs))
+    (Ok m) passes
 
-(* Output slot count of a bufferized LoSPN kernel: columns of the last
-   (output) memref parameter. *)
-let out_cols_of_lospn (m : Ir.modul) =
-  match
-    List.find_opt
-      (fun (o : Ir.op) -> o.Ir.name = Spnc_lospn.Ops.kernel_name)
-      m.Ir.mops
-  with
-  | Some kernel -> (
-      match List.rev (Option.get (Ir.entry_block kernel)).Ir.bargs with
-      | last :: _ -> (
-          match last.Ir.vty with
-          | Types.MemRef ([ _; Some c ], _) -> c
-          | _ -> 1)
-      | [] -> 1)
-  | None -> 1
+(* A post-lowering pipeline suffix, starting at the "lospn" stage. *)
+let run_suffix = run_from ~start:"lospn"
 
 (** Slot-0 reference evaluation of a bufferized LoSPN module. *)
 let eval_interp (lb : Ir.modul) (p : Smith.program) :
@@ -138,32 +147,38 @@ let eval_interp (lb : Ir.modul) (p : Smith.program) :
   | exception Interp.Runtime_error e -> Error ("interp: " ^ e)
   | exception Invalid_argument e -> Error ("interp invalid_argument: " ^ e)
 
-(* Lower a bufferized LoSPN module to Lir at one -O level. *)
-let lower_lir ?(cpu_options = Spnc_cpu.Lower_cpu.scalar_options) ~level lb :
-    (Spnc_cpu.Lir.modul, string) result =
-  try
-    let cir = Spnc_cpu.Lower_cpu.run ~options:cpu_options lb in
-    let lir = Spnc_cpu.Isel.run cir ~entry:"spn_kernel" in
-    Ok (Optimizer.run level lir)
-  with
+let lowering f =
+  try Ok (f ()) with
   | Spnc_cpu.Isel.Unsupported e -> Error ("isel unsupported: " ^ e)
   | Invalid_argument e -> Error ("lowering invalid_argument: " ^ e)
   | Failure e -> Error ("lowering failure: " ^ e)
 
-(** One engine execution: slot-0 results, or a trap class. *)
-let eval_cpu ?pool ~engine ~threads ~out_cols (lir : Spnc_cpu.Lir.modul)
-    (p : Smith.program) : (float array, string) result =
+(* Lower a bufferized LoSPN module to unoptimized Lir, then optimize it
+   at one -O level (the optimizer is pure, so one lowering serves every
+   level). *)
+let lower_lir ?(cpu_options = Spnc_cpu.Lower_cpu.scalar_options) lb =
+  lowering (fun () ->
+      Spnc_cpu.Isel.run
+        (Spnc_cpu.Lower_cpu.run ~options:cpu_options lb)
+        ~entry:"spn_kernel")
+
+let optimize level lir = lowering (fun () -> Optimizer.run level lir)
+
+(* One engine execution: slot-0 results, or a trap class.  [jit] is the
+   closure compilation of [lir], shared across thread counts. *)
+let eval_cpu ?pool ?min_chunk ~batch_size ~engine ~jit ~threads ~out_cols
+    (lir : Spnc_cpu.Lir.modul) (data : float array array) :
+    (float array, string) result =
   try
+    let jit = if engine = Jit.Jit then Some (Lazy.force jit) else None in
     let ex =
-      Exec.load ~batch_size:p.Smith.batch_size ~threads ~engine ?pool
-        ~out_cols lir
+      Exec.load ~batch_size ~threads ~engine ?jit ?min_chunk ?pool ~out_cols
+        lir
     in
-    let out =
-      Fun.protect
-        ~finally:(fun () -> Exec.shutdown ex)
-        (fun () -> Exec.execute_rows ex p.Smith.data)
-    in
-    Ok out
+    Ok
+      (Fun.protect
+         ~finally:(fun () -> Exec.shutdown ex)
+         (fun () -> Exec.execute_rows ex data))
   with
   | Spnc_cpu.Vm.Trap e -> Error ("trap: " ^ e)
   | Exec.Chunk_error ce -> Error ("chunk: " ^ ce.Exec.message)
@@ -171,12 +186,16 @@ let eval_cpu ?pool ~engine ~threads ~out_cols (lir : Spnc_cpu.Lir.modul)
 
 (* -- The differential check -------------------------------------------------- *)
 
-let baseline_pipeline =
-  "lower-to-lospn,"
-  ^ String.concat "," Pipelines.default_lospn_opt_order
+let opt_suffix =
+  String.concat "," Pipelines.default_lospn_opt_order
   ^ ",lospn-bufferize,lospn-buffer-opt"
 
+let baseline_pipeline = "lower-to-lospn," ^ opt_suffix
 let levels = Optimizer.[ O0; O1; O2; O3 ]
+
+(* The paper's best CPU lowering (Fig. 6): AVX2 at 8 f32 lanes, vector
+   library, shuffled loads. *)
+let vector_options = Options.cpu_lower_options (Options.best_cpu ())
 
 let space_flag (p : Smith.program) =
   match p.Smith.space with
@@ -184,12 +203,9 @@ let space_flag (p : Smith.program) =
   | Spnc_lospn.Lower_hispn.Force_linear -> "linear"
   | Spnc_lospn.Lower_hispn.Force_log -> "log"
 
-(* The HiSPN→LoSPN lowering options come from the program (space draw);
-   the textual "lower-to-lospn" pass uses defaults, so the harness runs
-   the lowering itself for the space-varying paths and uses the textual
-   pipeline for everything after.  To keep both worlds in one code path
-   we re-lower with explicit options, then run the post-lowering
-   pipeline suffix textually. *)
+(* The textual "lower-to-lospn" pass uses default options, so the harness
+   lowers with the program's space draw itself and runs everything after
+   it as a textual suffix. *)
 let lower_with_space (p : Smith.program) (m : Ir.modul) :
     (Ir.modul, string) result =
   try
@@ -206,190 +222,266 @@ let lower_with_space (p : Smith.program) (m : Ir.modul) :
   | Invalid_argument e -> Error ("lower-to-lospn invalid_argument: " ^ e)
   | Failure e -> Error ("lower-to-lospn failure: " ^ e)
 
-(* Run a pipeline suffix (post-lowering, i.e. starting at the "lospn"
-   stage) textually with verify-each. *)
-let run_suffix ~(pipeline : string) (m : Ir.modul) : (Ir.modul, string) result
-    =
-  match Pipelines.parse_pipeline pipeline with
-  | Error e -> Error ("invalid pipeline: " ^ e)
-  | Ok passes -> (
-      match Pass.validate_ordering ~start:"lospn" passes with
-      | Error e -> Error e
-      | Ok () -> (
-          match
-            Pass.run_pipeline_checked ~verify_each:true ~dump_policy:No_dump
-              passes m
-          with
-          | Ok r -> Ok r.Pass.modul
-          | Error f ->
-              Error
-                (Fmt.str "pass %s: %s" f.Pass.failed_pass
-                   f.Pass.diag.Pass.Diag.message)))
+let failure (p : Smith.program) check pipeline detail =
+  Check_failed { case_id = p.Smith.id; check; pipeline; detail }
 
-let opt_suffix =
-  String.concat "," Pipelines.default_lospn_opt_order
-  ^ ",lospn-bufferize,lospn-buffer-opt"
+let catch_failure f = try f (); None with Check_failed f -> Some f
 
-(** [check_program ?config p] — the full differential check; [None] when
-    every invariant holds.  Deterministic: the ordering draws derive
-    from the program's own (seed, id). *)
-let check_program ?(config = default_config) (p : Smith.program) :
-    failure option =
-  let fail check pipeline detail = Some { case_id = p.Smith.id; check; pipeline; detail } in
-  let rng =
-    (* independent stream from the generator's: offset the case id *)
-    Rng.create ~seed:((p.Smith.seed * 7_368_787) + p.Smith.id + 1)
+(* The model-derived checks; raises [Check_failed]. *)
+let model_checks ~config ~rng (p : Smith.program) (model : Spnc_spn.Model.t) =
+  let fail check pipeline detail = raise (failure p check pipeline detail) in
+  let tol = config.tol in
+  let expected = Spnc_spn.Infer.log_likelihood_batch model p.Smith.data in
+  let base =
+    {
+      Options.default with
+      Options.batch_size = p.Smith.batch_size;
+      support_marginal = p.Smith.support_marginal;
+      engine = Jit.Vm;
+    }
   in
+  let guard what f =
+    try f () with
+    | (Stack_overflow | Out_of_memory | Check_failed _) as e -> raise e
+    | e -> fail "model-crash" what (Printexc.to_string e)
+  in
+  let run what options =
+    guard what (fun () ->
+        Compiler.execute (Compiler.compile ~options model) p.Smith.data)
+  in
+  let within what got =
+    if not (tol_eq ~tol expected got) then
+      fail "model-reference" what
+        (Fmt.str "Infer %a but %a" pp_outcome (Ok expected) pp_outcome (Ok got))
+  in
+  (* the LoSPN interpreter on the compiler's bufferized module *)
+  within "lospn-interp"
+    (guard "lospn-interp" (fun () ->
+         let c = Compiler.compile ~options:base model in
+         let raw =
+           Array.sub
+             (Interp.run_kernel c.Compiler.lospn
+                ~inputs:[ Smith.flat_data p ] ~rows:p.Smith.rows)
+             0 p.Smith.rows
+         in
+         if c.Compiler.datatype.Spnc_lospn.Lower_hispn.use_log_space then raw
+         else Array.map log raw));
+  (* Compiler.compile/execute at every level, one thread *)
+  let at_level =
+    List.map
+      (fun level ->
+        let what = "compiler vm-t1 " ^ Optimizer.level_to_string level in
+        let out = run what { base with Options.opt_level = level } in
+        within what out;
+        (level, out))
+      levels
+  in
+  (* random engine x threads x sched x batch, bit-identical to the
+     same level's one-thread run *)
+  for _ = 1 to 4 do
+    let level = Rng.choose rng levels in
+    let engine = Rng.choose rng Jit.[ Vm; Jit ] in
+    let threads = Rng.choose rng [ 2; 3; 4; 8 ] in
+    let sched = Rng.choose rng Options.[ Static; Stealing ] in
+    let batch_size = Rng.choose rng [ 1; 3; 5; 8; 16; 32 ] in
+    let what =
+      Printf.sprintf "compiler %s-t%d %s sched=%s batch=%d"
+        (Jit.engine_to_string engine) threads
+        (Optimizer.level_to_string level)
+        (Options.sched_to_string sched)
+        batch_size
+    in
+    let out =
+      run what
+        {
+          base with
+          Options.opt_level = level;
+          engine;
+          threads;
+          sched;
+          batch_size;
+        }
+    in
+    if not (exact_eq (List.assoc level at_level) out) then
+      fail "model-bit-identity" what "differs from the same level's vm-t1 run"
+  done;
+  (* a variant may have grown the process-wide pool to 8 domains; retire
+     it so later cases do not pay for idle domains at every
+     stop-the-world collection *)
+  Pool.shutdown (Pool.global ~threads:1);
+  (* the GPU simulator: streams 1 against Infer, 2 and 4 bit-identical *)
+  let gpu_what streams = Printf.sprintf "gpu streams=%d" streams in
+  let gpu streams =
+    run (gpu_what streams)
+      {
+        base with
+        Options.target = Options.Gpu;
+        batch_size = 16;
+        block_size = 8;
+        gpu_fallback = false;
+        streams;
+      }
+  in
+  let g1 = gpu 1 in
+  within (gpu_what 1) g1;
+  List.iter
+    (fun streams ->
+      if not (exact_eq g1 (gpu streams)) then
+        fail "model-bit-identity" (gpu_what streams)
+          "differs from gpu streams=1")
+    [ 2; 4 ]
+
+(* A fresh stream per check family, independent of the generator's. *)
+let check_rng ~salt (p : Smith.program) =
+  Rng.create ~seed:((p.Smith.seed * 7_368_787) + p.Smith.id + salt)
+
+(** [check_model ?config p] — only the model-derived checks; [None] for
+    IR-level programs or when every invariant holds. *)
+let check_model ?(config = default_config) (p : Smith.program) :
+    failure option =
+  catch_failure (fun () ->
+      Option.iter
+        (model_checks ~config ~rng:(check_rng ~salt:2 p) p)
+        p.Smith.model)
+
+(** [check_program ?config ?order p] — the full differential check;
+    [None] when every invariant holds.  Deterministic: the ordering
+    draws derive from the program's own (seed, id). *)
+let check_program ?(config = default_config) ?order (p : Smith.program) :
+    failure option =
+  let fail check pipeline detail = raise (failure p check pipeline detail) in
+  let tol = config.tol in
+  let ok_or check pipeline = function
+    | Ok x -> x
+    | Error e -> fail check pipeline e
+  in
+  let rng = check_rng ~salt:1 p in
+  catch_failure @@ fun () ->
   (* 1. verifier *)
-  match Verifier.verify p.Smith.modul with
-  | _ :: _ as errs ->
-      fail "verify" "-" (Verifier.errors_to_string errs)
-  | [] -> (
-      (* 2. printer/parser round-trip: print, parse, print again — the
-         two texts must be byte-identical *)
-      let printed = Printer.modul_to_string p.Smith.modul in
-      let reparse =
-        match Parser.modul_of_string printed with
-        | m -> Ok m
-        | exception Parser.Error e -> Error ("parse: " ^ e)
-        | exception Lexer.Error e -> Error ("lex: " ^ e)
+  (match Verifier.verify p.Smith.modul with
+  | [] -> ()
+  | errs -> fail "verify" "-" (Verifier.errors_to_string errs));
+  (* 2. printer/parser round-trip: print, parse, print again — the two
+     texts must be byte-identical *)
+  let printed = Printer.modul_to_string p.Smith.modul in
+  (match Parser.modul_of_string printed with
+  | m ->
+      if not (String.equal printed (Printer.modul_to_string m)) then
+        fail "roundtrip" "-" "reprinted IR differs from first print"
+  | exception Parser.Error e -> fail "roundtrip" "-" ("parse: " ^ e)
+  | exception Lexer.Error e -> fail "roundtrip" "-" ("lex: " ^ e));
+  (* 3. baseline lowering (honouring the program's space draw) and
+     reference evaluation *)
+  let lo =
+    ok_or "pipeline"
+      ("lower-to-lospn space=" ^ space_flag p)
+      (lower_with_space p p.Smith.modul)
+  in
+  let lb0 = ok_or "pipeline" opt_suffix (run_suffix ~pipeline:opt_suffix lo) in
+  let reference = eval_interp lb0 p in
+  let pool = Pool.global ~threads:4 in
+  (* runs of one optimized lowering of [lb] *)
+  let eval ?(data = p.Smith.data) ?(batch_size = p.Smith.batch_size)
+      ?min_chunk lb lir engines =
+    let out_cols = Compiler.out_cols_of_lospn lb in
+    let jit = lazy (Jit.compile lir) in
+    List.map
+      (fun (engine, threads) ->
+        ( Printf.sprintf "%s-t%d" (Jit.engine_to_string engine) threads,
+          eval_cpu ~pool ?min_chunk ~batch_size ~engine ~jit ~threads ~out_cols
+            lir data ))
+      engines
+  in
+  let lower ?cpu_options ~pipeline ~level lb =
+    ok_or "pipeline"
+      (Printf.sprintf "%s,%s" pipeline (Optimizer.level_to_string level))
+      (Result.bind (lower_lir ?cpu_options lb) (optimize level))
+  in
+  (* the first run is the reference of the rest, bit for bit *)
+  let identical ~what = function
+    | [] -> ()
+    | (bname, base) :: rest ->
+        List.iter
+          (fun (name, out) ->
+            if not (agree exact_eq base out) then
+              fail "bit-identity"
+                (Printf.sprintf "%s %s-vs-%s" what bname name)
+                (Fmt.str "%s %a but %s %a" bname pp_outcome base name
+                   pp_outcome out))
+          rest
+  in
+  let within ~what reference = function
+    | [] -> ()
+    | (name, out) :: _ ->
+        if not (agree (tol_eq ~tol) reference out) then
+          fail "reference" (what ^ " " ^ name)
+            (Fmt.str "interp %a but %s %a" pp_outcome reference name
+               pp_outcome out)
+  in
+  (* 4. -O0..-O3 × VM/JIT × threads 1/2/4 on the baseline *)
+  let lir0 = ok_or "pipeline" baseline_pipeline (lower_lir lb0) in
+  List.iter
+    (fun level ->
+      let lstr = Optimizer.level_to_string level in
+      let what = Printf.sprintf "%s %s" baseline_pipeline lstr in
+      let lir =
+        ok_or "pipeline"
+          (Printf.sprintf "%s,%s" baseline_pipeline lstr)
+          (optimize level lir0)
       in
-      match reparse with
-      | Error e -> fail "roundtrip" "-" e
-      | Ok reparsed
-        when not (String.equal printed (Printer.modul_to_string reparsed)) ->
-          fail "roundtrip" "-" "reprinted IR differs from first print"
-      | Ok _ -> (
-          (* 3. baseline lowering (honouring the program's space draw)
-             and reference evaluation *)
-          match lower_with_space p p.Smith.modul with
-          | Error e -> fail "pipeline" ("lower-to-lospn space=" ^ space_flag p) e
-          | Ok lo -> (
-              match run_suffix ~pipeline:opt_suffix lo with
-              | Error e -> fail "pipeline" opt_suffix e
-              | Ok lb0 -> (
-                  let reference = eval_interp lb0 p in
-                  let out_cols = out_cols_of_lospn lb0 in
-                  let pool =
-                    if config.threads > 1 then
-                      Some (Pool.global ~threads:config.threads)
-                    else None
-                  in
-                  (* 4. -O0..-O3 × VM/JIT × threads on the baseline *)
-                  let rec sweep_levels = function
-                    | [] -> None
-                    | level :: rest -> (
-                        let lstr = Optimizer.level_to_string level in
-                        match lower_lir ~level lb0 with
-                        | Error e ->
-                            fail "pipeline"
-                              (Printf.sprintf "%s,%s" baseline_pipeline lstr)
-                              e
-                        | Ok lir -> (
-                            let base =
-                              eval_cpu ~engine:Spnc_cpu.Jit.Vm ~threads:1
-                                ~out_cols lir p
-                            in
-                            let variants =
-                              [
-                                ("jit-t1", Spnc_cpu.Jit.Jit, 1);
-                                ("vm-t2", Spnc_cpu.Jit.Vm, config.threads);
-                                ("jit-t2", Spnc_cpu.Jit.Jit, config.threads);
-                              ]
-                            in
-                            let mismatch =
-                              List.find_map
-                                (fun (vname, engine, threads) ->
-                                  let out =
-                                    eval_cpu ?pool ~engine ~threads ~out_cols
-                                      lir p
-                                  in
-                                  match (base, out) with
-                                  | Ok a, Ok b when exact_eq a b -> None
-                                  | Error _, Error _ -> None
-                                  | _ ->
-                                      fail "bit-identity"
-                                        (Printf.sprintf "%s %s vm-t1-vs-%s"
-                                           baseline_pipeline lstr vname)
-                                        (Fmt.str "vm-t1 %a but %s %a"
-                                           pp_outcome base vname pp_outcome
-                                           out))
-                                variants
-                            in
-                            match mismatch with
-                            | Some _ as f -> f
-                            | None -> (
-                                (* trap-class + tolerance vs. reference *)
-                                match (reference, base) with
-                                | Ok r, Ok o when tol_eq ~tol:config.tol r o ->
-                                    sweep_levels rest
-                                | Error _, Error _ -> sweep_levels rest
-                                | _ ->
-                                    fail "reference"
-                                      (Printf.sprintf "%s %s vm-t1"
-                                         baseline_pipeline lstr)
-                                      (Fmt.str "interp %a but vm %a" pp_outcome
-                                         reference pp_outcome base))))
-                  in
-                  match sweep_levels levels with
-                  | Some _ as f -> f
-                  | None -> (
-                      (* 5. randomized legal pass orderings *)
-                      let rec orderings k =
-                        if k = 0 then None
-                        else
-                          let pl = Passorder.random_pipeline rng in
-                          (* the first element is lower-to-lospn; run the
-                             suffix on the space-honouring lowering so
-                             the ordering varies while the datatype
-                             decision stays the program's own *)
-                          let suffix =
-                            String.concat "," (List.tl pl)
-                          in
-                          let pstr = Passorder.pipeline_to_string pl in
-                          match run_suffix ~pipeline:suffix lo with
-                          | Error e -> fail "pipeline" pstr e
-                          | Ok lbk -> (
-                              let outk = eval_interp lbk p in
-                              match (reference, outk) with
-                              | Ok r, Ok o when not (tol_eq ~tol:config.tol r o)
-                                ->
-                                  fail "ordering-divergence" pstr
-                                    (Fmt.str "baseline interp %a but %a"
-                                       pp_outcome reference pp_outcome outk)
-                              | Ok _, Error e | Error e, Ok _ ->
-                                  fail "ordering-divergence" pstr
-                                    ("trap class differs from baseline: " ^ e)
-                              | _ -> (
-                                  (* one seed-chosen level, both engines *)
-                                  let level = Rng.choose rng levels in
-                                  let lstr = Optimizer.level_to_string level in
-                                  let ck = out_cols_of_lospn lbk in
-                                  match lower_lir ~level lbk with
-                                  | Error e ->
-                                      fail "pipeline"
-                                        (Printf.sprintf "%s,%s" pstr lstr) e
-                                  | Ok lir -> (
-                                      let vm =
-                                        eval_cpu ~engine:Spnc_cpu.Jit.Vm
-                                          ~threads:1 ~out_cols:ck lir p
-                                      in
-                                      let jit =
-                                        eval_cpu ~engine:Spnc_cpu.Jit.Jit
-                                          ~threads:1 ~out_cols:ck lir p
-                                      in
-                                      match (vm, jit) with
-                                      | Ok a, Ok b when exact_eq a b ->
-                                          orderings (k - 1)
-                                      | Error _, Error _ -> orderings (k - 1)
-                                      | _ ->
-                                          fail "bit-identity"
-                                            (Printf.sprintf "%s %s vm-vs-jit"
-                                               pstr lstr)
-                                            (Fmt.str "vm %a but jit %a"
-                                               pp_outcome vm pp_outcome jit))))
-                      in
-                      orderings config.orderings)))))
+      let runs =
+        eval lb0 lir
+          Jit.[ (Vm, 1); (Jit, 1); (Vm, 2); (Jit, 2); (Vm, 4); (Jit, 4) ]
+      in
+      identical ~what runs;
+      within ~what reference runs)
+    levels;
+  (* 5. randomized legal pass orderings, or the one forced [order] *)
+  for _ = 1 to if order = None then config.orderings else 1 do
+    let pl =
+      match order with
+      | Some spec -> String.split_on_char ',' spec
+      | None -> Passorder.random_pipeline rng
+    in
+    let pstr = Passorder.pipeline_to_string pl in
+    (* a pipeline starting at lower-to-lospn runs its suffix on the
+       space-honouring lowering, so the ordering varies while the
+       datatype decision stays the program's own *)
+    let lbk =
+      ok_or "pipeline" pstr
+        (match pl with
+        | "lower-to-lospn" :: suffix ->
+            run_suffix ~pipeline:(String.concat "," suffix) lo
+        | _ -> run_from ~start:"hispn" ~pipeline:pstr p.Smith.modul)
+    in
+    let outk = eval_interp lbk p in
+    if not (agree (tol_eq ~tol) reference outk) then
+      fail "ordering-divergence" pstr
+        (Fmt.str "baseline interp %a but %a" pp_outcome reference pp_outcome
+           outk);
+    (* one seed-chosen level, both engines *)
+    let level = Rng.choose rng levels in
+    identical
+      ~what:(pstr ^ " " ^ Optimizer.level_to_string level)
+      (eval lbk (lower ~pipeline:pstr ~level lbk) Jit.[ (Vm, 1); (Jit, 1) ])
+  done;
+  (* 6. the vectorized lowering at one seed-chosen level; >= 17 rows
+     (the case's rows tiled) and batch >= 8, so the 8-lane body and the
+     scalar epilogue both run *)
+  let level = Rng.choose rng levels in
+  let n = max 17 p.Smith.rows in
+  let tile a = Array.init n (fun i -> a.(i mod p.Smith.rows)) in
+  let what = "vectorized avx2x8+veclib+shuffle" in
+  let runs =
+    eval ~data:(tile p.Smith.data) ~batch_size:(max 8 p.Smith.batch_size)
+      ~min_chunk:8 lb0
+      (lower ~cpu_options:vector_options ~pipeline:what ~level lb0)
+      Jit.[ (Vm, 1); (Jit, 1) ]
+  in
+  identical ~what runs;
+  within ~what (Result.map tile reference) runs;
+  (* 7. model-derived cases, end to end against the reference evaluator *)
+  Option.iter (model_checks ~config ~rng:(check_rng ~salt:2 p) p) p.Smith.model
 
 (* -- Pass-ordering explorer -------------------------------------------------- *)
 
@@ -415,8 +507,8 @@ let score_one ~(order : string list) ~(baseline_out : float array option)
   let dt = Unix.gettimeofday () -. t0 in
   let ops = Ir.count_ops (fun _ -> true) lo in
   let* lb = run_suffix ~pipeline:"lospn-bufferize,lospn-buffer-opt" lo in
-  let out_cols = out_cols_of_lospn lb in
-  let* lir = lower_lir ~level:Optimizer.O3 lb in
+  let out_cols = Compiler.out_cols_of_lospn lb in
+  let* lir = Result.bind (lower_lir lb) (optimize Optimizer.O3) in
   let profile = Spnc_cpu.Profile.create () in
   let n = p.Smith.rows in
   let input =

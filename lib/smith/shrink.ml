@@ -1,8 +1,7 @@
 (** IR-level delta debugger for failing generated programs
     (docs/FUZZING.md).
 
-    Works on the HiSPN graph directly — op removal with re-verify, the
-    IR analogue of [Spnc_resilience.Fuzz.shrink]'s model reduction.
+    Works on the HiSPN graph directly — op removal with re-verify.
     Two op-level reductions are tried, each followed by DCE (dropping
     the leaves the removal orphaned) and a verifier run (candidates
     that stop verifying are discarded):
@@ -13,8 +12,9 @@
       operands (sum weights are renormalized so the op still verifies).
 
     Plus a data-level reduction removing evidence rows.  The greedy
-    loop keeps any candidate on which [still_fails] holds, so the
-    result is a locally-minimal program exhibiting the failure. *)
+    loop tries the smallest candidates first and keeps any on which
+    [still_fails] holds, so the result is a locally-minimal program
+    exhibiting the failure. *)
 
 open Spnc_mlir
 module Hi = Spnc_hispn.Ops
@@ -155,24 +155,32 @@ let row_candidates (data : float array array) : float array array list =
         Array.of_list
           (List.filteri (fun j _ -> j <> i) (Array.to_list data)))
 
-(** [shrink ?max_steps ~still_fails m data] — greedy delta-debug:
-    repeatedly take the first valid one-step reduction (op-level, then
-    row-level) on which [still_fails] holds. *)
-let shrink ?(max_steps = 400) ~still_fails (m : Ir.modul)
+(** [shrink ?max_steps ?rows_only ~still_fails m data] — greedy
+    delta-debug: repeatedly take the first valid one-step reduction
+    (op-level unless [rows_only], then row-level) on which [still_fails]
+    holds. *)
+let shrink ?(max_steps = 400) ?(rows_only = false) ~still_fails (m : Ir.modul)
     (data : float array array) : Ir.modul * float array array =
   let steps = ref 0 in
   let rec go m data =
     if !steps >= max_steps then (m, data)
     else
       let next_m =
-        List.find_opt
-          (fun m' ->
-            incr steps;
-            !steps <= max_steps
-            && count_ops m' < count_ops m
-            && Verifier.is_valid m'
-            && still_fails m' data)
-          (op_candidates m)
+        if rows_only then None
+        else
+          (* smallest candidates first: forwarding an op near the root
+             drops whole subtrees, so large modules shrink in few steps *)
+          let n = count_ops m in
+          List.map (fun m' -> (count_ops m', m')) (op_candidates m)
+          |> List.filter (fun (n', _) -> n' < n)
+          |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+          |> List.find_map (fun (_, m') ->
+                 incr steps;
+                 if
+                   !steps <= max_steps && Verifier.is_valid m'
+                   && still_fails m' data
+                 then Some m'
+                 else None)
       in
       match next_m with
       | Some m' -> go m' data

@@ -14,12 +14,14 @@ val op_candidates : Ir.modul -> Ir.modul list
 (** One-step row-level reductions of the evidence. *)
 val row_candidates : float array array -> float array array list
 
-(** [shrink ?max_steps ~still_fails m data] — greedy delta-debug:
-    repeatedly take the first verifying one-step reduction on which
-    [still_fails] holds; returns a locally-minimal failing
-    (module, data) pair. *)
+(** [shrink ?max_steps ?rows_only ~still_fails m data] — greedy
+    delta-debug: repeatedly take the first verifying one-step reduction
+    on which [still_fails] holds; returns a locally-minimal failing
+    (module, data) pair.  [rows_only] keeps the module and reduces only
+    the evidence rows (failures found through a model). *)
 val shrink :
   ?max_steps:int ->
+  ?rows_only:bool ->
   still_fails:(Ir.modul -> float array array -> bool) ->
   Ir.modul ->
   float array array ->

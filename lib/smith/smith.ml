@@ -1,15 +1,17 @@
-(** Grammar-based generator of random well-typed HiSPN programs
-    (docs/FUZZING.md) — the SPNC analogue of MLIR-Smith.
+(** Case generator of the fuzzer (docs/FUZZING.md) — the SPNC analogue
+    of MLIR-Smith.
 
-    [spnc_fuzz]'s model mutator can only reach IR shapes that some
-    [Model.t] produces; this generator emits HiSPN {e directly} through
-    {!Spnc_mlir.Builder}, so it can exercise attribute and type corners
-    models never hit: degenerate single-operand sums/products, zero
+    Even case ids are {e IR-level} programs emitted directly through
+    {!Spnc_mlir.Builder}, so they reach attribute and type corners no
+    model produces: degenerate single-operand sums/products, zero
     weights whose log-space constants are [-inf], near-singular and
     far-off-data Gaussians, single-bucket categoricals and histograms,
     shared subgraphs that are not smooth/decomposable SPNs, and batch
-    sizes from 1 to 4096.  Every generated program passes the verifier,
-    round-trips the printer/parser, and carries [loc(...)] provenance.
+    sizes from 1 to 4096.  Odd case ids are {e model-derived}: a
+    {!Spnc_spn.Random_spn} model translated by {!Spnc_hispn.From_model},
+    which the harness also checks against the reference evaluator.
+    Every program passes the verifier, round-trips the printer/parser,
+    and carries [loc(...)] provenance.
 
     Generation is seed-deterministic: the same (seed, id) pair always
     yields the same printed IR and the same input data, so a failure
@@ -18,6 +20,7 @@
 open Spnc_mlir
 module Rng = Spnc_data.Rng
 module Hi = Spnc_hispn.Ops
+module Model = Spnc_spn.Model
 
 (** Evidence kind of one feature column. *)
 type var_kind =
@@ -58,10 +61,11 @@ type program = {
   support_marginal : bool;
   space : Spnc_lospn.Lower_hispn.space_option;
   batch_size : int;
+  model : Model.t option;  (** the source model of a model-derived case *)
 }
 
-(* Same per-case derivation as Spnc_resilience.Fuzz: cases are
-   independent streams, so [--case N] replays one program exactly. *)
+(* Cases are independent streams, so [--case N] replays one program
+   exactly. *)
 let case_rng ~seed ~id = Rng.create ~seed:((seed * 1_000_003) + id)
 
 (* -- Attribute corners ------------------------------------------------------- *)
@@ -115,6 +119,24 @@ let gen_densities cfg rng n =
       if cfg.extreme && Rng.float rng < 0.15 then
         Rng.choose rng [ 0.0; 1e6; 1e-9 ]
       else Rng.range rng 0.01 2.0)
+
+(* Evidence rows: in-support values per feature kind, far-off corners
+   when [extreme], NaN (marginalized) entries under [support_marginal]. *)
+let gen_data (cfg : config) rng kinds ~support_marginal =
+  Array.init cfg.rows (fun _ ->
+      Array.map
+        (fun kind ->
+          let base =
+            match kind with
+            | Continuous ->
+                if cfg.extreme && Rng.float rng < 0.1 then
+                  Rng.choose rng [ 1e3; -1e3; 0.0 ]
+                else Rng.range rng (-3.0) 3.0
+            | Categorical k -> float_of_int (Rng.int rng k)
+            | Histogram n -> float_of_int (Rng.int rng n) +. Rng.float rng
+          in
+          if support_marginal && Rng.float rng < 0.15 then Float.nan else base)
+        kinds)
 
 (* -- Structure --------------------------------------------------------------- *)
 
@@ -214,21 +236,6 @@ let generate ?(config = default_config) ~seed ~id () : program =
   let modul =
     Builder.modul ~name:(Printf.sprintf "smith_s%d_c%d" seed id) [ query ]
   in
-  let data =
-    Array.init cfg.rows (fun _ ->
-        Array.init nf (fun f ->
-            let base =
-              match kinds.(f) with
-              | Continuous ->
-                  if cfg.extreme && Rng.float rng < 0.1 then
-                    Rng.choose rng [ 1e3; -1e3; 0.0 ]
-                  else Rng.range rng (-3.0) 3.0
-              | Categorical k -> float_of_int (Rng.int rng k)
-              | Histogram n -> float_of_int (Rng.int rng n) +. Rng.float rng
-            in
-            if support_marginal && Rng.float rng < 0.15 then Float.nan
-            else base))
-  in
   {
     seed;
     id;
@@ -236,11 +243,102 @@ let generate ?(config = default_config) ~seed ~id () : program =
     num_features = nf;
     kinds;
     rows = cfg.rows;
-    data;
+    data = gen_data cfg rng kinds ~support_marginal;
     support_marginal;
     space;
     batch_size;
+    model = None;
   }
+
+(* Evidence kind of each feature of a model: integral indices when any
+   leaf over it is discrete (Random_spn gives categoricals and histograms
+   one arity, so the index stays in both supports), else continuous. *)
+let kinds_of_model (m : Model.t) =
+  let kinds = Array.make m.Model.num_features Continuous in
+  Model.iter_unique
+    (fun n ->
+      match n.Model.desc with
+      | Model.Categorical { var; probs } ->
+          kinds.(var) <- Categorical (Array.length probs)
+      | Model.Histogram { var; densities; _ } ->
+          if kinds.(var) = Continuous then
+            kinds.(var) <- Categorical (Array.length densities)
+      | _ -> ())
+    m;
+  kinds
+
+(* Random_spn mints node ids from a process-wide counter; renumber them
+   children-first, so a case carries the same provenance (loc(spn.node N))
+   whatever the process generated before it. *)
+let renumber (m : Model.t) =
+  let memo = Hashtbl.create 64 and next = ref 0 in
+  let rec go (n : Model.node) =
+    match Hashtbl.find_opt memo n.Model.id with
+    | Some n' -> n'
+    | None ->
+        let desc =
+          match n.Model.desc with
+          | Model.Sum cs -> Model.Sum (List.map (fun (w, c) -> (w, go c)) cs)
+          | Model.Product cs -> Model.Product (List.map go cs)
+          | leaf -> leaf
+        in
+        let n' = { Model.id = !next; desc } in
+        incr next;
+        Hashtbl.add memo n.Model.id n';
+        n'
+  in
+  { m with Model.root = go m.Model.root }
+
+let of_model ?(config = default_config) ~seed ~id () : program =
+  (* no far-off evidence: it underflows a linear-space kernel to -inf
+     where the log-space reference stays finite, by design *)
+  let cfg = { config with extreme = false } in
+  let rng = case_rng ~seed ~id in
+  let num_features = 3 + Rng.int rng 6 in
+  let name = Printf.sprintf "model_s%d_c%d" seed id in
+  (* one case in four takes the speaker-ID shape at >= 200 ops *)
+  let model =
+    renumber
+      (if Rng.float rng < 0.25 then
+         Spnc_spn.Random_spn.generate_sized ~name rng
+           { Spnc_spn.Random_spn.speaker_id_config with num_features }
+           ~min_ops:200
+       else
+         Spnc_spn.Random_spn.generate ~name rng
+           {
+             Spnc_spn.Random_spn.default_config with
+             num_features;
+             max_depth = cfg.max_depth;
+           })
+  in
+  let support_marginal = Rng.float rng < 0.3 in
+  let batch_size = Rng.choose rng [ 1; 3; 8; 4096 ] in
+  let kinds = kinds_of_model model in
+  {
+    seed;
+    id;
+    modul =
+      Spnc_hispn.From_model.translate
+        ~query:
+          {
+            Spnc_hispn.From_model.batch_size;
+            input_type = Types.F32;
+            support_marginal;
+          }
+        model;
+    num_features;
+    kinds;
+    rows = cfg.rows;
+    data = gen_data cfg rng kinds ~support_marginal;
+    support_marginal;
+    space = Spnc_lospn.Lower_hispn.Auto;
+    batch_size;
+    model = Some model;
+  }
+
+let case ?config ~seed ~id () =
+  if id mod 2 = 0 then generate ?config ~seed ~id ()
+  else of_model ?config ~seed ~id ()
 
 let flat_data (p : program) = Array.concat (Array.to_list p.data)
 

@@ -1,14 +1,16 @@
-(** Grammar-based generator of random well-typed HiSPN programs — the
-    SPNC analogue of MLIR-Smith (docs/FUZZING.md).
+(** Case generator of the fuzzer — the SPNC analogue of MLIR-Smith
+    (docs/FUZZING.md).
 
-    Programs are emitted directly through {!Spnc_mlir.Builder}, so the
-    generator reaches attribute/type corners the model-level fuzzer
-    cannot: degenerate single-operand sums/products, exactly-zero
+    IR-level programs ({!generate}) are emitted directly through
+    {!Spnc_mlir.Builder}, so they reach attribute/type corners no model
+    produces: degenerate single-operand sums/products, exactly-zero
     mixture weights (log-space [-inf] constants), near-singular and
     far-off-data Gaussians, single-bucket categoricals/histograms,
     zero-density buckets, shared non-SPN subgraph structure, and batch
-    sizes from 1 to 4096.  Every program verifies, round-trips the
-    printer/parser, and carries provenance locations.
+    sizes from 1 to 4096.  Model-derived programs ({!of_model}) translate
+    a {!Spnc_spn.Random_spn} model and keep it for the reference
+    evaluator.  Every program verifies, round-trips the printer/parser,
+    and carries provenance locations.
 
     Generation is deterministic: the same (seed, id) always yields the
     same printed IR and input data. *)
@@ -43,14 +45,28 @@ type program = {
   support_marginal : bool;
   space : Spnc_lospn.Lower_hispn.space_option;
   batch_size : int;
+  model : Spnc_spn.Model.t option;
+      (** the source model of a model-derived case; [None] for IR-level
+          programs *)
 }
 
 (** The per-case generator stream: [--case id] replays one program. *)
 val case_rng : seed:int -> id:int -> Spnc_data.Rng.t
 
-(** [generate ?config ~seed ~id ()] — the program for case [id] of seed
-    [seed]; deterministic. *)
+(** [generate ?config ~seed ~id ()] — the IR-level program for case [id]
+    of seed [seed]; deterministic. *)
 val generate : ?config:config -> seed:int -> id:int -> unit -> program
+
+(** [of_model ?config ~seed ~id ()] — a model-derived case: a
+    [Random_spn] model with 3–8 features (depth [config.max_depth]; one
+    case in four in the speaker-ID shape at >= 200 ops), its HiSPN
+    translation, and [config.rows] in-support evidence rows, NaN-marked
+    when the case draws [support_marginal]; deterministic. *)
+val of_model : ?config:config -> seed:int -> id:int -> unit -> program
+
+(** [case ?config ~seed ~id ()] — the fuzzer's case [id]: {!generate} for
+    even ids, {!of_model} for odd ones. *)
+val case : ?config:config -> seed:int -> id:int -> unit -> program
 
 (** Row-major flattened evidence. *)
 val flat_data : program -> float array

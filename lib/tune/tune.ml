@@ -1,5 +1,5 @@
 (* Vectorization design-space explorer + profile-guided auto-tuner.
-   See tune.mli and docs/PERFORMANCE.md §7 for the design. *)
+   See tune.mli and docs/PERFORMANCE.md §6 for the design. *)
 
 module Options = Spnc.Options
 module Compiler = Spnc.Compiler

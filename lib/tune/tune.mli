@@ -1,5 +1,5 @@
 (** Vectorization design-space explorer and profile-guided auto-tuner —
-    the closed loop behind the paper's Fig. 6 (docs/PERFORMANCE.md §7).
+    the closed loop behind the paper's Fig. 6 (docs/PERFORMANCE.md §6).
 
     The paper's central CPU result is that the vectorization knobs —
     vectorize on/off, vector library, shuffle-vs-gather loads — swing

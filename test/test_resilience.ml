@@ -1,7 +1,7 @@
 (** Tests for the resilience layer (docs/RESILIENCE.md): structured
     diagnostics, the crash-isolated pass manager and its reproducer
     bundles, output guards, GPU→CPU fallback, runtime chunk-failure
-    isolation, and the differential fuzzing harness. *)
+    isolation, and the fault registry. *)
 
 open Spnc_resilience
 module Compiler = Spnc.Compiler
@@ -274,7 +274,7 @@ let test_exec_load_validation () =
   (match Exec.load ~batch_size:0 ~out_cols:1 lir with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "batch_size=0 must be rejected");
-  (* threads <= 0 means auto-detect (docs/PERFORMANCE.md §5), not an error *)
+  (* threads <= 0 means auto-detect (docs/PERFORMANCE.md §4), not an error *)
   let t = Exec.load ~threads:0 ~out_cols:1 lir in
   check tbool "threads=0 resolves to >= 1 workers" true (Exec.threads t >= 1);
   check tbool "auto matches the advertised resolution" true
@@ -316,81 +316,6 @@ let test_multithread_deterministic () =
       if a <> four.(i) then
         Alcotest.failf "row %d: 1-thread %.17g <> 4-thread %.17g" i a four.(i))
     one
-
-(* -- Differential fuzzing ------------------------------------------------------- *)
-
-let cpu_oracle level =
-  {
-    Fuzz.oracle_name = "cpu-" ^ Spnc_cpu.Optimizer.level_to_string level;
-    eval =
-      (fun m data ->
-        let options =
-          { Options.default with Options.opt_level = level; threads = 1 }
-        in
-        Compiler.execute (Compiler.compile ~options m) data);
-  }
-
-let all_cpu_oracles =
-  List.map cpu_oracle
-    [ Spnc_cpu.Optimizer.O0; Spnc_cpu.Optimizer.O1; Spnc_cpu.Optimizer.O2;
-      Spnc_cpu.Optimizer.O3 ]
-
-let test_fuzz_clean () =
-  for id = 0 to 9 do
-    let case = Fuzz.gen_case ~seed:11 ~id () in
-    match Fuzz.check_case ~oracles:all_cpu_oracles case with
-    | None -> ()
-    | Some f -> Alcotest.failf "case %d: %a" id Fuzz.pp_failure_kind f.Fuzz.kind
-  done
-
-let test_fuzz_deterministic () =
-  let a = Fuzz.gen_case ~seed:5 ~id:3 () and b = Fuzz.gen_case ~seed:5 ~id:3 () in
-  check tint "same node count"
-    (Model.node_count a.Fuzz.model)
-    (Model.node_count b.Fuzz.model);
-  check tbool "same data" true (a.Fuzz.data = b.Fuzz.data)
-
-(* The harness must detect a real miscompile and shrink it: enable the
-   deliberately unsound peephole and fuzz until it is caught. *)
-let test_fuzz_catches_injected_miscompile () =
-  Spnc_cpu.Optimizer.inject_bad_peephole := true;
-  Fun.protect
-    ~finally:(fun () -> Spnc_cpu.Optimizer.inject_bad_peephole := false)
-    (fun () ->
-      let oracles = [ cpu_oracle Spnc_cpu.Optimizer.O2 ] in
-      let caught = ref None in
-      let id = ref 0 in
-      while !caught = None && !id < 20 do
-        let case = Fuzz.gen_case ~seed:13 ~id:!id () in
-        (match Fuzz.check_case ~oracles case with
-        | Some f -> caught := Some (case, f)
-        | None -> ());
-        incr id
-      done;
-      match !caught with
-      | None -> Alcotest.fail "injected miscompile never detected"
-      | Some (case, _) ->
-          let shrunk, shrunk_data =
-            Fuzz.shrink
-              ~still_fails:(fun m d -> Fuzz.check ~oracles m d <> None)
-              case.Fuzz.model case.Fuzz.data
-          in
-          check tbool "model shrank or stayed" true
-            (Model.node_count shrunk <= Model.node_count case.Fuzz.model);
-          check tbool "rows shrank or stayed" true
-            (Array.length shrunk_data <= Array.length case.Fuzz.data);
-          check tbool "shrunk case still fails" true
-            (Fuzz.check ~oracles shrunk shrunk_data <> None))
-
-let test_fuzz_generates_valid_models () =
-  for id = 0 to 19 do
-    let case = Fuzz.gen_case ~seed:99 ~id () in
-    match Spnc_spn.Validate.check case.Fuzz.model with
-    | [] -> ()
-    | issues ->
-        Alcotest.failf "case %d invalid: %s" id
-          (Spnc_spn.Validate.issues_to_string issues)
-  done
 
 (* -- Reproducer ----------------------------------------------------------------- *)
 
@@ -558,13 +483,6 @@ let suite =
       test_chunk_error;
     Alcotest.test_case "exec: multi-thread bit-identical" `Quick
       test_multithread_deterministic;
-    Alcotest.test_case "fuzz: clean run over all -O levels" `Slow test_fuzz_clean;
-    Alcotest.test_case "fuzz: generation is deterministic" `Quick
-      test_fuzz_deterministic;
-    Alcotest.test_case "fuzz: catches and shrinks injected miscompile" `Slow
-      test_fuzz_catches_injected_miscompile;
-    Alcotest.test_case "fuzz: generated models are valid" `Quick
-      test_fuzz_generates_valid_models;
     Alcotest.test_case "reproducer: bundle layout" `Quick test_reproducer_write;
     Alcotest.test_case "fault: decision stream deterministic" `Quick
       test_fault_decide_deterministic;

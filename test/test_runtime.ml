@@ -4,7 +4,7 @@
     and execution engines, the pooled-scratch path for multi-slot
     kernels, buffer-view semantics, the JIT's constant promotion under
     frame reuse, the kernel compilation cache counters, and the
-    streaming layer (docs/PERFORMANCE.md §5-§6): persistent-pool domain
+    streaming layer (docs/PERFORMANCE.md §4-§5): persistent-pool domain
     reuse, work stealing under skewed chunk costs, the adaptive chunk
     plan, scheduler bit-identity, thread auto-detection, thread-safe
     compilation/execution, and the GPU stream pipeline's output equality

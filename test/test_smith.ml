@@ -1,8 +1,9 @@
-(** Tests for the grammar-based IR fuzzer ([Spnc_smith]): generator
-    determinism, verification and printer/parser round-trip of every
-    generated program, pass-ordering legality, the differential harness
-    on clean and deliberately-broken compilers, the IR-level shrinker,
-    and the pass-ordering promotion hook ([Options.lospn_opt_order]). *)
+(** Tests for the fuzzer ([Spnc_smith]): generator determinism,
+    verification and printer/parser round-trip of every generated
+    program, pass-ordering legality, the differential harness on clean
+    and deliberately-broken compilers (IR-level and model-derived
+    cases), the shrinker, and the pass-ordering promotion hook
+    ([Options.lospn_opt_order]). *)
 
 open Spnc_mlir
 module Smith = Spnc_smith.Smith
@@ -281,6 +282,79 @@ let test_comparisons () =
     (Harness.tol_eq ~tol:1e-6 [| 1000.0 |] [| 1000.0005 |]);
   check tbool "exact_eq distinguishes -0." false (Harness.exact_eq [| 0.0 |] [| -0.0 |])
 
+(* -- model-derived cases --------------------------------------------------------- *)
+
+let same_bits a b =
+  Array.for_all2
+    (Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y))
+    a b
+
+let test_model_cases_deterministic () =
+  let a = Smith.of_model ~seed:5 ~id:3 ()
+  and b = Smith.of_model ~seed:5 ~id:3 () in
+  check tstr "same (seed, id) prints identically" (print_m a.Smith.modul)
+    (print_m b.Smith.modul);
+  check tbool "same (seed, id) draws identical data" true
+    (same_bits a.Smith.data b.Smith.data);
+  check tbool "odd case ids are model-derived" true
+    ((Smith.case ~seed:5 ~id:3 ()).Smith.model <> None
+    && (Smith.case ~seed:5 ~id:4 ()).Smith.model = None)
+
+let test_model_cases_valid () =
+  for id = 0 to 19 do
+    match (Smith.of_model ~seed:99 ~id ()).Smith.model with
+    | None -> Alcotest.failf "case %d has no model" id
+    | Some m -> (
+        match Spnc_spn.Validate.check m with
+        | [] -> ()
+        | issues ->
+            Alcotest.failf "case %d invalid: %s" id
+              (Spnc_spn.Validate.issues_to_string issues))
+  done
+
+let test_model_cases_clean () =
+  for id = 0 to 5 do
+    match Harness.check_program (Smith.of_model ~seed:11 ~id ()) with
+    | None -> ()
+    | Some f -> Alcotest.failf "case %d: %a" id Harness.pp_failure f
+  done
+
+(* The model-derived checks alone (no IR-level sweep) must catch the
+   deliberately unsound peephole, and the rows-only shrink must keep the
+   module and the failure. *)
+let test_model_checks_flag_injected_miscompile () =
+  Spnc.Compiler.reset_kernel_cache ();
+  Fun.protect
+    ~finally:(fun () ->
+      Spnc_cpu.Optimizer.inject_bad_peephole := false;
+      Spnc.Compiler.reset_kernel_cache ())
+    (fun () ->
+      Spnc_cpu.Optimizer.inject_bad_peephole := true;
+      let rec find id =
+        if id >= 20 then Alcotest.fail "injected miscompile never detected"
+        else
+          let p = Smith.of_model ~seed:13 ~id () in
+          match Harness.check_model p with
+          | Some f -> (p, f)
+          | None -> find (id + 1)
+      in
+      let p, f = find 0 in
+      check tbool "failure names a model check" true
+        (String.starts_with ~prefix:"model-" f.Harness.check);
+      let still_fails m d =
+        Harness.check_model
+          { p with Smith.modul = m; data = d; rows = Array.length d }
+        <> None
+      in
+      let shrunk, shrunk_data =
+        Shrink.shrink ~rows_only:true ~still_fails p.Smith.modul p.Smith.data
+      in
+      check tbool "module kept" true (shrunk == p.Smith.modul);
+      check tbool "rows shrank or stayed" true
+        (Array.length shrunk_data <= Array.length p.Smith.data);
+      check tbool "shrunk case still fails" true
+        (still_fails shrunk shrunk_data))
+
 let suite =
   [
     Alcotest.test_case "generator is seed-deterministic" `Quick test_deterministic;
@@ -310,4 +384,11 @@ let suite =
       test_leaderboard_roundtrip;
     Alcotest.test_case "tolerant/exact comparison corners" `Quick
       test_comparisons;
+    Alcotest.test_case "model cases are deterministic" `Quick
+      test_model_cases_deterministic;
+    Alcotest.test_case "model cases are valid models" `Quick
+      test_model_cases_valid;
+    Alcotest.test_case "model cases run clean" `Slow test_model_cases_clean;
+    Alcotest.test_case "model checks flag the bad peephole" `Slow
+      test_model_checks_flag_injected_miscompile;
   ]

@@ -1,5 +1,5 @@
 (** Tests for the Fig. 6 design-space explorer and auto-tuner
-    (docs/PERFORMANCE.md §7): fingerprint sensitivity of every tuned
+    (docs/PERFORMANCE.md §6): fingerprint sensitivity of every tuned
     knob, lattice enumeration/dedup, tuner determinism, bit-identity of
     measured candidates, profile-feedback pruning, per-task refinement,
     tuned-config JSON round-trips and the digest-keyed cache. *)
