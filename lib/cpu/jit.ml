@@ -1,22 +1,63 @@
-(** Jit — the closure-compiled execution engine over Lir (threaded code).
+(** Jit — the closure-compiled execution engine over Lir, run a column
+    of loop iterations at a time.
 
     The paper's central claim is that compiling SPNs to native kernels
     beats per-node dispatch (§V); {!Vm} is still a per-instruction
-    [match] interpreter.  This module closes that gap within OCaml: a
-    [Lir.modul] is compiled {e once} into a tree of closures — one
-    closure per instruction, specialized on opcode and vector width, with
-    every register index resolved at compile time — so the hot path is
-    plain [fun fr -> ...] calls with zero tag matching, no per-lane
-    opcode dispatch, and no array bounds checks on register files
-    (indices are validated once at compile time).
+    [match] interpreter.  This module compiles a [Lir.modul] {e once}
+    into closures — one per instruction, specialized on opcode and on
+    which operands are compile-time constants, with every register
+    resolved to a fixed frame offset — and runs them over register
+    {e columns}: a closure [c fr n] executes its instruction for [n]
+    consecutive loop iterations, whose values of each register lie side
+    by side in the frame ([n × w] floats for a [w]-lane vector register).
+    An eligible loop dispatches each instruction once per chunk of
+    {!chunk} iterations (the paper's batch loop: ONNX-MLIR-style loop
+    nests apply each operation to many rows at once), not once per
+    iteration; each closure's own loop over the chunk's flat lanes is
+    unrolled.
+
+    {b Eligibility}, read from the Lir alone.  A loop runs in columns
+    when its step is positive and its body
+    - is straight-line: no nested [Loop], no [CallFn], no buffer
+      alloc/dealloc/copy/table;
+    - reads no register before the body defines it (no value is carried
+      from one iteration to the next);
+    - defines no register, and has no induction variable, that is read
+      anywhere outside the body;
+    - does not both load from and store to one buffer register.
+    Every value then flows within its own iteration, so running the
+    body instruction by instruction over a chunk computes what the
+    iteration-by-iteration order computes.  Memory is the one place the
+    order shows: each store instruction still writes its iterations in
+    order, but all of them before the next instruction runs.  The
+    compiler's loops store each (row, slot) address once, so no two
+    stores of one chunk meet; a loop whose distinct buffer registers
+    share one backing array at run time falls back to one iteration at
+    a time.  Code outside loops, and ineligible loops, call the same
+    closures with [n = 1]: the VM's order exactly.
+
+    {b Frames.}  F and V registers live in one float array, I registers
+    in an int array, buffers in their own.  A register whose defs and
+    uses all lie inside one eligible loop body shares a column slot with
+    others, assigned by linear scan over the straight-line body; every
+    other register keeps its own slot, a full column when an eligible
+    loop defines it.  A promoted constant (a [ConstF]/[ConstI]/[VConst]
+    whose value every read sees — see [promoted]) has no slot: its value
+    is an immediate in the closures that read it, or, in operand
+    positions with no immediate form, a constant column filled once per
+    state (a one-float slot for a select, which picks by index).  An
+    outer non-constant operand of an eligible loop (a bound, a value
+    LICM hoisted) is broadcast into a column once at loop entry.
 
     Compiled kernels are immutable and shareable across domains; all
-    mutable execution state lives in a per-domain {!state} (a pool of
-    register frames, one per function), so the multi-threaded runtime
-    allocates frames once per worker instead of once per chunk.
+    mutable execution state lives in a per-domain {!state} (one frame
+    per function), so the multi-threaded runtime allocates frames once
+    per worker instead of once per chunk.
 
     Semantics are differentially checked against {!Vm} (bit-identical
-    output) by the test suite and [bin/spnc_fuzz]. *)
+    output) by the test suite and [bin/spnc_fuzz].  A trap (bounds
+    checks, the binary-[FMA] trap) may name a different iteration of the
+    failing chunk than the VM's; the runtime discards a failed chunk. *)
 
 open Lir
 
@@ -33,370 +74,709 @@ let engine_of_string = function
 
 let trap fmt = Fmt.kstr (fun s -> raise (Vm.Trap s)) fmt
 
+(** Iterations per chunk of a column loop: 256 rows of an 8-wide
+    vectorized loop.  16, 32 and 64 measure the same on speaker-ID
+    kernels; smaller chunks pay more dispatches, larger ones spill the
+    column slots out of L2. *)
+let chunk = 32
+
 (** Per-domain execution frame.  [frames] points back at the owning
     state's pool so [CallFn] can fetch the callee's frame without
     threading the state through every closure. *)
 type frame = {
-  f : float array;
-  i : int array;
-  v : float array array;
+  fl : float array;  (** F and V registers: slots, columns, constants *)
+  it : int array;  (** I registers *)
   b : Vm.buffer array;
   frames : frame array;
 }
 
-type code = frame -> unit
+(* [code fr n] runs one instruction for [n] consecutive iterations *)
+type code = frame -> int -> unit
 
 type cfunc = {
   src : func;
   cparams : int array;  (** parameter buffer registers, by position *)
-  code : code;  (** the whole body, fused into one closure tree *)
-  init : code;
-      (** promoted constants: run once per frame at state creation *)
-  (* frame sizes: declared register counts widened to cover every index
-     actually referenced, so closure bodies can use unchecked accesses *)
-  fr_nf : int;
-  fr_ni : int;
-  fr_nv : int;
-  fr_nb : int;
-  fr_width : int;
+  code : code;  (** the whole body, run with [n = 1] *)
+  init : frame -> unit;  (** fills the constant columns, once per state *)
+  fl_size : int;
+  it_size : int;
+  b_size : int;
 }
 
 type kernel = { cfuncs : cfunc array; centry : int }
 
 type state = frame array
 
-(* -- Register bounds ---------------------------------------------------------- *)
+(* -- Analysis ----------------------------------------------------------------- *)
 
-(* Widen the declared per-class register counts to cover every register
-   index the body (and the parameter list) actually touches.  Frames
-   sized from these bounds make the unchecked register accesses inside
-   the compiled closures safe even for hand-assembled Lir whose declared
-   counts are wrong. *)
-let reg_bounds (fn : func) : int * int * int * int =
-  let nf = ref fn.nf and ni = ref fn.ni and nv = ref fn.nv and nb = ref fn.nb in
-  let bump (rc, r) =
-    let cell =
-      match rc with
-      | Optimizer.F -> nf
-      | Optimizer.I -> ni
-      | Optimizer.V -> nv
-      | Optimizer.B -> nb
-    in
-    if r >= !cell then cell := r + 1
-  in
-  let rec go body =
+(* One scan over a function's flattened body fills per-class register
+   arrays (F, I, V, B = 0..3): where each register is defined and read,
+   its last position, whether it is a promotable constant.  Eligibility
+   and slot assignment then read those arrays, so compile time stays
+   linear in the instruction count. *)
+
+let cls = function
+  | Optimizer.F -> 0
+  | Optimizer.I -> 1
+  | Optimizer.V -> 2
+  | Optimizer.B -> 3
+
+(* [f c r] for each register [ins] defines / reads; the short lists die
+   young, unlike lists kept per instruction *)
+let iter_defs f ins = List.iter (fun (c, r) -> f c r) (Optimizer.defs ins)
+let iter_uses f ins = List.iter (fun (c, r) -> f c r) (Optimizer.uses ins)
+
+(* where all of a register's defs (or uses) lie: one innermost loop id,
+   [top] outside loops, [nowhere] before the first, [mixed] once two
+   places differ *)
+let top = -1
+let mixed = -2
+let nowhere = -3
+let merge cur l = if cur = nowhere || cur = l then l else mixed
+
+type regs = {
+  ndefs : int array;
+  def_in : int array;
+  use_in : int array;
+  last : int array;  (** last flat position that defines or reads it *)
+  early : bool array;
+      (** read before its first def, or outside that def's loop nest *)
+  konst : bool array;  (** defined by a [ConstF]/[ConstI]/[VConst] *)
+  fval : float array;
+  ival : int array;
+  base : int array;  (** frame offset of its slot; -1 when it has none *)
+}
+
+type lp = {
+  l : loop;
+  pos : int;  (** flat position of the [Loop]; its body follows it *)
+  parent : int;
+  mutable straight : bool;
+  mutable eligible : bool;
+  mutable bcast : (int * int * int) list;
+      (** outer operands: class, register, broadcast column *)
+  mutable stored : int list;  (** buffer registers stored to *)
+  mutable touched : int list;  (** buffer registers loaded or stored *)
+}
+
+type an = {
+  w : int;
+  rs : regs array;
+  loops : lp array;
+  negative : bool;  (** some register index is negative *)
+  mutable pool_fl : int;  (** float words of the shared column slots *)
+  mutable pool_it : int;
+  mutable fl_words : int;  (** frame sizes, growing as slots are laid out *)
+  mutable it_words : int;
+  b_size : int;
+}
+
+(* A [ConstF]/[ConstI]/[VConst] whose destination has exactly one
+   definition holds the same value from its first execution on, so it
+   is promoted out of the body into an immediate.  Promotion must not
+   let a read see the value earlier than the interpreter would (fresh
+   registers read as zero until first written): a candidate is rejected
+   when a read comes before its definition in program order, or outside
+   the loop nest holding it — a zero-trip loop would leave the register
+   unwritten for such a read. *)
+let promoted (x : regs) r = x.konst.(r) && x.ndefs.(r) = 1 && not x.early.(r)
+
+let lanes an c = if c = 2 then an.w else 1
+
+let analyse (fn : func) : an =
+  (* flatten in pre-order; a loop body follows its [Loop] contiguously *)
+  let n = count_instrs fn.body in
+  let flat = Array.make n Ret and parent = Array.make n top in
+  let loop_id = Array.make n top in
+  let loops = ref [] and nloops = ref 0 and next = ref 0 in
+  let rec go par body =
     Array.iter
       (fun ins ->
-        List.iter bump (Optimizer.defs ins);
-        List.iter bump (Optimizer.uses ins);
-        match ins with Loop l -> go l.body | _ -> ())
+        let pos = !next in
+        incr next;
+        flat.(pos) <- ins;
+        parent.(pos) <- par;
+        match ins with
+        | Loop l ->
+            let id = !nloops in
+            incr nloops;
+            loop_id.(pos) <- id;
+            loops :=
+              { l; pos; parent = par; straight = l.step >= 1; eligible = false;
+                bcast = []; stored = []; touched = [] }
+              :: !loops;
+            go id l.body
+        | _ -> ())
       body
   in
-  go fn.body;
-  List.iter (fun p -> bump (Optimizer.B, p)) fn.params;
-  (max 1 !nf, max 1 !ni, max 1 !nv, max 1 !nb)
+  go top fn.body;
+  let loops = Array.of_list (List.rev !loops) in
+  let bound = [| fn.nf; fn.ni; fn.nv; fn.nb |] in
+  let negative = ref false in
+  let see c r =
+    let c = cls c in
+    if r < 0 then negative := true else if r >= bound.(c) then bound.(c) <- r + 1
+  in
+  List.iter (see Optimizer.B) fn.params;
+  Array.iter (fun ins -> iter_defs see ins; iter_uses see ins) flat;
+  let mk c =
+    let n = bound.(c) in
+    {
+      ndefs = Array.make n 0;
+      def_in = Array.make n nowhere;
+      use_in = Array.make n nowhere;
+      last = Array.make n (-1);
+      early = Array.make n false;
+      konst = Array.make n false;
+      fval = Array.make (if c = 0 || c = 2 then n else 0) 0.0;
+      ival = Array.make (if c = 1 then n else 0) 0;
+      base = Array.make n (-1);
+    }
+  in
+  let rs = Array.init 4 mk in
+  let rec within l d = l = d || (l >= 0 && within loops.(l).parent d) in
+  if not !negative then
+    Array.iteri
+      (fun p ins ->
+        let l = parent.(p) in
+        iter_uses
+          (fun c r ->
+            let x = rs.(cls c) in
+            x.use_in.(r) <- merge x.use_in.(r) l;
+            x.last.(r) <- p;
+            if x.ndefs.(r) = 0 || not (within l x.def_in.(r)) then
+              x.early.(r) <- true)
+          ins;
+        (* a loop's induction variable lives inside the loop *)
+        let dl = if loop_id.(p) >= 0 then loop_id.(p) else l in
+        iter_defs
+          (fun c r ->
+            let x = rs.(cls c) in
+            x.ndefs.(r) <- x.ndefs.(r) + 1;
+            x.def_in.(r) <- merge x.def_in.(r) dl;
+            x.last.(r) <- p)
+          ins;
+        match ins with
+        | ConstF (d, v) -> rs.(0).konst.(d) <- true; rs.(0).fval.(d) <- v
+        | ConstI (d, v) -> rs.(1).konst.(d) <- true; rs.(1).ival.(d) <- v
+        | VConst (d, v) -> rs.(2).konst.(d) <- true; rs.(2).fval.(d) <- v
+        | Loop _ | CallFn _ | AllocBuf _ | DeallocBuf _ | CopyBuf _
+        | TableConst _ ->
+            if l >= 0 then loops.(l).straight <- false
+        | _ -> ())
+      flat;
+  {
+    w = max 1 fn.vec_width;
+    rs;
+    loops;
+    negative = !negative;
+    pool_fl = 0;
+    pool_it = 0;
+    fl_words = 0;
+    it_words = 0;
+    b_size = max 1 bound.(3);
+  }
 
-(* -- Constant promotion ------------------------------------------------------- *)
+(* Scratch marks of the per-loop scans, stamped with the loop id so they
+   never need clearing. *)
+type scratch = {
+  defd : int array array;  (** defined in the body *)
+  first : int array array;  (** body index of that first def *)
+  outer : int array array;  (** recorded as an outer operand *)
+  live : int array array;  (** holds a pool slot *)
+  loaded : int array;  (** buffer registers *)
+  stored : int array;
+}
 
-(* A [ConstF]/[ConstI]/[VConst] whose destination register has exactly
-   one definition in the whole function holds the same value from its
-   first execution onward.  Such constants are promoted out of the body:
-   they run once per frame when the execution state is created
-   ([make_state]) instead of being re-materialized on every row-loop
-   iteration — at -O1 (the default) nothing hoists loop-invariant code,
-   so on real kernels constants are a large share of in-loop work.
+let scratch an =
+  let per_class v = Array.map (fun x -> Array.make (Array.length x.base) v) an.rs in
+  {
+    defd = per_class nowhere;
+    first = per_class 0;
+    outer = per_class nowhere;
+    live = per_class nowhere;
+    loaded = Array.make an.b_size nowhere;
+    stored = Array.make an.b_size nowhere;
+  }
 
-   Promotion must not let a read observe the constant's value earlier
-   than the interpreted semantics would (fresh registers read as zero
-   until first written).  A candidate is rejected when any read of its
-   register occurs before the defining instruction in program order, or
-   outside the loop nest containing the definition — a zero-trip loop
-   would leave the register unwritten for such a read. *)
-
-module RSet = Set.Make (struct
-  type t = Optimizer.rc * reg
-
-  let compare = compare
-end)
-
-let promoted_regs (fn : func) : RSet.t =
-  (* pass 1: definition counts, and which registers a const defines *)
-  let ndefs = Hashtbl.create 64 in
-  let const_def = Hashtbl.create 64 in
-  let rec count body =
-    Array.iter
-      (fun ins ->
-        List.iter
-          (fun key ->
-            Hashtbl.replace ndefs key
-              (1 + Option.value ~default:0 (Hashtbl.find_opt ndefs key)))
-          (Optimizer.defs ins);
+(* Decide whether loop [id] runs in columns, and if so give its local
+   registers, its induction variable and its broadcast columns slots in
+   the function's shared column pool (offsets from 0; the loops of one
+   function never run at the same time, so they share the pool). *)
+let plan_loop an sc id =
+  let lp = an.loops.(id) in
+  let body = lp.l.body and iv = lp.l.iv in
+  let ok = ref lp.straight in
+  if !ok then begin
+    Array.iteri
+      (fun i ins ->
+        iter_defs
+          (fun c r ->
+            let c = cls c in
+            if sc.defd.(c).(r) <> id then begin
+              sc.defd.(c).(r) <- id;
+              sc.first.(c).(r) <- i
+            end)
+          ins)
+      body;
+    sc.defd.(1).(iv) <- id;
+    sc.first.(1).(iv) <- -1;
+    let outer = ref [] in
+    let touch b =
+      if sc.loaded.(b) <> id && sc.stored.(b) <> id then
+        lp.touched <- b :: lp.touched
+    in
+    Array.iteri
+      (fun i ins ->
         (match ins with
-        | ConstF (d, _) -> Hashtbl.replace const_def (Optimizer.F, d) ()
-        | ConstI (d, _) -> Hashtbl.replace const_def (Optimizer.I, d) ()
-        | VConst (d, _) -> Hashtbl.replace const_def (Optimizer.V, d) ()
+        | Store (b, _, _) | VStore (b, _, _) ->
+            touch b;
+            if sc.loaded.(b) = id then ok := false;
+            if sc.stored.(b) <> id then begin
+              sc.stored.(b) <- id;
+              lp.stored <- b :: lp.stored
+            end
+        | Load (_, b, _) | VLoad (_, b, _) | VGather (_, b, _, _)
+        | VShufLoad (_, b, _, _, _, _) | VGatherIdx (_, b, _) ->
+            touch b;
+            if sc.stored.(b) = id then ok := false;
+            sc.loaded.(b) <- id
         | _ -> ());
-        match ins with Loop l -> count l.body | _ -> ())
-      body
-  in
-  count fn.body;
-  let candidates =
-    Hashtbl.fold
-      (fun key () acc ->
-        if Hashtbl.find_opt ndefs key = Some 1 then RSet.add key acc else acc)
-      const_def RSet.empty
-  in
-  if RSet.is_empty candidates then candidates
-  else begin
-    (* pass 2: reject candidates whose value could be read before the
-       defining instruction has executed.  [def_path] records the loop
-       nest (path of loop ids) holding the single definition; a read is
-       safe only after the def and within that same nest. *)
-    let unsafe = ref RSet.empty in
-    let def_path = Hashtbl.create 16 in
-    let rec is_prefix p q =
-      match (p, q) with
-      | [], _ -> true
-      | x :: p', y :: q' -> x = y && is_prefix p' q'
-      | _ :: _, [] -> false
+        (* a value read before the body defines it is carried over from
+           the previous iteration *)
+        iter_uses
+          (fun c r ->
+            let c = cls c in
+            if c = 3 || promoted an.rs.(c) r then ()
+            else if sc.defd.(c).(r) = id then begin
+              if sc.first.(c).(r) >= i then ok := false
+            end
+            else if sc.outer.(c).(r) <> id then begin
+              sc.outer.(c).(r) <- id;
+              outer := (c, r) :: !outer
+            end)
+          ins)
+      body;
+    (* nothing the body defines may be read outside it *)
+    let inside c r =
+      let u = an.rs.(c).use_in.(r) in
+      promoted an.rs.(c) r || u = id || u = nowhere
     in
-    let next_loop = ref 0 in
-    let rec scan path body =
-      Array.iter
-        (fun ins ->
-          List.iter
-            (fun key ->
-              if RSet.mem key candidates then
-                match Hashtbl.find_opt def_path key with
-                | Some p when is_prefix p path -> ()
-                | _ -> unsafe := RSet.add key !unsafe)
-            (Optimizer.uses ins);
-          List.iter
-            (fun key ->
-              if RSet.mem key candidates && not (Hashtbl.mem def_path key)
-              then Hashtbl.replace def_path key path)
-            (Optimizer.defs ins);
-          match ins with
-          | Loop l ->
-              incr next_loop;
-              scan (path @ [ !next_loop ]) l.body
-          | _ -> ())
-        body
-    in
-    scan [] fn.body;
-    RSet.diff candidates !unsafe
+    if not (inside 1 iv) then ok := false;
+    Array.iter
+      (iter_defs (fun c r -> if not (inside (cls c) r) then ok := false))
+      body;
+    if !ok then begin
+      lp.eligible <- true;
+      (* linear scan per class over the straight-line body; a slot is
+         freed after the instruction of its register's last use has
+         taken its own slots, so no instruction writes an operand *)
+      let nslots = [| 0; 0; 0 |] and free = [| []; []; [] |] in
+      let take c =
+        match free.(c) with
+        | s :: tl -> free.(c) <- tl; s
+        | [] -> let s = nslots.(c) in nslots.(c) <- s + 1; s
+      in
+      let local c r =
+        let x = an.rs.(c) in
+        c < 3 && (not (promoted x r)) && x.def_in.(r) = id
+        && (x.use_in.(r) = id || x.use_in.(r) = nowhere)
+      in
+      let bc = List.map (fun (c, r) -> (c, r, take c)) !outer in
+      let assigned = ref [] in
+      let start c r =
+        an.rs.(c).base.(r) <- take c;
+        sc.live.(c).(r) <- id;
+        assigned := (c, r) :: !assigned
+      in
+      let expire p c r =
+        let c = cls c in
+        if c < 3 && sc.live.(c).(r) = id && an.rs.(c).last.(r) = p then begin
+          sc.live.(c).(r) <- nowhere;
+          free.(c) <- an.rs.(c).base.(r) :: free.(c)
+        end
+      in
+      if local 1 iv then begin
+        start 1 iv;
+        expire lp.pos Optimizer.I iv
+      end;
+      Array.iteri
+        (fun i ins ->
+          let p = lp.pos + 1 + i in
+          iter_defs
+            (fun c r ->
+              let c = cls c in
+              if local c r && an.rs.(c).base.(r) < 0 then start c r)
+            ins;
+          iter_uses (expire p) ins;
+          iter_defs (expire p) ins)
+        body;
+      (* slot numbers -> offsets: F columns, then V columns, in [fl] *)
+      let off c s =
+        if c = 2 then (nslots.(0) * chunk) + (s * chunk * an.w) else s * chunk
+      in
+      List.iter
+        (fun (c, r) -> an.rs.(c).base.(r) <- off c an.rs.(c).base.(r))
+        !assigned;
+      lp.bcast <- List.map (fun (c, r, s) -> (c, r, off c s)) bc;
+      an.pool_fl <-
+        max an.pool_fl ((nslots.(0) * chunk) + (nslots.(2) * chunk * an.w));
+      an.pool_it <- max an.pool_it (nslots.(1) * chunk)
+    end
   end
 
-(* [promoted] as a predicate over instructions: true exactly for the
-   single defining const of each promoted register. *)
-let promotes (promoted : RSet.t) (ins : instr) : bool =
-  match ins with
-  | ConstF (d, _) -> RSet.mem (Optimizer.F, d) promoted
-  | ConstI (d, _) -> RSet.mem (Optimizer.I, d) promoted
-  | VConst (d, _) -> RSet.mem (Optimizer.V, d) promoted
-  | _ -> false
-
-(* Collect the promoted const instructions of a body, in program order. *)
-let rec collect_promoted (promoted : RSet.t) acc (body : instr array) =
-  Array.fold_left
-    (fun acc ins ->
-      let acc = if promotes promoted ins then ins :: acc else acc in
-      match ins with Loop l -> collect_promoted promoted acc l.body | _ -> acc)
-    acc body
-
-(* -- Compilation --------------------------------------------------------------- *)
-
-(* Fuse a straight-line sequence of closures into one closure: a balanced
-   tree of [fun fr -> a fr; b fr] nodes with 4-wide leaves, so executing
-   a body is direct calls only — no per-instruction array indexing and no
-   dispatch loop. *)
-let fuse (codes : code array) : code =
-  let n = Array.length codes in
-  fun fr ->
-    for k = 0 to n - 1 do
-      (Array.unsafe_get codes k) fr
+(* Eligibility and slots for every register of the function. *)
+let plan (an : an) : unit =
+  if not an.negative then begin
+    let sc = scratch an in
+    Array.iteri (fun id _ -> plan_loop an sc id) an.loops;
+    (* every other register: its own slot after the shared pool, a
+       whole column when an eligible loop defines it *)
+    an.fl_words <- an.pool_fl;
+    an.it_words <- an.pool_it;
+    for c = 0 to 2 do
+      let x = an.rs.(c) in
+      for r = 0 to Array.length x.base - 1 do
+        let used = x.ndefs.(r) > 0 || x.use_in.(r) <> nowhere in
+        if x.base.(r) < 0 && used && not (promoted x r) then begin
+          let d = x.def_in.(r) in
+          let column = d = mixed || (d >= 0 && an.loops.(d).eligible) in
+          let size = lanes an c * if column then chunk else 1 in
+          if c = 1 then begin
+            x.base.(r) <- an.it_words;
+            an.it_words <- an.it_words + size
+          end
+          else begin
+            x.base.(r) <- an.fl_words;
+            an.fl_words <- an.fl_words + size
+          end
+        end
+      done
     done
+  end
 
-(* Unchecked register-file accessors: indices were bounds-validated at
-   compile time against the frame sizes in [reg_bounds]. *)
-let[@inline] gf fr r = Array.unsafe_get fr.f r
-let[@inline] sf fr r x = Array.unsafe_set fr.f r x
-let[@inline] gi fr r = Array.unsafe_get fr.i r
-let[@inline] si fr r x = Array.unsafe_set fr.i r x
-let[@inline] gv fr r = Array.unsafe_get fr.v r
-let[@inline] gb fr r = Array.unsafe_get fr.b r
+(* -- Column closures ---------------------------------------------------------- *)
 
-let rec compile_instr (k : kernel) ~skip ~w ~prof (ins : instr) : code =
-  ignore (prof : instr -> Profile.cell option);
+(* Unchecked accesses: every offset was laid out by [plan] inside the
+   frame, and a column holds [chunk × lanes] values, so [i < n × lanes]
+   stays in bounds. *)
+let[@inline] fget (x : float array) i = Array.unsafe_get x i
+let[@inline] fset (x : float array) i (v : float) = Array.unsafe_set x i v
+let[@inline] iget (x : int array) i = Array.unsafe_get x i
+let[@inline] iset (x : int array) i (v : int) = Array.unsafe_set x i v
+let[@inline] bget fr r = Array.unsafe_get fr.b r
+
+let[@inline] b2i (b : bool) = Bool.to_int b
+
+(* A predicate as 0/1, computed without branching on the data (a NaN
+   test that branches mispredicts on marginalized rows). *)
+let[@inline] holds p (x : float) y =
+  match p with
+  | Olt -> b2i (x < y)
+  | Ole -> b2i (x <= y)
+  | Ogt -> b2i (x > y)
+  | Oge -> b2i (x >= y)
+  | Oeq -> b2i (x = y)
+  | One -> b2i (x < y) lor b2i (x > y)
+  | Uno -> b2i (x <> x) lor b2i (y <> y)
+
+let onezero = [| 0.0; 1.0 |]
+
+let[@inline] ibin_eval op (x : int) y =
+  match op with
+  | IAdd -> x + y
+  | IMul -> x * y
+  | IDiv -> if y = 0 then 0 else x / y
+  | IAnd -> if x <> 0 && y <> 0 then 1 else 0
+  | IOr -> if x <> 0 || y <> 0 then 1 else 0
+
+(* One lane of the hot element-wise ops; [c] = column operand, [i] =
+   immediate.  The loops below run them unrolled by 8. *)
+let[@inline] add_cc x d a b i = fset x (d + i) (fget x (a + i) +. fget x (b + i))
+let[@inline] add_ci x d a (b : float) i = fset x (d + i) (fget x (a + i) +. b)
+let[@inline] add_ic x d (a : float) b i = fset x (d + i) (a +. fget x (b + i))
+let[@inline] sub_cc x d a b i = fset x (d + i) (fget x (a + i) -. fget x (b + i))
+let[@inline] sub_ci x d a (b : float) i = fset x (d + i) (fget x (a + i) -. b)
+let[@inline] mul_cc x d a b i = fset x (d + i) (fget x (a + i) *. fget x (b + i))
+let[@inline] mul_ci x d a (b : float) i = fset x (d + i) (fget x (a + i) *. b)
+let[@inline] fma_cii x d a (b : float) (c : float) i =
+  fset x (d + i) ((fget x (a + i) *. b) +. c)
+
+(* [Float.max]/[Float.min] exactly: when the operands are ordered and
+   unequal, the result is read back through an index picked without a
+   branch (which operand is larger is data, and mispredicts); equal or
+   unordered operands (±0, NaN) take the library's path. *)
+let[@inline] max_cc x d a b i =
+  let u = fget x (a + i) and v = fget x (b + i) in
+  let lt = b2i (u < v) in
+  if lt lor b2i (v < u) = 0 then Array.unsafe_set x (d + i) (Float.max u v)
+  else fset x (d + i) (fget x (a + i + (-lt land (b - a))))
+
+let[@inline] min_cc x d a b i =
+  let u = fget x (a + i) and v = fget x (b + i) in
+  let lt = b2i (u < v) in
+  if lt lor b2i (v < u) = 0 then Array.unsafe_set x (d + i) (Float.min u v)
+  else fset x (d + i) (fget x (b + i + (-lt land (a - b))))
+
+(* A select picks its operand's index, not its value, so it does not
+   branch on the mask.  An operand is a column ([m = -1]) or a
+   one-float constant slot ([m = 0]): lane [i] reads [o + (i land m)].
+   [sel_cc] and [sel_sc] are its two common shapes, spelled out. *)
+let[@inline] pick x d ~k t mt e me i =
+  let ei = e + (i land me) in
+  fset x (d + i) (fget x (ei + (-k land (t + (i land mt) - ei))))
+
+let[@inline] sel_cc x d c t e i =
+  let k = b2i (fget x (c + i) <> 0.0) in
+  fset x (d + i) (fget x (e + i + (-k land (t - e))))
+
+let[@inline] sel_sc x d c ts e i =
+  let k = b2i (fget x (c + i) <> 0.0) and ei = e + i in
+  fset x (d + i) (fget x (ei + (-k land (ts - ei))))
+
+(* Fuse a straight-line sequence of closures into one: a flat loop over
+   the array, so executing a body is one indirect call per instruction
+   and no dispatch on opcodes. *)
+let fuse (codes : code array) : code =
+  match codes with
+  | [| c |] -> c
+  | _ ->
+      fun fr n ->
+        for k = 0 to Array.length codes - 1 do
+          (Array.unsafe_get codes k) fr n
+        done
+
+let no_prof (_ : instr) = None
+
+(* Compile-time context of one function. *)
+type cx = {
+  k : kernel;
+  an : an;
+  prof : instr -> Profile.cell option;
+  mutable cur : int;  (** the eligible loop being compiled, or [top] *)
+  bc_loop : int array array;  (** outer operands of loop [cur] ... *)
+  bc_off : int array array;  (** ... and their broadcast columns *)
+  konst : (bool * int64 * int, int) Hashtbl.t;
+      (** (int class?, value bits, words) -> constant column or slot *)
+  mutable inits : (frame -> unit) list;
+  mutable next_loop : int;
+}
+
+(* An operand: a column (or slot) offset, or a compile-time constant. *)
+type src = Col of int | Imm of float
+type isrc = ICol of int | IImm of int
+
+let dst cx c r = cx.an.rs.(c).base.(r)
+
+let col_of cx c r =
+  if cx.cur >= 0 && cx.bc_loop.(c).(r) = cx.cur then cx.bc_off.(c).(r)
+  else dst cx c r
+
+let fsrc cx c r =
+  let x = cx.an.rs.(c) in
+  if promoted x r then Imm x.fval.(r) else Col (col_of cx c r)
+
+let isrc cx r =
+  let x = cx.an.rs.(1) in
+  if promoted x r then IImm x.ival.(r) else ICol (col_of cx 1 r)
+
+(* A constant column for an immediate in an operand position that has
+   no immediate form, or a one-float slot for a select to index: filled
+   once per state, never written after, shared by equal values. *)
+let konst cx ~int bits words fill =
+  match Hashtbl.find_opt cx.konst (int, bits, words) with
+  | Some o -> o
+  | None ->
+      let an = cx.an in
+      let o = if int then an.it_words else an.fl_words in
+      if int then an.it_words <- o + words else an.fl_words <- o + words;
+      cx.inits <- (fun fr -> fill fr o words) :: cx.inits;
+      Hashtbl.replace cx.konst (int, bits, words) o;
+      o
+
+let fcol cx c r =
+  match fsrc cx c r with
+  | Col o -> o
+  | Imm v ->
+      konst cx ~int:false (Int64.bits_of_float v) (chunk * lanes cx.an c)
+        (fun fr o len -> Array.fill fr.fl o len v)
+
+let icol cx r =
+  match isrc cx r with
+  | ICol o -> o
+  | IImm v ->
+      konst cx ~int:true (Int64.of_int v) chunk (fun fr o len ->
+          Array.fill fr.it o len v)
+
+(* a select operand: (offset, lane mask), see [pick] *)
+let fpick cx c r =
+  match fsrc cx c r with
+  | Col o -> (o, -1)
+  | Imm v ->
+      ( konst cx ~int:false (Int64.bits_of_float v) 1 (fun fr o len ->
+            Array.fill fr.fl o len v),
+        0 )
+
+let ireader cx r : frame -> int =
+  match isrc cx r with IImm v -> fun _ -> v | ICol o -> fun fr -> iget fr.it o
+
+let ffill d lanes v : code = fun fr n -> Array.fill fr.fl d (n * lanes) v
+
+let rec compile_instr cx (ins : instr) : code =
+  let w = cx.an.w in
   match ins with
-  | ConstF (d, x) -> fun fr -> sf fr d x
-  | ConstI (d, x) -> fun fr -> si fr d x
-  (* scalar float binops, specialized per opcode *)
-  | FBin (FAdd, d, a, b) -> fun fr -> sf fr d (gf fr a +. gf fr b)
-  | FBin (FSub, d, a, b) -> fun fr -> sf fr d (gf fr a -. gf fr b)
-  | FBin (FMul, d, a, b) -> fun fr -> sf fr d (gf fr a *. gf fr b)
-  | FBin (FDiv, d, a, b) -> fun fr -> sf fr d (gf fr a /. gf fr b)
-  | FBin (FMax, d, a, b) -> fun fr -> sf fr d (Float.max (gf fr a) (gf fr b))
-  | FBin (FMin, d, a, b) -> fun fr -> sf fr d (Float.min (gf fr a) (gf fr b))
-  | FBin (FMA, _, _, _) ->
-      fun _ -> trap "binary FMA (addend dropped by a malformed instruction)"
-  | FBin3 (_, d, a, b, c) ->
-      fun fr -> sf fr d ((gf fr a *. gf fr b) +. gf fr c)
-  | IBin (IAdd, d, a, b) -> fun fr -> si fr d (gi fr a + gi fr b)
-  | IBin (IMul, d, a, b) -> fun fr -> si fr d (gi fr a * gi fr b)
-  | IBin (IDiv, d, a, b) ->
-      fun fr ->
-        let y = gi fr b in
-        si fr d (if y = 0 then 0 else gi fr a / y)
-  | IBin (IAnd, d, a, b) ->
-      fun fr -> si fr d (if gi fr a <> 0 && gi fr b <> 0 then 1 else 0)
-  | IBin (IOr, d, a, b) ->
-      fun fr -> si fr d (if gi fr a <> 0 || gi fr b <> 0 then 1 else 0)
-  | FCmp (p, d, a, b) -> compile_fcmp p d a b
-  | SelF (d, c, t, e) ->
-      fun fr -> sf fr d (if gi fr c <> 0 then gf fr t else gf fr e)
+  | ConstF (d, v) -> ffill (dst cx 0 d) 1 v
+  | VConst (d, v) -> ffill (dst cx 2 d) w v
+  | ConstI (d, v) ->
+      let d = dst cx 1 d in
+      fun fr n -> Array.fill fr.it d n v
+  | FBin (op, d, a, b) -> fbin cx 0 op d a b
+  | VBin (op, d, a, b) -> fbin cx 2 op d a b
+  | FBin3 (_, d, a, b, c) -> fma cx 0 d a b c
+  | VBin3 (_, d, a, b, c) -> fma cx 2 d a b c
+  | IBin (op, d, a, b) -> ibin cx op d a b
+  | FCmp (p, d, a, b) -> fcmp cx p d a b
+  | VCmp (p, d, a, b) -> vcmp cx p d a b
+  | SelF (d, c, t, e) -> self cx d c t e
+  | VSel (d, c, t, e) -> vsel cx d c t e
   | SelI (d, c, t, e) ->
-      fun fr -> si fr d (if gi fr c <> 0 then gi fr t else gi fr e)
-  | FtoI (d, a) -> fun fr -> si fr d (int_of_float (Float.floor (gf fr a)))
-  | ItoF (d, a) -> fun fr -> sf fr d (float_of_int (gi fr a))
-  | Call1 (MLog, d, a) -> fun fr -> sf fr d (log (gf fr a))
-  | Call1 (MExp, d, a) -> fun fr -> sf fr d (exp (gf fr a))
-  | Call1 (MLog1p, d, a) -> fun fr -> sf fr d (Float.log1p (gf fr a))
+      let d = dst cx 1 d and c = icol cx c and t = icol cx t and e = icol cx e in
+      fun fr n ->
+        let y = fr.it in
+        for i = 0 to n - 1 do
+          iset y (d + i) (if iget y (c + i) <> 0 then iget y (t + i) else iget y (e + i))
+        done
+  | FtoI (d, a) ->
+      let d = dst cx 1 d and a = fcol cx 0 a in
+      fun fr n ->
+        let x = fr.fl and y = fr.it in
+        for i = 0 to n - 1 do
+          iset y (d + i) (int_of_float (Float.floor (fget x (a + i))))
+        done
+  | ItoF (d, a) ->
+      let d = dst cx 0 d and a = icol cx a in
+      fun fr n ->
+        let x = fr.fl and y = fr.it in
+        for i = 0 to n - 1 do
+          fset x (d + i) (float_of_int (iget y (a + i)))
+        done
+  | Call1 (fn, d, a) -> fcall cx 0 fn d a
+  | VCall1 (fn, d, a) -> fcall cx 2 fn d a
+  | VFloor (d, a) ->
+      let d = dst cx 2 d and a = fcol cx 2 a in
+      fun fr n ->
+        let x = fr.fl in
+        for i = 0 to (n * w) - 1 do
+          fset x (d + i) (Float.of_int (int_of_float (Float.floor (fget x (a + i)))))
+        done
   | Load (d, bb, idx) ->
-      fun fr ->
-        let buf = gb fr bb in
-        let ix = gi fr idx in
-        if ix < 0 || ix >= buf.Vm.len then
-          trap "load out of bounds: %d/%d" ix buf.Vm.len;
-        sf fr d (Array.unsafe_get buf.Vm.data (buf.Vm.off + ix))
+      let d = dst cx 0 d and idx = icol cx idx in
+      fun fr n ->
+        let buf = bget fr bb and x = fr.fl and y = fr.it in
+        let data = buf.Vm.data and off = buf.Vm.off and len = buf.Vm.len in
+        for k = 0 to n - 1 do
+          let ix = iget y (idx + k) in
+          if ix < 0 || ix >= len then trap "load out of bounds: %d/%d" ix len;
+          fset x (d + k) (fget data (off + ix))
+        done
   | Store (bb, idx, s) ->
-      fun fr ->
-        let buf = gb fr bb in
-        let ix = gi fr idx in
-        if ix < 0 || ix >= buf.Vm.len then
-          trap "store out of bounds: %d/%d" ix buf.Vm.len;
-        Array.unsafe_set buf.Vm.data (buf.Vm.off + ix) (gf fr s)
-  | VConst (d, x) ->
-      fun fr ->
-        let vd = gv fr d in
-        Array.fill vd 0 (Array.length vd) x
-  | VBin (op, d, a, b) -> compile_vbin ~w op d a b
-  | VBin3 (_, d, a, b, c) ->
-      fun fr ->
-        let va = gv fr a and vb = gv fr b and vc = gv fr c and vd = gv fr d in
-        for l = 0 to Array.length vd - 1 do
-          Array.unsafe_set vd l
-            ((Array.unsafe_get va l *. Array.unsafe_get vb l)
-            +. Array.unsafe_get vc l)
-        done
-  | VCmp (p, d, a, b) -> compile_vcmp p d a b
-  | VSel (d, c, t, e) ->
-      fun fr ->
-        let vc = gv fr c and vt = gv fr t and ve = gv fr e and vd = gv fr d in
-        for l = 0 to Array.length vd - 1 do
-          Array.unsafe_set vd l
-            (if Array.unsafe_get vc l <> 0.0 then Array.unsafe_get vt l
-             else Array.unsafe_get ve l)
-        done
-  | VCall1 (MLog, d, a) ->
-      fun fr ->
-        let va = gv fr a and vd = gv fr d in
-        for l = 0 to Array.length vd - 1 do
-          Array.unsafe_set vd l (log (Array.unsafe_get va l))
-        done
-  | VCall1 (MExp, d, a) ->
-      fun fr ->
-        let va = gv fr a and vd = gv fr d in
-        for l = 0 to Array.length vd - 1 do
-          Array.unsafe_set vd l (exp (Array.unsafe_get va l))
-        done
-  | VCall1 (MLog1p, d, a) ->
-      fun fr ->
-        let va = gv fr a and vd = gv fr d in
-        for l = 0 to Array.length vd - 1 do
-          Array.unsafe_set vd l (Float.log1p (Array.unsafe_get va l))
+      let idx = icol cx idx and s = fcol cx 0 s in
+      fun fr n ->
+        let buf = bget fr bb and x = fr.fl and y = fr.it in
+        let data = buf.Vm.data and off = buf.Vm.off and len = buf.Vm.len in
+        for k = 0 to n - 1 do
+          let ix = iget y (idx + k) in
+          if ix < 0 || ix >= len then trap "store out of bounds: %d/%d" ix len;
+          fset data (off + ix) (fget x (s + k))
         done
   | VLoad (d, bb, idx) ->
-      fun fr ->
-        let buf = gb fr bb in
-        let base = gi fr idx in
-        let vd = gv fr d in
-        let w = Array.length vd in
-        if base < 0 || base + w > buf.Vm.len then trap "vload out of bounds";
-        Array.blit buf.Vm.data (buf.Vm.off + base) vd 0 w
-  | VStore (bb, idx, s) ->
-      fun fr ->
-        let buf = gb fr bb in
-        let base = gi fr idx in
-        let vs = gv fr s in
-        let w = Array.length vs in
-        if base < 0 || base + w > buf.Vm.len then trap "vstore out of bounds";
-        Array.blit vs 0 buf.Vm.data (buf.Vm.off + base) w
-  | VGather (d, bb, idx, stride) | VShufLoad (d, bb, idx, stride, _, _) ->
-      fun fr ->
-        let buf = gb fr bb in
-        let base = gi fr idx in
-        let vd = gv fr d in
-        let w = Array.length vd in
-        (* one range check for the whole strided access pattern *)
-        let last = base + ((w - 1) * stride) in
-        if base < 0 || last < 0 || base >= buf.Vm.len || last >= buf.Vm.len
-        then trap "gather out of bounds";
+      let d = dst cx 2 d and idx = icol cx idx in
+      fun fr n ->
+        let buf = bget fr bb and x = fr.fl and y = fr.it in
         let data = buf.Vm.data and off = buf.Vm.off in
-        for l = 0 to w - 1 do
-          Array.unsafe_set vd l (Array.unsafe_get data (off + base + (l * stride)))
+        for k = 0 to n - 1 do
+          let base = iget y (idx + k) in
+          if base < 0 || base + w > buf.Vm.len then trap "vload out of bounds";
+          let o = d + (k * w) and src = off + base in
+          for l = 0 to w - 1 do fset x (o + l) (fget data (src + l)) done
         done
-  | VFloor (d, a) ->
-      fun fr ->
-        let va = gv fr a and vd = gv fr d in
-        for l = 0 to Array.length vd - 1 do
-          Array.unsafe_set vd l
-            (Float.of_int (int_of_float (Float.floor (Array.unsafe_get va l))))
+  | VStore (bb, idx, s) ->
+      let idx = icol cx idx and s = fcol cx 2 s in
+      fun fr n ->
+        let buf = bget fr bb and x = fr.fl and y = fr.it in
+        let data = buf.Vm.data and off = buf.Vm.off in
+        for k = 0 to n - 1 do
+          let base = iget y (idx + k) in
+          if base < 0 || base + w > buf.Vm.len then trap "vstore out of bounds";
+          let o = s + (k * w) and dst = off + base in
+          for l = 0 to w - 1 do fset data (dst + l) (fget x (o + l)) done
+        done
+  | VGather (d, bb, idx, stride) | VShufLoad (d, bb, idx, stride, _, _) ->
+      let d = dst cx 2 d and idx = icol cx idx in
+      fun fr n ->
+        let buf = bget fr bb and x = fr.fl and y = fr.it in
+        let data = buf.Vm.data and off = buf.Vm.off and len = buf.Vm.len in
+        for k = 0 to n - 1 do
+          let base = iget y (idx + k) in
+          (* one range check for the whole strided access pattern *)
+          let last = base + ((w - 1) * stride) in
+          if base < 0 || last < 0 || base >= len || last >= len then
+            trap "gather out of bounds";
+          let o = d + (k * w) and src = off + base in
+          for l = 0 to w - 1 do fset x (o + l) (fget data (src + (l * stride))) done
         done
   | VGatherIdx (d, bb, idx) ->
-      fun fr ->
-        let buf = gb fr bb in
-        let vi = gv fr idx in
-        let vd = gv fr d in
+      let d = dst cx 2 d and idx = fcol cx 2 idx in
+      fun fr n ->
+        let buf = bget fr bb and x = fr.fl in
         let data = buf.Vm.data and off = buf.Vm.off and len = buf.Vm.len in
-        for l = 0 to Array.length vd - 1 do
-          let ix = int_of_float (Array.unsafe_get vi l) in
+        for i = 0 to (n * w) - 1 do
+          let ix = int_of_float (fget x (idx + i)) in
           if ix < 0 || ix >= len then trap "gather_indexed out of bounds: %d" ix;
-          Array.unsafe_set vd l (Array.unsafe_get data (off + ix))
+          fset x (d + i) (fget data (off + ix))
         done
-  | VExtract (d, a, lane) -> fun fr -> sf fr d (gv fr a).(lane)
+  | VExtract (_, _, lane) | VInsert (_, _, _, lane) when lane < 0 || lane >= w ->
+      fun _ _ -> invalid_arg "index out of bounds"
+  | VExtract (d, a, lane) ->
+      let d = dst cx 0 d and a = fcol cx 2 a + lane in
+      fun fr n ->
+        let x = fr.fl in
+        for k = 0 to n - 1 do fset x (d + k) (fget x (a + (k * w))) done
   | VInsert (d, s, a, lane) ->
-      fun fr ->
-        let vd = gv fr d and va = gv fr a in
-        if vd != va then Array.blit va 0 vd 0 (Array.length vd);
-        vd.(lane) <- gf fr s
+      let d = dst cx 2 d and s = fcol cx 0 s and a = fcol cx 2 a in
+      fun fr n ->
+        let x = fr.fl in
+        if d <> a then Array.blit x a x d (n * w);
+        for k = 0 to n - 1 do fset x (d + (k * w) + lane) (fget x (s + k)) done
   | VBroadcast (d, s) ->
-      fun fr ->
-        let vd = gv fr d in
-        Array.fill vd 0 (Array.length vd) (gf fr s)
-  | Dim (d, bb) -> fun fr -> si fr d (gb fr bb).Vm.rows
+      let d = dst cx 2 d and s = fcol cx 0 s in
+      fun fr n ->
+        let x = fr.fl in
+        for k = 0 to n - 1 do
+          let v = fget x (s + k) and o = d + (k * w) in
+          for l = 0 to w - 1 do fset x (o + l) v done
+        done
+  | Dim (d, bb) ->
+      let d = dst cx 1 d in
+      fun fr n -> Array.fill fr.it d n (bget fr bb).Vm.rows
+  (* the rest never sits in an eligible loop, so [n = 1] *)
   | AllocBuf (d, rows, cols) ->
-      fun fr -> fr.b.(d) <- Vm.buffer ~rows:(gi fr rows) ~cols
-  | DeallocBuf _ -> fun _ -> ()
+      let rows = ireader cx rows in
+      fun fr _ -> Array.unsafe_set fr.b d (Vm.buffer ~rows:(rows fr) ~cols)
+  | DeallocBuf _ | Ret -> fun _ _ -> ()
   | CopyBuf (src, dst) ->
-      fun fr ->
-        let s = gb fr src and d = gb fr dst in
+      fun fr _ ->
+        let s = bget fr src and d = bget fr dst in
         Array.blit s.Vm.data s.Vm.off d.Vm.data d.Vm.off s.Vm.len
   | TableConst (d, values) ->
-      let table =
-        {
-          Vm.data = values;
-          off = 0;
-          len = Array.length values;
-          rows = Array.length values;
-          cols = 1;
-        }
-      in
-      fun fr -> fr.b.(d) <- table
+      let n = Array.length values in
+      let table = { Vm.data = values; off = 0; len = n; rows = n; cols = 1 } in
+      fun fr _ -> Array.unsafe_set fr.b d table
   | CallFn (idx, args) ->
       let args = Array.of_list args in
       let nargs = Array.length args in
-      fun fr ->
+      let k = cx.k in
+      fun fr _ ->
         (* [k.cfuncs] is filled after all functions compile, so the
            lookup happens at call time — one array load *)
         let callee = Array.unsafe_get k.cfuncs idx in
@@ -406,227 +786,405 @@ let rec compile_instr (k : kernel) ~skip ~w ~prof (ins : instr) : code =
           trap "call to %s: %d arguments for %d parameters" callee.src.fname
             nargs (Array.length cparams);
         for pi = 0 to nargs - 1 do
-          cfr.b.(Array.unsafe_get cparams pi) <- fr.b.(Array.unsafe_get args pi)
+          cfr.b.(Array.unsafe_get cparams pi) <- bget fr (Array.unsafe_get args pi)
         done;
-        callee.code cfr
-  | Loop l ->
-      let body = compile_body k ~skip ~w ~prof l.body in
-      let iv = l.iv and lb = l.lb and ub = l.ub and step = l.step in
-      if step = 1 then
-        fun fr ->
-          for j = gi fr lb to gi fr ub - 1 do
-            si fr iv j;
-            body fr
-          done
-      else
-        fun fr ->
-          let hi = gi fr ub in
-          let j = ref (gi fr lb) in
-          while !j < hi do
-            si fr iv !j;
-            body fr;
-            j := !j + step
-          done
-  | Ret -> fun _ -> ()
+        callee.code cfr 1
+  | Loop l -> compile_loop cx l
 
-and compile_vbin ~w (op : fbin) d a b : code =
-  (* [w = 8] (the AVX2 width, the paper's best CPU configuration) gets
-     fully unrolled lane bodies: on add/mul-dominated SPN kernels the
-     lane-loop increment/compare/branch overhead is a third of the cost
-     of the op itself.  Other widths keep the generic lane loop. *)
-  match (op, w) with
-  | FAdd, 8 ->
-      fun fr ->
-        let va = gv fr a and vb = gv fr b and vd = gv fr d in
-        Array.unsafe_set vd 0 (Array.unsafe_get va 0 +. Array.unsafe_get vb 0);
-        Array.unsafe_set vd 1 (Array.unsafe_get va 1 +. Array.unsafe_get vb 1);
-        Array.unsafe_set vd 2 (Array.unsafe_get va 2 +. Array.unsafe_get vb 2);
-        Array.unsafe_set vd 3 (Array.unsafe_get va 3 +. Array.unsafe_get vb 3);
-        Array.unsafe_set vd 4 (Array.unsafe_get va 4 +. Array.unsafe_get vb 4);
-        Array.unsafe_set vd 5 (Array.unsafe_get va 5 +. Array.unsafe_get vb 5);
-        Array.unsafe_set vd 6 (Array.unsafe_get va 6 +. Array.unsafe_get vb 6);
-        Array.unsafe_set vd 7 (Array.unsafe_get va 7 +. Array.unsafe_get vb 7)
-  | FSub, 8 ->
-      fun fr ->
-        let va = gv fr a and vb = gv fr b and vd = gv fr d in
-        Array.unsafe_set vd 0 (Array.unsafe_get va 0 -. Array.unsafe_get vb 0);
-        Array.unsafe_set vd 1 (Array.unsafe_get va 1 -. Array.unsafe_get vb 1);
-        Array.unsafe_set vd 2 (Array.unsafe_get va 2 -. Array.unsafe_get vb 2);
-        Array.unsafe_set vd 3 (Array.unsafe_get va 3 -. Array.unsafe_get vb 3);
-        Array.unsafe_set vd 4 (Array.unsafe_get va 4 -. Array.unsafe_get vb 4);
-        Array.unsafe_set vd 5 (Array.unsafe_get va 5 -. Array.unsafe_get vb 5);
-        Array.unsafe_set vd 6 (Array.unsafe_get va 6 -. Array.unsafe_get vb 6);
-        Array.unsafe_set vd 7 (Array.unsafe_get va 7 -. Array.unsafe_get vb 7)
-  | FMul, 8 ->
-      fun fr ->
-        let va = gv fr a and vb = gv fr b and vd = gv fr d in
-        Array.unsafe_set vd 0 (Array.unsafe_get va 0 *. Array.unsafe_get vb 0);
-        Array.unsafe_set vd 1 (Array.unsafe_get va 1 *. Array.unsafe_get vb 1);
-        Array.unsafe_set vd 2 (Array.unsafe_get va 2 *. Array.unsafe_get vb 2);
-        Array.unsafe_set vd 3 (Array.unsafe_get va 3 *. Array.unsafe_get vb 3);
-        Array.unsafe_set vd 4 (Array.unsafe_get va 4 *. Array.unsafe_get vb 4);
-        Array.unsafe_set vd 5 (Array.unsafe_get va 5 *. Array.unsafe_get vb 5);
-        Array.unsafe_set vd 6 (Array.unsafe_get va 6 *. Array.unsafe_get vb 6);
-        Array.unsafe_set vd 7 (Array.unsafe_get va 7 *. Array.unsafe_get vb 7)
-  | FMax, 8 ->
-      fun fr ->
-        let va = gv fr a and vb = gv fr b and vd = gv fr d in
-        Array.unsafe_set vd 0
-          (Float.max (Array.unsafe_get va 0) (Array.unsafe_get vb 0));
-        Array.unsafe_set vd 1
-          (Float.max (Array.unsafe_get va 1) (Array.unsafe_get vb 1));
-        Array.unsafe_set vd 2
-          (Float.max (Array.unsafe_get va 2) (Array.unsafe_get vb 2));
-        Array.unsafe_set vd 3
-          (Float.max (Array.unsafe_get va 3) (Array.unsafe_get vb 3));
-        Array.unsafe_set vd 4
-          (Float.max (Array.unsafe_get va 4) (Array.unsafe_get vb 4));
-        Array.unsafe_set vd 5
-          (Float.max (Array.unsafe_get va 5) (Array.unsafe_get vb 5));
-        Array.unsafe_set vd 6
-          (Float.max (Array.unsafe_get va 6) (Array.unsafe_get vb 6));
-        Array.unsafe_set vd 7
-          (Float.max (Array.unsafe_get va 7) (Array.unsafe_get vb 7))
-  | FAdd, _ ->
-      fun fr ->
-        let va = gv fr a and vb = gv fr b and vd = gv fr d in
-        for l = 0 to Array.length vd - 1 do
-          Array.unsafe_set vd l (Array.unsafe_get va l +. Array.unsafe_get vb l)
-        done
-  | FSub, _ ->
-      fun fr ->
-        let va = gv fr a and vb = gv fr b and vd = gv fr d in
-        for l = 0 to Array.length vd - 1 do
-          Array.unsafe_set vd l (Array.unsafe_get va l -. Array.unsafe_get vb l)
-        done
-  | FMul, _ ->
-      fun fr ->
-        let va = gv fr a and vb = gv fr b and vd = gv fr d in
-        for l = 0 to Array.length vd - 1 do
-          Array.unsafe_set vd l (Array.unsafe_get va l *. Array.unsafe_get vb l)
-        done
-  | FDiv, _ ->
-      fun fr ->
-        let va = gv fr a and vb = gv fr b and vd = gv fr d in
-        for l = 0 to Array.length vd - 1 do
-          Array.unsafe_set vd l (Array.unsafe_get va l /. Array.unsafe_get vb l)
-        done
-  | FMax, _ ->
-      fun fr ->
-        let va = gv fr a and vb = gv fr b and vd = gv fr d in
-        for l = 0 to Array.length vd - 1 do
-          Array.unsafe_set vd l
-            (Float.max (Array.unsafe_get va l) (Array.unsafe_get vb l))
-        done
-  | FMin, _ ->
-      fun fr ->
-        let va = gv fr a and vb = gv fr b and vd = gv fr d in
-        for l = 0 to Array.length vd - 1 do
-          Array.unsafe_set vd l
-            (Float.min (Array.unsafe_get va l) (Array.unsafe_get vb l))
-        done
-  | FMA, _ ->
-      fun _ -> trap "binary FMA (addend dropped by a malformed instruction)"
+and fbin cx c op d a b : code =
+  let lanes = lanes cx.an c and d = dst cx c d in
+  match (op, fsrc cx c a, fsrc cx c b) with
+  | FMA, _, _ ->
+      fun _ _ -> trap "binary FMA (addend dropped by a malformed instruction)"
+  | FAdd, Col a, Imm b ->
+      fun fr n ->
+        let x = fr.fl and len = n * lanes in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          add_ci x d a b j; add_ci x d a b (j + 1); add_ci x d a b (j + 2);
+          add_ci x d a b (j + 3); add_ci x d a b (j + 4); add_ci x d a b (j + 5);
+          add_ci x d a b (j + 6); add_ci x d a b (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do add_ci x d a b j done
+  | FAdd, Imm a, Col b ->
+      fun fr n ->
+        let x = fr.fl and len = n * lanes in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          add_ic x d a b j; add_ic x d a b (j + 1); add_ic x d a b (j + 2);
+          add_ic x d a b (j + 3); add_ic x d a b (j + 4); add_ic x d a b (j + 5);
+          add_ic x d a b (j + 6); add_ic x d a b (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do add_ic x d a b j done
+  | FSub, Col a, Imm b ->
+      fun fr n ->
+        let x = fr.fl and len = n * lanes in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          sub_ci x d a b j; sub_ci x d a b (j + 1); sub_ci x d a b (j + 2);
+          sub_ci x d a b (j + 3); sub_ci x d a b (j + 4); sub_ci x d a b (j + 5);
+          sub_ci x d a b (j + 6); sub_ci x d a b (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do sub_ci x d a b j done
+  | FMul, Col a, Imm b ->
+      fun fr n ->
+        let x = fr.fl and len = n * lanes in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          mul_ci x d a b j; mul_ci x d a b (j + 1); mul_ci x d a b (j + 2);
+          mul_ci x d a b (j + 3); mul_ci x d a b (j + 4); mul_ci x d a b (j + 5);
+          mul_ci x d a b (j + 6); mul_ci x d a b (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do mul_ci x d a b j done
+  | _ -> fbin_cc lanes op d (fcol cx c a) (fcol cx c b)
 
-and compile_fcmp (p : pred) d a b : code =
-  let cmp test fr = si fr d (if test (gf fr a) (gf fr b) then 1 else 0) in
-  (* monomorphic comparators: the polymorphic ones would box *)
-  match p with
-  | Olt -> cmp (fun (x : float) y -> x < y)
-  | Ole -> cmp (fun (x : float) y -> x <= y)
-  | Ogt -> cmp (fun (x : float) y -> x > y)
-  | Oge -> cmp (fun (x : float) y -> x >= y)
-  | Oeq -> cmp (fun (x : float) y -> x = y)
-  | One ->
-      cmp (fun (x : float) y ->
-          x <> y && not (Float.is_nan x || Float.is_nan y))
-  | Uno -> cmp (fun (x : float) y -> Float.is_nan x || Float.is_nan y)
+and fbin_cc lanes op d a b : code =
+  match op with
+  | FAdd ->
+      fun fr n ->
+        let x = fr.fl and len = n * lanes in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          add_cc x d a b j; add_cc x d a b (j + 1); add_cc x d a b (j + 2);
+          add_cc x d a b (j + 3); add_cc x d a b (j + 4); add_cc x d a b (j + 5);
+          add_cc x d a b (j + 6); add_cc x d a b (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do add_cc x d a b j done
+  | FSub ->
+      fun fr n ->
+        let x = fr.fl and len = n * lanes in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          sub_cc x d a b j; sub_cc x d a b (j + 1); sub_cc x d a b (j + 2);
+          sub_cc x d a b (j + 3); sub_cc x d a b (j + 4); sub_cc x d a b (j + 5);
+          sub_cc x d a b (j + 6); sub_cc x d a b (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do sub_cc x d a b j done
+  | FMul ->
+      fun fr n ->
+        let x = fr.fl and len = n * lanes in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          mul_cc x d a b j; mul_cc x d a b (j + 1); mul_cc x d a b (j + 2);
+          mul_cc x d a b (j + 3); mul_cc x d a b (j + 4); mul_cc x d a b (j + 5);
+          mul_cc x d a b (j + 6); mul_cc x d a b (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do mul_cc x d a b j done
+  | FMax ->
+      fun fr n ->
+        let x = fr.fl and len = n * lanes in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          max_cc x d a b j; max_cc x d a b (j + 1); max_cc x d a b (j + 2);
+          max_cc x d a b (j + 3); max_cc x d a b (j + 4); max_cc x d a b (j + 5);
+          max_cc x d a b (j + 6); max_cc x d a b (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do max_cc x d a b j done
+  | FMin ->
+      fun fr n ->
+        let x = fr.fl and len = n * lanes in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          min_cc x d a b j; min_cc x d a b (j + 1); min_cc x d a b (j + 2);
+          min_cc x d a b (j + 3); min_cc x d a b (j + 4); min_cc x d a b (j + 5);
+          min_cc x d a b (j + 6); min_cc x d a b (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do min_cc x d a b j done
+  | FDiv ->
+      fun fr n ->
+        let x = fr.fl in
+        for i = 0 to (n * lanes) - 1 do
+          fset x (d + i) (fget x (a + i) /. fget x (b + i))
+        done
+  | FMA -> fun _ _ -> trap "binary FMA (addend dropped by a malformed instruction)"
 
-and compile_vcmp (p : pred) d a b : code =
-  let mask test fr =
-    let va = gv fr a and vb = gv fr b and vd = gv fr d in
-    for l = 0 to Array.length vd - 1 do
-      Array.unsafe_set vd l
-        (if test (Array.unsafe_get va l) (Array.unsafe_get vb l) then 1.0
-         else 0.0)
+and fma cx c d a b e : code =
+  let lanes = lanes cx.an c and d = dst cx c d in
+  match (fsrc cx c a, fsrc cx c b, fsrc cx c e) with
+  | Col a, Imm b, Imm e ->
+      fun fr n ->
+        let x = fr.fl and len = n * lanes in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          fma_cii x d a b e j; fma_cii x d a b e (j + 1);
+          fma_cii x d a b e (j + 2); fma_cii x d a b e (j + 3);
+          fma_cii x d a b e (j + 4); fma_cii x d a b e (j + 5);
+          fma_cii x d a b e (j + 6); fma_cii x d a b e (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do fma_cii x d a b e j done
+  | _ ->
+      let a = fcol cx c a and b = fcol cx c b and e = fcol cx c e in
+      fun fr n ->
+        let x = fr.fl in
+        for i = 0 to (n * lanes) - 1 do
+          fset x (d + i) ((fget x (a + i) *. fget x (b + i)) +. fget x (e + i))
+        done
+
+and fcall cx c fn d a : code =
+  let lanes = lanes cx.an c and d = dst cx c d and a = fcol cx c a in
+  match fn with
+  | MLog ->
+      fun fr n ->
+        let x = fr.fl in
+        for i = 0 to (n * lanes) - 1 do fset x (d + i) (log (fget x (a + i))) done
+  | MExp ->
+      fun fr n ->
+        let x = fr.fl in
+        for i = 0 to (n * lanes) - 1 do fset x (d + i) (exp (fget x (a + i))) done
+  | MLog1p ->
+      fun fr n ->
+        let x = fr.fl in
+        for i = 0 to (n * lanes) - 1 do
+          fset x (d + i) (Float.log1p (fget x (a + i)))
+        done
+
+and ibin cx op d a b : code =
+  let d = dst cx 1 d in
+  match (isrc cx a, isrc cx b) with
+  | ICol a, IImm b ->
+      fun fr n ->
+        let y = fr.it in
+        for i = 0 to n - 1 do iset y (d + i) (ibin_eval op (iget y (a + i)) b) done
+  | IImm a, ICol b ->
+      fun fr n ->
+        let y = fr.it in
+        for i = 0 to n - 1 do iset y (d + i) (ibin_eval op a (iget y (b + i))) done
+  | _ ->
+      let a = icol cx a and b = icol cx b in
+      fun fr n ->
+        let y = fr.it in
+        for i = 0 to n - 1 do
+          iset y (d + i) (ibin_eval op (iget y (a + i)) (iget y (b + i)))
+        done
+
+and fcmp cx p d a b : code =
+  let d = dst cx 1 d and a = fcol cx 0 a in
+  match fsrc cx 0 b with
+  | Imm b ->
+      fun fr n ->
+        let x = fr.fl and y = fr.it in
+        for i = 0 to n - 1 do iset y (d + i) (holds p (fget x (a + i)) b) done
+  | Col b ->
+      fun fr n ->
+        let x = fr.fl and y = fr.it in
+        for i = 0 to n - 1 do
+          iset y (d + i) (holds p (fget x (a + i)) (fget x (b + i)))
+        done
+
+and vcmp cx p d a b : code =
+  let w = cx.an.w and d = dst cx 2 d and a = fcol cx 2 a in
+  match fsrc cx 2 b with
+  | Imm b ->
+      fun fr n ->
+        let x = fr.fl in
+        for i = 0 to (n * w) - 1 do
+          fset x (d + i) (fget onezero (holds p (fget x (a + i)) b))
+        done
+  | Col b ->
+      fun fr n ->
+        let x = fr.fl in
+        for i = 0 to (n * w) - 1 do
+          fset x (d + i) (fget onezero (holds p (fget x (a + i)) (fget x (b + i))))
+        done
+
+and self cx d c t e : code =
+  let d = dst cx 0 d and c = icol cx c in
+  let t, mt = fpick cx 0 t and e, me = fpick cx 0 e in
+  fun fr n ->
+    let x = fr.fl and y = fr.it in
+    for i = 0 to n - 1 do
+      pick x d ~k:(b2i (iget y (c + i) <> 0)) t mt e me i
     done
-  in
-  (* monomorphic comparators: the polymorphic ones would box *)
-  match p with
-  | Olt -> mask (fun (x : float) y -> x < y)
-  | Ole -> mask (fun (x : float) y -> x <= y)
-  | Ogt -> mask (fun (x : float) y -> x > y)
-  | Oge -> mask (fun (x : float) y -> x >= y)
-  | Oeq -> mask (fun (x : float) y -> x = y)
-  | One ->
-      mask (fun (x : float) y ->
-          x <> y && not (Float.is_nan x || Float.is_nan y))
-  | Uno -> mask (fun (x : float) y -> Float.is_nan x || Float.is_nan y)
 
-and compile_body (k : kernel) ~skip ~w ~prof (body : instr array) : code =
-  let kept =
-    Array.of_seq (Seq.filter (fun i -> not (skip i)) (Array.to_seq body))
-  in
-  fuse
-    (Array.map
-       (fun ins ->
-         let c = compile_instr k ~skip ~w ~prof ins in
-         (* profiled compile: each closure first bumps its pre-resolved
-            (node, opcode) cell — one Atomic.incr, no lookup at run time *)
-         match prof ins with
-         | None -> c
-         | Some cell ->
-             fun fr ->
-               Profile.bump cell;
-               c fr)
-       kept)
+and vsel cx d c t e : code =
+  let w = cx.an.w and d = dst cx 2 d and c = fcol cx 2 c in
+  match (fpick cx 2 t, fpick cx 2 e) with
+  | (t, -1), (e, -1) ->
+      fun fr n ->
+        let x = fr.fl and len = n * w in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          sel_cc x d c t e j; sel_cc x d c t e (j + 1); sel_cc x d c t e (j + 2);
+          sel_cc x d c t e (j + 3); sel_cc x d c t e (j + 4); sel_cc x d c t e (j + 5);
+          sel_cc x d c t e (j + 6); sel_cc x d c t e (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do sel_cc x d c t e j done
+  | (ts, 0), (e, -1) ->
+      fun fr n ->
+        let x = fr.fl and len = n * w in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          sel_sc x d c ts e j; sel_sc x d c ts e (j + 1); sel_sc x d c ts e (j + 2);
+          sel_sc x d c ts e (j + 3); sel_sc x d c ts e (j + 4); sel_sc x d c ts e (j + 5);
+          sel_sc x d c ts e (j + 6); sel_sc x d c ts e (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do sel_sc x d c ts e j done
+  | (t, mt), (e, me) ->
+      fun fr n ->
+        let x = fr.fl in
+        for i = 0 to (n * w) - 1 do
+          pick x d ~k:(b2i (fget x (c + i) <> 0.0)) t mt e me i
+        done
 
-let no_skip (_ : instr) = false
-let no_prof (_ : instr) = None
+and compile_loop cx (l : loop) : code =
+  let id = cx.next_loop in
+  cx.next_loop <- id + 1;
+  let lp = cx.an.loops.(id) in
+  let lb = ireader cx l.lb and ub = ireader cx l.ub and step = l.step in
+  let iv = dst cx 1 l.iv in
+  if not lp.eligible then begin
+    let body = compile_body cx l.body in
+    fun fr _ ->
+      let hi = ub fr in
+      let j = ref (lb fr) in
+      while !j < hi do
+        iset fr.it iv !j;
+        body fr 1;
+        j := !j + step
+      done
+  end
+  else begin
+    let w = cx.an.w in
+    (* broadcast sources are read in the enclosing context *)
+    let fills =
+      List.map
+        (fun (c, r, o) ->
+          let src = dst cx c r in
+          match c with
+          | 1 -> fun fr -> Array.fill fr.it o chunk (iget fr.it src)
+          | 0 -> fun fr -> Array.fill fr.fl o chunk (fget fr.fl src)
+          | _ ->
+              fun fr ->
+                for k = 0 to chunk - 1 do Array.blit fr.fl src fr.fl (o + (k * w)) w done)
+        lp.bcast
+    in
+    List.iter
+      (fun (c, r, o) ->
+        cx.bc_loop.(c).(r) <- id;
+        cx.bc_off.(c).(r) <- o)
+      lp.bcast;
+    let outer = cx.cur in
+    cx.cur <- id;
+    let body = compile_body cx l.body in
+    cx.cur <- outer;
+    (* distinct buffer registers over one backing array would see the
+       stores of later iterations early: run those one at a time *)
+    let stored = lp.stored and touched = lp.touched in
+    let aliased fr =
+      List.exists
+        (fun s ->
+          let ds = (bget fr s).Vm.data in
+          List.exists (fun t -> t <> s && (bget fr t).Vm.data == ds) touched)
+        stored
+    in
+    fun fr _ ->
+      let lo = lb fr and hi = ub fr in
+      if lo < hi then begin
+        List.iter (fun f -> f fr) fills;
+        let per = if aliased fr then 1 else chunk in
+        let y = fr.it in
+        let j = ref lo in
+        while !j < hi do
+          let n = min per ((hi - !j + step - 1) / step) in
+          for k = 0 to n - 1 do iset y (iv + k) (!j + (k * step)) done;
+          body fr n;
+          j := !j + (n * step)
+        done
+      end
+  end
+
+and compile_body cx (body : instr array) : code =
+  let an = cx.an in
+  let is_promoted = function
+    | ConstF (d, _) -> promoted an.rs.(0) d
+    | ConstI (d, _) -> promoted an.rs.(1) d
+    | VConst (d, _) -> promoted an.rs.(2) d
+    | _ -> false
+  in
+  (* in order: loops are numbered as [analyse] met them *)
+  let codes =
+    Array.fold_left
+      (fun acc ins ->
+        (* profiled compile: each closure first bumps its pre-resolved
+           (node, opcode) cell by its iteration count; a promoted
+           constant only bumps, so the counts stay the VM's *)
+        match (is_promoted ins, cx.prof ins) with
+        | true, None -> acc
+        | true, Some cell -> (fun _ n -> Profile.bump_n cell n) :: acc
+        | false, None -> compile_instr cx ins :: acc
+        | false, Some cell ->
+            let c = compile_instr cx ins in
+            (fun fr n -> Profile.bump_n cell n; c fr n) :: acc)
+      [] body
+  in
+  fuse (Array.of_list (List.rev codes))
 
 let compile_func ?profile (k : kernel) (fn : func) : cfunc =
-  let fr_nf, fr_ni, fr_nv, fr_nb = reg_bounds fn in
-  (* [w] is the exact lane count of every vector register in this
-     function's frame ([make_state] sizes them from [fr_width]), which is
-     what makes the width-specialized unchecked lane accesses safe *)
-  let w = max 1 fn.vec_width in
-  let promoted = promoted_regs fn in
-  let skip = if RSet.is_empty promoted then no_skip else promotes promoted in
+  let an = analyse fn in
+  plan an;
   let prof =
     match profile with
     | None -> no_prof
     | Some p -> fun ins -> Some (Profile.cell_for p fn ins)
   in
-  let init_instrs =
-    Array.of_list (List.rev (collect_promoted promoted [] fn.body))
+  let per_class v = Array.map (fun x -> Array.make (Array.length x.base) v) an.rs in
+  let cx =
+    { k; an; prof; cur = top; bc_loop = per_class nowhere; bc_off = per_class 0;
+      konst = Hashtbl.create 16; inits = []; next_loop = 0 }
   in
+  let code =
+    if an.negative then fun _ _ -> trap "%s: negative register index" fn.fname
+    else compile_body cx fn.body
+  in
+  let inits = Array.of_list cx.inits in
   {
     src = fn;
     cparams = Array.of_list fn.params;
-    code = compile_body k ~skip ~w ~prof fn.body;
-    (* init runs once per state, outside any profiled execution *)
-    init =
-      fuse (Array.map (compile_instr k ~skip:no_skip ~w ~prof:no_prof) init_instrs);
-    fr_nf;
-    fr_ni;
-    fr_nv;
-    fr_nb;
-    fr_width = w;
+    code;
+    init = (fun fr -> Array.iter (fun f -> f fr) inits);
+    fl_size = an.fl_words;
+    it_size = an.it_words;
+    b_size = an.b_size;
   }
 
 (** [compile ?profile m] — compile the module once into closures.  The
     result is immutable and safe to share across domains; pair it with
     one {!make_state} per domain to execute.  With [profile], every
     compiled instruction closure first bumps its pre-resolved
-    per-SPN-node cell ({!Profile}); without it, the generated code is
-    byte-identical to before — the default path pays nothing. *)
+    per-SPN-node cell ({!Profile}) by its iteration count, so the counts
+    equal {!Vm.run_profiled}'s; without it, the generated code has no
+    profiling in it — the default path pays nothing. *)
 let compile ?profile (m : modul) : kernel =
   (* tie the knot: CallFn closures capture [k] and index [cfuncs] at call
      time, so the placeholders can be replaced after each function
      compiles — by run time every slot holds its real cfunc *)
   let placeholder fn =
-    { src = fn; cparams = [||]; code = (fun _ -> ()); init = (fun _ -> ());
-      fr_nf = 1; fr_ni = 1; fr_nv = 1; fr_nb = 1; fr_width = 1 }
+    { src = fn; cparams = [||]; code = (fun _ _ -> ()); init = ignore;
+      fl_size = 0; it_size = 0; b_size = 0 }
   in
   let k = { cfuncs = Array.map placeholder m.funcs; centry = m.entry } in
   Array.iteri (fun i fn -> k.cfuncs.(i) <- compile_func ?profile k fn) m.funcs;
@@ -645,20 +1203,19 @@ let make_state (k : kernel) : state =
   Spnc_obs.Metrics.(counter_incr (counter "cpu.jit.states_created"));
   let n = Array.length k.cfuncs in
   let empty_buf = { Vm.data = [||]; off = 0; len = 0; rows = 0; cols = 0 } in
-  let dummy = { f = [||]; i = [||]; v = [||]; b = [||]; frames = [||] } in
+  let dummy = { fl = [||]; it = [||]; b = [||]; frames = [||] } in
   let frames = Array.make n dummy in
   Array.iteri
     (fun ix cf ->
       frames.(ix) <-
         {
-          f = Array.make cf.fr_nf 0.0;
-          i = Array.make cf.fr_ni 0;
-          v = Array.init cf.fr_nv (fun _ -> Array.make cf.fr_width 0.0);
-          b = Array.make cf.fr_nb empty_buf;
+          fl = Array.make cf.fl_size 0.0;
+          it = Array.make cf.it_size 0;
+          b = Array.make cf.b_size empty_buf;
           frames;
         })
     k.cfuncs;
-  (* run the promoted constants once — the body never re-materializes them *)
+  (* the constant columns: filled once, never written by the body *)
   Array.iteri (fun ix cf -> cf.init frames.(ix)) k.cfuncs;
   frames
 
@@ -678,7 +1235,7 @@ let run (k : kernel) (st : state) ~(buffers : Vm.buffer list) : unit =
       (Array.length entry.cparams)
       (List.length buffers);
   List.iteri (fun pi buf -> fr.b.(entry.cparams.(pi)) <- buf) buffers;
-  entry.code fr
+  entry.code fr 1
 
 (** [run_once m ~buffers] — compile + run in one shot (tests, one-off
     executions).  Production callers should {!compile} once and reuse. *)

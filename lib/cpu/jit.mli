@@ -1,10 +1,15 @@
-(** The closure-compiled execution engine: threaded code over Lir.
+(** The closure-compiled execution engine: threaded code over Lir, run
+    a column of loop iterations at a time.
 
     Where {!Vm} dispatches a [match] per executed instruction, this
-    engine compiles a [Lir.modul] {e once} into a tree of closures — one
-    closure per instruction, specialized on opcode and vector width, with
-    register indices resolved at compile time — so execution is plain
-    closure calls with zero tag matching (docs/PERFORMANCE.md).
+    engine compiles a [Lir.modul] {e once} into closures — one per
+    instruction, specialized on opcode and on constant operands, with
+    every register resolved to a frame offset at compile time.  Each
+    closure runs its instruction for [n] consecutive iterations of its
+    loop over register columns, so an eligible loop (straight-line, no
+    value carried across iterations — see jit.ml) dispatches each
+    instruction once per {!chunk} iterations; other code runs the same
+    closures with [n = 1] (docs/PERFORMANCE.md §1).
 
     A compiled {!kernel} is immutable and shareable across domains; all
     mutable register state lives in a per-domain {!state}, allocated once
@@ -19,6 +24,10 @@ type engine = Vm | Jit
 val engine_to_string : engine -> string
 val engine_of_string : string -> engine option
 
+val chunk : int
+(** Iterations an eligible loop runs per dispatch of each instruction
+    (exported so tests can cross a chunk boundary). *)
+
 type kernel
 (** A [Lir.modul] compiled into closures.  Immutable; safe to share
     across domains. *)
@@ -29,9 +38,10 @@ type state
 
 (** [compile ?profile m] compiles the module once.  With [profile],
     every compiled instruction closure first bumps its pre-resolved
-    per-SPN-node {!Profile} cell; without it the generated code is
-    identical to an unprofiled compile.  Raises {!Vm.Trap} only at run
-    time, never during compilation. *)
+    per-SPN-node {!Profile} cell by its iteration count, so the counts
+    equal {!Vm.run_profiled}'s; without it the generated code has no
+    profiling in it.  Raises {!Vm.Trap} only at run time, never during
+    compilation. *)
 val compile : ?profile:Profile.t -> Lir.modul -> kernel
 
 val make_state : kernel -> state

@@ -124,6 +124,8 @@ let cell_for (t : t) (f : func) (i : instr) : cell =
 
 let[@inline] bump (c : cell) = Atomic.incr c.count
 
+let[@inline] bump_n (c : cell) n = ignore (Atomic.fetch_and_add c.count n : int)
+
 (* -- Reporting --------------------------------------------------------------- *)
 
 let cells (t : t) : cell list =

@@ -36,6 +36,11 @@ val cell_for : t -> Lir.func -> Lir.instr -> cell
 val bump : cell -> unit
 (** One executed instruction: a single [Atomic.incr]. *)
 
+val bump_n : cell -> int -> unit
+(** [n] executions of one instruction at once (a column closure of
+    {!Jit} runs its instruction for [n] loop iterations): a single
+    atomic fetch-and-add. *)
+
 val cells : t -> cell list
 
 val total : t -> int

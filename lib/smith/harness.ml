@@ -465,17 +465,32 @@ let check_program ?(config = default_config) ?order (p : Smith.program) :
       ~what:(pstr ^ " " ^ Optimizer.level_to_string level)
       (eval lbk (lower ~pipeline:pstr ~level lbk) Jit.[ (Vm, 1); (Jit, 1) ])
   done;
-  (* 6. the vectorized lowering at one seed-chosen level; >= 17 rows
-     (the case's rows tiled) and batch >= 8, so the 8-lane body and the
-     scalar epilogue both run *)
+  (* 6. the vectorized lowering at one seed-chosen level, on the case's
+     rows tiled to [Jit.chunk] 8-lane iterations plus 9 rows in one
+     kernel call: a full column chunk, a partial one and the scalar
+     epilogue all run *)
+  let tiled n =
+    let tile a = Array.init n (fun i -> a.(i mod p.Smith.rows)) in
+    (tile, tile p.Smith.data)
+  in
   let level = Rng.choose rng levels in
-  let n = max 17 p.Smith.rows in
-  let tile a = Array.init n (fun i -> a.(i mod p.Smith.rows)) in
+  let n = (Jit.chunk * 8) + 9 in
+  let tile, data = tiled n in
   let what = "vectorized avx2x8+veclib+shuffle" in
   let runs =
-    eval ~data:(tile p.Smith.data) ~batch_size:(max 8 p.Smith.batch_size)
-      ~min_chunk:8 lb0
+    eval ~data ~batch_size:n ~min_chunk:8 lb0
       (lower ~cpu_options:vector_options ~pipeline:what ~level lb0)
+      Jit.[ (Vm, 1); (Jit, 1) ]
+  in
+  identical ~what runs;
+  within ~what (Result.map tile reference) runs;
+  (* ... and the scalar lowering at another, across one scalar chunk *)
+  let level = Rng.choose rng levels in
+  let n = Jit.chunk + 3 in
+  let tile, data = tiled n in
+  let what = Printf.sprintf "scalar %d rows %s" n (Optimizer.level_to_string level) in
+  let runs =
+    eval ~data ~batch_size:n lb0 (optimize level lir0 |> ok_or "pipeline" what)
       Jit.[ (Vm, 1); (Jit, 1) ]
   in
   identical ~what runs;

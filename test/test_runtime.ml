@@ -2,8 +2,8 @@
     (rows not divisible by the batch size, batch size 1, more threads
     than chunks), bit-identical output across batch sizes, thread counts
     and execution engines, the pooled-scratch path for multi-slot
-    kernels, buffer-view semantics, the JIT's constant promotion under
-    frame reuse, the kernel compilation cache counters, and the
+    kernels, buffer-view semantics, the JIT's column execution against
+    the VM around chunk boundaries and under frame reuse, the kernel compilation cache counters, and the
     streaming layer (docs/PERFORMANCE.md §4-§5): persistent-pool domain
     reuse, work stealing under skewed chunk costs, the adaptive chunk
     plan, scheduler bit-identity, thread auto-detection, thread-safe
@@ -242,9 +242,10 @@ let test_view_bounds_trap () =
 
 (* -- JIT semantics ------------------------------------------------------------ *)
 
-(* Constant promotion moves single-def consts out of the body into
-   frame initialization; re-running on the SAME state (the runtime's
-   frame-reuse pattern) must stay correct. *)
+(* Promoted constants are immediates and loop registers live in reused
+   column slots; re-running on the SAME state (the runtime's frame-reuse
+   pattern) must stay correct, also when the runs' lengths fall on both
+   sides of a column chunk. *)
 let test_jit_state_reuse () =
   let k = Jit.compile kernel_2feat in
   let st = Jit.make_state k in
@@ -259,7 +260,147 @@ let test_jit_state_reuse () =
   let d1 = rows_2feat 5 and d2 = Array.map (Array.map (fun x -> x -. 7.0)) (rows_2feat 8) in
   check_bits "first run" (expected_2feat d1) (run d1);
   check_bits "second run, reused frames" (expected_2feat d2) (run d2);
-  check_bits "third run, first data again" (expected_2feat d1) (run d1)
+  check_bits "third run, first data again" (expected_2feat d1) (run d1);
+  List.iter
+    (fun n ->
+      let d = rows_2feat n in
+      check_bits (Printf.sprintf "%d rows on the same state" n) (expected_2feat d) (run d))
+    [ Jit.chunk + 5; 3; (2 * Jit.chunk) + 1; Jit.chunk; 1 ]
+
+(* The column engine against the VM on a compiled speaker-ID-shaped
+   kernel (Gaussian mixtures, NaN-marginalized inputs), one kernel call
+   per row count, around every chunk boundary: the 8-lane loop's
+   ([Jit.chunk] x 8 rows) and the scalar loop's ([Jit.chunk] rows). *)
+let test_jit_columns_match_vm () =
+  let rng = Spnc_data.Rng.create ~seed:41 in
+  let model =
+    Spnc_spn.Random_spn.generate_sized rng Spnc_spn.Random_spn.speaker_id_config
+      ~min_ops:150
+  in
+  let nf = model.Model.num_features in
+  let c = Jit.chunk in
+  let rows n =
+    let r = Spnc_data.Rng.create ~seed:(n + 1) in
+    Array.init (n * nf) (fun _ ->
+        if Spnc_data.Rng.float r < 0.2 then Float.nan
+        else Spnc_data.Rng.range r (-3.0) 3.0)
+  in
+  List.iter
+    (fun (vectorize, counts) ->
+      let options =
+        { Options.default with vectorize; use_veclib = vectorize;
+          use_shuffle = vectorize; support_marginal = true;
+          use_kernel_cache = false }
+      in
+      let compiled = Compiler.compile ~options model in
+      let lir =
+        match compiled.Compiler.artifact with
+        | Compiler.Cpu_kernel a -> a.Compiler.lir
+        | Compiler.Gpu_kernel _ -> Alcotest.fail "expected a CPU kernel"
+      in
+      let cols = compiled.Compiler.out_cols in
+      let k = Jit.compile lir in
+      let st = Jit.make_state k in
+      List.iter
+        (fun n ->
+          let flat = rows n in
+          let run f =
+            let out = Vm.buffer ~rows:n ~cols in
+            f ~buffers:[ Vm.of_flat flat ~rows:n ~cols:nf; out ];
+            out.Vm.data
+          in
+          check_bits
+            (Printf.sprintf "%s, %d rows"
+               (if vectorize then "vectorized" else "scalar") n)
+            (run (Vm.run lir)) (run (Jit.run k st)))
+        counts)
+    [
+      (true, [ 1; 7; 8; 9; (c * 8) - 1; c * 8; (c * 8) + 1; (2 * c * 8) + 13 ]);
+      (false, [ 1; c - 1; c; c + 1; (3 * c) + 2 ]);
+    ]
+
+(* A loop that carries a value from one iteration to the next (a running
+   sum) cannot run in columns; it must still compute the VM's prefix
+   sums, across what would be chunk boundaries. *)
+let test_jit_carried_loop_matches_vm () =
+  let body =
+    [|
+      Lir.Dim (0, 0);
+      Lir.ConstI (1, 0);
+      (* two defs of f0: not a promotable constant *)
+      Lir.ConstF (0, 0.0);
+      Lir.Loop
+        {
+          Lir.iv = 2; lb = 1; ub = 0; step = 1; vector_width = 1;
+          body =
+            [|
+              Lir.Load (1, 0, 2);
+              Lir.FBin (Lir.FAdd, 0, 0, 1);
+              Lir.Store (1, 2, 0);
+            |];
+        };
+      Lir.Ret;
+    |]
+  in
+  let f =
+    { Lir.fname = "prefix"; params = [ 0; 1 ]; body; nf = 2; ni = 3; nv = 1;
+      nb = 2; vec_width = 1; prov = Lir.no_prov }
+  in
+  let m = { Lir.funcs = [| f |]; entry = 0 } in
+  let n = (2 * Jit.chunk) + 5 in
+  let input = Vm.of_flat (Array.init n (fun i -> 0.1 *. float_of_int (i + 1))) ~rows:n ~cols:1 in
+  let run f =
+    let out = Vm.buffer ~rows:n ~cols:1 in
+    f ~buffers:[ input; out ];
+    out.Vm.data
+  in
+  let vm = run (Vm.run m) in
+  let sum = ref 0.0 in
+  check_bits "vm computes prefix sums"
+    (Array.map (fun x -> sum := !sum +. x; !sum) input.Vm.data) vm;
+  check_bits "jit matches the vm" vm (run (Jit.run_once m))
+
+(* The same array bound to two buffer parameters: a column loop that
+   loads from one and stores to the other ([b.(i + 1) <- 2 * b.(i)])
+   would read every row before writing any.  The runtime check makes
+   such a loop run one iteration at a time, as the VM does. *)
+let test_jit_aliased_buffers_match_vm () =
+  let body =
+    [|
+      Lir.Dim (0, 0);
+      Lir.ConstI (1, 0);
+      Lir.ConstI (2, 1);
+      Lir.ConstI (3, -1);
+      Lir.IBin (Lir.IAdd, 4, 0, 3);
+      Lir.Loop
+        {
+          Lir.iv = 5; lb = 1; ub = 4; step = 1; vector_width = 1;
+          body =
+            [|
+              Lir.Load (0, 0, 5);
+              Lir.ConstF (1, 2.0);
+              Lir.FBin (Lir.FMul, 2, 0, 1);
+              Lir.IBin (Lir.IAdd, 6, 5, 2);
+              Lir.Store (1, 6, 2);
+            |];
+        };
+      Lir.Ret;
+    |]
+  in
+  let f =
+    { Lir.fname = "shift"; params = [ 0; 1 ]; body; nf = 3; ni = 7; nv = 1;
+      nb = 2; vec_width = 1; prov = Lir.no_prov }
+  in
+  let m = { Lir.funcs = [| f |]; entry = 0 } in
+  let n = (2 * Jit.chunk) + 5 in
+  let run f =
+    let b = Vm.of_flat (Array.init n (fun i -> if i = 0 then 1.0 else 0.5)) ~rows:n ~cols:1 in
+    f ~buffers:[ b; b ];
+    b.Vm.data
+  in
+  let vm = run (Vm.run m) in
+  check (Alcotest.float 0.0) "vm doubles through the stores" 1024.0 vm.(10);
+  check_bits "jit matches the vm" vm (run (Jit.run_once m))
 
 let test_binary_fma_traps_both_engines () =
   (* a binary FMA is a malformed instruction (the addend was dropped);
@@ -870,6 +1011,12 @@ let suite =
     Alcotest.test_case "view window semantics" `Quick test_view_window_semantics;
     Alcotest.test_case "view bounds trap" `Quick test_view_bounds_trap;
     Alcotest.test_case "jit state reuse" `Quick test_jit_state_reuse;
+    Alcotest.test_case "jit columns match vm across chunks" `Quick
+      test_jit_columns_match_vm;
+    Alcotest.test_case "jit carried loop matches vm" `Quick
+      test_jit_carried_loop_matches_vm;
+    Alcotest.test_case "jit aliased buffers match vm" `Quick
+      test_jit_aliased_buffers_match_vm;
     Alcotest.test_case "binary fma traps (both engines)" `Quick test_binary_fma_traps_both_engines;
     Alcotest.test_case "chunk error bounds" `Quick test_chunk_error_bounds;
     Alcotest.test_case "cache hit skips pipeline" `Quick test_cache_hit_skips_pipeline;

@@ -245,9 +245,9 @@ let test_profile_attribution_via_provenance () =
   check tint "the rest lands on the unattributed bucket" (11 - 4) (hits (-1))
 
 let test_profile_jit_matches_vm_shape () =
-  (* the JIT hoists single-definition constants into the per-state init
-     (run once, unprofiled), so its dynamic count excludes them; beyond
-     that, counts must be deterministic and accumulate linearly *)
+  (* the JIT turns single-definition constants into immediates, whose
+     profiled closures only count; counts must be deterministic and
+     accumulate linearly *)
   let prov = Lir.no_prov in
   let m = { Lir.funcs = [| straightline_func ~prov |]; entry = 0 } in
   let p = Profile.create () in
@@ -294,6 +294,41 @@ let run_lir lir ~rows ~num_features =
   let out = Vm.buffer ~rows:n ~cols:1 in
   Vm.run lir ~buffers:[ input; out ];
   Array.sub out.Vm.data 0 n
+
+(* Exact profiles across column chunks: a column closure counts its
+   whole chunk at once, so on a vectorized kernel whose 8-lane loop runs
+   two chunks (and whose scalar epilogue runs too) every cell of the
+   JIT's profile equals the VM's. *)
+let test_profile_jit_equals_vm_across_chunks () =
+  let rng = Rng.create ~seed:17 in
+  let t =
+    Random_spn.generate rng
+      { Random_spn.default_config with num_features = 5; max_depth = 5 }
+  in
+  let lir = compile_lir ~vec:true Opt.O1 t in
+  let n = (2 * Jit.chunk * 8) + 13 in
+  let drng = Rng.create ~seed:18 in
+  let flat = Array.init (n * 5) (fun _ -> Rng.range drng (-3.0) 3.0) in
+  let buffers () = [ Vm.of_flat flat ~rows:n ~cols:5; Vm.buffer ~rows:n ~cols:1 ] in
+  let pv = Profile.create () and pj = Profile.create () in
+  Vm.run_profiled lir pv ~buffers:(buffers ());
+  let k = Jit.compile ~profile:pj lir in
+  Jit.run k (Jit.make_state k) ~buffers:(buffers ());
+  check tint "equal totals" (Profile.total pv) (Profile.total pj);
+  let counts p =
+    List.sort compare
+      (List.map
+         (fun (c : Profile.cell) ->
+           ((c.Profile.node, c.Profile.opcode), Atomic.get c.Profile.count))
+         (Profile.cells p))
+  in
+  let cv = counts pv and cj = counts pj in
+  check tint "same cells" (List.length cv) (List.length cj);
+  List.iter2
+    (fun ((node, op), v) (key, j) ->
+      if (node, op) <> key || v <> j then
+        Alcotest.failf "cell (%d, %s): vm %d, jit %d" node op v j)
+    cv cj
 
 let test_optimizer_equivalence_prop =
   QCheck.Test.make ~count:12 ~name:"O0 and O3 produce identical results"
@@ -443,6 +478,8 @@ let suite =
       test_profile_attribution_via_provenance;
     Alcotest.test_case "profile jit accumulates deterministically" `Quick
       test_profile_jit_matches_vm_shape;
+    Alcotest.test_case "profile jit equals vm across chunks" `Quick
+      test_profile_jit_equals_vm_across_chunks;
     QCheck_alcotest.to_alcotest test_optimizer_equivalence_prop;
     QCheck_alcotest.to_alcotest test_scalar_vector_equivalence_prop;
     Alcotest.test_case "remat excludes constants" `Quick test_remat_reduces_intervals;
