@@ -512,52 +512,19 @@ let with_obs (trace, metrics, remarks) (f : unit -> int) : int =
 
 (* -- tuned configurations --------------------------------------------------------- *)
 
-(* A tuned config replaces the compile-relevant knobs only; runtime-only
-   knobs (threads, scheduler, engine, caches, guards, deadlines) keep
-   their command-line values. *)
-let merge_tuned ~tuned (o : Spnc.Options.t) : Spnc.Options.t =
-  let open Spnc.Options in
-  {
-    o with
-    target = tuned.target;
-    machine = tuned.machine;
-    vectorize = tuned.vectorize;
-    use_veclib = tuned.use_veclib;
-    use_shuffle = tuned.use_shuffle;
-    use_gather_tables = tuned.use_gather_tables;
-    opt_level = tuned.opt_level;
-    max_partition_size = tuned.max_partition_size;
-    batch_size = tuned.batch_size;
-    block_size = tuned.block_size;
-    support_marginal = tuned.support_marginal;
-  }
-
+(* A tuned config is a compile key: it replaces the knobs and the
+   machine's ISA/veclib only; runtime knobs (threads, scheduler, engine,
+   caches, guards, deadlines) keep their command-line values. *)
 let load_tuned_config path (o : Spnc.Options.t) : Spnc.Options.t =
-  match Spnc_obs.Json.parse_file path with
+  let module Json = Spnc_obs.Json in
+  (* a bare key, or a full DSE report whose [best_config] is one *)
+  let key j = Option.value (Json.member "best_config" j) ~default:j in
+  match
+    Result.bind (Json.parse_file path) (fun j ->
+        Spnc.Options.compile_of_json (key j))
+  with
+  | Ok k -> Spnc.Options.with_compile k o
   | Error e -> failwith (Printf.sprintf "%s: %s" path e)
-  | Ok j -> (
-      (* accept a bare config object, a tuned-cache entry ("config") or a
-         full DSE report ("best_config") *)
-      let cj =
-        match
-          ( Spnc_obs.Json.member "config" j,
-            Spnc_obs.Json.member "best_config" j )
-        with
-        | Some c, _ -> c
-        | None, Some c -> c
-        | None, None -> j
-      in
-      match Spnc_tune.Tune.config_of_json cj with
-      | Ok tuned -> merge_tuned ~tuned o
-      | Error e -> failwith (Printf.sprintf "%s: %s" path e))
-
-(* Tuned configs live next to the kernel cache (their own subdirectory so
-   the kcache LRU scan never sees them): a tuned model served from this
-   cache recompiles free through the kernel cache as well. *)
-let tuned_cache_dir (o : Spnc.Options.t) =
-  Option.map
-    (fun d -> Filename.concat d "tuned")
-    o.Spnc.Options.kernel_cache_dir
 
 (* -- compile ---------------------------------------------------------------------- *)
 
@@ -641,14 +608,10 @@ let run path options rows seed verify verbose profile tuned_config autotune obs 
     | None -> options
     | Some measure ->
         let module T = Spnc_tune.Tune in
-        let r =
-          T.tune
-            ~budget:{ T.measure; reps = 3 }
-            ?cache_dir:(tuned_cache_dir options) ~options ~data model
-        in
+        let r = T.tune ~budget:{ T.measure; reps = 3 } ~options ~data model in
         Fmt.pr "--- autotune ---@.%a" T.pp_result r;
         Fmt.pr "autotuned config: %s@." r.T.best.T.label;
-        merge_tuned ~tuned:r.T.best.T.options options
+        r.T.best.T.options
   in
   let c = Spnc.Compiler.compile ~options model in
   let t0 = Unix.gettimeofday () in
@@ -762,26 +725,28 @@ let tune path options rows seed budget reps no_profile out report obs =
   let r =
     T.tune
       ~budget:{ T.measure = budget; reps = max 1 reps }
-      ~use_profile:(not no_profile)
-      ?cache_dir:(tuned_cache_dir options) ~options ~data model
+      ~use_profile:(not no_profile) ~options ~data model
   in
   Fmt.pr "%a" T.pp_result r;
-  let write_json path doc =
+  let write path text =
     let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Spnc_obs.Json.to_string_pretty doc))
+      (fun () -> output_string oc text)
   in
-  let config_json = T.config_to_json r.T.best.T.options in
+  (* the tuned config is the winner's compile key, as the cache stores it *)
+  let config =
+    Spnc.Options.(fingerprint (compile_of r.T.best.T.options)) ^ "\n"
+  in
   (match out with
-  | None -> Fmt.pr "%s" (Spnc_obs.Json.to_string_pretty config_json)
+  | None -> Fmt.pr "%s" config
   | Some p ->
-      write_json p config_json;
+      write p config;
       Fmt.pr "tuned config: written to %s@." p);
   (match report with
   | None -> ()
   | Some p ->
-      write_json p (T.result_to_json r);
+      write p (Spnc_obs.Json.to_string_pretty (T.result_to_json r));
       Fmt.pr "dse report: written to %s@." p);
   0
 

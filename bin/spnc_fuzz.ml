@@ -45,7 +45,9 @@ let is_clean_diagnostic = function
       true
   | _ -> false
 
-(* The fault families a chaos schedule may arm (prefix-matched). *)
+(* The fault families a chaos schedule may arm (prefix-matched).  The
+   [compile.<stage>] points stay out: they fail a stage outright, which
+   the resilience tests cover one stage at a time. *)
 let chaos_families =
   [
     "kcache.";
@@ -113,16 +115,16 @@ let chaos_replay ~seed ~cache_dir (p : Smith.program) : Harness.failure option
       let rate = Rng.range rng 0.02 0.35 in
       let chaos_seed = (seed * 1_000_003) + p.Smith.id in
       let points =
-        (* half the cases arm everything; the rest a random subset *)
-        if Rng.float rng < 0.5 then None
-        else Some (List.filter (fun _ -> Rng.float rng < 0.5) chaos_families)
+        (* half the cases arm every family; the rest a random subset *)
+        if Rng.float rng < 0.5 then chaos_families
+        else List.filter (fun _ -> Rng.float rng < 0.5) chaos_families
       in
       let schedule =
         Printf.sprintf
           "chaos-seed=%d rate=%.3f points=%s threads=%d engine=%s target=%s \
            fallback=%b deadline=%s retries=%d"
           chaos_seed rate
-          (match points with None -> "all" | Some ps -> String.concat ";" ps)
+          (String.concat ";" points)
           threads
           (Spnc_cpu.Jit.engine_to_string engine)
           (Options.target_to_string options.Options.target)
@@ -146,7 +148,7 @@ let chaos_replay ~seed ~cache_dir (p : Smith.program) : Harness.failure option
          read-side corruption then exercises quarantine and recompile *)
       Compiler.reset_kernel_cache ();
       Fault.reset_for_tests ();
-      Fault.arm ?points ~seed:chaos_seed ~rate ();
+      Fault.arm ~points ~seed:chaos_seed ~rate ();
       let chaotic = chaos_eval options model data in
       Fault.disarm ();
       List.iter

@@ -109,25 +109,74 @@ let make_jit_cell (lir : Spnc_cpu.Lir.modul) : jit_cell =
               Spnc_cpu.Jit.compile lir));
   }
 
-(* The full pipeline, unconditionally (the cache wrapper is below). *)
-let compile_full ~(options : Options.t) (model : Spnc_spn.Model.t) : compiled =
+(* What the pipeline produces: the compiled record minus its process-bound
+   parts — [options] and [diags] belong to the calling context, and the
+   JIT closure cell is rebuilt from [lir].  Everything below is pure
+   immutable data, so the disk tier [Marshal]s it as is. *)
+type stored_artifact =
+  | Stored_cpu of {
+      s_lir : Spnc_cpu.Lir.modul;
+      s_regalloc : Spnc_cpu.Regalloc.stats array;
+      s_cir : Ir.modul;
+    }
+  | Stored_gpu of gpu_artifact
+
+type stored = {
+  s_model_stats : Spnc_spn.Stats.t;
+  s_timings : timing list;
+  s_lospn : Ir.modul;
+  s_out_cols : int;
+  s_num_tasks : int;
+  s_artifact : stored_artifact;
+  s_datatype : Spnc_lospn.Lower_hispn.datatype_choice;
+}
+
+let compiled_of_stored ~(options : Options.t) ?(diags = []) (s : stored) :
+    compiled =
+  {
+    model_stats = s.s_model_stats;
+    options;
+    timings = s.s_timings;
+    lospn = s.s_lospn;
+    out_cols = s.s_out_cols;
+    num_tasks = s.s_num_tasks;
+    artifact =
+      (match s.s_artifact with
+      | Stored_cpu { s_lir; s_regalloc; s_cir } ->
+          Cpu_kernel
+            {
+              lir = s_lir;
+              regalloc = s_regalloc;
+              cir = s_cir;
+              jit = make_jit_cell s_lir;
+            }
+      | Stored_gpu g -> Gpu_kernel g);
+    datatype = s.s_datatype;
+    diags;
+  }
+
+(* The full pipeline, unconditionally (the cache wrapper is below).  It
+   reads only the compile key, so two option sets with one key build one
+   kernel; [compile] attaches the caller's options to the result. *)
+let compile_full ~(options : Options.compile) (model : Spnc_spn.Model.t) :
+    stored * Diag.t list =
   Spnc_spn.Validate.validate_exn model;
   let timings = ref [] in
   let timed stage f =
-    (* fault injection for the resilience tests: fail exactly at the
-       named stage, through the same code path a real bug would take *)
-    (if options.Options.debug_fail_stage = Some stage then
-       Diag.fail ~pass:stage "injected failure at stage %s (debug_fail_stage)"
-         stage);
+    (* one fault point per stage: an injected failure takes the same
+       path a real bug in that stage would *)
+    if Fault.fire ("compile." ^ stage) then
+      Diag.fail ~pass:stage "injected failure at stage %s" stage;
     (* one clock pair feeds both the stage ledger and the trace span *)
     let r, seconds = Spnc_obs.Trace.timed ~cat:"compile" stage f in
     timings := { stage; seconds } :: !timings;
     r
   in
+  (* the query's batch size only names the IR's [batchSize] attribute,
+     which no lowering reads: the runtime chunks by the caller's own *)
   let query =
     {
-      Spnc_hispn.From_model.batch_size = options.Options.batch_size;
-      input_type = Types.F32;
+      Spnc_hispn.From_model.default_query with
       support_marginal = options.Options.support_marginal;
     }
   in
@@ -136,6 +185,13 @@ let compile_full ~(options : Options.t) (model : Spnc_spn.Model.t) : compiled =
         Spnc_hispn.From_model.translate ~query model)
   in
   let hi = timed "canonicalize" (fun () -> Canonicalize.run hi) in
+  let lowering =
+    {
+      Spnc_lospn.Lower_hispn.default_options with
+      space = options.Options.space;
+      base_type = options.Options.base_type;
+    }
+  in
   (* datatype decision, recorded for reporting *)
   let datatype =
     let graph_ops =
@@ -143,25 +199,11 @@ let compile_full ~(options : Options.t) (model : Spnc_spn.Model.t) : compiled =
       | g :: _ -> Ir.single_region_ops g
       | [] -> []
     in
-    Spnc_lospn.Lower_hispn.choose_datatype
-      ~options:
-        {
-          Spnc_lospn.Lower_hispn.default_options with
-          space = options.Options.space;
-          base_type = options.Options.base_type;
-        }
-      graph_ops
+    Spnc_lospn.Lower_hispn.choose_datatype ~options:lowering graph_ops
   in
   let lo =
     timed "lower-to-lospn" (fun () ->
-        Spnc_lospn.Lower_hispn.run
-          ~options:
-            {
-              space = options.Options.space;
-              base_type = options.Options.base_type;
-              kernel_name = "spn_kernel";
-            }
-          hi)
+        Spnc_lospn.Lower_hispn.run ~options:lowering hi)
   in
   (* LoSPN-level optimization (§IV-A5): constant folding through the
      canonicalization framework plus dialect-agnostic CSE/DCE.  Running it
@@ -173,12 +215,7 @@ let compile_full ~(options : Options.t) (model : Spnc_spn.Model.t) : compiled =
   let lo =
     timed "lospn-optimization" (fun () ->
         let span name f = Spnc_obs.Trace.with_span ~cat:"pass" name f in
-        let order =
-          match options.Options.lospn_opt_order with
-          | None -> Pipelines.default_lospn_opt_order
-          | Some o -> o
-        in
-        match Pipelines.lospn_opt_passes order with
+        match Pipelines.lospn_opt_passes options.Options.lospn_opt_order with
         | Error e -> invalid_arg ("lospn_opt_order: " ^ e)
         | Ok passes ->
             List.fold_left
@@ -219,7 +256,7 @@ let compile_full ~(options : Options.t) (model : Spnc_spn.Model.t) : compiled =
       timed "register-allocation" (fun () ->
           Spnc_cpu.Regalloc.allocate_module lir)
     in
-    Cpu_kernel { lir; regalloc; cir; jit = make_jit_cell lir }
+    Stored_cpu { s_lir = lir; s_regalloc = regalloc; s_cir = cir }
   in
   let build_gpu () =
     (* chaos: an injected GPU build failure takes the same graceful-
@@ -258,7 +295,7 @@ let compile_full ~(options : Options.t) (model : Spnc_spn.Model.t) : compiled =
           done;
           !c)
     in
-    Gpu_kernel { gpu_module = g; ptx; cubin }
+    Stored_gpu { gpu_module = g; ptx; cubin }
   in
   let artifact, diags =
     match options.Options.target with
@@ -281,28 +318,27 @@ let compile_full ~(options : Options.t) (model : Spnc_spn.Model.t) : compiled =
             Fmt.epr "spnc: warning: %a@." Diag.pp warn;
             (build_cpu (), [ warn ]))
   in
-  {
-    model_stats = Spnc_spn.Stats.compute model;
-    options;
-    timings = List.rev !timings;
-    lospn = lo;
-    out_cols;
-    num_tasks;
-    artifact;
-    datatype;
-    diags;
-  }
+  ( {
+      s_model_stats = Spnc_spn.Stats.compute model;
+      s_timings = List.rev !timings;
+      s_lospn = lo;
+      s_out_cols = out_cols;
+      s_num_tasks = num_tasks;
+      s_artifact = artifact;
+      s_datatype = datatype;
+    },
+    diags )
 
 (* -- Kernel compilation cache -------------------------------------------------- *)
 
-(* Content-addressed cache over (model, compile-relevant options): bench
-   sweeps and the fuzzer compile the same speaker/RAT-SPN models over and
-   over; a hit returns the previously compiled artifact and skips the
-   whole pass pipeline (docs/PERFORMANCE.md).  Keyed by an MD5 digest of
-   the deterministic model serialization plus the options fingerprint
-   (runtime-only knobs excluded), so any change to either — including the
-   fuzzer's [inject_bad_peephole] fault switch, which silently alters
-   what the -O1+ pipeline produces — yields a different key. *)
+(* Content-addressed cache over (model, compile key): bench sweeps and the
+   fuzzer compile the same speaker/RAT-SPN models over and over; a hit
+   returns the previously compiled artifact and skips the whole pass
+   pipeline (docs/PERFORMANCE.md).  Keyed by an MD5 digest of the
+   deterministic model serialization plus [Options.fingerprint], so any
+   change to either — including the fuzzer's [inject_bad_peephole] fault
+   switch, which silently alters what the -O1+ pipeline produces —
+   yields a different key. *)
 
 type cache_counters = {
   hits : int;
@@ -346,7 +382,7 @@ let reset_kernel_cache () =
   reset (counter_name n_full);
   reset (counter_name n_disk_hits)
 
-let cache_key ~(options : Options.t) (model : Spnc_spn.Model.t) : string =
+let cache_key ~(options : Options.compile) (model : Spnc_spn.Model.t) : string =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
@@ -358,71 +394,11 @@ let cache_key ~(options : Options.t) (model : Spnc_spn.Model.t) : string =
 
 (* -- Persistent (on-disk) tier ------------------------------------------------- *)
 
-(* What survives a process: the compiled record minus its process-bound
-   parts — [options] and [diags] belong to the calling context, and the
-   JIT closure cell is rebuilt from [lir] on load.  Everything below is
-   pure immutable data, safe to [Marshal]. *)
-type stored_artifact =
-  | Stored_cpu of {
-      s_lir : Spnc_cpu.Lir.modul;
-      s_regalloc : Spnc_cpu.Regalloc.stats array;
-      s_cir : Ir.modul;
-    }
-  | Stored_gpu of gpu_artifact
-
-type stored = {
-  s_model_stats : Spnc_spn.Stats.t;
-  s_timings : timing list;
-  s_lospn : Ir.modul;
-  s_out_cols : int;
-  s_num_tasks : int;
-  s_artifact : stored_artifact;
-  s_datatype : Spnc_lospn.Lower_hispn.datatype_choice;
-}
-
 (* Bump the "v" whenever [stored] (or anything it transitively contains)
    changes shape: the format tag keeps old entries from being
    unmarshalled into the wrong layout.  The OCaml version rides along
    because Marshal output is not stable across compiler versions. *)
 let disk_fmt = "spnc-compiled-v1/" ^ Sys.ocaml_version
-
-let stored_of_compiled (c : compiled) : stored =
-  {
-    s_model_stats = c.model_stats;
-    s_timings = c.timings;
-    s_lospn = c.lospn;
-    s_out_cols = c.out_cols;
-    s_num_tasks = c.num_tasks;
-    s_artifact =
-      (match c.artifact with
-      | Cpu_kernel { lir; regalloc; cir; _ } ->
-          Stored_cpu { s_lir = lir; s_regalloc = regalloc; s_cir = cir }
-      | Gpu_kernel g -> Stored_gpu g);
-    s_datatype = c.datatype;
-  }
-
-let compiled_of_stored ~(options : Options.t) (s : stored) : compiled =
-  {
-    model_stats = s.s_model_stats;
-    options;
-    timings = s.s_timings;
-    lospn = s.s_lospn;
-    out_cols = s.s_out_cols;
-    num_tasks = s.s_num_tasks;
-    artifact =
-      (match s.s_artifact with
-      | Stored_cpu { s_lir; s_regalloc; s_cir } ->
-          Cpu_kernel
-            {
-              lir = s_lir;
-              regalloc = s_regalloc;
-              cir = s_cir;
-              jit = make_jit_cell s_lir;
-            }
-      | Stored_gpu g -> Gpu_kernel g);
-    datatype = s.s_datatype;
-    diags = [];
-  }
 
 (* one warning per process for an unusable cache dir, not one per compile *)
 let disk_warned = Atomic.make false
@@ -454,29 +430,33 @@ let disk_find (kc : Kcache.t) ~options key : compiled option =
           Kcache.quarantine kc ~key;
           None)
 
-let disk_store (kc : Kcache.t) ~key (c : compiled) : unit =
-  match Marshal.to_string (stored_of_compiled c) [] with
+let disk_store (kc : Kcache.t) ~key (s : stored) : unit =
+  match Marshal.to_string s [] with
   | payload -> Kcache.store kc ~fmt:disk_fmt ~key payload
   | exception _ -> ()
 
 (** [compile ?options model] — the full pipeline, or a cache hit for an
-    identical (model, options) pair: memory first, then — when
+    identical (model, compile key) pair: memory first, then — when
     [options.kernel_cache_dir] is set — the persistent on-disk tier
-    ({!Kcache}), then a full compile (published to both tiers).  A hit
-    reuses the compiled artifact and original timings but carries the
-    caller's [options], so runtime-only knobs (threads, engine, output
-    guard, deadline) still apply.
+    ({!Kcache}), then a full compile (published to both tiers).  Every
+    result, hit or not, carries the caller's [options], so the runtime
+    knobs (threads, engine, output guard, deadline, batch size) apply.
     @raise Spnc_spn.Validate.Invalid if the model is structurally invalid. *)
 let compile ?(options = Options.default) (model : Spnc_spn.Model.t) : compiled =
+  let k = Options.compile_of options in
+  let build () =
+    let s, diags = compile_full ~options:k model in
+    (s, compiled_of_stored ~options ~diags s)
+  in
   if not options.Options.use_kernel_cache then begin
     Spnc_obs.Metrics.counter_incr n_full;
-    compile_full ~options model
+    snd (build ())
   end
   else begin
     (* validate before serializing for the key: the digest must only ever
        address well-formed models *)
     Spnc_spn.Validate.validate_exn model;
-    let key = cache_key ~options model in
+    let key = cache_key ~options:k model in
     match with_lock (fun () -> Hashtbl.find_opt cache key) with
     | Some c ->
         Spnc_obs.Metrics.counter_incr n_hits;
@@ -496,14 +476,14 @@ let compile ?(options = Options.default) (model : Spnc_spn.Model.t) : compiled =
             publish_memory c;
             c
         | None ->
-            let c = compile_full ~options model in
+            let s, c = build () in
             (* counted after the compile so a raising pipeline (injected
                faults, invalid stages) doesn't inflate the miss count —
                same semantics as the old ref-based counters *)
             Spnc_obs.Metrics.counter_incr n_misses;
             Spnc_obs.Metrics.counter_incr n_full;
             publish_memory c;
-            Option.iter (fun kc -> disk_store kc ~key c) kc;
+            Option.iter (fun kc -> disk_store kc ~key s) kc;
             c)
   end
 
@@ -535,16 +515,17 @@ let force_jit (cell : jit_cell) =
               Spnc_obs.Metrics.counter_incr jit_build_failures;
               raise e))
 
-(** [load_exec ?pool c] — build the reusable runtime engine handle for a
-    CPU artifact: JIT closures forced (once, through the retryable cell
-    shared by every caller of this cached artifact), worker pool wired up
-    (the process-wide {!Spnc_runtime.Pool.global} unless [?pool] is
-    given), chunking/scheduling knobs taken from [c.options].  Loading is
-    the per-call cost {!execute} used to pay on every invocation; a
-    server holds the returned handle hot and amortizes it across the
-    artifact's lifetime (the {!Spnc_serve} registry LRU does exactly
-    this).  Calls on one handle are serialized by the runtime. *)
-let load_exec ?pool (c : compiled) : Spnc_runtime.Exec.t =
+(** [load_exec ?pool ?profile c] — build the reusable runtime engine
+    handle for a CPU artifact: JIT closures forced (once, through the
+    retryable cell shared by every caller of this cached artifact),
+    worker pool wired up (the process-wide {!Spnc_runtime.Pool.global}
+    unless [?pool] is given), chunking/scheduling knobs taken from
+    [c.options].  Loading is the per-call cost {!execute} used to pay on
+    every invocation; a server holds the returned handle hot and
+    amortizes it across the artifact's lifetime (the {!Spnc_serve}
+    registry LRU does exactly this).  Calls on one handle are serialized
+    by the runtime. *)
+let load_exec ?pool ?profile (c : compiled) : Spnc_runtime.Exec.t =
   match c.artifact with
   | Gpu_kernel _ ->
       invalid_arg
@@ -553,11 +534,17 @@ let load_exec ?pool (c : compiled) : Spnc_runtime.Exec.t =
   | Cpu_kernel { lir; jit; _ } ->
       let engine = c.options.Options.engine in
       (* force the closure compilation here, on the calling domain, so the
-         worker domains only ever see the completed kernel *)
+         worker domains only ever see the completed kernel.  Profiled
+         closures capture the profile's cells, so they are built per run
+         and bypass the artifact's shared cell. *)
       let jk =
-        match engine with
-        | Spnc_cpu.Jit.Jit -> Some (force_jit jit)
-        | Spnc_cpu.Jit.Vm -> None
+        match (engine, profile) with
+        | Spnc_cpu.Jit.Vm, _ -> None
+        | Spnc_cpu.Jit.Jit, None -> Some (force_jit jit)
+        | Spnc_cpu.Jit.Jit, Some p ->
+            Some
+              (Spnc_obs.Trace.with_span ~cat:"compile" "jit-build-profiled"
+                 (fun () -> Spnc_cpu.Jit.compile ~profile:p lir))
       in
       let threads = Options.effective_threads c.options in
       (* engine handles share the process-wide pool: domains are spawned
@@ -570,11 +557,12 @@ let load_exec ?pool (c : compiled) : Spnc_runtime.Exec.t =
             else None
       in
       let min_chunk =
-        (Options.cpu_lower_options c.options).Spnc_cpu.Lower_cpu.width
+        Options.(cpu_lower_options (compile_of c.options))
+          .Spnc_cpu.Lower_cpu.width
       in
       Spnc_runtime.Exec.load ~batch_size:c.options.Options.batch_size ~threads
-        ~engine ?jit:jk ~sched:c.options.Options.sched ~min_chunk ?pool
-        ~out_cols:c.out_cols lir
+        ~engine ?jit:jk ?profile ~sched:c.options.Options.sched ~min_chunk
+        ?pool ~out_cols:c.out_cols lir
 
 (** [execute c rows] — run the compiled kernel on row-major samples and
     return one {e log}-likelihood per sample (kernels compiled for linear
@@ -616,37 +604,8 @@ and execute_raw ?profile (c : compiled) (rows : float array array) :
       c.options.Options.deadline_ms
   in
   match c.artifact with
-  | Cpu_kernel { lir; _ } ->
-      let exec =
-        match profile with
-        | None -> load_exec c
-        | Some p ->
-            (* profiled closures are per-run (they capture the profile's
-               cells), so they bypass the artifact's shared cell and the
-               plain [load_exec] path *)
-            let engine = c.options.Options.engine in
-            let jk =
-              match engine with
-              | Spnc_cpu.Jit.Jit ->
-                  Some
-                    (Spnc_obs.Trace.with_span ~cat:"compile"
-                       "jit-build-profiled" (fun () ->
-                         Spnc_cpu.Jit.compile ~profile:p lir))
-              | Spnc_cpu.Jit.Vm -> None
-            in
-            let threads = Options.effective_threads c.options in
-            let pool =
-              if threads > 1 then Some (Spnc_runtime.Pool.global ~threads)
-              else None
-            in
-            let min_chunk =
-              (Options.cpu_lower_options c.options).Spnc_cpu.Lower_cpu.width
-            in
-            Spnc_runtime.Exec.load ~batch_size:c.options.Options.batch_size
-              ~threads ~engine ?jit:jk ~profile:p
-              ~sched:c.options.Options.sched ~min_chunk ?pool
-              ~out_cols:c.out_cols lir
-      in
+  | Cpu_kernel _ ->
+      let exec = load_exec ?profile c in
       Spnc_runtime.Exec.execute_rows ?deadline
         ~retries:(max 0 c.options.Options.exec_retries)
         exec rows

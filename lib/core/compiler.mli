@@ -74,14 +74,15 @@ val pp_timings : Format.formatter -> compiled -> unit
 
 (** [compile ?options model] runs the full pipeline — or, when
     [options.use_kernel_cache] is on (the default), returns a cached
-    artifact for an identical (model, compile-relevant options) pair.
+    artifact for an identical (model, {!Options.compile_of} options)
+    pair.
     Lookup order: in-memory cache, then — when
     [options.kernel_cache_dir] is set — the crash-safe persistent
     on-disk tier ({!Kcache}; checksummed, LRU-bounded, corruption falls
     back to a recompile), then a full compile published to both tiers.
     A hit reuses the compiled artifact and original timings but carries
-    the caller's [options], so runtime-only knobs (threads, engine,
-    output guard, deadline) still apply.
+    the caller's [options], so the runtime knobs (threads, engine,
+    output guard, deadline, batch size) still apply.
     @raise Spnc_spn.Validate.Invalid if the model is structurally invalid. *)
 val compile : ?options:Options.t -> Spnc_spn.Model.t -> compiled
 
@@ -102,16 +103,22 @@ val cache_counters : unit -> cache_counters
     (tests, or long-lived processes that mutate global compiler state). *)
 val reset_kernel_cache : unit -> unit
 
-(** [load_exec ?pool c] — the engine-handle reuse point: build a runtime
-    {!Spnc_runtime.Exec.t} for a CPU artifact once (JIT closures forced
-    through the shared retryable cell, process-wide pool wired up,
-    chunking knobs from [c.options]) and execute on it many times via
-    {!Spnc_runtime.Exec.execute} / [execute_segments].  {!execute} pays
-    this load on every call; servers (the {!Spnc_serve} registry) hold
-    the handle hot instead.
+(** [load_exec ?pool ?profile c] — the engine-handle reuse point: build
+    a runtime {!Spnc_runtime.Exec.t} for a CPU artifact once (JIT
+    closures forced through the shared retryable cell, process-wide pool
+    wired up, chunking knobs from [c.options]) and execute on it many
+    times via {!Spnc_runtime.Exec.execute} / [execute_segments].
+    {!execute} pays this load on every call; servers (the {!Spnc_serve}
+    registry) hold the handle hot instead.  With [profile], the JIT
+    closures are built afresh with that profile's counters baked in (the
+    shared cell is left alone) and the VM counts into it too.
     @raise Invalid_argument on a GPU artifact (those run in the
     simulator, not the CPU runtime). *)
-val load_exec : ?pool:Spnc_runtime.Pool.t -> compiled -> Spnc_runtime.Exec.t
+val load_exec :
+  ?pool:Spnc_runtime.Pool.t ->
+  ?profile:Spnc_cpu.Profile.t ->
+  compiled ->
+  Spnc_runtime.Exec.t
 
 (** [execute c rows] runs the compiled kernel on row-major samples and
     returns one {e log}-likelihood per sample (linear-space kernels have

@@ -4,6 +4,7 @@
     computation-space override. *)
 
 module M = Spnc_machine.Machine
+module Json = Spnc_obs.Json
 
 type target = Cpu | Gpu
 
@@ -14,91 +15,62 @@ type sched = Spnc_runtime.Pool.sched = Static | Stealing
 let sched_to_string = Spnc_runtime.Pool.sched_to_string
 let sched_of_string = Spnc_runtime.Pool.sched_of_string
 
+(* Declared before [t]: an unannotated label shared by both records
+   resolves to [t], as it did before [compile] existed. *)
+type compile = {
+  target : target;
+  isa : M.isa;
+  veclib : M.veclib;
+  vectorize : bool;
+  use_veclib : bool;
+  use_shuffle : bool;
+  use_gather_tables : bool;
+  opt_level : Spnc_cpu.Optimizer.level;
+  lospn_opt_order : string list;
+  max_partition_size : int option;
+  space : Spnc_lospn.Lower_hispn.space_option;
+  base_type : Spnc_mlir.Types.t;
+  support_marginal : bool;
+  block_size : int;
+  gpu_fallback : bool;
+}
+
+(* Field documentation lives in options.mli. *)
 type t = {
   target : target;
-  machine : M.cpu;  (** CPU descriptor: ISA, veclib, frequency, cores *)
+  machine : M.cpu;
   gpu : M.gpu;
   vectorize : bool;
   use_veclib : bool;
   use_shuffle : bool;
   use_gather_tables : bool;
-      (** vectorize discrete-leaf lookups with hardware indexed gathers
-          (extension; requires AVX2/AVX-512) *)
   opt_level : Spnc_cpu.Optimizer.level;
   lospn_opt_order : string list option;
-      (** pass order for the lospn-optimization stage; [None] runs the
-          fixed default ([Pipelines.default_lospn_opt_order]).  Promoted
-          winners come from the PASSORDER leaderboard (docs/FUZZING.md).
-          Compile-relevant: participates in [fingerprint] *)
   max_partition_size : int option;
-      (** [None] disables graph partitioning (whole graph in one Task) *)
-  batch_size : int;  (** chunk-size hint for the runtime *)
-  block_size : int;  (** GPU threads per block *)
+  batch_size : int;
+  block_size : int;
   space : Spnc_lospn.Lower_hispn.space_option;
-  base_type : Spnc_mlir.Types.t;  (** computation base type: F32 or F64 *)
+  base_type : Spnc_mlir.Types.t;
   support_marginal : bool;
-  threads : int;  (** runtime worker domains; [<= 0] means auto *)
-  sched : sched;  (** parallel chunk scheduler (docs/PERFORMANCE.md §4) *)
+  threads : int;
+  sched : sched;
   streams : int;
-      (** GPU stream chunks for transfer/compute overlap; 1 = monolithic
-          schedule (docs/PERFORMANCE.md §5) *)
   engine : Spnc_cpu.Jit.engine;
-      (** CPU execution engine: closure compiler (default) or reference
-          interpreter VM (docs/PERFORMANCE.md) *)
   use_kernel_cache : bool;
-      (** reuse compiled artifacts for identical (model, options) pairs
-          via the content-addressed kernel cache in {!Compiler} *)
   kernel_cache_dir : string option;
-      (** persistent on-disk kernel cache directory ({!Kcache});
-          [None] keeps the cache memory-only.  Runtime-only knob — the
-          same artifact is produced either way *)
   kernel_cache_mb : int;
-      (** on-disk cache size budget in megabytes (LRU-evicted) *)
   profile : bool;
-      (** per-SPN-node execution profiling: count every executed Lir
-          instruction into (node, opcode) cells via register provenance
-          (docs/OBSERVABILITY.md).  Runtime-only; the default execution
-          path is untouched when off *)
-  (* resilience knobs (docs/RESILIENCE.md) *)
   output_guard : Spnc_resilience.Guard.policy;
-      (** NaN/±inf/log-underflow policy on kernel outputs *)
   gpu_fallback : bool;
-      (** on a GPU lowering/PTX failure, fall back to a CPU artifact
-          instead of failing the compile *)
-  debug_fail_stage : string option;
-      (** fault injection: raise at the named pipeline stage (testing
-          the fallback and reporting paths only) *)
   deadline_ms : float option;
-      (** wall-clock budget for one [execute] call; exceeding it raises
-          a structured [Deadline_exceeded] (docs/RESILIENCE.md).
-          Runtime-only *)
   exec_retries : int;
-      (** max retries (capped exponential backoff) for transient
-          execution failures before surfacing them.  Runtime-only *)
-  (* serving knobs (docs/PERFORMANCE.md §"Serving") — all runtime-only:
-     they configure the spnc_serve batcher/admission layer and never
-     change the compiled artifact, so none participates in
-     [fingerprint]. *)
   serve_max_batch : int;
-      (** dynamic-batcher flush threshold, in rows: a model queue is
-          dispatched as soon as it holds this many rows *)
   serve_max_delay_ms : float;
-      (** dynamic-batcher flush timer: the oldest queued request waits
-          at most this long before its queue is dispatched anyway *)
   serve_queue_cap : int;
-      (** per-model admission bound, in queued requests; requests over
-          it are shed with a structured [overloaded] rejection *)
   serve_global_queue_cap : int;
-      (** process-wide admission bound across all model queues *)
   serve_engines_cap : int;
-      (** bounded LRU of hot engines: at most this many models keep a
-          loaded [Exec] handle resident at once *)
   serve_dispatchers : int;
-      (** dispatcher domains draining model queues (EDF order) *)
   serve_starvation_ms : float;
-      (** starvation guard: a queued request's effective deadline is at
-          most [enqueued_at + serve_starvation_ms], so deadline-less
-          traffic cannot be starved forever by tight-SLO tenants *)
 }
 
 let default =
@@ -128,7 +100,6 @@ let default =
     profile = false;
     output_guard = Spnc_resilience.Guard.Warn;
     gpu_fallback = true;
-    debug_fail_stage = None;
     deadline_ms = None;
     exec_retries = 2;
     serve_max_batch = 256;
@@ -150,18 +121,15 @@ let best_cpu ?(machine = M.ryzen_3900xt) () =
 let best_gpu ?(gpu = M.rtx_2070_super) () =
   { default with target = Gpu; gpu; block_size = 64; batch_size = 64 }
 
-let cpu_lower_options (t : t) : Spnc_cpu.Lower_cpu.options =
+let cpu_lower_options (k : compile) : Spnc_cpu.Lower_cpu.options =
   {
-    Spnc_cpu.Lower_cpu.vectorize = t.vectorize;
-    width =
-      (if t.vectorize then M.simd_width t.machine.M.isa ~bits:32 else 1);
-    use_veclib = t.use_veclib && t.machine.M.veclib <> M.No_veclib;
-    use_shuffle = t.use_shuffle;
+    Spnc_cpu.Lower_cpu.vectorize = k.vectorize;
+    width = (if k.vectorize then M.simd_width k.isa ~bits:32 else 1);
+    use_veclib = k.use_veclib && k.veclib <> M.No_veclib;
+    use_shuffle = k.use_shuffle;
     gather_tables =
-      t.use_gather_tables && t.vectorize
-      && (match t.machine.M.isa with
-         | M.AVX2 | M.AVX512 -> true
-         | _ -> false);
+      k.use_gather_tables && k.vectorize
+      && (match k.isa with M.AVX2 | M.AVX512 -> true | _ -> false);
   }
 
 (* [threads <= 0] means auto-detect; clamp explicit requests to something
@@ -173,25 +141,154 @@ let normalize_threads n =
 
 let effective_threads (t : t) = normalize_threads t.threads
 
-(* The compile-relevant subset of the options, serialized deterministically.
-   Runtime-only knobs — threads, sched, streams, engine, output_guard,
-   use_kernel_cache, kernel_cache_dir/mb, profile, deadline_ms,
-   exec_retries — are deliberately EXCLUDED: they do not change the
-   compiled artifact, so two compiles differing only in them must share
-   a cache entry (including an on-disk one across processes). *)
-let fingerprint (t : t) : string =
-  Marshal.to_string
-    ( target_to_string t.target,
-      t.machine,
-      t.gpu,
-      (t.vectorize, t.use_veclib, t.use_shuffle, t.use_gather_tables),
-      Spnc_cpu.Optimizer.level_to_string t.opt_level,
-      t.lospn_opt_order,
-      t.max_partition_size,
-      (t.batch_size, t.block_size),
-      (t.space, t.base_type, t.support_marginal, t.gpu_fallback,
-       t.debug_fail_stage) )
-    []
+(* -- The compile key --------------------------------------------------------- *)
+
+(* Every field of [t] is bound by name, with no [; _]: a new field is a
+   build error (warning 9) until it is classified here, either read by
+   the pipeline or bound to [_]. *)
+let compile_of (t : t) : compile =
+  let { target; machine; vectorize; use_veclib; use_shuffle; use_gather_tables;
+        opt_level; lospn_opt_order; max_partition_size; block_size; space;
+        base_type; support_marginal; gpu_fallback;
+        (* the runtime reads these from the caller's options *)
+        gpu = _; batch_size = _; threads = _; sched = _; streams = _;
+        engine = _; use_kernel_cache = _; kernel_cache_dir = _;
+        kernel_cache_mb = _; profile = _; output_guard = _; deadline_ms = _;
+        exec_retries = _; serve_max_batch = _; serve_max_delay_ms = _;
+        serve_queue_cap = _; serve_global_queue_cap = _; serve_engines_cap = _;
+        serve_dispatchers = _; serve_starvation_ms = _ } =
+    t
+  in
+  (* a scalar build ignores the vector-only knobs and a CPU build the
+     GPU-only ones: fixing them lets identical kernels share one key *)
+  let vector x ~scalar = if vectorize then x else scalar in
+  let gpu_only x ~cpu = if target = Gpu then x else cpu in
+  { target; isa = machine.M.isa; veclib = machine.M.veclib; vectorize;
+    use_veclib = vector use_veclib ~scalar:default.use_veclib;
+    use_shuffle = vector use_shuffle ~scalar:default.use_shuffle;
+    use_gather_tables =
+      vector use_gather_tables ~scalar:default.use_gather_tables;
+    opt_level;
+    lospn_opt_order =
+      Option.value lospn_opt_order ~default:Pipelines.default_lospn_opt_order;
+    max_partition_size; space; base_type; support_marginal;
+    block_size = gpu_only block_size ~cpu:default.block_size;
+    gpu_fallback = gpu_only gpu_fallback ~cpu:default.gpu_fallback }
+
+let with_compile (k : compile) (t : t) : t =
+  let { target; isa; veclib; vectorize; use_veclib; use_shuffle;
+        use_gather_tables; opt_level; lospn_opt_order; max_partition_size;
+        space; base_type; support_marginal; block_size; gpu_fallback } =
+    k
+  in
+  { t with target; machine = { t.machine with M.isa; veclib }; vectorize;
+    use_veclib; use_shuffle; use_gather_tables; opt_level;
+    lospn_opt_order = Some lospn_opt_order; max_partition_size; space;
+    base_type; support_marginal; block_size; gpu_fallback }
+
+(* Bump when [compile] or its encoding changes: old keys then miss. *)
+let key_version = 1
+
+(* Every field of [compile] is bound by name, so a field added to the
+   record cannot be left out of the key. *)
+let compile_to_json (k : compile) : Json.t =
+  let { target; isa; veclib; vectorize; use_veclib; use_shuffle;
+        use_gather_tables; opt_level; lospn_opt_order; max_partition_size;
+        space; base_type; support_marginal; block_size; gpu_fallback } =
+    k
+  in
+  let int n = Json.Num (float_of_int n) in
+  Json.Obj
+    [
+      ("spnc_compile", int key_version);
+      ("target", Json.Str (target_to_string target));
+      ("isa", Json.Str (M.isa_to_string isa));
+      ("veclib", Json.Str (M.veclib_to_string veclib));
+      ("vectorize", Json.Bool vectorize);
+      ("use_veclib", Json.Bool use_veclib);
+      ("use_shuffle", Json.Bool use_shuffle);
+      ("use_gather_tables", Json.Bool use_gather_tables);
+      ("opt_level", Json.Str (Spnc_cpu.Optimizer.level_to_string opt_level));
+      ( "lospn_opt_order",
+        Json.List (List.map (fun p -> Json.Str p) lospn_opt_order) );
+      ( "max_partition_size",
+        Option.fold ~none:Json.Null ~some:int max_partition_size );
+      ("space", Json.Str (Spnc_lospn.Lower_hispn.space_to_string space));
+      ("base_type", Json.Str (Spnc_mlir.Types.to_string base_type));
+      ("support_marginal", Json.Bool support_marginal);
+      ("block_size", int block_size);
+      ("gpu_fallback", Json.Bool gpu_fallback);
+    ]
+
+exception Bad_field of string
+
+let compile_of_json (j : Json.t) : (compile, string) result =
+  let field name decode =
+    match Option.bind (Json.member name j) decode with
+    | Some v -> v
+    | None -> raise_notrace (Bad_field name)
+  in
+  (* an enumeration decodes by inverting its printer over its values *)
+  let enum to_string values v =
+    Option.bind (Json.str v) (fun s ->
+        List.find_opt (fun x -> to_string x = s) values)
+  in
+  (* integers [Json] prints exactly; [int_of_float] is unspecified
+     beyond [int]'s range *)
+  let int v =
+    Option.bind (Json.num v) (fun n ->
+        if Float.is_integer n && Float.abs n < 1e15 then Some (int_of_float n)
+        else None)
+  in
+  let order v =
+    Option.bind (Json.list v) (fun vs ->
+        let names = List.filter_map Json.str vs in
+        if List.compare_lengths names vs = 0
+           && Result.is_ok (Pipelines.lospn_opt_passes names)
+        then Some names
+        else None)
+  in
+  match
+    let version = field "spnc_compile" int in
+    if version <> key_version then
+      Error
+        (Printf.sprintf "compile key: unsupported version %d (want %d)"
+           version key_version)
+    else
+      Ok
+        { target = field "target" (enum target_to_string [ Cpu; Gpu ]);
+          isa =
+            field "isa" (enum M.isa_to_string M.[ Scalar; AVX2; AVX512; Neon ]);
+          veclib =
+            field "veclib" (fun v -> Option.bind (Json.str v) M.veclib_of_string);
+          vectorize = field "vectorize" Json.bool;
+          use_veclib = field "use_veclib" Json.bool;
+          use_shuffle = field "use_shuffle" Json.bool;
+          use_gather_tables = field "use_gather_tables" Json.bool;
+          opt_level =
+            field "opt_level" (fun v ->
+                Option.bind (Json.str v) Spnc_cpu.Optimizer.level_of_string);
+          lospn_opt_order = field "lospn_opt_order" order;
+          max_partition_size =
+            field "max_partition_size" (function
+              | Json.Null -> Some None
+              | v -> Option.map Option.some (int v));
+          space =
+            field "space"
+              Spnc_lospn.Lower_hispn.(
+                enum space_to_string [ Auto; Force_linear; Force_log ]);
+          base_type =
+            field "base_type"
+              (enum Spnc_mlir.Types.to_string Spnc_mlir.Types.[ F32; F64 ]);
+          support_marginal = field "support_marginal" Json.bool;
+          block_size = field "block_size" int;
+          gpu_fallback = field "gpu_fallback" Json.bool }
+  with
+  | r -> r
+  | exception Bad_field name ->
+      Error (Printf.sprintf "compile key: missing or bad field %S" name)
+
+let fingerprint (k : compile) = Json.to_string (compile_to_json k)
 
 let pp ppf (t : t) =
   Fmt.pf ppf

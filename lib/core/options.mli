@@ -1,7 +1,12 @@
 (** User-facing compiler options — the knobs the paper's Python interface
     exposes (§IV, §V): target, vectorization configuration, optimization
     level, maximum partition size, batch size, GPU block size, and the
-    computation-space/base-type overrides. *)
+    computation-space/base-type overrides.
+
+    {!t} is the flat record callers build.  {!compile} is the part of it
+    the compile pipeline reads, derived by {!compile_of}; its one
+    encoding, {!fingerprint}, keys the kernel cache and is the
+    tuned-config file. *)
 
 module M = Spnc_machine.Machine
 
@@ -14,6 +19,27 @@ type sched = Spnc_runtime.Pool.sched = Static | Stealing
 
 val sched_to_string : sched -> string
 val sched_of_string : string -> sched option
+
+(** Exactly what {!Compiler} reads to build a kernel: two option sets
+    with equal [compile_of] build the same kernel.  Fields mean what the
+    same-named fields of {!t} mean. *)
+type compile = {
+  target : target;
+  isa : M.isa;  (** the machine's ISA *)
+  veclib : M.veclib;  (** the machine's vector math library *)
+  vectorize : bool;
+  use_veclib : bool;
+  use_shuffle : bool;
+  use_gather_tables : bool;
+  opt_level : Spnc_cpu.Optimizer.level;
+  lospn_opt_order : string list;
+  max_partition_size : int option;
+  space : Spnc_lospn.Lower_hispn.space_option;
+  base_type : Spnc_mlir.Types.t;
+  support_marginal : bool;
+  block_size : int;
+  gpu_fallback : bool;
+}
 
 type t = {
   target : target;
@@ -30,8 +56,7 @@ type t = {
       (** pass order for the lospn-optimization stage ([None] = the fixed
           default, [Pipelines.default_lospn_opt_order]).  Names must come
           from [Pipelines.lospn_opt_pool]; promoted winners come from the
-          PASSORDER leaderboard (docs/FUZZING.md).  Compile-relevant:
-          participates in {!fingerprint} *)
+          PASSORDER leaderboard (docs/FUZZING.md) *)
   max_partition_size : int option;
       (** [None] disables graph partitioning (whole graph in one Task) *)
   batch_size : int;  (** chunk-size hint for the runtime *)
@@ -52,35 +77,28 @@ type t = {
           via the content-addressed kernel cache in {!Compiler} *)
   kernel_cache_dir : string option;
       (** persistent on-disk kernel cache directory ({!Kcache});
-          [None] keeps the cache memory-only.  Runtime-only knob — the
-          same artifact is produced either way *)
+          [None] keeps the cache memory-only *)
   kernel_cache_mb : int;
       (** on-disk cache size budget in megabytes (LRU-evicted) *)
   profile : bool;
       (** per-SPN-node execution profiling: count every executed Lir
           instruction into (node, opcode) cells via register provenance
-          (docs/OBSERVABILITY.md).  Runtime-only; the default execution
-          path is untouched when off *)
+          (docs/OBSERVABILITY.md); the default execution path is
+          untouched when off *)
   (* resilience knobs (docs/RESILIENCE.md) *)
   output_guard : Spnc_resilience.Guard.policy;
       (** NaN/±inf/log-underflow policy on kernel outputs *)
   gpu_fallback : bool;
       (** on a GPU lowering/PTX failure, fall back to a CPU artifact
           instead of failing the compile *)
-  debug_fail_stage : string option;
-      (** fault injection: raise at the named pipeline stage (testing
-          the fallback and reporting paths only) *)
   deadline_ms : float option;
       (** wall-clock budget for one [execute] call; exceeding it raises
-          a structured [Deadline_exceeded] (docs/RESILIENCE.md).
-          Runtime-only *)
+          a structured [Deadline_exceeded] (docs/RESILIENCE.md) *)
   exec_retries : int;
       (** max retries (capped exponential backoff) for transient
-          execution failures before surfacing them.  Runtime-only *)
-  (* serving knobs (docs/PERFORMANCE.md §"Serving") — all runtime-only:
-     they configure the spnc_serve batcher/admission layer and never
-     change the compiled artifact, so none participates in
-     [fingerprint]. *)
+          execution failures before surfacing them *)
+  (* serving knobs (docs/PERFORMANCE.md §7): the spnc_serve batcher and
+     admission layer *)
   serve_max_batch : int;
       (** dynamic-batcher flush threshold, in rows *)
   serve_max_delay_ms : float;
@@ -107,9 +125,9 @@ val best_cpu : ?machine:M.cpu -> unit -> t
 (** The best GPU configuration (§V-A.1): batch/block size 64. *)
 val best_gpu : ?gpu:M.gpu -> unit -> t
 
-(** Derives the CPU-lowering options (vector width from the machine's
-    ISA, veclib availability, gather-table eligibility). *)
-val cpu_lower_options : t -> Spnc_cpu.Lower_cpu.options
+(** Derives the CPU-lowering options (vector width from the ISA,
+    veclib availability, gather-table eligibility). *)
+val cpu_lower_options : compile -> Spnc_cpu.Lower_cpu.options
 
 (** [normalize_threads n] — resolve a thread-count request: [n <= 0]
     means auto ([Domain.recommended_domain_count], clamped to [1..64]);
@@ -119,12 +137,33 @@ val normalize_threads : int -> int
 (** [effective_threads t] = [normalize_threads t.threads]. *)
 val effective_threads : t -> int
 
-(** [fingerprint t] — deterministic serialization of the compile-relevant
-    options, used to key the kernel compilation cache (in-memory and
-    on-disk).  Runtime-only knobs (threads, sched, streams, engine,
-    output_guard, use_kernel_cache, kernel_cache_dir/mb, profile,
-    deadline_ms, exec_retries) are excluded: they do not change the
-    compiled artifact. *)
-val fingerprint : t -> string
+(** {2 The compile key} *)
+
+(** [compile_of t] — the compile-relevant part of [t], normalized so
+    that identical kernels share one key: a scalar build fixes the
+    vector-only knobs, a CPU build the GPU-only ones (to their
+    {!default} values), and [lospn_opt_order = None] becomes
+    [Pipelines.default_lospn_opt_order].  Every other field of [t]
+    (batch size, the GPU cost descriptor, the machine's name and cost
+    constants, runtime and serve knobs) is left out. *)
+val compile_of : t -> compile
+
+(** [with_compile k t] — [t] with [k]'s knobs and the machine's
+    [isa]/[veclib] taken from [k]; the machine's cost constants and
+    every runtime knob stay [t]'s.  [compile_of (with_compile k t) = k]
+    for any normalized [k]. *)
+val with_compile : compile -> t -> t
+
+(** The encoding: a JSON object whose first member is the version tag
+    ["spnc_compile"], then every field of {!compile} in a fixed order. *)
+val compile_to_json : compile -> Spnc_obs.Json.t
+
+(** Inverse of {!compile_to_json}; [Error] (never an exception) on an
+    unknown version, a missing field or an unknown field value. *)
+val compile_of_json : Spnc_obs.Json.t -> (compile, string) result
+
+(** [fingerprint k] — the compact text of [compile_to_json k]: the
+    kernel-cache key (in memory and on disk) and the tuned-config file. *)
+val fingerprint : compile -> string
 
 val pp : Format.formatter -> t -> unit

@@ -39,21 +39,6 @@ let scalar_options =
   { vectorize = false; width = 1; use_veclib = false; use_shuffle = false;
     gather_tables = false }
 
-(** Options matching a machine description's best configuration. *)
-let of_machine (cpu : Spnc_machine.Machine.cpu) =
-  let bits = 32 in
-  {
-    vectorize = cpu.Spnc_machine.Machine.isa <> Spnc_machine.Machine.Scalar;
-    width = Spnc_machine.Machine.simd_width cpu.Spnc_machine.Machine.isa ~bits;
-    use_veclib = cpu.Spnc_machine.Machine.veclib <> Spnc_machine.Machine.No_veclib;
-    use_shuffle = true;
-    (* hardware gathers exist on AVX2/AVX-512 but not Neon *)
-    gather_tables =
-      (match cpu.Spnc_machine.Machine.isa with
-      | Spnc_machine.Machine.AVX2 | Spnc_machine.Machine.AVX512 -> true
-      | _ -> false);
-  }
-
 type mode = Scalar | Vec of int
 
 (* The emitter: accumulates ops in order, offering typed helpers. *)

@@ -24,9 +24,6 @@ type options = {
 
 val scalar_options : options
 
-(** Options matching a machine description's best configuration. *)
-val of_machine : Spnc_machine.Machine.cpu -> options
-
 (** Vectorization mode of an emission site. *)
 type mode = Scalar | Vec of int
 

@@ -27,6 +27,11 @@ type datatype_choice = {
 (** Space to force, overriding the analysis. *)
 type space_option = Auto | Force_linear | Force_log
 
+let space_to_string = function
+  | Auto -> "auto"
+  | Force_linear -> "linear"
+  | Force_log -> "log"
+
 type options = {
   space : space_option;
   base_type : Types.t;

@@ -20,6 +20,9 @@ type datatype_choice = {
 (** Computation-space override. *)
 type space_option = Auto | Force_linear | Force_log
 
+(** ["auto"], ["linear"] or ["log"]. *)
+val space_to_string : space_option -> string
+
 type options = {
   space : space_option;
   base_type : Types.t;

@@ -20,8 +20,8 @@ type veclib = No_veclib | SVML | Libmvec
 val veclib_to_string : veclib -> string
 
 (** Inverse of {!veclib_to_string} ("none" / "svml" / "libmvec"); [None]
-    on anything else.  The CLI's [--veclib] and the tuner's config JSON
-    both parse through this. *)
+    on anything else.  The CLI's [--veclib] and the compile-key decoder
+    ([Spnc.Options.compile_of_json]) both parse through this. *)
 val veclib_of_string : string -> veclib option
 
 type cpu = {

@@ -3,9 +3,11 @@
     The timing ledger is load-bearing for the reproduction: the paper's
     Figs. 10–13 plot compilation time against partition size and -O level,
     and §V-B.1 breaks compilation time down per stage (instruction
-    selection 27%, register allocation 25%, ...).  Every pipeline in this
-    code base runs through this pass manager so those numbers come from
-    real measured pass times.
+    selection 27%, register allocation 25%, ...).  Textual pipelines
+    ([spnc_opt], [Pipelines.run_on_source_checked]) run through this pass
+    manager.  Two callers do not: [Compiler.compile_full] times its own
+    stages, one [Trace] span each, and the fuzz harness runs its passes
+    in a loop of its own.
 
     Crash isolation (resilience layer, docs/RESILIENCE.md): each pass
     runs under an exception barrier with a pre-pass snapshot of the

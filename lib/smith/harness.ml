@@ -195,13 +195,7 @@ let levels = Optimizer.[ O0; O1; O2; O3 ]
 
 (* The paper's best CPU lowering (Fig. 6): AVX2 at 8 f32 lanes, vector
    library, shuffled loads. *)
-let vector_options = Options.cpu_lower_options (Options.best_cpu ())
-
-let space_flag (p : Smith.program) =
-  match p.Smith.space with
-  | Spnc_lospn.Lower_hispn.Auto -> "auto"
-  | Spnc_lospn.Lower_hispn.Force_linear -> "linear"
-  | Spnc_lospn.Lower_hispn.Force_log -> "log"
+let vector_options = Options.(cpu_lower_options (compile_of (best_cpu ())))
 
 (* The textual "lower-to-lospn" pass uses default options, so the harness
    lowers with the program's space draw itself and runs everything after
@@ -374,7 +368,8 @@ let check_program ?(config = default_config) ?order (p : Smith.program) :
      reference evaluation *)
   let lo =
     ok_or "pipeline"
-      ("lower-to-lospn space=" ^ space_flag p)
+      ("lower-to-lospn space="
+      ^ Spnc_lospn.Lower_hispn.space_to_string p.Smith.space)
       (lower_with_space p p.Smith.modul)
   in
   let lb0 = ok_or "pipeline" opt_suffix (run_suffix ~pipeline:opt_suffix lo) in

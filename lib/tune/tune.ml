@@ -92,19 +92,7 @@ let digest_of (model : Spnc_spn.Model.t) =
 
 (* -- Lattice enumeration ---------------------------------------------------- *)
 
-(* Scalar points canonicalize the vectorization-only knobs to the
-   [Options.default] values: those knobs do not change a scalar artifact,
-   but they do change the fingerprint, so without canonicalization every
-   scalar point would appear 2^3 times under distinct cache keys. *)
-let scalar_canonical (o : Options.t) =
-  if o.vectorize then o
-  else
-    {
-      o with
-      use_veclib = true;
-      use_shuffle = true;
-      use_gather_tables = false;
-    }
+let key_of (o : Options.t) = Options.fingerprint (Options.compile_of o)
 
 let enumerate ?(dropped = []) ~(stats : Spnc_spn.Stats.t) (base : Options.t) =
   let has k = List.mem k dropped in
@@ -165,18 +153,17 @@ let enumerate ?(dropped = []) ~(stats : Spnc_spn.Stats.t) (base : Options.t) =
                       List.iter
                         (fun max_partition_size ->
                           let o =
-                            scalar_canonical
-                              {
-                                base with
-                                opt_level;
-                                vectorize;
-                                use_veclib;
-                                use_shuffle;
-                                use_gather_tables;
-                                max_partition_size;
-                              }
+                            {
+                              base with
+                              opt_level;
+                              vectorize;
+                              use_veclib;
+                              use_shuffle;
+                              use_gather_tables;
+                              max_partition_size;
+                            }
                           in
-                          let fp = Options.fingerprint o in
+                          let fp = key_of o in
                           if not (Hashtbl.mem seen fp) then begin
                             Hashtbl.add seen fp ();
                             out := o :: !out
@@ -389,103 +376,6 @@ let refine_per_task ~(base_level : Optimizer.level) ~(profile : Profile.t)
         end
       end
 
-(* -- Tuned-config serialization --------------------------------------------- *)
-
-let machine_key (m : M.cpu) =
-  if m.cpu_name = M.ryzen_3900xt.cpu_name then "ryzen_3900xt"
-  else if m.cpu_name = M.xeon_9242.cpu_name then "xeon_9242"
-  else if m.cpu_name = M.neoverse_n1.cpu_name then "neoverse_n1"
-  else m.cpu_name
-
-let machine_of_key = function
-  | "ryzen_3900xt" -> Some M.ryzen_3900xt
-  | "xeon_9242" -> Some M.xeon_9242
-  | "neoverse_n1" -> Some M.neoverse_n1
-  | _ -> None
-
-let config_to_json (o : Options.t) =
-  Json.Obj
-    [
-      ("spnc_tuned_config", Json.Num 1.);
-      ("target", Json.Str (Options.target_to_string o.target));
-      ("machine", Json.Str (machine_key o.machine));
-      ("veclib", Json.Str (M.veclib_to_string o.machine.veclib));
-      ("vectorize", Json.Bool o.vectorize);
-      ("use_veclib", Json.Bool o.use_veclib);
-      ("use_shuffle", Json.Bool o.use_shuffle);
-      ("use_gather_tables", Json.Bool o.use_gather_tables);
-      ("opt_level", Json.Str (Optimizer.level_to_string o.opt_level));
-      ( "max_partition_size",
-        match o.max_partition_size with
-        | None -> Json.Null
-        | Some n -> Json.Num (float_of_int n) );
-      ("batch_size", Json.Num (float_of_int o.batch_size));
-      ("block_size", Json.Num (float_of_int o.block_size));
-      ("support_marginal", Json.Bool o.support_marginal);
-    ]
-
-let config_of_json (j : Json.t) : (Options.t, string) Stdlib.result =
-  let ( let* ) = Result.bind in
-  let field name conv =
-    match Json.member name j with
-    | None -> Error (Printf.sprintf "tuned config: missing field %S" name)
-    | Some v -> (
-        match conv v with
-        | Some x -> Ok x
-        | None -> Error (Printf.sprintf "tuned config: bad field %S" name))
-  in
-  let* version = field "spnc_tuned_config" Json.num in
-  if version <> 1. then
-    Error
-      (Printf.sprintf "tuned config: unsupported version %g (want 1)" version)
-  else
-    let* target = field "target" Json.str in
-    if target <> "cpu" then
-      Error (Printf.sprintf "tuned config: unsupported target %S" target)
-    else
-      let* machine =
-        field "machine" (fun v -> Option.bind (Json.str v) machine_of_key)
-      in
-      let* veclib =
-        field "veclib" (fun v -> Option.bind (Json.str v) M.veclib_of_string)
-      in
-      let* vectorize = field "vectorize" Json.bool in
-      let* use_veclib = field "use_veclib" Json.bool in
-      let* use_shuffle = field "use_shuffle" Json.bool in
-      let* use_gather_tables = field "use_gather_tables" Json.bool in
-      let* opt_level =
-        field "opt_level" (fun v ->
-            Option.bind (Json.str v) Optimizer.level_of_string)
-      in
-      let* max_partition_size =
-        field "max_partition_size" (function
-          | Json.Null -> Some None
-          | Json.Num n -> Some (Some (int_of_float n))
-          | _ -> None)
-      in
-      let* batch_size =
-        field "batch_size" (fun v -> Option.map int_of_float (Json.num v))
-      in
-      let* block_size =
-        field "block_size" (fun v -> Option.map int_of_float (Json.num v))
-      in
-      let* support_marginal = field "support_marginal" Json.bool in
-      Ok
-        {
-          Options.default with
-          target = Options.Cpu;
-          machine = { machine with veclib };
-          vectorize;
-          use_veclib;
-          use_shuffle;
-          use_gather_tables;
-          opt_level;
-          max_partition_size;
-          batch_size;
-          block_size;
-          support_marginal;
-        }
-
 (* -- Spearman rank correlation ---------------------------------------------- *)
 
 let spearman_of_candidates (cands : candidate list) =
@@ -687,7 +577,8 @@ let result_to_json (r : result) =
       ("reference", candidate_to_json r.reference);
       ("candidates", Json.List (List.map candidate_to_json r.candidates));
       ("best", candidate_to_json r.best);
-      ("best_config", config_to_json r.best.options);
+      ( "best_config",
+        Options.compile_to_json (Options.compile_of r.best.options) );
       ( "per_task",
         match r.per_task with
         | None -> Json.Null
@@ -710,49 +601,35 @@ let result_to_json (r : result) =
 
 (* -- Tuned-config cache ----------------------------------------------------- *)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+(* Tuned configs are Kcache entries in <kernel-cache-dir>/tuned — their
+   own directory, so the kernel LRU never evicts them — keyed by model
+   digest, holding the winner's compile key. *)
+let tuned_fmt = "spnc-tuned"
 
-let cache_path ~cache_dir digest = Filename.concat cache_dir (digest ^ ".tuned.json")
+let tuned_cache (o : Options.t) =
+  Option.bind o.kernel_cache_dir (fun dir ->
+      Result.to_option
+        (Spnc.Kcache.open_
+           ~dir:(Filename.concat dir "tuned")
+           ~max_mb:o.kernel_cache_mb))
 
-let load_cached ~cache_dir model =
-  let path = cache_path ~cache_dir (digest_of model) in
-  if not (Sys.file_exists path) then None
-  else
-    match Json.parse_file path with
-    | Error _ -> None
-    | Ok j -> (
-        match Option.map config_of_json (Json.member "config" j) with
-        | Some (Ok opts) ->
-            let label =
-              match Option.bind (Json.member "label" j) Json.str with
-              | Some l -> l
-              | None -> label_of opts
-            in
-            Some (opts, label)
-        | Some (Error _) | None -> None)
+let load_cached ~options model =
+  Option.bind (tuned_cache options) (fun kc ->
+      let key = digest_of model in
+      Option.bind (Spnc.Kcache.find kc ~fmt:tuned_fmt ~key) (fun payload ->
+          match Result.bind (Json.parse payload) Options.compile_of_json with
+          | Ok k -> Some k
+          | Error _ ->
+              (* checksum-valid bytes that do not decode: quarantine like
+                 corruption and search again *)
+              Spnc.Kcache.quarantine kc ~key;
+              None))
 
-let store_cached ~cache_dir ~digest (best : candidate) =
-  mkdir_p cache_dir;
-  let path = cache_path ~cache_dir digest in
-  let doc =
-    Json.Obj
-      [
-        ("model_digest", Json.Str digest);
-        ("label", Json.Str best.label);
-        ("est_seconds", Json.Num best.est_seconds);
-        ("config", config_to_json best.options);
-      ]
-  in
-  (* tmp + rename so a crash mid-write never leaves a torn cache entry *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (Json.to_string_pretty doc);
-  close_out oc;
-  Sys.rename tmp path
+let store_cached ~options ~digest (best : candidate) =
+  Option.iter
+    (fun kc ->
+      Spnc.Kcache.store kc ~fmt:tuned_fmt ~key:digest (key_of best.options))
+    (tuned_cache options)
 
 (* -- The explorer ----------------------------------------------------------- *)
 
@@ -762,18 +639,16 @@ let rec take n = function
   | x :: tl -> x :: take (n - 1) tl
 
 let tune ?(budget = default_budget) ?(use_profile = true) ?(profile_rows = 64)
-    ?(est_rows = 8192) ?cache_dir ~(options : Options.t) ~data model =
+    ?(est_rows = 8192) ~(options : Options.t) ~data model =
   if options.target <> Options.Cpu then
     invalid_arg "Tune.tune: the design-space explorer targets the CPU backend";
   if Array.length data = 0 then invalid_arg "Tune.tune: empty sample set";
   let digest = digest_of model in
-  let cached =
-    Option.bind cache_dir (fun dir -> load_cached ~cache_dir:dir model)
-  in
-  match cached with
-  | Some (best_opts, best_label) ->
+  match load_cached ~options model with
+  | Some k ->
       (* Cache hit: no search.  Estimates still come from a (kcache-served)
          compile so the report stays meaningful. *)
+      let best_opts = Options.with_compile k options in
       let ref_c = Compiler.compile ~options model in
       let best_c = Compiler.compile ~options:best_opts model in
       let mk label opts c =
@@ -786,7 +661,7 @@ let tune ?(budget = default_budget) ?(use_profile = true) ?(profile_rows = 64)
         }
       in
       let reference = mk (label_of options) options ref_c in
-      let best = mk best_label best_opts best_c in
+      let best = mk (label_of best_opts) best_opts best_c in
       {
         model_digest = digest;
         space_size = 0;
@@ -846,14 +721,11 @@ let tune ?(budget = default_budget) ?(use_profile = true) ?(profile_rows = 64)
       in
       (* Wall-clock validation of the top-[measure] by modelled time. *)
       let to_measure = take (max 0 budget.measure) ranked in
-      let measured_fps =
-        List.map (fun (o, _, _) -> Options.fingerprint o) to_measure
-      in
+      let measured_fps = List.map (fun (o, _, _) -> key_of o) to_measure in
       let candidates =
         List.map
           (fun (o, c, est) ->
-            let fp = Options.fingerprint o in
-            if List.mem fp measured_fps then begin
+            if List.mem (key_of o) measured_fps then begin
               let out, wall = measure ~reps:budget.reps c data in
               {
                 label = label_of o;
@@ -888,8 +760,7 @@ let tune ?(budget = default_budget) ?(use_profile = true) ?(profile_rows = 64)
             let best_c =
               match
                 List.find_opt
-                  (fun (o, _, _) ->
-                    Options.fingerprint o = Options.fingerprint best.options)
+                  (fun (o, _, _) -> key_of o = key_of best.options)
                   ranked
               with
               | Some (_, c, _) -> c
@@ -912,7 +783,7 @@ let tune ?(budget = default_budget) ?(use_profile = true) ?(profile_rows = 64)
           from_cache = false;
         }
       in
-      Option.iter (fun dir -> store_cached ~cache_dir:dir ~digest best) cache_dir;
+      store_cached ~options ~digest best;
       r
 
 (* -- Report ----------------------------------------------------------------- *)

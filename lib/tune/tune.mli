@@ -31,10 +31,10 @@
     Selection is deterministic for a fixed (model, options, budget):
     candidates are ranked by the (deterministic) cost model, wall-clock
     only {e validates} — it never picks the winner — so two tunes of the
-    same model agree exactly.  Tuned configurations are cached by model
-    digest ({!load_cached}/tune's [cache_dir]); together with the
-    persistent kernel cache a previously-tuned model recompiles for
-    free. *)
+    same model agree exactly.  With [options.kernel_cache_dir] set, tuned
+    configurations are cached by model digest ({!load_cached}); together
+    with the persistent kernel cache a previously-tuned model recompiles
+    for free. *)
 
 module Options = Spnc.Options
 
@@ -109,8 +109,8 @@ val enumerate :
   Options.t ->
   Options.t list
 (** The configuration lattice around a base option set, deduplicated by
-    compile fingerprint (scalar points canonicalize the
-    vectorization-only knobs so they do not multiply).  [dropped]
+    compile key ({!Options.compile_of} fixes the vectorization-only knobs
+    of scalar points, so they do not multiply).  [dropped]
     dimensions collapse to the base value.  Partition buckets are derived
     from the model's operation count; vector points exist only when the
     machine has SIMD lanes. *)
@@ -120,7 +120,6 @@ val tune :
   ?use_profile:bool ->
   ?profile_rows:int ->
   ?est_rows:int ->
-  ?cache_dir:string ->
   options:Options.t ->
   data:float array array ->
   Spnc_spn.Model.t ->
@@ -129,8 +128,9 @@ val tune :
     validation (and, first [profile_rows] of it, the stage-2 profile);
     [est_rows] (default 8192) is the sample count the cost model prices —
     the steady-state regime, so fixed overheads amortize as in the
-    paper's figures.  [cache_dir] enables the tuned-config cache: a hit
-    returns immediately with [from_cache = true].
+    paper's figures.  With [options.kernel_cache_dir] set, the winner is
+    stored in the tuned-config cache, and a later tune of the same model
+    is a hit: no search, [from_cache = true].
     @raise Invalid_argument on a GPU-target option set (the DSE is the
     paper's CPU experiment) or empty [data]. *)
 
@@ -177,24 +177,17 @@ val spearman_by_dimension : result -> dimension_corr list
 val inverted_dimensions : result -> string list
 (** Names of the inverted dimensions, for report strings. *)
 
-(** {2 Tuned-config serialization}
-
-    A tuned configuration round-trips through JSON so CI jobs, the
-    [spnc_cli tune --out] artifact and the digest-keyed cache all share
-    one schema (version-tagged [spnc_tuned_config]). *)
-
-val config_to_json : Options.t -> Spnc_obs.Json.t
-val config_of_json : Spnc_obs.Json.t -> (Options.t, string) Stdlib.result
-
 val result_to_json : result -> Spnc_obs.Json.t
 (** The full DSE report (the [DSE_cpu.json] bench artifact): lattice,
     ranking, measurements, profile feedback, per-task refinement and the
-    winning config object. *)
+    winner's compile key as [best_config] ({!Options.compile_to_json}). *)
 
 val load_cached :
-  cache_dir:string -> Spnc_spn.Model.t -> (Options.t * string) option
-(** Look up a tuned config for this model (and its label) in the
-    digest-keyed cache without running a search. *)
+  options:Options.t -> Spnc_spn.Model.t -> Options.compile option
+(** Look up this model's tuned compile key in the tuned-config cache
+    ([<options.kernel_cache_dir>/tuned], a {!Spnc.Kcache} bounded by
+    [options.kernel_cache_mb]) without running a search.  An entry that
+    is corrupt or does not decode is quarantined and misses. *)
 
 val pp_result : Format.formatter -> result -> unit
 (** Human-readable report: ranked table, profile feedback, per-task

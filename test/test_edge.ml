@@ -105,13 +105,12 @@ let test_estimate_monotone_in_rows () =
 
 let test_cpu_lower_options_width () =
   let module M = Spnc_machine.Machine in
-  let o = Options.best_cpu ~machine:M.xeon_9242 () in
-  let lo = Options.cpu_lower_options o in
-  check tint "avx512 width" 16 lo.Spnc_cpu.Lower_cpu.width;
-  let o = Options.best_cpu ~machine:M.ryzen_3900xt () in
-  check tint "avx2 width" 8 (Options.cpu_lower_options o).Spnc_cpu.Lower_cpu.width;
-  let o = { (Options.best_cpu ()) with vectorize = false } in
-  check tint "scalar width" 1 (Options.cpu_lower_options o).Spnc_cpu.Lower_cpu.width
+  let width o =
+    Options.(cpu_lower_options (compile_of o)).Spnc_cpu.Lower_cpu.width
+  in
+  check tint "avx512 width" 16 (width (Options.best_cpu ~machine:M.xeon_9242 ()));
+  check tint "avx2 width" 8 (width (Options.best_cpu ~machine:M.ryzen_3900xt ()));
+  check tint "scalar width" 1 (width { (Options.best_cpu ()) with vectorize = false })
 
 let test_threaded_seconds () =
   let est = { Spnc_cpu.Cost.cycles = 3.8e9; seconds = 1.0; spill_cycles = 0.0 } in

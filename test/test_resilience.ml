@@ -143,11 +143,18 @@ let test_legacy_pipeline_error () =
       check tbool "message" true (Astring_contains.contains msg "kaboom")
   | _ -> Alcotest.fail "expected Pipeline_error"
 
-let test_debug_fail_stage_isolated () =
-  let options =
-    { Options.default with Options.debug_fail_stage = Some "bufferization" }
-  in
-  match Compiler.compile ~options (small_model ()) with
+(* Compile with the stage's [compile.<stage>] fault point firing every
+   time; the kernel cache is off so the pipeline really runs. *)
+let compile_failing_at stage (options : Options.t) =
+  Fault.reset_for_tests ();
+  Fault.arm ~points:[ "compile." ^ stage ] ~seed:1 ~rate:1.0 ();
+  Fun.protect ~finally:Fault.reset_for_tests (fun () ->
+      Compiler.compile
+        ~options:{ options with Options.use_kernel_cache = false }
+        (small_model ()))
+
+let test_stage_fault_isolated () =
+  match compile_failing_at "bufferization" Options.default with
   | exception Diag.Diag_error d ->
       check (Alcotest.option tstr) "stage attributed" (Some "bufferization")
         d.Diag.pass
@@ -206,12 +213,11 @@ let test_gpu_fallback () =
     {
       Options.default with
       Options.target = Options.Gpu;
-      debug_fail_stage = Some "gpu-lowering";
       gpu_fallback = true;
       threads = 1;
     }
   in
-  let c = Compiler.compile ~options (small_model ()) in
+  let c = compile_failing_at "gpu-lowering" options in
   (match c.Compiler.artifact with
   | Compiler.Cpu_kernel _ -> ()
   | Compiler.Gpu_kernel _ -> Alcotest.fail "expected a CPU fallback artifact");
@@ -228,14 +234,9 @@ let test_gpu_fallback () =
 
 let test_gpu_fallback_disabled () =
   let options =
-    {
-      Options.default with
-      Options.target = Options.Gpu;
-      debug_fail_stage = Some "gpu-lowering";
-      gpu_fallback = false;
-    }
+    { Options.default with Options.target = Options.Gpu; gpu_fallback = false }
   in
-  match Compiler.compile ~options (small_model ()) with
+  match compile_failing_at "gpu-lowering" options with
   | exception Diag.Diag_error _ -> ()
   | _ -> Alcotest.fail "expected the GPU failure to propagate"
 
@@ -465,8 +466,8 @@ let suite =
       test_checked_writes_bundle;
     Alcotest.test_case "pass: legacy Pipeline_error preserved" `Quick
       test_legacy_pipeline_error;
-    Alcotest.test_case "compiler: debug_fail_stage isolated" `Quick
-      test_debug_fail_stage_isolated;
+    Alcotest.test_case "compiler: stage fault point isolated" `Quick
+      test_stage_fault_isolated;
     Alcotest.test_case "guard: Fail policy raises" `Quick test_guard_fail;
     Alcotest.test_case "guard: Warn passes values through" `Quick
       test_guard_warn_passes_through;

@@ -518,21 +518,55 @@ let test_cache_hit_skips_pipeline () =
   check tint "cached artifact executes" 2 (Array.length out)
 
 let test_cache_key_sensitivity () =
-  Compiler.reset_kernel_cache ();
+  (* one full compile per compile key: a change the pipeline never reads
+     hits the memory tier, and a change it reads misses *)
+  let module M = Spnc_machine.Machine in
   let m = Lazy.force small_model in
-  ignore (Compiler.compile m);
-  (* a compile-relevant option change is a different kernel *)
-  let o3 = { Options.default with opt_level = Spnc_cpu.Optimizer.O3 } in
-  ignore (Compiler.compile ~options:o3 m);
-  let k = Compiler.cache_counters () in
-  check tint "different opt level misses" 2 k.Compiler.misses;
-  (* runtime-only knobs (engine, threads) share the artifact *)
-  let vm_opts = { Options.default with engine = Jit.Vm; threads = 3 } in
-  let c = Compiler.compile ~options:vm_opts m in
-  let k = Compiler.cache_counters () in
-  check tint "engine/threads change hits" 1 k.Compiler.hits;
-  check tbool "hit carries the caller's options" true
-    (c.Compiler.options.Options.engine = Jit.Vm)
+  let expect ~misses base changes =
+    Compiler.reset_kernel_cache ();
+    ignore (Compiler.compile ~options:base m);
+    List.iteri
+      (fun i (name, (o : Options.t)) ->
+        let c = Compiler.compile ~options:o m in
+        let k = Compiler.cache_counters () in
+        check tint (name ^ ": full compiles")
+          (if misses then i + 2 else 1)
+          k.Compiler.full_compiles;
+        check tint (name ^ ": memory hits")
+          (if misses then 0 else i + 1)
+          k.Compiler.hits;
+        check tbool (name ^ ": carries the caller's options") true
+          (c.Compiler.options = o))
+      changes
+  in
+  let s = Options.default in
+  expect ~misses:false s
+    [ ("engine and threads", { s with engine = Jit.Vm; threads = 3 });
+      ("batch_size", { s with batch_size = 64 });
+      ("gpu preset", { s with gpu = M.radeon_6800 });
+      ("machine cost constant",
+       { s with machine = { s.machine with M.flop_cost = 0.75 } });
+      ("scalar use_veclib", { s with use_veclib = false });
+      ("scalar use_shuffle", { s with use_shuffle = false });
+      ("cpu block_size", { s with block_size = 256 });
+      ("cpu gpu_fallback", { s with gpu_fallback = false });
+      ("explicit default pass order",
+       { s with lospn_opt_order = Some Spnc.Pipelines.default_lospn_opt_order }) ];
+  expect ~misses:true s
+    [ ("opt_level", { s with opt_level = Spnc_cpu.Optimizer.O3 });
+      ("support_marginal", { s with support_marginal = true });
+      ("space", { s with space = Spnc_lospn.Lower_hispn.Force_log });
+      ("base_type", { s with base_type = Spnc_mlir.Types.F64 });
+      ("max_partition_size", { s with max_partition_size = Some 2 });
+      ("non-default pass order",
+       { s with lospn_opt_order = Some [ "dce"; "cse"; "constfold" ] }) ];
+  let v = { s with vectorize = true } in
+  expect ~misses:true v
+    [ ("isa", { v with machine = { v.machine with M.isa = M.AVX512 } });
+      ("veclib", { v with machine = { v.machine with M.veclib = M.SVML } });
+      ("vector use_veclib", { v with use_veclib = false });
+      ("vector use_shuffle", { v with use_shuffle = false });
+      ("use_gather_tables", { v with use_gather_tables = true }) ]
 
 let test_cache_disabled_counts_full_compiles () =
   Compiler.reset_kernel_cache ();

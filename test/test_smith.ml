@@ -201,8 +201,8 @@ let test_opt_order_promotion_bit_identical () =
   let permuted =
     { base with lospn_opt_order = Some [ "dce"; "cse"; "constfold" ] }
   in
-  check tbool "fingerprint keys the ordering" true
-    (Spnc.Options.fingerprint base <> Spnc.Options.fingerprint permuted);
+  let key o = Spnc.Options.(fingerprint (compile_of o)) in
+  check tbool "fingerprint keys the ordering" true (key base <> key permuted);
   let run options =
     let c = Spnc.Compiler.compile ~options model in
     Spnc.Compiler.execute c

@@ -1,8 +1,8 @@
 (** Tests for the Fig. 6 design-space explorer and auto-tuner
-    (docs/PERFORMANCE.md §6): fingerprint sensitivity of every tuned
-    knob, lattice enumeration/dedup, tuner determinism, bit-identity of
-    measured candidates, profile-feedback pruning, per-task refinement,
-    tuned-config JSON round-trips and the digest-keyed cache. *)
+    (docs/PERFORMANCE.md §6): the compile key's structure, lattice
+    enumeration/dedup, tuner determinism, bit-identity of measured
+    candidates, profile-feedback pruning, per-task refinement, tuned
+    configs as compile keys and the digest-keyed tuned-config cache. *)
 
 module Tune = Spnc_tune.Tune
 module Options = Spnc.Options
@@ -16,6 +16,7 @@ let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
 let tstr = Alcotest.string
+let key o = Options.fingerprint (Options.compile_of o)
 
 let with_tmp_dir f =
   let dir = Filename.temp_file "spnc-tune" "" in
@@ -51,56 +52,73 @@ let base =
 
 let stats () = Spnc_spn.Stats.compute (Lazy.force model)
 
-(* -- Satellite: fingerprint sensitivity of every tuner-varied knob ---------- *)
+(* -- The compile key ---------------------------------------------------------- *)
 
-let test_fingerprint_sensitivity () =
-  (* every knob the tuner varies must be visible to the kernel-cache
-     fingerprint — a blind knob would alias distinct artifacts *)
-  let flips =
-    [
-      ("opt_level", { base with Options.opt_level = Optimizer.O3 });
-      ("vectorize", { base with Options.vectorize = false });
-      ("use_veclib", { base with Options.use_veclib = false });
-      ("use_shuffle", { base with Options.use_shuffle = false });
-      ("use_gather_tables", { base with Options.use_gather_tables = true });
-      ("max_partition_size", { base with Options.max_partition_size = Some 64 });
-      ( "machine.veclib",
-        {
-          base with
-          Options.machine = { M.ryzen_3900xt with M.veclib = M.No_veclib };
-        } );
-      ("batch_size", { base with Options.batch_size = 512 });
-    ]
+let test_compile_key_structure () =
+  (* injective: records varying every field of [Options.compile] decode
+     back from their key *)
+  let k = Options.compile_of base in
+  let variants =
+    [ k; { k with target = Options.Gpu }; { k with vectorize = false };
+      { k with use_veclib = false }; { k with use_shuffle = false };
+      { k with use_gather_tables = true };
+      { k with lospn_opt_order = [ "dce"; "cse"; "constfold" ] };
+      { k with max_partition_size = Some 64 };
+      { k with base_type = Spnc_mlir.Types.F64 };
+      { k with support_marginal = true }; { k with block_size = 256 };
+      { k with gpu_fallback = false } ]
+    @ List.map (fun isa -> { k with isa }) M.[ Scalar; AVX512; Neon ]
+    @ List.map (fun veclib -> { k with veclib }) M.[ No_veclib; SVML ]
+    @ List.map (fun opt_level -> { k with opt_level }) Optimizer.[ O0; O2; O3 ]
+    @ List.map
+        (fun space -> { k with space })
+        Spnc_lospn.Lower_hispn.[ Force_linear; Force_log ]
   in
-  let fp0 = Options.fingerprint base in
   List.iter
-    (fun (name, o) ->
-      check tbool
-        (Printf.sprintf "flipping %s changes the fingerprint" name)
-        true
-        (Options.fingerprint o <> fp0))
-    flips;
-  (* pairwise distinct too: no two flips alias each other *)
-  let fps = List.map (fun (_, o) -> Options.fingerprint o) flips in
-  check tint "all flipped fingerprints pairwise distinct"
-    (List.length fps)
-    (List.length (List.sort_uniq compare fps));
-  (* runtime-only knobs must NOT move the fingerprint (cache sharing) *)
-  check tstr "threads is runtime-only" fp0
-    (Options.fingerprint { base with Options.threads = 8 });
-  check tstr "engine is runtime-only" fp0
-    (Options.fingerprint { base with Options.engine = Spnc_cpu.Jit.Vm })
+    (fun (v : Options.compile) ->
+      let text = Options.fingerprint v in
+      check tbool ("versioned: " ^ text) true
+        (String.starts_with ~prefix:{|{"spnc_compile": 1,|} text);
+      check tbool ("decode (encode k) = Ok k: " ^ text) true
+        (Result.bind (Json.parse text) Options.compile_of_json = Ok v))
+    variants;
+  (* a key applied over options on another machine reproduces itself *)
+  let xeon = Options.best_cpu ~machine:M.xeon_9242 () in
+  let arm_gpu = { (Options.best_gpu ()) with machine = M.neoverse_n1; threads = 8 } in
+  List.iter
+    (fun (a, b) ->
+      let applied = Options.with_compile (Options.compile_of a) b in
+      check tbool "compile_of (with_compile (compile_of a) b) = compile_of a" true
+        (Options.compile_of applied = Options.compile_of a);
+      check tbool "b keeps its cost constants and runtime knobs" true
+        (applied.machine.M.flop_cost = b.machine.M.flop_cost
+        && applied.threads = b.threads))
+    [ (base, xeon); (base, arm_gpu); ({ xeon with opt_level = Optimizer.O3 }, base);
+      ({ arm_gpu with block_size = 128; lospn_opt_order = Some [ "cse" ] }, xeon) ];
+  (* no runtime or serve knob moves the key — [batch_size] and the GPU
+     cost descriptor included *)
+  check tstr "runtime and serve knobs leave the key alone" (key base)
+    (key
+       { base with batch_size = 512; gpu = M.radeon_6800; threads = 8;
+         sched = Options.Static; streams = 4; engine = Spnc_cpu.Jit.Vm;
+         use_kernel_cache = false; kernel_cache_dir = Some "/nonexistent";
+         kernel_cache_mb = 1; profile = true;
+         output_guard = Spnc_resilience.Guard.Fail; deadline_ms = Some 5.0;
+         exec_retries = 0; serve_max_batch = 1; serve_max_delay_ms = 9.0;
+         serve_queue_cap = 1; serve_global_queue_cap = 1;
+         serve_engines_cap = 1; serve_dispatchers = 7;
+         serve_starvation_ms = 1.0 })
 
 (* -- Lattice enumeration ---------------------------------------------------- *)
 
 let test_enumerate () =
   let stats = stats () in
   let points = Tune.enumerate ~stats base in
-  let fps = List.map Options.fingerprint points in
-  check tint "lattice deduplicated by fingerprint" (List.length fps)
+  let fps = List.map key points in
+  check tint "lattice deduplicated by compile key" (List.length fps)
     (List.length (List.sort_uniq compare fps));
   check tbool "base configuration is in its own lattice" true
-    (List.mem (Options.fingerprint base) fps);
+    (List.mem (key base) fps);
   (* scalar points are canonicalized: exactly one scalar point per
      (level, partition) pair regardless of the veclib/shuffle knobs *)
   let scalars = List.filter (fun o -> not o.Options.vectorize) points in
@@ -129,59 +147,25 @@ let test_enumerate () =
       check tbool "no vector point on a scalar ISA" false o.Options.vectorize)
     scalar_points
 
-(* -- Tuned-config JSON ------------------------------------------------------ *)
+(* -- Tuned configs ------------------------------------------------------------ *)
 
 let test_config_roundtrip () =
-  let configs =
-    [
-      base;
-      { base with Options.vectorize = false };
-      {
-        base with
-        Options.opt_level = Optimizer.O3;
-        max_partition_size = Some 128;
-        use_gather_tables = true;
-      };
-      {
-        base with
-        Options.machine = { M.xeon_9242 with M.veclib = M.No_veclib };
-        use_veclib = false;
-      };
-    ]
-  in
-  List.iter
-    (fun (o : Options.t) ->
-      match Tune.config_of_json (Tune.config_to_json o) with
-      | Ok o' ->
-          check tstr "config JSON round-trips the compile fingerprint"
-            (Options.fingerprint o) (Options.fingerprint o')
-      | Error e -> Alcotest.fail ("round-trip failed: " ^ e))
-    configs;
-  (* malformed inputs are rejected with errors, not exceptions *)
-  let reject j =
-    match Tune.config_of_json j with Ok _ -> false | Error _ -> true
+  (* round trips are the structural test's; malformed inputs are
+     rejected with errors, not exceptions *)
+  let reject j = Result.is_error (Options.compile_of_json j) in
+  let with_field name v =
+    match Options.compile_to_json (Options.compile_of base) with
+    | Json.Obj fields ->
+        Json.Obj (List.map (fun (k, x) -> (k, if k = name then v else x)) fields)
+    | _ -> assert false
   in
   check tbool "rejects non-object" true (reject (Json.Str "nope"));
   check tbool "rejects bad version" true
-    (reject
-       (match Tune.config_to_json base with
-       | Json.Obj fields ->
-           Json.Obj
-             (List.map
-                (fun (k, v) ->
-                  if k = "spnc_tuned_config" then (k, Json.Num 99.) else (k, v))
-                fields)
-       | _ -> assert false));
-  check tbool "rejects unknown machine" true
-    (reject
-       (match Tune.config_to_json base with
-       | Json.Obj fields ->
-           Json.Obj
-             (List.map
-                (fun (k, v) ->
-                  if k = "machine" then (k, Json.Str "quantum-9000") else (k, v))
-                fields)
-       | _ -> assert false))
+    (reject (with_field "spnc_compile" (Json.Num 99.)));
+  check tbool "rejects unknown isa" true
+    (reject (with_field "isa" (Json.Str "quantum-9000")));
+  check tbool "rejects unknown pass" true
+    (reject (with_field "lospn_opt_order" (Json.List [ Json.Str "inline" ])))
 
 let test_string_parsers () =
   List.iter
@@ -203,12 +187,11 @@ let test_string_parsers () =
 
 (* -- The explorer ----------------------------------------------------------- *)
 
-let run_tune ?(use_profile = true) ?(measure = 4) ?cache_dir () =
+let run_tune ?(use_profile = true) ?(measure = 4) ?(options = base) () =
   Compiler.reset_kernel_cache ();
   Tune.tune
     ~budget:{ Tune.measure; reps = 2 }
-    ~use_profile ~profile_rows:32 ?cache_dir ~options:base ~data:(data 96)
-    (Lazy.force model)
+    ~use_profile ~profile_rows:32 ~options ~data:(data 96) (Lazy.force model)
 
 (* one search shared by every test that only reads the result *)
 let shared_tune = lazy (run_tune ())
@@ -216,9 +199,8 @@ let shared_tune = lazy (run_tune ())
 let test_tune_determinism () =
   let r1 = run_tune () and r2 = run_tune () in
   check tstr "same best label" r1.Tune.best.Tune.label r2.Tune.best.Tune.label;
-  check tstr "same best fingerprint"
-    (Options.fingerprint r1.Tune.best.Tune.options)
-    (Options.fingerprint r2.Tune.best.Tune.options);
+  check tstr "same best compile key" (key r1.Tune.best.Tune.options)
+    (key r2.Tune.best.Tune.options);
   check tint "same searched count" r1.Tune.searched r2.Tune.searched;
   List.iter2
     (fun (a : Tune.candidate) (b : Tune.candidate) ->
@@ -272,21 +254,61 @@ let test_profile_pruning () =
 
 let test_tuned_config_cache () =
   with_tmp_dir (fun dir ->
-      let r1 = run_tune ~cache_dir:dir () in
+      let options = { base with Options.kernel_cache_dir = Some dir } in
+      let r1 = run_tune ~options () in
       check tbool "first tune is a real search" false r1.Tune.from_cache;
-      let r2 = run_tune ~cache_dir:dir () in
+      let r2 = run_tune ~options () in
       check tbool "second tune served from the cache" true r2.Tune.from_cache;
       check tint "cache hit runs no search" 0 r2.Tune.searched;
       check tstr "cached best matches the searched best"
-        (Options.fingerprint r1.Tune.best.Tune.options)
-        (Options.fingerprint r2.Tune.best.Tune.options);
-      match Tune.load_cached ~cache_dir:dir (Lazy.force model) with
+        (key r1.Tune.best.Tune.options)
+        (key r2.Tune.best.Tune.options);
+      check tstr "cached best label" r1.Tune.best.Tune.label
+        r2.Tune.best.Tune.label;
+      (match Tune.load_cached ~options (Lazy.force model) with
       | None -> Alcotest.fail "load_cached must hit after a cached tune"
-      | Some (o, label) ->
-          check tstr "load_cached config fingerprint"
-            (Options.fingerprint r1.Tune.best.Tune.options)
-            (Options.fingerprint o);
-          check tstr "load_cached label" r1.Tune.best.Tune.label label)
+      | Some k ->
+          check tstr "load_cached compile key" (key r1.Tune.best.Tune.options)
+            (Options.fingerprint k));
+      (* flip the stored entry's last payload byte behind the cache's back:
+         the entry is quarantined and the next tune searches again *)
+      let tuned = Filename.concat dir "tuned" in
+      let fd =
+        Unix.openfile
+          (Filename.concat tuned (r1.Tune.model_digest ^ ".kc"))
+          [ Unix.O_WRONLY ] 0
+      in
+      ignore (Unix.lseek fd (-1) Unix.SEEK_END);
+      ignore (Unix.write_substring fd "#" 0 1);
+      Unix.close fd;
+      let r3 = run_tune ~options () in
+      check tbool "a corrupt entry is searched again" true
+        ((not r3.Tune.from_cache) && r3.Tune.searched > 0);
+      check tint "the corrupt entry is quarantined" 1
+        (Spnc.Kcache.quarantined_count
+           (Result.get_ok (Spnc.Kcache.open_ ~dir:tuned ~max_mb:1))))
+
+let test_promoted_order_replays () =
+  (* a config tuned under a promoted pass order replays with it, from
+     the DSE report (run --tuned-config) and from the tuned-config cache *)
+  let order = [ "dce"; "cse"; "constfold" ] in
+  with_tmp_dir (fun dir ->
+      let options =
+        { base with lospn_opt_order = Some order; kernel_cache_dir = Some dir }
+      in
+      let r = run_tune ~measure:1 ~options () in
+      let replayed k = (Options.with_compile k Options.default).lospn_opt_order in
+      let reported = Json.member "best_config" (Tune.result_to_json r) in
+      List.iter
+        (fun (what, k) ->
+          check (Alcotest.option (Alcotest.list tstr)) what (Some order)
+            (Option.bind k replayed))
+        [
+          ( "report",
+            Option.bind reported (fun j ->
+                Result.to_option (Options.compile_of_json j)) );
+          ("cache", Tune.load_cached ~options (Lazy.force model));
+        ])
 
 let test_result_json () =
   let r = Lazy.force shared_tune in
@@ -297,11 +319,10 @@ let test_result_json () =
   (match Json.member "best_config" j with
   | None -> Alcotest.fail "result JSON must embed the winning config"
   | Some cj -> (
-      match Tune.config_of_json cj with
-      | Ok o ->
+      match Options.compile_of_json cj with
+      | Ok k ->
           check tstr "embedded config round-trips"
-            (Options.fingerprint r.Tune.best.Tune.options)
-            (Options.fingerprint o)
+            (key r.Tune.best.Tune.options) (Options.fingerprint k)
       | Error e -> Alcotest.fail e));
   (* and the whole report survives a print/parse cycle *)
   match Json.parse (Json.to_string_pretty j) with
@@ -413,8 +434,8 @@ let test_per_task_refinement () =
 
 let suite =
   [
-    Alcotest.test_case "fingerprint knob sensitivity" `Quick
-      test_fingerprint_sensitivity;
+    Alcotest.test_case "compile key structure" `Quick
+      test_compile_key_structure;
     Alcotest.test_case "lattice enumeration and dedup" `Quick test_enumerate;
     Alcotest.test_case "tuned-config JSON round-trip" `Quick
       test_config_roundtrip;
@@ -424,6 +445,8 @@ let suite =
       test_tune_bit_identity_and_best;
     Alcotest.test_case "profile-feedback pruning" `Quick test_profile_pruning;
     Alcotest.test_case "tuned-config cache" `Quick test_tuned_config_cache;
+    Alcotest.test_case "promoted pass order replays" `Quick
+      test_promoted_order_replays;
     Alcotest.test_case "DSE report JSON" `Quick test_result_json;
     Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
     Alcotest.test_case "spearman rank correlation" `Quick test_spearman;
