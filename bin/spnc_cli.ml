@@ -96,7 +96,13 @@ let generate seed kind features min_ops out =
         models.(0)
   in
   write_model out model;
-  Fmt.pr "wrote %s: %a@." out Spnc_spn.Stats.pp (Spnc_spn.Stats.compute model);
+  let stats = Spnc_spn.Stats.compute model in
+  Fmt.pr "wrote %s: %a@." out Spnc_spn.Stats.pp stats;
+  (* [generate_sized] gives up after a few tries; a short model is still
+     written and the exit status stays 0 *)
+  if kind = `Generic && stats.Spnc_spn.Stats.total < min_ops then
+    Fmt.epr "spnc: warning: --min-ops %d not reached: the model has %d ops@."
+      min_ops stats.Spnc_spn.Stats.total;
   0
 
 let generate_cmd =
@@ -111,7 +117,13 @@ let generate_cmd =
     Arg.(value & opt int 26 & info [ "features" ] ~doc:"Number of input features.")
   in
   let min_ops =
-    Arg.(value & opt int 2000 & info [ "min-ops" ] ~doc:"Minimum operation count.")
+    Arg.(
+      value & opt int 2000
+      & info [ "min-ops" ]
+          ~doc:
+            "Minimum operation count of a generic model, best effort: \
+             generation gives up after a few tries and warns when the model \
+             falls short.  rat-spn models ignore it.")
   in
   let out =
     Arg.(

@@ -35,7 +35,6 @@ type jit_cell = { mutable jit_state : jit_state }
 type cpu_artifact = {
   lir : Spnc_cpu.Lir.modul;
   regalloc : Spnc_cpu.Regalloc.stats array;
-  cir : Ir.modul;
   jit : jit_cell;
       (** closure-compiled form of [lir]; built on first JIT execution
           (on the calling domain, before workers spawn) and shared by
@@ -117,7 +116,6 @@ type stored_artifact =
   | Stored_cpu of {
       s_lir : Spnc_cpu.Lir.modul;
       s_regalloc : Spnc_cpu.Regalloc.stats array;
-      s_cir : Ir.modul;
     }
   | Stored_gpu of gpu_artifact
 
@@ -142,25 +140,20 @@ let compiled_of_stored ~(options : Options.t) ?(diags = []) (s : stored) :
     num_tasks = s.s_num_tasks;
     artifact =
       (match s.s_artifact with
-      | Stored_cpu { s_lir; s_regalloc; s_cir } ->
+      | Stored_cpu { s_lir; s_regalloc } ->
           Cpu_kernel
-            {
-              lir = s_lir;
-              regalloc = s_regalloc;
-              cir = s_cir;
-              jit = make_jit_cell s_lir;
-            }
+            { lir = s_lir; regalloc = s_regalloc; jit = make_jit_cell s_lir }
       | Stored_gpu g -> Gpu_kernel g);
     datatype = s.s_datatype;
     diags;
   }
 
-(* The full pipeline, unconditionally (the cache wrapper is below).  It
-   reads only the compile key, so two option sets with one key build one
-   kernel; [compile] attaches the caller's options to the result. *)
+(* The full pipeline, unconditionally (the cache wrapper is below), on a
+   model [compile] has validated.  It reads only the compile key, so two
+   option sets with one key build one kernel; [compile] attaches the
+   caller's options to the result. *)
 let compile_full ~(options : Options.compile) (model : Spnc_spn.Model.t) :
     stored * Diag.t list =
-  Spnc_spn.Validate.validate_exn model;
   let timings = ref [] in
   let timed stage f =
     (* one fault point per stage: an injected failure takes the same
@@ -256,7 +249,7 @@ let compile_full ~(options : Options.compile) (model : Spnc_spn.Model.t) :
       timed "register-allocation" (fun () ->
           Spnc_cpu.Regalloc.allocate_module lir)
     in
-    Stored_cpu { s_lir = lir; s_regalloc = regalloc; s_cir = cir }
+    Stored_cpu { s_lir = lir; s_regalloc = regalloc }
   in
   let build_gpu () =
     (* chaos: an injected GPU build failure takes the same graceful-
@@ -279,22 +272,7 @@ let compile_full ~(options : Options.compile) (model : Spnc_spn.Model.t) :
             Rewrite.dce (Cse.run g))
     in
     let ptx = timed "ptx-generation" (fun () -> Spnc_gpu.Ptx.emit g) in
-    let cubin =
-      (* CUBIN assembly effort scales with -O level, like ptxas *)
-      timed "cubin-assembly" (fun () ->
-          let passes =
-            match options.Options.opt_level with
-            | Spnc_cpu.Optimizer.O0 -> 1
-            | Spnc_cpu.Optimizer.O1 -> 2
-            | Spnc_cpu.Optimizer.O2 -> 3
-            | Spnc_cpu.Optimizer.O3 -> 4
-          in
-          let c = ref (Spnc_gpu.Ptx.assemble ptx) in
-          for _ = 2 to passes do
-            c := Spnc_gpu.Ptx.assemble ptx
-          done;
-          !c)
-    in
+    let cubin = timed "cubin-assembly" (fun () -> Spnc_gpu.Ptx.assemble ptx) in
     Stored_gpu { gpu_module = g; ptx; cubin }
   in
   let artifact, diags =
@@ -398,7 +376,7 @@ let cache_key ~(options : Options.compile) (model : Spnc_spn.Model.t) : string =
    changes shape: the format tag keeps old entries from being
    unmarshalled into the wrong layout.  The OCaml version rides along
    because Marshal output is not stable across compiler versions. *)
-let disk_fmt = "spnc-compiled-v1/" ^ Sys.ocaml_version
+let disk_fmt = "spnc-compiled-v2/" ^ Sys.ocaml_version
 
 (* one warning per process for an unusable cache dir, not one per compile *)
 let disk_warned = Atomic.make false
@@ -443,6 +421,9 @@ let disk_store (kc : Kcache.t) ~key (s : stored) : unit =
     knobs (threads, engine, output guard, deadline, batch size) apply.
     @raise Spnc_spn.Validate.Invalid if the model is structurally invalid. *)
 let compile ?(options = Options.default) (model : Spnc_spn.Model.t) : compiled =
+  (* validate before anything else: the pipeline and the cache key must
+     only ever see well-formed models *)
+  Spnc_spn.Validate.validate_exn model;
   let k = Options.compile_of options in
   let build () =
     let s, diags = compile_full ~options:k model in
@@ -453,9 +434,6 @@ let compile ?(options = Options.default) (model : Spnc_spn.Model.t) : compiled =
     snd (build ())
   end
   else begin
-    (* validate before serializing for the key: the digest must only ever
-       address well-formed models *)
-    Spnc_spn.Validate.validate_exn model;
     let key = cache_key ~options:k model in
     match with_lock (fun () -> Hashtbl.find_opt cache key) with
     | Some c ->

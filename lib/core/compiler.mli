@@ -31,7 +31,6 @@ val force_jit : jit_cell -> Spnc_cpu.Jit.kernel
 type cpu_artifact = {
   lir : Spnc_cpu.Lir.modul;  (** the executable kernel (Lir) *)
   regalloc : Spnc_cpu.Regalloc.stats array;  (** per-function allocation *)
-  cir : Ir.modul;  (** mid-level IR, for inspection *)
   jit : jit_cell;
       (** closure-compiled form of [lir]; built on first JIT execution
           and shared by every later run of this artifact *)

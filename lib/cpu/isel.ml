@@ -249,32 +249,6 @@ and sel_op st (op : Ir.op) : Lir.instr list =
   | "func.return" -> [ Lir.Ret ]
   | other -> fail "isel: unsupported cir op %s" other
 
-(* DAG-scheduling hazard scan: for each instruction, a window of earlier
-   instructions is checked for def/use conflicts, like SelectionDAG's
-   chain analysis.  The window widens with function size, making
-   instruction selection superlinear on very large task bodies — the
-   paper attributes 27% of CPU compile time to DAG instruction selection
-   on the RAT-SPN workload (§V-B.1). *)
-let schedule_scan (body : Lir.instr array) : int =
-  let rec flatten acc (body : Lir.instr array) =
-    Array.fold_left
-      (fun acc i ->
-        match i with Lir.Loop l -> flatten (i :: acc) l.Lir.body | i -> i :: acc)
-      acc body
-  in
-  let instrs = Array.of_list (List.rev (flatten [] body)) in
-  let n = Array.length instrs in
-  let window = min 192 (8 + (n / 1500)) in
-  let defs = Array.map Optimizer.defs instrs in
-  let hazards = ref 0 in
-  for i = 0 to n - 1 do
-    let u = Optimizer.uses instrs.(i) in
-    for j = max 0 (i - window) to i - 1 do
-      List.iter (fun x -> if List.mem x defs.(j) then incr hazards) u
-    done
-  done;
-  !hazards
-
 let sel_func st (f : Ir.op) : Lir.func =
   st.nf <- 0;
   st.ni <- 0;
@@ -288,7 +262,6 @@ let sel_func st (f : Ir.op) : Lir.func =
   let blk = Option.get (Ir.entry_block f) in
   let params = List.map (def st) blk.Ir.bargs in
   let body = Array.of_list (sel_ops st blk.Ir.bops) in
-  ignore (schedule_scan body : int);
   let locs_of c n =
     Array.init n (fun r ->
         Option.value ~default:Loc.Unknown (Hashtbl.find_opt st.reg_locs (c, r)))

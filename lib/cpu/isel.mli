@@ -1,9 +1,7 @@
 (** Instruction selection: cir functions → Lir (the paper's "translated
     to LLVM IR" step, §IV-B).  The translation is deliberately naive —
     this is the -O0 code; {!Optimizer} cleans it up at higher levels.
-    A size-scaled sliding-window hazard scan models SelectionDAG's
-    superlinear behaviour on very large task bodies (27% of CPU compile
-    time in the paper's §V-B.1 breakdown). *)
+    One walk over the cir ops, linear in their number. *)
 
 open Spnc_mlir
 

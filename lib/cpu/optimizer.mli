@@ -18,8 +18,8 @@ val level_to_string : level -> string
 (** Inverse of {!level_to_string}; accepts "-O2" and "O2" forms. *)
 val level_of_string : string -> level option
 
-(** Register class of an operand/result (used by regalloc and isel's
-    hazard scan): float / int / vector / buffer. *)
+(** Register class of an operand/result (used by regalloc): float / int
+    / vector / buffer. *)
 type rc = F | I | V | B
 
 (** [defs i] — the registers instruction [i] defines, with classes.  A

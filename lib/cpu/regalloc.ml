@@ -1,17 +1,13 @@
 (** Linear-scan register allocation.
 
-    The paper reports that for large RAT-SPN tasks ~25% of CPU compile
-    time is spent in LLVM's (greedy) register allocator; this pass is the
-    corresponding stage here.  Live intervals are computed over the
-    linearized instruction order (values live across a loop extend to the
-    loop end); the scan maintains an explicitly sorted active list — with
-    the very wide live sets of large SPN task bodies the active-list
-    maintenance is the superlinear component that shows up in Fig. 10.
+    Live intervals are computed over the linearized instruction order
+    (values live across a loop extend to the loop end); the scan keeps
+    the active intervals in a sorted array of at most [phys_regs] end
+    points, so the whole allocation is linear in the function size.
 
-    The allocation is recorded as statistics (registers used, spill
-    count): the VM executes virtual-register code, but the spill traffic
-    feeds the execution cost model, and the allocation time is part of the
-    measured compile time (DESIGN.md §1). *)
+    The allocation is recorded as statistics (intervals, spill count,
+    peak pressure): the VM and the JIT execute virtual-register code, but
+    the spill traffic feeds the execution cost model ({!Cost}). *)
 
 open Lir
 
@@ -27,146 +23,122 @@ type stats = {
 (** Physical register budget, x86-64-flavoured: 16 GP + 16 SIMD. *)
 let phys_regs = 16
 
-(* Linearize the function body, assigning each instruction a position;
-   returns per-class (first_def, last_use) keyed by register.  A register
-   used inside a loop body but defined before the loop has its last_use
-   extended to the loop's end position, since it is needed on every
-   iteration. *)
+(* One register class, indexed by register.  [first_def] is 0 until the
+   register's first definition and -1 for a constant: constants are
+   rematerializable (re-emitted at their uses), so they form no
+   interval.  [order] lists the first [n] defined registers in definition
+   order.  Every instruction defines at most one register, so within a
+   class the interval starts are distinct and [order] is sorted by start
+   without a sort. *)
+type cls = {
+  first_def : int array;
+  last_use : int array;
+  order : int array;
+  mutable n : int;
+}
+
+(* Linearize the function body, numbering instructions from 1 in
+   pre-order (a [Loop] precedes its body).  A register used inside a
+   loop but defined before it is needed on every iteration, so it stays
+   live to the end of the outermost such loop. *)
 let live_intervals (f : func) =
-  let first_def_f = Hashtbl.create 256 and last_use_f = Hashtbl.create 256 in
-  let first_def_i = Hashtbl.create 256 and last_use_i = Hashtbl.create 256 in
-  let first_def_v = Hashtbl.create 256 and last_use_v = Hashtbl.create 256 in
-  (* constants are rematerializable: the allocator re-emits them at their
-     uses instead of keeping them live, so they form no intervals *)
-  let remat_f = Hashtbl.create 64 and remat_i = Hashtbl.create 64 in
-  let remat_v = Hashtbl.create 64 in
+  let cls n =
+    { first_def = Array.make n 0; last_use = Array.make n 0;
+      order = Array.make n 0; n = 0 }
+  in
+  let cf = cls f.nf and ci = cls f.ni and cv = cls f.nv in
+  let of_rc = function
+    | Optimizer.F -> Some cf
+    | Optimizer.I -> Some ci
+    | Optimizer.V -> Some cv
+    | Optimizer.B -> None
+  in
   let rec mark_remat (body : instr array) =
     Array.iter
-      (fun i ->
-        match i with
-        | ConstF (d, _) -> Hashtbl.replace remat_f d ()
-        | ConstI (d, _) -> Hashtbl.replace remat_i d ()
-        | VConst (d, _) -> Hashtbl.replace remat_v d ()
+      (function
+        | ConstF (d, _) -> cf.first_def.(d) <- -1
+        | ConstI (d, _) -> ci.first_def.(d) <- -1
+        | VConst (d, _) -> cv.first_def.(d) <- -1
         | Loop l -> mark_remat l.body
         | _ -> ())
       body
   in
   mark_remat f.body;
-  let is_remat (c : Optimizer.rc) r =
-    match c with
-    | Optimizer.F -> Hashtbl.mem remat_f r
-    | Optimizer.I -> Hashtbl.mem remat_i r
-    | Optimizer.V -> Hashtbl.mem remat_v r
-    | Optimizer.B -> false
-  in
   let pos = ref 0 in
-  let def_tbl = function
-    | Optimizer.F -> Some first_def_f
-    | Optimizer.I -> Some first_def_i
-    | Optimizer.V -> Some first_def_v
-    | Optimizer.B -> None
-  in
-  let use_tbl = function
-    | Optimizer.F -> Some last_use_f
-    | Optimizer.I -> Some last_use_i
-    | Optimizer.V -> Some last_use_v
-    | Optimizer.B -> None
-  in
-  let rec scan (body : instr array) ~loop_ends =
+  (* [loops]: (start, end) positions of the enclosing loops *)
+  let rec scan (body : instr array) ~loops =
     Array.iter
       (fun ins ->
         incr pos;
         let p = !pos in
         List.iter
-          (fun (c, r) ->
-            match use_tbl c with
-            | Some _ when is_remat c r -> ()
-            | Some tbl ->
-                (* if defined outside the current loops, extend to the
-                   outermost loop end after the definition *)
-                let d_tbl = Option.get (def_tbl c) in
-                let endpoint =
-                  match Hashtbl.find_opt d_tbl r with
-                  | Some dpos ->
-                      List.fold_left
-                        (fun acc (lstart, lend) ->
-                          if dpos < lstart then max acc lend else acc)
-                        p loop_ends
-                  | None -> p
+          (fun (rc, r) ->
+            match of_rc rc with
+            | Some c when c.first_def.(r) >= 0 ->
+                let d = c.first_def.(r) in
+                let e =
+                  List.fold_left
+                    (fun e (ls, le) -> if 0 < d && d < ls then max e le else e)
+                    p loops
                 in
-                Hashtbl.replace tbl r
-                  (max endpoint (Option.value ~default:0 (Hashtbl.find_opt tbl r)))
-            | None -> ())
+                c.last_use.(r) <- max e c.last_use.(r)
+            | _ -> ())
           (Optimizer.uses ins);
         List.iter
-          (fun (c, r) ->
-            match def_tbl c with
-            | Some _ when is_remat c r -> ()
-            | Some tbl -> if not (Hashtbl.mem tbl r) then Hashtbl.replace tbl r p
-            | None -> ())
+          (fun (rc, r) ->
+            match of_rc rc with
+            | Some c when c.first_def.(r) = 0 ->
+                c.first_def.(r) <- p;
+                c.order.(c.n) <- r;
+                c.n <- c.n + 1
+            | _ -> ())
           (Optimizer.defs ins);
         match ins with
         | Loop l ->
-            let lstart = !pos in
-            (* pre-compute the end position of this loop *)
-            let size = Lir.count_instrs l.body in
-            let lend = lstart + size + 1 in
-            scan l.body ~loop_ends:((lstart, lend) :: loop_ends)
+            scan l.body ~loops:((p, p + Lir.count_instrs l.body + 1) :: loops)
         | _ -> ())
       body
   in
-  scan f.body ~loop_ends:[];
-  let gather fd lu =
-    Hashtbl.fold
-      (fun r d acc ->
-        let e = max d (Option.value ~default:d (Hashtbl.find_opt lu r)) in
-        (r, d, e) :: acc)
-      fd []
-  in
-  ( gather first_def_f last_use_f,
-    gather first_def_i last_use_i,
-    gather first_def_v last_use_v )
+  scan f.body ~loops:[];
+  (cf, ci, cv)
 
-(* Classic linear scan over one class; returns (spills, max_pressure). *)
-let linear_scan intervals ~k =
-  let sorted = List.sort (fun (_, d1, _) (_, d2, _) -> compare d1 d2) intervals in
-  (* active list kept sorted by increasing end point; maintained by linear
-     insertion — the superlinear component under high pressure *)
-  let active = ref [] in
-  let spills = ref 0 in
-  let max_pressure = ref 0 in
-  List.iter
-    (fun (_, start, stop) ->
-      (* expire *)
-      active := List.filter (fun (_, e) -> e > start) !active;
-      if List.length !active >= k then begin
-        (* spill the interval with the furthest end (Poletto-Sarkar) *)
-        match List.rev !active with
-        | (_, e_last) :: rest_rev when e_last > stop ->
-            incr spills;
-            (* spill the active one, take its place *)
-            active :=
-              List.merge
-                (fun (_, a) (_, b) -> compare a b)
-                (List.rev rest_rev)
-                [ ((), stop) ]
-        | _ -> incr spills (* spill the new interval itself *)
-      end
-      else
-        active :=
-          List.merge (fun (_, a) (_, b) -> compare a b) !active [ ((), stop) ];
-      if List.length !active > !max_pressure then max_pressure := List.length !active)
-    sorted;
+(* Classic linear scan over one class, intervals in start order; returns
+   (spills, max_pressure).  [active] holds the end points of the live
+   intervals in increasing order, plus one slot for the new interval. *)
+let linear_scan (c : cls) ~k =
+  let active = Array.make (k + 1) 0 and n = ref 0 in
+  let spills = ref 0 and max_pressure = ref 0 in
+  for x = 0 to c.n - 1 do
+    let start = c.first_def.(c.order.(x)) in
+    let stop = max start c.last_use.(c.order.(x)) in
+    (* expire: the intervals that ended by [start] are a prefix *)
+    let gone = ref 0 in
+    while !gone < !n && active.(!gone) <= start do
+      incr gone
+    done;
+    Array.blit active !gone active 0 (!n - !gone);
+    n := !n - !gone;
+    let j = ref !n in
+    while !j > 0 && active.(!j - 1) > stop do
+      active.(!j) <- active.(!j - 1);
+      decr j
+    done;
+    active.(!j) <- stop;
+    (* over budget: the interval that ends last, maybe the new one, is
+       spilled (Poletto-Sarkar) by dropping the last slot *)
+    if !n = k then incr spills else incr n;
+    max_pressure := max !max_pressure !n
+  done;
   (!spills, !max_pressure)
 
 (** [allocate f] runs linear scan on all three register classes. *)
 let allocate (f : func) : stats =
-  let fi, ii, vi = live_intervals f in
-  let spills_f, mp_f = linear_scan fi ~k:phys_regs in
-  let spills_i, _ = linear_scan ii ~k:phys_regs in
-  let spills_v, mp_v = linear_scan vi ~k:phys_regs in
+  let cf, ci, cv = live_intervals f in
+  let spills_f, mp_f = linear_scan cf ~k:phys_regs in
+  let spills_i, _ = linear_scan ci ~k:phys_regs in
+  let spills_v, mp_v = linear_scan cv ~k:phys_regs in
   {
-    intervals = List.length fi + List.length ii + List.length vi;
+    intervals = cf.n + ci.n + cv.n;
     spills_f;
     spills_i;
     spills_v;

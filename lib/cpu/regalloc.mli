@@ -1,12 +1,10 @@
-(** Linear-scan register allocation — the stage the paper attributes ~25%
-    of CPU compile time to (§V-B.1).
+(** Linear-scan register allocation.
 
     Live intervals are computed over the linearized instruction order
     (values live across a loop extend to the loop end); constants are
     treated as rematerializable and form no intervals.  The allocation is
-    recorded as statistics: the VM executes virtual-register code, but
-    spill traffic feeds the execution cost model, and allocation time is
-    part of the measured compile time (DESIGN.md §1). *)
+    recorded as statistics: the VM and the JIT execute virtual-register
+    code, but spill traffic feeds the execution cost model ({!Cost}). *)
 
 type stats = {
   intervals : int;

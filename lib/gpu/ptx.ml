@@ -1,14 +1,12 @@
 (** Pseudo-PTX emission and CUBIN assembly (paper §IV-C).
 
     The real SPNC lowers GPU kernels to NVVM IR, links libdevice,
-    compiles to PTX and finally assembles CUBIN through the CUDA API —
-    and §V-B.1 reports that ~95% of GPU compilation time is that last
-    PTX→CUBIN step.  We reproduce the pipeline shape: {!emit} prints a
-    PTX-like text for every [gpu.func]; {!assemble} then performs the
-    expensive machine-level work on it — parsing, a sliding-window
-    dependence scheduler, linear-scan register allocation and instruction
-    encoding — so GPU compile times in Figs. 12/13 are measured on real
-    work that scales the way the paper describes. *)
+    compiles to PTX and finally assembles CUBIN through the CUDA API.
+    We keep the pipeline shape: {!emit} prints a PTX-like text for every
+    [gpu.func]; {!assemble} parses it, sizes each kernel's register file
+    from its live intervals and encodes 16 bytes per instruction.  The
+    bytes are placeholders — the simulator runs the [gpu.func] IR, and
+    only the image's length is read (module-load cost). *)
 
 open Spnc_mlir
 
@@ -147,35 +145,13 @@ let parse_line (line : string) : (string * string list) option =
         in
         Some (opcode, operands)
 
-(** [assemble ptx] — the expensive PTX→CUBIN step: parse, schedule with a
-    sliding dependence window, allocate registers with linear scan over
-    an explicitly maintained active list, and encode.  The work is real
-    and scales superlinearly with kernel size under high register
-    pressure, matching the paper's GPU compile-time observations. *)
+(* Assemble one kernel: register demand is the maximum number of
+   simultaneously live PTX registers, by first/last occurrence. *)
 let assemble_kernel (lines : string list) : cubin =
-  let instrs =
-    List.filter_map parse_line lines
-    |> Array.of_list
-  in
+  let instrs = List.filter_map parse_line lines |> Array.of_list in
   let n = Array.length instrs in
-  (* 1. dependence scheduling: for each instruction, scan a window of
-     earlier instructions for operand conflicts (SASS dual-issue model).
-     The window widens with kernel size, like ptxas' scheduling regions —
-     this is the superlinear component of Figs. 12/13. *)
-  let window = min 512 (16 + (n / 600)) in
-  let stalls = ref 0 in
-  for i = 0 to n - 1 do
-    let _, ops_i = instrs.(i) in
-    let lo = max 0 (i - window) in
-    for j = lo to i - 1 do
-      let _, ops_j = instrs.(j) in
-      List.iter
-        (fun o -> if o <> "" && List.mem o ops_j then incr stalls)
-        ops_i
-    done
-  done;
-  (* 2. register allocation: live intervals by first/last occurrence;
-     maximum overlap via an event sweep *)
+  (* live intervals by first/last occurrence; maximum overlap via an
+     event sweep *)
   let first = Hashtbl.create 256 and last = Hashtbl.create 256 in
   Array.iteri
     (fun i (_, ops) ->
@@ -201,13 +177,12 @@ let assemble_kernel (lines : string list) : cubin =
       cur := !cur + d;
       if !cur > !max_active then max_active := !cur)
     events;
-  (* 3. encoding: 16 bytes per SASS instruction, contents hashed from the
-     opcode/operands plus scheduling metadata *)
+  (* encoding: 16 bytes per SASS instruction, hashed from the opcode,
+     operands and position *)
   let out = Buffer.create (16 * n) in
   Array.iteri
     (fun i (opcode, ops) ->
-      let h1 = Hashtbl.hash (opcode, ops) in
-      let h2 = Hashtbl.hash (i, !stalls land 0xFFFF) in
+      let h1 = Hashtbl.hash (opcode, ops) and h2 = Hashtbl.hash i in
       for k = 0 to 3 do
         Buffer.add_int32_le out (Int32.of_int ((h1 lsr (8 * k)) lxor h2))
       done)
@@ -220,9 +195,7 @@ let assemble_kernel (lines : string list) : cubin =
 
 (** [assemble ptx] assembles every kernel of a PTX module separately
     (ptxas compiles per entry point); the returned [cubin] concatenates
-    the per-kernel images.  Scheduling windows grow with {e kernel} size,
-    so large partitions assemble superlinearly slower — the drastic GPU
-    compile-time growth of Fig. 12. *)
+    the per-kernel images. *)
 let assemble (ptx : string) : cubin =
   let lines = String.split_on_char '\n' ptx in
   (* split into per-kernel line groups at ".visible .entry" boundaries *)

@@ -602,9 +602,16 @@ let result_to_json (r : result) =
 (* -- Tuned-config cache ----------------------------------------------------- *)
 
 (* Tuned configs are Kcache entries in <kernel-cache-dir>/tuned — their
-   own directory, so the kernel LRU never evicts them — keyed by model
-   digest, holding the winner's compile key. *)
+   own directory, so the kernel LRU never evicts them — holding the
+   winner's compile key.  An entry is keyed by (model digest, base compile
+   key): a hit replaces the caller's compile key with the winner's, so a
+   tune under other base options (marginal support, space, ISA, pass
+   order, ...) must search again rather than be served a winner that
+   drops them. *)
 let tuned_fmt = "spnc-tuned"
+
+let tuned_key ~options ~digest =
+  Digest.to_hex (Digest.string (digest ^ "\x00" ^ key_of options))
 
 let tuned_cache (o : Options.t) =
   Option.bind o.kernel_cache_dir (fun dir ->
@@ -615,7 +622,7 @@ let tuned_cache (o : Options.t) =
 
 let load_cached ~options model =
   Option.bind (tuned_cache options) (fun kc ->
-      let key = digest_of model in
+      let key = tuned_key ~options ~digest:(digest_of model) in
       Option.bind (Spnc.Kcache.find kc ~fmt:tuned_fmt ~key) (fun payload ->
           match Result.bind (Json.parse payload) Options.compile_of_json with
           | Ok k -> Some k
@@ -628,7 +635,9 @@ let load_cached ~options model =
 let store_cached ~options ~digest (best : candidate) =
   Option.iter
     (fun kc ->
-      Spnc.Kcache.store kc ~fmt:tuned_fmt ~key:digest (key_of best.options))
+      Spnc.Kcache.store kc ~fmt:tuned_fmt
+        ~key:(tuned_key ~options ~digest)
+        (key_of best.options))
     (tuned_cache options)
 
 (* -- The explorer ----------------------------------------------------------- *)

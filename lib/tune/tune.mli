@@ -32,9 +32,9 @@
     candidates are ranked by the (deterministic) cost model, wall-clock
     only {e validates} — it never picks the winner — so two tunes of the
     same model agree exactly.  With [options.kernel_cache_dir] set, tuned
-    configurations are cached by model digest ({!load_cached}); together
-    with the persistent kernel cache a previously-tuned model recompiles
-    for free. *)
+    configurations are cached by (model digest, base compile key)
+    ({!load_cached}); together with the persistent kernel cache a
+    previously-tuned model recompiles for free. *)
 
 module Options = Spnc.Options
 
@@ -184,7 +184,8 @@ val result_to_json : result -> Spnc_obs.Json.t
 
 val load_cached :
   options:Options.t -> Spnc_spn.Model.t -> Options.compile option
-(** Look up this model's tuned compile key in the tuned-config cache
+(** Look up this model's tuned compile key, for a tune whose base
+    options have [options]' compile key, in the tuned-config cache
     ([<options.kernel_cache_dir>/tuned], a {!Spnc.Kcache} bounded by
     [options.kernel_cache_mb]) without running a search.  An entry that
     is corrupt or does not decode is quarantined and misses. *)

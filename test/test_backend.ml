@@ -248,6 +248,55 @@ let test_small_function_no_spills () =
         (Spnc_cpu.Regalloc.total_spills s <= 2))
     stats
 
+(* Exact allocator statistics on hand-built functions: float registers
+   0..n-1 are loaded (one interval each), then each is stored. *)
+let test_regalloc_exact_stats () =
+  let module L = Spnc_cpu.Lir in
+  let module R = Spnc_cpu.Regalloc in
+  let func ~nf body =
+    { L.fname = "f"; params = [ 0 ]; body = Array.of_list (body @ [ L.Ret ]);
+      nf; ni = 3; nv = 0; nb = 1; vec_width = 1; prov = L.no_prov }
+  in
+  let loads ?(idx = 0) first n = List.init n (fun k -> L.Load (first + k, 0, idx)) in
+  let stores ?(idx = 0) first n = List.init n (fun k -> L.Store (0, idx, first + k)) in
+  let live n = (L.ConstI (0, 0) :: loads 0 n) @ stores 0 n in
+  let stats =
+    Alcotest.testable
+      (fun ppf (s : R.stats) ->
+        Fmt.pf ppf "{intervals=%d; spills f/i/v=%d/%d/%d; pressure f/v=%d/%d}"
+          s.intervals s.spills_f s.spills_i s.spills_v s.max_pressure_f
+          s.max_pressure_v)
+      ( = )
+  in
+  let expect what ~intervals ~spills_f ~max_pressure_f f =
+    check stats what
+      { R.intervals; spills_f; spills_i = 0; spills_v = 0; max_pressure_f;
+        max_pressure_v = 0 }
+      (R.allocate f)
+  in
+  expect "17 live floats: one spill" ~intervals:17 ~spills_f:1
+    ~max_pressure_f:16 (func ~nf:17 (live 17));
+  expect "16 live floats: no spill" ~intervals:16 ~spills_f:0
+    ~max_pressure_f:16 (func ~nf:16 (live 16));
+  (* float 0 is defined before the loop; 16 loop-local floats follow *)
+  let loop first =
+    L.Loop
+      { iv = 2; lb = 0; ub = 1; step = 1; vector_width = 1;
+        body = Array.of_list (first @ loads ~idx:2 1 16 @ stores ~idx:2 1 16) }
+  in
+  let pre = [ L.ConstI (0, 0); L.ConstI (1, 8); L.Load (0, 0, 0) ] in
+  expect "read by the loop's first instruction: live to the loop's end"
+    ~intervals:18 ~spills_f:1 ~max_pressure_f:16
+    (func ~nf:17 (pre @ [ loop [ L.Store (0, 2, 0) ] ]));
+  expect "read just before the loop: no spill" ~intervals:18 ~spills_f:0
+    ~max_pressure_f:16
+    (func ~nf:17 (pre @ [ L.Store (0, 0, 0); loop [] ]));
+  expect "constants form no interval" ~intervals:0 ~spills_f:0
+    ~max_pressure_f:0
+    (func ~nf:20
+       ((L.ConstI (0, 0) :: List.init 20 (fun k -> L.ConstF (k, float_of_int k)))
+       @ stores 0 20))
+
 (* -- Cost model ---------------------------------------------------------------------- *)
 
 let machine = Spnc_machine.Machine.ryzen_3900xt
@@ -323,6 +372,7 @@ let suite =
     Alcotest.test_case "optimizer idempotent" `Quick test_optimizer_is_idempotent_on_o1;
     Alcotest.test_case "regalloc reports" `Quick test_regalloc_runs_and_reports;
     Alcotest.test_case "small function no spills" `Quick test_small_function_no_spills;
+    Alcotest.test_case "regalloc exact statistics" `Quick test_regalloc_exact_stats;
     Alcotest.test_case "cost scales with rows" `Quick test_cost_scales_with_rows;
     Alcotest.test_case "cost: vectorization helps" `Quick test_cost_vectorization_helps_with_veclib;
     Alcotest.test_case "cost: no-veclib hurts" `Quick test_cost_vectorization_without_veclib_hurts;

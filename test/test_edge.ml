@@ -241,12 +241,15 @@ let test_gather_tables_through_driver () =
       t
   in
   (match c.Compiler.artifact with
-  | Compiler.Cpu_kernel { cir; _ } ->
+  | Compiler.Cpu_kernel { lir; _ } ->
       check tbool "gather_indexed in kernel" true
-        (Spnc_mlir.Ir.count_ops
-           (fun o -> o.Spnc_mlir.Ir.name = "vector.gather_indexed")
-           cir
-        > 0)
+        (Array.exists
+           (fun (f : Spnc_cpu.Lir.func) ->
+             Spnc_cpu.Lir.count_instrs
+               ~filter:(function Spnc_cpu.Lir.VGatherIdx _ -> true | _ -> false)
+               f.Spnc_cpu.Lir.body
+             > 0)
+           lir.Spnc_cpu.Lir.funcs)
   | _ -> Alcotest.fail "expected cpu artifact");
   let out = Compiler.execute c rows in
   Array.iteri

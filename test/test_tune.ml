@@ -2,7 +2,8 @@
     (docs/PERFORMANCE.md §6): the compile key's structure, lattice
     enumeration/dedup, tuner determinism, bit-identity of measured
     candidates, profile-feedback pruning, per-task refinement, tuned
-    configs as compile keys and the digest-keyed tuned-config cache. *)
+    configs as compile keys and the tuned-config cache, keyed by (model
+    digest, base compile key). *)
 
 module Tune = Spnc_tune.Tune
 module Options = Spnc.Options
@@ -271,11 +272,16 @@ let test_tuned_config_cache () =
           check tstr "load_cached compile key" (key r1.Tune.best.Tune.options)
             (Options.fingerprint k));
       (* flip the stored entry's last payload byte behind the cache's back:
-         the entry is quarantined and the next tune searches again *)
+         the entry is quarantined and the next tune searches again.  The
+         entry is keyed by (model digest, base compile key). *)
       let tuned = Filename.concat dir "tuned" in
+      let entry =
+        Digest.to_hex
+          (Digest.string (r1.Tune.model_digest ^ "\x00" ^ key options))
+      in
       let fd =
         Unix.openfile
-          (Filename.concat tuned (r1.Tune.model_digest ^ ".kc"))
+          (Filename.concat tuned (entry ^ ".kc"))
           [ Unix.O_WRONLY ] 0
       in
       ignore (Unix.lseek fd (-1) Unix.SEEK_END);
@@ -287,6 +293,22 @@ let test_tuned_config_cache () =
       check tint "the corrupt entry is quarantined" 1
         (Spnc.Kcache.quarantined_count
            (Result.get_ok (Spnc.Kcache.open_ ~dir:tuned ~max_mb:1))))
+
+let test_tuned_config_cache_base_key () =
+  (* a hit replaces the caller's compile key with the stored winner's, so
+     a base that differs only in marginal support must search again *)
+  with_tmp_dir (fun dir ->
+      let options = { base with Options.kernel_cache_dir = Some dir } in
+      let r1 = run_tune ~options () in
+      let r2 = run_tune ~options:{ options with support_marginal = true } () in
+      check tbool "another base searches" true
+        ((not r2.Tune.from_cache) && r2.Tune.searched > 0);
+      check tbool "its best keeps support_marginal" true
+        r2.Tune.best.Tune.options.Options.support_marginal;
+      let r3 = run_tune ~options () in
+      check tbool "the same base still hits" true r3.Tune.from_cache;
+      check tstr "and gets its own winner" (key r1.Tune.best.Tune.options)
+        (key r3.Tune.best.Tune.options))
 
 let test_promoted_order_replays () =
   (* a config tuned under a promoted pass order replays with it, from
@@ -445,6 +467,8 @@ let suite =
       test_tune_bit_identity_and_best;
     Alcotest.test_case "profile-feedback pruning" `Quick test_profile_pruning;
     Alcotest.test_case "tuned-config cache" `Quick test_tuned_config_cache;
+    Alcotest.test_case "tuned-config cache keyed by base" `Quick
+      test_tuned_config_cache_base_key;
     Alcotest.test_case "promoted pass order replays" `Quick
       test_promoted_order_replays;
     Alcotest.test_case "DSE report JSON" `Quick test_result_json;
