@@ -1,5 +1,6 @@
 (** bench_gpu — monolithic vs stream-pipelined GPU schedule on the
-    speaker-ID workload, writing [BENCH_gpu.json] (docs/PERFORMANCE.md §5).
+    speaker-ID workload, writing the [spnc-bench-v1] artifact
+    [BENCH_gpu.json] (see {!Artifact}; docs/PERFORMANCE.md §5).
 
     The paper's Fig. 9 point: at the DSE-best batch/block size of 64 the
     GPU schedule is transfer-bound — most of the modelled time is PCIe
@@ -14,9 +15,10 @@
 
     Exit is nonzero when outputs diverge, or when the workload is
     transfer-bound ([transfer_fraction > 0.4]) yet streaming shows no
-    modelled win — the regression the ISSUE gate protects. *)
+    modelled win. *)
 
 module W = Workloads
+module A = Artifact
 module Compiler = Spnc.Compiler
 module Options = Spnc.Options
 module Sim = Spnc_gpu.Sim
@@ -111,54 +113,39 @@ let () =
   let identical =
     List.for_all
       (fun streams ->
-        let out = (run streams).Sim.output in
-        let ok =
-          Array.length out = Array.length ref_out
-          && (let eq = ref true in
-              Array.iteri
-                (fun i x ->
-                  if Int64.bits_of_float x <> Int64.bits_of_float ref_out.(i)
-                  then eq := false)
-                out;
-              !eq)
-        in
+        let ok = A.same_bits (run streams).Sim.output ref_out in
         if not ok then
           Fmt.epr "MISMATCH: streams=%d diverges from monolithic@." streams;
         ok)
       [ 2; 4 ]
   in
   Fmt.pr "functional identity over %d rows (streams 2/4 vs 1): %b@." n identical;
-  let ledger_json l =
-    Printf.sprintf
-      "{ \"total_seconds\": %.6f, \"h2d_s\": %.6f, \"d2h_s\": %.6f, \
-       \"kernel_s\": %.6f, \"launch_s\": %.6f, \"alloc_s\": %.6f, \
-       \"overlap_s\": %.6f }"
-      (Sim.total_seconds l) l.Sim.h2d_s l.Sim.d2h_s l.Sim.kernel_s l.Sim.launch_s
-      l.Sim.alloc_s l.Sim.overlap_s
-  in
-  let oc = open_out !out_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"workload\": \"speaker-id-clean\",\n\
-    \  \"scale\": \"%s\",\n\
-    \  \"rows\": %d,\n\
-    \  \"chunk\": %d,\n\
-    \  \"transfer_fraction\": %.4f,\n\
-    \  \"monolithic\": %s,\n\
-    \  \"streams_2\": %s,\n\
-    \  \"streams_4\": %s,\n\
-    \  \"speedup_streams_2\": %.4f,\n\
-    \  \"speedup_streams_4\": %.4f,\n\
-    \  \"check_rows\": %d,\n\
-    \  \"outputs_bit_identical\": %b\n\
-     }\n"
-    W.scale_name rows chunk tf (ledger_json mono) (ledger_json s2)
-    (ledger_json s4)
-    (Sim.total_seconds mono /. Sim.total_seconds s2)
-    (Sim.total_seconds mono /. Sim.total_seconds s4)
-    n identical;
-  close_out oc;
-  Fmt.pr "wrote %s@." !out_path;
+  let a = A.create "bench_gpu" in
+  A.check a "streams 2/4 vs monolithic" identical;
+  A.entry a A.Modelled ~unit:"fraction" ~hard:true "transfer_fraction" tf;
+  List.iter
+    (fun (name, l, hard) ->
+      A.entry a A.Modelled ~unit:"s" ~hard (name ^ ".total_seconds")
+        (Sim.total_seconds l);
+      List.iter
+        (fun (part, v) -> A.entry a A.Modelled ~unit:"s" (name ^ "." ^ part) v)
+        [
+          ("h2d_s", l.Sim.h2d_s);
+          ("d2h_s", l.Sim.d2h_s);
+          ("kernel_s", l.Sim.kernel_s);
+          ("launch_s", l.Sim.launch_s);
+          ("alloc_s", l.Sim.alloc_s);
+          ("overlap_s", l.Sim.overlap_s);
+        ])
+    [
+      ("monolithic", mono, true); ("streams_2", s2, false); ("streams_4", s4, true);
+    ];
+  List.iter
+    (fun (name, l) ->
+      A.entry a A.Modelled ~better:A.Higher ~unit:"x" ("speedup_" ^ name)
+        (Sim.total_seconds mono /. Sim.total_seconds l))
+    [ ("streams_2", s2); ("streams_4", s4) ];
+  A.write a !out_path;
   (* observability artifacts: the timing above is fully modelled (no wall
      clock), so a traced re-run of the 4-stream functional schedule is
      side-effect-free on the reported numbers *)
@@ -169,7 +156,7 @@ let () =
   Spnc_obs.Snapshot.write_file !metrics_path (Spnc_obs.Snapshot.take ());
   Spnc_obs.Remark.write_file !remarks_path;
   Fmt.pr "wrote %s, %s and %s@." !trace_path !metrics_path !remarks_path;
-  if not identical then exit 1;
+  A.exit_on_divergence a;
   if tf > 0.4 && Sim.total_seconds s4 >= Sim.total_seconds mono then begin
     Fmt.epr
       "FAIL: transfer-bound workload (%.1f%% transfers) but streaming shows \

@@ -1,58 +1,41 @@
-(** bench_serve — serving benchmark for the dynamic-batching model
-    server ({!Spnc_serve}), writing a machine-readable [BENCH_serve.json]
-    so CI can track the serving trajectory per PR (docs/PERFORMANCE.md
-    §"Serving").
+(** bench_serve — closed-loop capacity of the dynamic-batching model
+    server ({!Spnc_serve}), batched against unbatched, writing the
+    [spnc-bench-v1] artifact [BENCH_serve.json] (see {!Artifact};
+    docs/PERFORMANCE.md §7).  Open-loop latency, wire to wire, is
+    [spnc_bench]'s serve workload.
 
     The harness is fully in-process (no sockets): a fleet of [--models]
-    tiny tenant SPNs behind one {!Spnc_serve.Server}, driven by client
-    systhreads.  Three phases:
+    tiny tenant SPNs behind one {!Spnc_serve.Server}, driven by
+    closed-loop single-row clients against an unbatched server
+    ([max_batch=1], [max_delay=0]) and then against the batched server.
+    Their capacity ratio is [batched_vs_unbatched_speedup].  Every ok
+    response is bit-compared against a precomputed sequential
+    {!Spnc.Compiler.execute} reference — batching must not change a
+    single bit.
 
-    1. {b Capacity}: closed-loop single-row clients against an unbatched
-       server ([max_batch=1], [max_delay=0]) and against the batched
-       server — their ratio is the headline
-       [batched_vs_unbatched_speedup].
-    2. {b Open-loop sweep}: Poisson arrivals at several fractions of the
-       batched capacity ([0.3x 0.6x 0.9x 1.5x]), recording per-request
-       latency (p50/p95/p99), achieved throughput and shed rate.  The
-       peak offered rate is also replayed against the unbatched server
-       ([speedup_at_peak]).
-    3. {b Verification}: every ok response, in every phase, is
-       bit-compared against a precomputed sequential
-       {!Spnc.Compiler.execute} reference — batching must not change a
-       single bit.
-
-    Exit is nonzero when any response diverges bitwise, or when the
-    batched speedup falls below [--min-speedup] (default 0: report only —
-    CI hosts are too noisy for a hard perf gate by default). *)
+    Exit is nonzero when any response diverges bitwise. *)
 
 module Serve = Spnc_serve.Server
 module T = Spnc_serve.Types
+module A = Artifact
 module Rng = Spnc_data.Rng
 module Options = Spnc.Options
-module Obs_metrics = Spnc_obs.Metrics
 
 let usage =
-  "bench_serve [--models N] [--requests N] [--pool-rows N] [--duration S] \
-   [--clients N] [--out FILE] [--metrics-out FILE] [--min-speedup X]"
+  "bench_serve [--models N] [--pool-rows N] [--duration S] [--clients N] \
+   [--burst N] [--out FILE] [--metrics-out FILE]"
 
 let n_models = ref 32
-let requests_per_load = ref 2000
 let pool_rows = ref 256
 let duration = ref 1.0
 let clients = ref 16
 let burst = ref 128
-let waiters = ref 64
-let generators = ref 4
 let out_path = ref "BENCH_serve.json"
 let metrics_path = ref "METRICS_serve.json"
-let min_speedup = ref 0.0
 
 let spec =
   [
     ("--models", Arg.Set_int n_models, "N Tenant models (default 32)");
-    ( "--requests",
-      Arg.Set_int requests_per_load,
-      "N Open-loop requests per offered load (default 2000)" );
     ( "--pool-rows",
       Arg.Set_int pool_rows,
       "N Precomputed input rows per model (default 256)" );
@@ -65,19 +48,10 @@ let spec =
     ( "--burst",
       Arg.Set_int burst,
       "N Pipelined requests per closed-loop client iteration (default 128)" );
-    ( "--waiters",
-      Arg.Set_int waiters,
-      "N Open-loop completion-waiter threads (default 64)" );
-    ( "--generators",
-      Arg.Set_int generators,
-      "N Open-loop arrival-generator threads (default 4)" );
     ("--out", Arg.Set_string out_path, "FILE Output JSON (default BENCH_serve.json)");
     ( "--metrics-out",
       Arg.Set_string metrics_path,
       "FILE Metrics snapshot path (default METRICS_serve.json)" );
-    ( "--min-speedup",
-      Arg.Set_float min_speedup,
-      "X Fail if batched/unbatched capacity ratio is below X (default 0 = no gate)" );
   ]
 
 (* tiny tenants: serving stresses per-request overhead, not kernel math,
@@ -96,53 +70,14 @@ type tenant = {
   tn_ref : float array; (* sequential Compiler.execute over the pool *)
 }
 
-let bits_differ a b =
-  Array.length a <> Array.length b
-  || (let diff = ref false in
-      Array.iteri
-        (fun i x ->
-          if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then diff := true)
-        a;
-      !diff)
-
-type outcome = O_ok | O_mismatch | O_shed | O_expired | O_failed
-
-let classify (tn : tenant) ~off ~rows (resp : T.response) : outcome =
-  match resp with
-  | Ok values ->
-      if bits_differ values (Array.sub tn.tn_ref off rows) then O_mismatch
-      else O_ok
-  | Error e when T.is_overloaded e -> O_shed
-  | Error { T.reason = T.Expired; _ } -> O_expired
-  | Error _ -> O_failed
-
-type tally = {
-  mutable t_ok : int;
-  mutable t_mismatch : int;
-  mutable t_shed : int;
-  mutable t_expired : int;
-  mutable t_failed : int;
-}
-
-let tally () = { t_ok = 0; t_mismatch = 0; t_shed = 0; t_expired = 0; t_failed = 0 }
-
-let record tl = function
-  | O_ok -> tl.t_ok <- tl.t_ok + 1
-  | O_mismatch -> tl.t_mismatch <- tl.t_mismatch + 1
-  | O_shed -> tl.t_shed <- tl.t_shed + 1
-  | O_expired -> tl.t_expired <- tl.t_expired + 1
-  | O_failed -> tl.t_failed <- tl.t_failed + 1
-
-(* -- phase 1: closed-loop capacity --------------------------------------------- *)
-
 (* [k] clients each keep [burst] single-row requests in flight
    (submit_async the whole burst, then settle it) for [duration];
-   returns (ok-responses per second, tally).  Pipelined submission keeps
-   the queues deep — a synchronous closed loop would measure
-   notification latency (and the batcher's flush timer) instead of
-   server capacity.  One request per model first so the engine LRU is
-   warm before the clock starts. *)
-let closed_loop server (tenants : tenant array) ~k ~seed : float * tally =
+   returns (ok-responses per second, ok responses that diverged from the
+   reference).  Pipelined submission keeps the queues deep — a
+   synchronous closed loop would measure notification latency (and the
+   batcher's flush timer) instead of server capacity.  One request per
+   model first so the engine LRU is warm before the clock starts. *)
+let closed_loop server (tenants : tenant array) ~k ~seed : float * int =
   Array.iter
     (fun tn ->
       match Serve.submit server ~model:tn.tn_name (Array.sub tn.tn_pool 0 1) with
@@ -152,13 +87,12 @@ let closed_loop server (tenants : tenant array) ~k ~seed : float * tally =
             (T.reject_reason_to_string e.T.reason);
           exit 1)
     tenants;
-  let tl = tally () in
-  let lock = Mutex.create () in
+  let ok = Atomic.make 0 and mismatches = Atomic.make 0 in
   let t0 = Unix.gettimeofday () in
   let stop_at = t0 +. !duration in
   let worker tid =
     let rng = Rng.create ~seed:(seed + tid) in
-    let local = tally () in
+    let n_ok = ref 0 and n_bad = ref 0 in
     while Unix.gettimeofday () < stop_at do
       let picks =
         Array.init !burst (fun _ ->
@@ -176,127 +110,21 @@ let closed_loop server (tenants : tenant array) ~k ~seed : float * tally =
       Array.iteri
         (fun j ticket ->
           let tn, off = picks.(j) in
-          record local (classify tn ~off ~rows:1 (Serve.await ticket)))
+          match Serve.await ticket with
+          | Ok values ->
+              incr n_ok;
+              if not (A.same_bits values (Array.sub tn.tn_ref off 1)) then
+                incr n_bad
+          | Error _ -> ())
         tickets
     done;
-    Mutex.lock lock;
-    tl.t_ok <- tl.t_ok + local.t_ok;
-    tl.t_mismatch <- tl.t_mismatch + local.t_mismatch;
-    tl.t_shed <- tl.t_shed + local.t_shed;
-    tl.t_expired <- tl.t_expired + local.t_expired;
-    tl.t_failed <- tl.t_failed + local.t_failed;
-    Mutex.unlock lock
+    ignore (Atomic.fetch_and_add ok !n_ok);
+    ignore (Atomic.fetch_and_add mismatches !n_bad)
   in
   let threads = List.init k (fun tid -> Thread.create worker tid) in
   List.iter Thread.join threads;
   let dt = Unix.gettimeofday () -. t0 in
-  (float_of_int tl.t_ok /. dt, tl)
-
-(* -- phase 2: open-loop Poisson sweep ------------------------------------------ *)
-
-type load_result = {
-  lr_frac : float;
-  lr_offered_rps : float;
-  lr_achieved_rps : float;
-  lr_tally : tally;
-  lr_p50_ms : float;
-  lr_p95_ms : float;
-  lr_p99_ms : float;
-}
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else sorted.(min (n - 1) (int_of_float (q *. float_of_int (n - 1) +. 0.5)))
-
-(* Open-loop: arrivals follow an exponential inter-arrival process at
-   [rate] req/s, independent of completions — tickets are handed to a
-   pre-spawned waiter pool, so a slow server cannot backpressure the
-   arrival process; overload has to show up as queueing and shedding,
-   which is the point.  Sub-0.3ms waits are skipped rather than slept
-   (nanosleep overshoot would throttle high offered rates). *)
-let open_loop server (tenants : tenant array) ~frac ~rate ~n ~seed : load_result
-    =
-  let lat = Array.make n nan in
-  let outc = Array.make n O_failed in
-  let q : (int * tenant * int * int * Serve.ticket * float) Queue.t =
-    Queue.create ()
-  in
-  let qm = Mutex.create () in
-  let qc = Condition.create () in
-  let finished = ref false in
-  let waiter () =
-    let rec loop () =
-      Mutex.lock qm;
-      while Queue.is_empty q && not !finished do
-        Condition.wait qc qm
-      done;
-      let item = if Queue.is_empty q then None else Some (Queue.pop q) in
-      Mutex.unlock qm;
-      match item with
-      | None -> ()
-      | Some (i, tn, off, rows, ticket, arrived) ->
-          let resp = Serve.await ticket in
-          lat.(i) <- Unix.gettimeofday () -. arrived;
-          outc.(i) <- classify tn ~off ~rows resp;
-          loop ()
-    in
-    loop ()
-  in
-  let pool = List.init (max 1 !waiters) (fun _ -> Thread.create waiter ()) in
-  let t0 = Unix.gettimeofday () in
-  (* a single generator thread tops out well below the server's drain
-     rate, so the Poisson process is superposed from [generators]
-     independent streams at rate/G each — still Poisson at [rate] *)
-  let gens = max 1 !generators in
-  let generate g =
-    let rng = Rng.create ~seed:(seed + (7919 * (g + 1))) in
-    let lo = g * n / gens and hi = (g + 1) * n / gens in
-    let g_rate = rate /. float_of_int gens in
-    let t_next = ref t0 in
-    for i = lo to hi - 1 do
-      let u = Rng.float rng in
-      t_next := !t_next +. (-.log (1.0 -. u) /. g_rate);
-      let now = Unix.gettimeofday () in
-      if !t_next -. now > 0.0003 then Unix.sleepf (!t_next -. now);
-      let tn = tenants.(Rng.int rng (Array.length tenants)) in
-      let rows = 1 + Rng.int rng 4 in
-      let off = Rng.int rng (Array.length tn.tn_pool - rows + 1) in
-      let slice = Array.sub tn.tn_pool off rows in
-      let arrived = Unix.gettimeofday () in
-      let ticket = Serve.submit_async server ~model:tn.tn_name slice in
-      Mutex.lock qm;
-      Queue.push (i, tn, off, rows, ticket, arrived) q;
-      Condition.signal qc;
-      Mutex.unlock qm
-    done
-  in
-  let gen_threads = List.init gens (fun g -> Thread.create generate g) in
-  List.iter Thread.join gen_threads;
-  Mutex.lock qm;
-  finished := true;
-  Condition.broadcast qc;
-  Mutex.unlock qm;
-  List.iter Thread.join pool;
-  let t_end = Unix.gettimeofday () in
-  let tl = tally () in
-  Array.iter (record tl) outc;
-  let ok_lat =
-    Array.of_list
-      (List.filteri (fun i _ -> outc.(i) = O_ok) (Array.to_list lat))
-  in
-  Array.sort compare ok_lat;
-  {
-    lr_frac = frac;
-    lr_offered_rps = rate;
-    lr_achieved_rps = float_of_int tl.t_ok /. (t_end -. t0);
-    lr_tally = tl;
-    lr_p50_ms = 1000.0 *. percentile ok_lat 0.50;
-    lr_p95_ms = 1000.0 *. percentile ok_lat 0.95;
-    lr_p99_ms = 1000.0 *. percentile ok_lat 0.99;
-  }
-
-(* -- main ----------------------------------------------------------------------- *)
+  (float_of_int (Atomic.get ok) /. dt, Atomic.get mismatches)
 
 let () =
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
@@ -330,155 +158,39 @@ let () =
         let tn_ref = Spnc.Compiler.execute compiled pool in
         { tn_name = name; tn_model = model; tn_pool = pool; tn_ref })
   in
-  let start_server opts =
+  let a = A.create "bench_serve" in
+  (* Model compiles hit the process-wide memory cache warmed by the
+     reference pass, so engine loads are cheap and identical for both
+     servers. *)
+  let capacity label opts ~seed =
+    Fmt.pr "capacity (%s, %d clients, %.1fs)...@." label !clients !duration;
     let server = Serve.create ~options:opts () in
     Array.iter
       (fun tn -> Serve.register_model server ~name:tn.tn_name tn.tn_model)
       tenants;
-    server
+    let rps, mismatches = closed_loop server tenants ~k:!clients ~seed in
+    Serve.shutdown server;
+    Fmt.pr "  %s: %.0f req/s@." label rps;
+    if mismatches > 0 then
+      Fmt.epr "MISMATCH: %d %s response(s) diverged bitwise@." mismatches label;
+    A.check a (label ^ " responses vs sequential") (mismatches = 0);
+    A.entry a A.Measured ~better:A.Higher ~unit:"1/s"
+      (label ^ "_capacity_rps") rps;
+    rps
   in
-  let unbatched_options =
-    { options with Options.serve_max_batch = 1; serve_max_delay_ms = 0.0 }
+  let unbatched_rps =
+    capacity "unbatched"
+      { options with Options.serve_max_batch = 1; serve_max_delay_ms = 0.0 }
+      ~seed:31
   in
-  (* phase 1: closed-loop capacity, unbatched then batched.  Model
-     compiles hit the process-wide memory cache warmed by the reference
-     pass, so engine loads are cheap and identical for both servers. *)
-  Fmt.pr "capacity (unbatched baseline, %d clients, %.1fs)...@." !clients
-    !duration;
-  let unbatched = start_server unbatched_options in
-  let unbatched_rps, un_tally = closed_loop unbatched tenants ~k:!clients ~seed:31 in
-  Fmt.pr "  unbatched: %.0f req/s@." unbatched_rps;
-  Fmt.pr "capacity (batched, %d clients, %.1fs)...@." !clients !duration;
-  let batched = start_server options in
-  let batched_rps, ba_tally = closed_loop batched tenants ~k:!clients ~seed:47 in
-  Fmt.pr "  batched:   %.0f req/s@." batched_rps;
+  (* the snapshot then describes only the batched server *)
+  Spnc_obs.Metrics.reset_all ();
+  let batched_rps = capacity "batched" options ~seed:47 in
   let speedup = batched_rps /. unbatched_rps in
   Fmt.pr "batched/unbatched capacity: %.2fx@." speedup;
-  (* phase 2: the peak offered rate replayed against the unbatched
-     server, then the Poisson sweep against the batched one.  The
-     unbatched server shuts down before the sweep and the metric
-     registry resets, so serve.batch_rows afterwards describes only
-     batched dispatches. *)
-  let fracs = [ 0.3; 0.6; 0.9; 1.5 ] in
-  let peak_rate = batched_rps *. 1.5 in
-  Fmt.pr "open loop vs unbatched at peak %.0f req/s...@." peak_rate;
-  let un_peak =
-    open_loop unbatched tenants ~frac:1.5 ~rate:peak_rate
-      ~n:!requests_per_load ~seed:101
-  in
-  Serve.shutdown unbatched;
-  Obs_metrics.reset_all ();
-  let loads =
-    List.mapi
-      (fun i frac ->
-        let rate = batched_rps *. frac in
-        Fmt.pr "open loop vs batched at %.1fx (%.0f req/s)...@." frac rate;
-        let r =
-          open_loop batched tenants ~frac ~rate ~n:!requests_per_load
-            ~seed:(201 + i)
-        in
-        Fmt.pr
-          "  achieved %.0f req/s  ok %d  shed %d  p50 %.2fms  p99 %.2fms@."
-          r.lr_achieved_rps r.lr_tally.t_ok r.lr_tally.t_shed r.lr_p50_ms
-          r.lr_p99_ms;
-        r)
-      fracs
-  in
-  Serve.shutdown batched;
-  let peak = List.nth loads (List.length loads - 1) in
-  let speedup_at_peak = peak.lr_achieved_rps /. un_peak.lr_achieved_rps in
-  Fmt.pr "achieved@@peak: batched %.0f vs unbatched %.0f req/s (%.2fx)@."
-    peak.lr_achieved_rps un_peak.lr_achieved_rps speedup_at_peak;
-  (* verification + knee *)
-  let all_tallies =
-    un_tally :: ba_tally :: un_peak.lr_tally
-    :: List.map (fun r -> r.lr_tally) loads
-  in
-  let mismatches = List.fold_left (fun a t -> a + t.t_mismatch) 0 all_tallies in
-  let bit_identical = mismatches = 0 in
-  let below_knee = List.filter (fun r -> r.lr_frac < 1.0) loads in
-  let knee_shed =
-    List.fold_left (fun a r -> a + r.lr_tally.t_shed) 0 below_knee
-  in
-  let knee_total =
-    List.fold_left
-      (fun a r ->
-        a + r.lr_tally.t_ok + r.lr_tally.t_shed + r.lr_tally.t_expired
-        + r.lr_tally.t_failed)
-      0 below_knee
-  in
-  let shed_below_knee =
-    if knee_total = 0 then 0.0
-    else float_of_int knee_shed /. float_of_int knee_total
-  in
-  Fmt.pr "bit-identical: %b  shed below knee: %.4f@." bit_identical
-    shed_below_knee;
-  (* batch-size distribution from the sweep (serve.batch_rows stores
-     rows scaled by 1e-6 to fit the time-oriented buckets) *)
-  let bh = Obs_metrics.histogram "serve.batch_rows" in
-  let b_count = Obs_metrics.histogram_count bh in
-  let rows_at q = 1e6 *. Obs_metrics.histogram_percentile bh q in
-  let b_mean =
-    if b_count = 0 then 0.0
-    else 1e6 *. Obs_metrics.histogram_sum bh /. float_of_int b_count
-  in
-  Fmt.pr "batches: %d  mean rows %.1f  p50 %.0f  p99 %.0f@." b_count b_mean
-    (rows_at 0.50) (rows_at 0.99);
-  let oc = open_out !out_path in
-  let load_json r =
-    Printf.sprintf
-      "{ \"offered_fraction\": %.2f, \"offered_rps\": %.1f, \
-       \"achieved_rps\": %.1f, \"ok\": %d, \"shed\": %d, \"expired\": %d, \
-       \"failed\": %d, \"shed_rate\": %.4f, \"p50_ms\": %.3f, \"p95_ms\": \
-       %.3f, \"p99_ms\": %.3f }"
-      r.lr_frac r.lr_offered_rps r.lr_achieved_rps r.lr_tally.t_ok
-      r.lr_tally.t_shed r.lr_tally.t_expired r.lr_tally.t_failed
-      (let tot =
-         r.lr_tally.t_ok + r.lr_tally.t_shed + r.lr_tally.t_expired
-         + r.lr_tally.t_failed
-       in
-       if tot = 0 then 0.0
-       else float_of_int r.lr_tally.t_shed /. float_of_int tot)
-      r.lr_p50_ms r.lr_p95_ms r.lr_p99_ms
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"models\": %d,\n\
-    \  \"pool_rows\": %d,\n\
-    \  \"requests_per_load\": %d,\n\
-    \  \"clients\": %d,\n\
-    \  \"max_batch\": %d,\n\
-    \  \"max_delay_ms\": %.3f,\n\
-    \  \"unbatched_capacity_rps\": %.1f,\n\
-    \  \"batched_capacity_rps\": %.1f,\n\
-    \  \"batched_vs_unbatched_speedup\": %.4f,\n\
-    \  \"speedup_at_peak\": %.4f,\n\
-    \  \"unbatched_at_peak\": %s,\n\
-    \  \"loads\": [\n\
-    \    %s\n\
-    \  ],\n\
-    \  \"batch_rows\": { \"batches\": %d, \"mean\": %.2f, \"p50\": %.0f, \
-     \"p99\": %.0f },\n\
-    \  \"shed_below_knee_rate\": %.4f,\n\
-    \  \"bit_identical\": %b\n\
-     }\n"
-    !n_models !pool_rows !requests_per_load !clients
-    options.Options.serve_max_batch options.Options.serve_max_delay_ms
-    unbatched_rps batched_rps speedup speedup_at_peak (load_json un_peak)
-    (String.concat ",\n    " (List.map load_json loads))
-    b_count b_mean (rows_at 0.50) (rows_at 0.99) shed_below_knee bit_identical;
-  close_out oc;
-  Fmt.pr "wrote %s@." !out_path;
+  A.entry a A.Measured ~better:A.Higher ~unit:"x" "batched_vs_unbatched_speedup"
+    speedup;
+  A.write a !out_path;
   Spnc_obs.Snapshot.write_file !metrics_path (Spnc_obs.Snapshot.take ());
   Fmt.pr "wrote %s@." !metrics_path;
-  if not bit_identical then begin
-    Fmt.epr "FAIL: %d served response(s) diverged bitwise from sequential \
-             execution@."
-      mismatches;
-    exit 1
-  end;
-  if speedup < !min_speedup then begin
-    Fmt.epr "FAIL: batched speedup %.2fx below required %.2fx@." speedup
-      !min_speedup;
-    exit 1
-  end
+  A.exit_on_divergence a

@@ -6,8 +6,8 @@
     - compile times are {e measured} wall-clock of this compiler;
     - execution times for specific ISAs/devices come from the calibrated
       machine cost models applied to the generated instruction streams
-      (DESIGN.md §1); real wall-clock of the VM/simulator execution is
-      additionally measured by the Bechamel suite at the end;
+      (DESIGN.md §1); measured wall clock of the execution engines is
+      [spnc_bench]'s (EXPERIMENTS.md);
     - paper numbers are printed alongside for comparison.
 
     Scale: set [SPNC_BENCH_SCALE=paper] for paper-sized models (slow);
@@ -511,71 +511,6 @@ let ablation_buffer_opt () =
   count "naive bufferization" naive;
   count "buffer-optimized" opt
 
-(* -- Bechamel: real wall-clock micro-benchmarks ------------------------------------------------ *)
-
-let bechamel_suite () =
-  header "Bechamel — measured wall-clock on this host (real execution)";
-  let open Bechamel in
-  let model = (Lazy.force W.speaker_models).(0) in
-  let rows = Array.sub (Lazy.force W.speech_clean) 0 (min 256 W.exec_rows) in
-  let vm_opts o = { o with Options.threads = 1; engine = Spnc_cpu.Jit.Vm } in
-  let jit_opts o = { o with Options.threads = 1; engine = Spnc_cpu.Jit.Jit } in
-  let cpu_scalar = Compiler.compile ~options:(vm_opts (W.cpu_novec ())) model in
-  let cpu_vec = Compiler.compile ~options:(vm_opts (W.cpu_avx2 ())) model in
-  let jit_scalar = Compiler.compile ~options:(jit_opts (W.cpu_novec ())) model in
-  let jit_vec = Compiler.compile ~options:(jit_opts (W.cpu_avx2 ())) model in
-  let tf_graph =
-    match Spnc_baselines.Tf_graph.translate model ~marginal:false with
-    | Ok g -> g
-    | Error e -> failwith e
-  in
-  let test name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"spnc"
-      [
-        test "spnc-vm-scalar" (fun () -> ignore (Compiler.execute cpu_scalar rows));
-        test "spnc-vm-vectorized" (fun () -> ignore (Compiler.execute cpu_vec rows));
-        test "spnc-jit-scalar" (fun () -> ignore (Compiler.execute jit_scalar rows));
-        test "spnc-jit-vectorized" (fun () -> ignore (Compiler.execute jit_vec rows));
-        test "spflow-interpreter" (fun () ->
-            ignore (Spnc_baselines.Spflow_interp.log_likelihood_batch model rows));
-        test "tf-graph-executor" (fun () ->
-            ignore (Spnc_baselines.Tf_graph.execute tf_graph rows));
-        test "reference-evaluator" (fun () ->
-            ignore (Array.map (Spnc_spn.Infer.log_likelihood model) rows));
-        test "compile-cpu-novec" (fun () ->
-            ignore
-              (Compiler.compile
-                 ~options:{ (W.cpu_novec ()) with use_kernel_cache = false }
-                 model));
-        test "compile-cache-hit" (fun () ->
-            ignore (Compiler.compile ~options:(W.cpu_novec ()) model));
-      ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows_n = Array.length rows in
-  let entries =
-    Hashtbl.fold
-      (fun name result acc ->
-        match Analyze.OLS.estimates result with
-        | Some (est :: _) -> (name, est) :: acc
-        | _ -> acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, ns) ->
-      Fmt.pr "%-32s %14.1f ns/call  (%.1f ns/sample over %d rows)@." name ns
-        (ns /. float_of_int rows_n)
-        rows_n)
-    entries
-
 (* -- Main ---------------------------------------------------------------------------------------- *)
 
 let () =
@@ -597,5 +532,4 @@ let () =
   ablation_gpu_copy_opt ();
   ablation_gather_tables ();
   ablation_buffer_opt ();
-  bechamel_suite ();
   Fmt.pr "@.done.@."

@@ -1,423 +1,248 @@
-(** bench_check — the CI perf-regression gate (docs/OBSERVABILITY.md).
-
-    Compares freshly produced bench artifacts (BENCH_cpu.json,
-    BENCH_gpu.json, and the Obs metrics snapshots) against baselines
-    committed under [ci/baselines/].  Shared CI runners are far too
-    noisy for tight wall-clock gates, so the policy is deliberately
-    asymmetric:
-
-    {b hard failures} (exit 1) — things that are never noise:
-    - an unreadable / unparseable fresh artifact (it was produced by the
-      same CI run, so a broken one means the bench itself broke);
-    - a bit-identity break ([bit_identical] /
-      [outputs_bit_identical] false in the fresh run) — engines or
-      schedules diverging is a correctness bug, not a perf wobble;
-    - a wall-clock latency blowup of more than [!blowup] (default 3x)
-      over the baseline that is also more than [!abs_guard_ms] in
-      absolute terms (tiny numbers triple on a cache hiccup);
-    - a {e modelled} (deterministic) GPU time that moved more than the
-      blowup factor — those numbers have no noise excuse.
-
-    {b report-only} (WARN lines, exit 0) — everything else: moderate
-    latency drift, speedup erosion, metric-snapshot differences, all
-    ratio checks when the fresh and baseline runs were produced at
-    different workload scales ([scale] field mismatch), and a missing
-    or unparsable {e baseline} under [ci/baselines/] — a branch that
-    has not committed baselines yet (or whose baseline format predates
-    a schema change) gets its comparisons skipped with a WARN, not a
-    red build.
+(** bench_check — the CI perf gate (docs/OBSERVABILITY.md).
 
     {v
-    bench_check --cpu BENCH_cpu.json --cpu-baseline ci/baselines/BENCH_cpu.json \
-                --gpu BENCH_gpu.json --gpu-baseline ci/baselines/BENCH_gpu.json \
-                --metrics METRICS_cpu.json --metrics-baseline ci/baselines/METRICS_cpu.json
-    v} *)
+    bench_check FRESH[=BASELINE] ...
+    v}
+
+    One rule set for every artifact it is given: the [spnc-bench-v1]
+    artifacts of bench_cpu, bench_gpu and bench_serve, the pass-ordering
+    leaderboard ([spnc-passorder-v1]) and the DSE report
+    ([spnc-dse-v1]).  Each [spnc-bench-v1] entry carries its own policy
+    (bench/artifact.ml), so the gate names no metric.
+
+    {b Hard failures} (exit 1) — things that are never noise:
+    - the fresh artifact is unreadable, malformed, or of another schema;
+    - any [bit_identical] is [false], or none is [true] ([null] means
+      "not measured");
+    - an element of [checks], or an element of [entries] that is not a
+      metric (a leaderboard ordering), has no [bit_identical];
+    - the schema's [entries] list is empty;
+    - a baseline [metric] is missing from the fresh artifact;
+    - an entry whose baseline has a [hard] factor is worse than [hard]
+      times its baseline value at the same [scale] — and, for a measured
+      time, also more than 10 ms worse (tiny numbers triple on a cache
+      hiccup);
+    - a baseline is given without a fresh artifact.
+
+    {b WARNs} (exit 0): a value worse than its baseline by more than its
+    [bound]; a [scale] mismatch, which demotes [hard] to a WARN; a
+    missing, unreadable or foreign baseline; a fresh metric the baseline
+    lacks.  The baseline's entry sets the policy, so a bench that stops
+    declaring a gate cannot lift it.  With nothing to check, exit 2. *)
 
 module Json = Spnc_obs.Json
-module Snapshot = Spnc_obs.Snapshot
 
-let cpu_path = ref ""
-let cpu_baseline = ref ""
-let gpu_path = ref ""
-let gpu_baseline = ref ""
-let serve_path = ref ""
-let serve_baseline = ref ""
-let metrics_path = ref ""
-let metrics_baseline = ref ""
-let passorder_path = ref ""
-let passorder_baseline = ref ""
-let blowup = ref 3.0
-let abs_guard_ms = ref 10.0
+let usage = "bench_check FRESH[=BASELINE] ..."
 
-let spec =
-  [
-    ("--cpu", Arg.Set_string cpu_path, "FILE Fresh BENCH_cpu.json");
-    ("--cpu-baseline", Arg.Set_string cpu_baseline, "FILE Committed CPU baseline");
-    ("--gpu", Arg.Set_string gpu_path, "FILE Fresh BENCH_gpu.json");
-    ("--gpu-baseline", Arg.Set_string gpu_baseline, "FILE Committed GPU baseline");
-    ("--serve", Arg.Set_string serve_path, "FILE Fresh BENCH_serve.json");
-    ( "--serve-baseline",
-      Arg.Set_string serve_baseline,
-      "FILE Committed serving baseline" );
-    ("--metrics", Arg.Set_string metrics_path, "FILE Fresh metrics snapshot");
-    ( "--metrics-baseline",
-      Arg.Set_string metrics_baseline,
-      "FILE Committed metrics-snapshot baseline" );
-    ( "--passorder",
-      Arg.Set_string passorder_path,
-      "FILE Fresh PASSORDER_cpu.json pass-ordering leaderboard" );
-    ( "--passorder-baseline",
-      Arg.Set_string passorder_baseline,
-      "FILE Committed pass-ordering leaderboard baseline" );
-    ( "--blowup",
-      Arg.Set_float blowup,
-      "X Hard-fail latency ratio threshold (default 3.0)" );
-    ( "--abs-guard-ms",
-      Arg.Set_float abs_guard_ms,
-      "MS Absolute regression floor below which ratios never hard-fail \
-       (default 10)" );
-  ]
+(* a measured time must also be this much worse before a blowup fails *)
+let floor_ms = 10.0
 
-let usage = "bench_check --cpu FILE --cpu-baseline FILE [options]"
+(* the schemas the gate reads, and whether each must carry [entries] *)
+let schemas =
+  [ ("spnc-bench-v1", true); ("spnc-passorder-v1", true); ("spnc-dse-v1", false) ]
 
 let failures = ref 0
 let fail fmt = Printf.ksprintf (fun s -> incr failures; Printf.printf "FAIL: %s\n" s) fmt
 let warn fmt = Printf.ksprintf (fun s -> Printf.printf "WARN: %s\n" s) fmt
 let info fmt = Printf.ksprintf (fun s -> Printf.printf "  ok: %s\n" s) fmt
+let field = Json.member
+let str k j = Option.bind (field k j) Json.str
+let items k j = Option.value ~default:[] (Option.bind (field k j) Json.list)
 
-(* A broken FRESH artifact is a hard failure (the same CI run produced
-   it); a broken BASELINE is report-only — branches without committed
-   baselines, or baselines predating a schema change, skip the
-   comparison with a WARN instead of going red. *)
-let load ?(baseline = false) name path : Json.t option =
-  if path = "" then None
-  else
-    match Json.parse_file path with
-    | Ok j -> Some j
-    | Error e ->
-        if baseline then
-          warn "%s: cannot read %s: %s — comparisons skipped" name path e
-        else fail "%s: cannot read %s: %s" name path e;
-        None
+(* -- identity -------------------------------------------------------------- *)
 
-let get_num j path = Option.bind (Json.find j path) Json.num
-let get_bool j path = Option.bind (Json.find j path) Json.bool
-let get_str j path = Option.bind (Json.find j path) Json.str
+(* every [bit_identical] in the document, with the object that holds it *)
+let rec identity_bits j =
+  match j with
+  | Json.Obj fields ->
+      List.concat_map
+        (fun (k, v) ->
+          (if k = "bit_identical" then [ (v, j) ] else []) @ identity_bits v)
+        fields
+  | Json.List l -> List.concat_map identity_bits l
+  | _ -> []
 
-(* Compare one lower-is-better number.  [hard] selects whether a blowup
-   may fail the gate (wall-clock at matching scale, or modelled numbers);
-   [unit_ms] converts the value to ms for the absolute guard. *)
-let check_lower ~name ~key ~hard ~unit_ms fresh baseline =
-  match (get_num fresh key, get_num baseline key) with
-  | Some f, Some b when b > 0.0 ->
-      let ratio = f /. b in
-      let delta_ms = (f -. b) *. unit_ms in
-      if ratio > !blowup && delta_ms > !abs_guard_ms && hard then
-        fail "%s %s: %.4g vs baseline %.4g (%.2fx > %.1fx blowup)" name key f b
-          ratio !blowup
-      else if ratio > 1.25 then
-        warn "%s %s: %.4g vs baseline %.4g (%.2fx)" name key f b ratio
-      else info "%s %s: %.4g vs baseline %.4g (%.2fx)" name key f b ratio
-  | Some _, Some _ -> () (* zero baseline: nothing meaningful to compare *)
-  | None, _ -> fail "%s: missing %s in fresh artifact" name key
-  | _, None -> warn "%s: baseline has no %s (new metric?)" name key
-
-(* Higher-is-better numbers (speedups, throughput) are always
-   report-only: CI hosts routinely halve throughput under contention. *)
-let check_higher ~name ~key fresh baseline =
-  match (get_num fresh key, get_num baseline key) with
-  | Some f, Some b when b > 0.0 && f > 0.0 ->
-      let ratio = b /. f in
-      if ratio > 1.25 then
-        warn "%s %s: %.4g vs baseline %.4g (%.2fx worse)" name key f b ratio
-      else info "%s %s: %.4g vs baseline %.4g" name key f b
-  | _ -> ()
-
-let check_bit ~name ~key fresh =
-  match get_bool fresh key with
-  | Some true -> info "%s %s: true" name key
-  | Some false -> fail "%s: %s is FALSE — outputs diverged" name key
-  | None -> fail "%s: missing %s in fresh artifact" name key
-
-let scales_match ~name fresh baseline =
-  match (get_str fresh "scale", get_str baseline "scale") with
-  | Some a, Some b when a = b -> true
-  | Some a, Some b ->
-      warn
-        "%s: scale %S vs baseline %S — latency ratios are report-only for \
-         this artifact"
-        name a b;
-      false
-  | _ ->
-      warn "%s: missing scale field; latency ratios are report-only" name;
-      false
-
-let check_cpu fresh baseline =
-  let name = "cpu" in
-  (* correctness gate first: fresh-run bit identity is scale-independent *)
-  check_bit ~name ~key:"bit_identical" fresh;
-  let hard = scales_match ~name fresh baseline in
-  (* wall-clock: hard only at matching scale, and only past the blowup
-     factor + absolute guard *)
-  check_lower ~name ~key:"best_cpu.jit_seconds" ~hard ~unit_ms:1e3 fresh baseline;
-  check_lower ~name ~key:"scalar.jit_seconds" ~hard ~unit_ms:1e3 fresh baseline;
-  check_lower ~name ~key:"sustained.pool.p50_ms" ~hard ~unit_ms:1.0 fresh baseline;
-  check_lower ~name ~key:"sustained.pool.p99_ms" ~hard ~unit_ms:1.0 fresh baseline;
-  check_higher ~name ~key:"jit_speedup" fresh baseline;
-  check_higher ~name ~key:"sustained.pool_speedup" fresh baseline;
-  check_higher ~name ~key:"sustained.pool.calls_per_sec" fresh baseline;
-  (* cold start (persistent kernel cache vs full pipeline): report-only —
-     compile times on shared runners swing with I/O contention, and a
-     baseline predating the cache just WARNs "new metric" *)
-  check_lower ~name ~key:"cold_start.full_compile_seconds" ~hard:false
-    ~unit_ms:1e3 fresh baseline;
-  check_lower ~name ~key:"cold_start.disk_hit_seconds" ~hard:false ~unit_ms:1e3
-    fresh baseline;
-  check_higher ~name ~key:"cold_start.speedup" fresh baseline;
-  (* Fig. 6 DSE + auto-tuner section.  Hard gates are reserved for bit
-     identity (a measured candidate or fig6 point diverging from the
-     scalar reference is a miscompile, never noise); everything else —
-     the paper-shape ordering, the tuner finding a config at least as
-     good as the fixed default, the cost-model/wall rank correlation —
-     is WARN-only, because small-scale modelled gaps and shared-runner
-     wall clocks both wobble *)
-  check_bit ~name ~key:"fig6_cpu_dse.bit_identical" fresh;
-  check_bit ~name ~key:"fig6_cpu_dse.autotune.all_measured_bit_identical" fresh;
-  let warn_bool key =
-    match get_bool fresh key with
-    | Some true -> info "%s %s: true" name key
-    | Some false -> warn "%s: %s is false" name key
-    | None -> warn "%s: missing %s (bench predates the DSE section?)" name key
-  in
-  warn_bool "fig6_cpu_dse.order_ok";
-  warn_bool "fig6_cpu_dse.autotune.best_no_slower_than_default";
-  (match get_num fresh "fig6_cpu_dse.autotune.spearman" with
-  | Some rho when rho < 0.0 -> (
-      (* name the dimension the cost model prices backwards instead of
-         leaving a bare coefficient in the log (EXPERIMENTS.md §DSE) *)
-      match get_str fresh "fig6_cpu_dse.autotune.inverted_dimensions" with
-      | Some dims when dims <> "" ->
-          warn
-            "%s: autotune spearman(est, wall) = %.2f — cost model ranks the \
-             %s dimension(s) opposite to the wall clock over the measured \
-             candidates"
-            name rho dims
+let check_identity name j =
+  let bits = identity_bits j in
+  List.iter
+    (fun (v, holder) ->
+      match v with
+      | Json.Bool true | Json.Null -> ()
+      | Json.Bool false ->
+          fail "%s: outputs diverged: %s" name (Json.to_string holder)
       | _ ->
-          warn
-            "%s: autotune spearman(est, wall) = %.2f (anti-correlated, but \
-             no single dimension is inverted: the measured set is too \
-             homogeneous for rank stability)"
-            name rho)
-  | Some rho -> info "%s fig6_cpu_dse.autotune.spearman: %.2f" name rho
-  | None -> info "%s fig6_cpu_dse.autotune.spearman: n/a (< 3 measurements)" name);
-  check_lower ~name ~key:"fig6_cpu_dse.autotune.best_est_seconds" ~hard:false
-    ~unit_ms:1e3 fresh baseline;
-  check_higher ~name ~key:"fig6_cpu_dse.autotune.space_size" fresh baseline
+          fail "%s: malformed bit_identical in %s" name (Json.to_string holder))
+    bits;
+  (match List.length (List.filter (fun (v, _) -> v = Json.Bool true) bits) with
+  | 0 -> fail "%s: no bit_identical is true" name
+  | n -> info "%s: %d identity bit(s) true" name n);
+  (* an identity record without its bit would pass unnoticed *)
+  List.iter
+    (fun e ->
+      if field "metric" e = None && field "bit_identical" e = None then
+        fail "%s: no bit_identical in %s" name (Json.to_string e))
+    (items "checks" j @ items "entries" j)
 
-let check_gpu fresh baseline =
-  let name = "gpu" in
-  check_bit ~name ~key:"outputs_bit_identical" fresh;
-  let same_scale = scales_match ~name fresh baseline in
-  (* GPU times are modelled, hence deterministic: gate them whenever the
-     scale matches, with no absolute guard excuse — use a tiny floor so
-     float formatting jitter cannot trip it *)
-  let check_modelled key =
-    match (get_num fresh key, get_num baseline key) with
-    | Some f, Some b when b > 0.0 ->
-        let ratio = f /. b in
-        if same_scale && ratio > !blowup then
-          fail "%s %s (modelled): %.6g vs baseline %.6g (%.2fx)" name key f b
-            ratio
-        else if ratio > 1.05 || ratio < 0.95 then
-          warn "%s %s (modelled): %.6g vs baseline %.6g (%.2fx)" name key f b
-            ratio
-        else info "%s %s: %.6g vs baseline %.6g" name key f b
-    | Some _, Some _ -> ()
-    | None, _ -> fail "%s: missing %s in fresh artifact" name key
-    | _, None -> warn "%s: baseline has no %s" name key
-  in
-  check_modelled "monolithic.total_seconds";
-  check_modelled "streams_4.total_seconds";
-  check_modelled "transfer_fraction";
-  check_higher ~name ~key:"speedup_streams_4" fresh baseline
+(* -- metric entries -------------------------------------------------------- *)
 
-(* Serving bench (BENCH_serve.json).  Hard gates: bit identity only — a
-   batched response diverging from sequential per-request execution is a
-   scatter/coalescing bug, never noise.  Throughput, speedups and tail
-   latencies are WARN past the blowup factor: the serving numbers are
-   client-side-bound on small CI hosts, so wall gates would flap. *)
-let check_serve fresh baseline =
-  let name = "serve" in
-  check_bit ~name ~key:"bit_identical" fresh;
-  (match get_num fresh "shed_below_knee_rate" with
-  | Some r when r > 0.0 ->
-      warn
-        "%s: shed_below_knee_rate = %.4f — requests were shed below the \
-         capacity knee (admission caps too tight for this host?)"
-        name r
-  | Some _ -> info "%s shed_below_knee_rate: 0" name
-  | None -> fail "%s: missing shed_below_knee_rate in fresh artifact" name);
-  let drift key =
-    match (get_num fresh key, get_num baseline key) with
-    | Some f, Some b when b > 0.0 && f > 0.0 ->
-        let worse = b /. f in
-        if worse > !blowup then
-          warn "%s %s: %.4g vs baseline %.4g (%.2fx worse than the %.1fx drift \
-                guard)" name key f b worse !blowup
-        else if worse > 1.25 then
-          warn "%s %s: %.4g vs baseline %.4g (%.2fx worse)" name key f b worse
-        else info "%s %s: %.4g vs baseline %.4g" name key f b
-    | Some _, Some _ -> ()
-    | None, _ -> fail "%s: missing %s in fresh artifact" name key
-    | _, None -> warn "%s: baseline has no %s (new metric?)" name key
-  in
-  drift "batched_capacity_rps";
-  drift "batched_vs_unbatched_speedup";
-  drift "speedup_at_peak";
-  check_lower ~name ~key:"unbatched_at_peak.p99_ms" ~hard:false ~unit_ms:1.0
-    fresh baseline
+type entry = {
+  metric : string;
+  unit_ : string;
+  value : float option;  (** [None]: not measured *)
+  measured : bool;
+  higher : bool;
+  bound : float option;
+  hard : float option;
+}
 
-(* Pass-ordering leaderboard (PASSORDER_cpu.json, written by spnc_fuzz
-   --smith-explore).  Hard gates: a wrong schema (the explorer and the
-   gate disagree about the format) and any entry with
-   [bit_identical=false] — a leaderboard is a promotion shortlist, and a
-   miscompiling ordering on it must go red before anyone promotes it
-   with --passorder-file.  Baseline comparison is WARN-only drift: the
-   winning ordering changing, or its profiled cycle estimate moving, is
-   information for a human, not a regression. *)
-let check_passorder fresh baseline =
-  let name = "passorder" in
-  (match get_str fresh "schema" with
-  | Some "spnc-passorder-v1" -> info "%s schema: spnc-passorder-v1" name
-  | Some s -> fail "%s: unknown schema %S (expected spnc-passorder-v1)" name s
-  | None -> fail "%s: missing schema field" name);
-  let entries j =
-    match Option.bind (Json.find j "entries") Json.list with
-    | Some l -> l
-    | None -> []
+let parse_entry e : (entry, string) result =
+  let ( let* ) = Result.bind in
+  let need k = Option.to_result ~none:k (str k e) in
+  let opt_num k =
+    match field k e with
+    | None | Some Json.Null -> Ok None
+    | Some (Json.Num x) -> Ok (Some x)
+    | Some _ -> Error k
   in
-  let fresh_entries = entries fresh in
-  if fresh_entries = [] then fail "%s: leaderboard has no entries" name
-  else begin
-    List.iter
-      (fun e ->
-        let order =
-          Option.value ~default:"?"
-            (Option.bind (Json.member "order" e) Json.str)
-        in
-        match Option.bind (Json.member "bit_identical" e) Json.bool with
-        | Some true -> ()
-        | Some false ->
-            fail
-              "%s: ordering %S is NOT bit-identical to the default — a \
-               miscompiling ordering must never sit on the promotion \
-               shortlist"
-              name order
-        | None -> fail "%s: entry %S missing bit_identical" name order)
-      fresh_entries;
-    let best j =
-      match entries j with
-      | e :: _ ->
-          ( Option.bind (Json.member "order" e) Json.str,
-            Option.bind (Json.member "est_cycles" e) Json.num )
-      | [] -> (None, None)
-    in
-    let f_order, f_cycles = best fresh in
-    (match f_order with
-    | Some o -> info "%s best ordering: %s" name o
-    | None -> ());
-    match baseline with
-    | None -> ()
-    | Some b ->
-        let b_order, b_cycles = best b in
-        (match (f_order, b_order) with
-        | Some f, Some bo when f <> bo ->
-            warn "%s: best ordering changed: %S -> %S" name bo f
-        | _ -> ());
-        (match (f_cycles, b_cycles) with
-        | Some f, Some bc when bc > 0.0 && f /. bc > 1.25 ->
-            warn "%s: best est_cycles %.4g vs baseline %.4g (%.2fx)" name f bc
-              (f /. bc)
-        | _ -> ())
-  end
+  let* metric = need "metric" in
+  let* unit_ = need "unit" in
+  let* kind = need "kind" in
+  let* better = need "better" in
+  let* value = opt_num "value" in
+  let* bound = opt_num "bound" in
+  let* hard = opt_num "hard" in
+  if not (List.mem kind [ "measured"; "modelled"; "count" ]) then Error "kind"
+  else if not (List.mem better [ "lower"; "higher" ]) then Error "better"
+  else
+    Ok
+      {
+        metric;
+        unit_;
+        value;
+        measured = kind = "measured";
+        higher = better = "higher";
+        bound;
+        hard;
+      }
 
-(* Metrics snapshots are report-only: they carry workload-dependent
-   counters (rows, chunks, steals) that legitimately move.  What the
-   diff surfaces is disappearing instrumentation and wild counter
-   swings, both of which deserve a human look but not a red build. *)
-let check_metrics fresh_j baseline_j =
-  let parse which j =
-    match Snapshot.of_json j with
-    | Ok s -> Some s
-    | Error e ->
-        if which = "baseline" then
-          warn "metrics %s: not a valid snapshot: %s — comparisons skipped"
-            which e
-        else fail "metrics %s: not a valid snapshot: %s" which e;
-        None
+(* the metric entries of [j]; [bad] reports each malformed one *)
+let metric_entries ~bad j =
+  List.filter_map
+    (fun e ->
+      if field "metric" e = None then None
+      else
+        match parse_entry e with
+        | Ok x -> Some x
+        | Error k ->
+            bad (Printf.sprintf "malformed %s in %s" k (Json.to_string e));
+            None)
+    (items "entries" j)
+
+(* [fresh] against [base], under [base]'s policy *)
+let compare_entry name ~same_scale (fresh : entry) (base : entry) =
+  match (fresh.value, base.value) with
+  | None, _ | _, None -> info "%s %s: not measured" name base.metric
+  | Some f, Some b -> (
+      let line =
+        Printf.sprintf "%s %s: %.6g %s vs baseline %.6g" name base.metric f
+          base.unit_ b
+      in
+      (* how many times worse, and the relative worsening (> 0: worse) *)
+      let factor =
+        if not base.higher then f /. b else if f <= 0.0 then infinity else b /. f
+      in
+      let rel = (if base.higher then b -. f else f -. b) /. Float.abs b in
+      let past_floor =
+        match base.unit_ with
+        | "s" when base.measured -> Float.abs (f -. b) *. 1e3 > floor_ms
+        | "ms" when base.measured -> Float.abs (f -. b) > floor_ms
+        | _ -> true
+      in
+      match base.hard with
+      | Some h when b > 0.0 && factor > h && past_floor ->
+          if same_scale then fail "%s (%.2fx worse, hard limit %gx)" line factor h
+          else warn "%s (%.2fx worse; no hard limit across scales)" line factor
+      | _ -> (
+          match base.bound with
+          | Some bound when b <> 0.0 && rel > bound ->
+              warn "%s (%.0f%% worse, bound %.0f%%)" line (100.0 *. rel)
+                (100.0 *. bound)
+          | _ -> info "%s" line))
+
+let compare_to_baseline name ~fresh ~fresh_entries baseline =
+  let same_scale =
+    match (str "scale" fresh, str "scale" baseline) with
+    | a, b when a = b -> true
+    | a, b ->
+        let show = Option.value ~default:"none" in
+        warn "%s: scale %s vs baseline %s — hard limits only WARN" name (show a)
+          (show b);
+        false
   in
-  match (parse "fresh" fresh_j, parse "baseline" baseline_j) with
-  | Some fresh, Some baseline ->
-      let fresh_names = List.map fst fresh.Snapshot.metrics in
-      List.iter
-        (fun (bname, bm) ->
-          match List.assoc_opt bname fresh.Snapshot.metrics with
-          | None ->
-              warn "metrics: %s present in baseline but missing from fresh run"
-                bname
-          | Some fm -> (
-              match (bm, fm) with
-              | Snapshot.Counter b, Snapshot.Counter f
-                when b > 0 && (f = 0 || f > 20 * b) ->
-                  warn "metrics: counter %s moved %d -> %d" bname b f
-              | _ -> ()))
-        baseline.Snapshot.metrics;
-      List.iter
-        (fun fname ->
-          if not (List.mem_assoc fname baseline.Snapshot.metrics) then
-            info "metrics: new instrument %s (not in baseline)" fname)
-        fresh_names
-  | _ -> ()
+  let base_entries =
+    metric_entries ~bad:(warn "%s baseline: %s" name) baseline
+  in
+  List.iter
+    (fun (b : entry) ->
+      match
+        List.find_opt (fun (f : entry) -> f.metric = b.metric) fresh_entries
+      with
+      | Some f -> compare_entry name ~same_scale f b
+      | None ->
+          fail "%s: metric %s is missing from the fresh artifact" name b.metric)
+    base_entries;
+  List.iter
+    (fun (f : entry) ->
+      if not (List.exists (fun (b : entry) -> b.metric = f.metric) base_entries)
+      then warn "%s: %s is not in the baseline (new metric?)" name f.metric)
+    fresh_entries
+
+(* -- one artifact ---------------------------------------------------------- *)
+
+let check_artifact name baseline_path =
+  match Json.parse_file name with
+  | Error e -> fail "%s: cannot read: %s" name e
+  | Ok fresh -> (
+      let schema = str "schema" fresh in
+      match Option.bind schema (fun s -> List.assoc_opt s schemas) with
+      | None ->
+          fail "%s: schema %s is not one of %s" name
+            (Option.value ~default:"(none)" schema)
+            (String.concat ", " (List.map fst schemas))
+      | Some needs_entries -> (
+          check_identity name fresh;
+          if needs_entries && items "entries" fresh = [] then
+            fail "%s: entries list is empty or missing" name;
+          let fresh_entries = metric_entries ~bad:(fail "%s: %s" name) fresh in
+          match baseline_path with
+          | None -> warn "%s: no baseline given — comparisons skipped" name
+          | Some bp -> (
+              match Json.parse_file bp with
+              | Error e ->
+                  warn "%s: cannot read baseline %s: %s — comparisons skipped"
+                    name bp e
+              | Ok baseline when str "schema" baseline <> schema ->
+                  warn "%s: baseline %s has another schema — comparisons skipped"
+                    name bp
+              | Ok baseline ->
+                  compare_to_baseline name ~fresh ~fresh_entries baseline)))
 
 let () =
-  Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
-  let pair what fresh baseline k =
-    match (fresh, baseline) with
-    | "", "" -> ()
-    | "", _ -> fail "%s: baseline given but no fresh artifact" what
-    | _, "" ->
-        warn "%s: no baseline configured — comparisons skipped" what
-    | f, b -> (
-        match (load what f, load ~baseline:true (what ^ " baseline") b) with
-        | Some fj, Some bj -> k fj bj
-        | Some _, None | None, _ -> ()
-        (* load already recorded the failure or warning *))
-  in
-  pair "cpu" !cpu_path !cpu_baseline check_cpu;
-  pair "gpu" !gpu_path !gpu_baseline check_gpu;
-  pair "serve" !serve_path !serve_baseline check_serve;
-  pair "metrics" !metrics_path !metrics_baseline check_metrics;
-  (* passorder runs its fresh-only gates even without a baseline *)
-  (match !passorder_path with
-  | "" ->
-      if !passorder_baseline <> "" then
-        fail "passorder: baseline given but no fresh artifact"
-  | p -> (
-      match load "passorder" p with
-      | None -> ()
-      | Some fresh ->
-          let baseline =
-            if !passorder_baseline = "" then None
-            else load ~baseline:true "passorder baseline" !passorder_baseline
-          in
-          check_passorder fresh baseline));
-  if
-    !cpu_path = "" && !gpu_path = "" && !serve_path = "" && !metrics_path = ""
-    && !passorder_path = ""
-  then begin
-    prerr_endline "bench_check: nothing to check (see --help)";
+  let args = ref [] in
+  Arg.parse [] (fun a -> args := a :: !args) usage;
+  if !args = [] then begin
+    prerr_endline ("bench_check: nothing to check; usage: " ^ usage);
     exit 2
   end;
+  List.iter
+    (fun arg ->
+      match String.index_opt arg '=' with
+      | None -> check_artifact arg None
+      | Some 0 -> fail "baseline %s given without a fresh artifact" arg
+      | Some i ->
+          check_artifact (String.sub arg 0 i)
+            (Some (String.sub arg (i + 1) (String.length arg - i - 1))))
+    (List.rev !args);
   if !failures > 0 then begin
     Printf.printf "bench_check: %d hard failure(s)\n" !failures;
     exit 1

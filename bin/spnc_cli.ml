@@ -54,20 +54,6 @@ let guarded (f : unit -> int) : int =
         (Spnc_spn.Validate.issues_to_string issues);
       exit_compile_failure
 
-let read_model path : Spnc_spn.Model.t =
-  if Filename.check_suffix path ".spn" then
-    match Spnc_spn.Serialize.read_file path with
-    | Ok m -> m
-    | Error e -> failwith (Printf.sprintf "%s: %s" path e)
-  else
-    let ic = open_in path in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    Spnc_spn.Text.of_string content
-
 let write_model path m =
   if Filename.check_suffix path ".spn" then Spnc_spn.Serialize.write_file path m
   else begin
@@ -195,7 +181,7 @@ let train_cmd =
 
 let inspect path dump_hispn dump_lospn =
   guarded @@ fun () ->
-  let model = read_model path in
+  let model = Spnc_spn.Serialize.read_model path in
   Fmt.pr "%s: %a@." path Spnc_spn.Stats.pp (Spnc_spn.Stats.compute model);
   (match Spnc_spn.Validate.check model with
   | [] -> Fmt.pr "structure: valid (smooth, decomposable, normalized)@."
@@ -557,7 +543,7 @@ let pp_cache_counters () =
 let compile path options dump_ptx verbose obs =
   guarded @@ fun () ->
   with_obs obs @@ fun () ->
-  let model = read_model path in
+  let model = Spnc_spn.Serialize.read_model path in
   let c = Spnc.Compiler.compile ~options model in
   Fmt.pr "model: %a@." Spnc_spn.Stats.pp c.Spnc.Compiler.model_stats;
   Fmt.pr "options: %a@." Spnc.Options.pp options;
@@ -608,7 +594,7 @@ let run path options rows seed verify verbose profile tuned_config autotune obs 
     | None -> options
     | Some p -> load_tuned_config p options
   in
-  let model = read_model path in
+  let model = Spnc_spn.Serialize.read_model path in
   let rng = Spnc_data.Rng.create ~seed in
   let data =
     Array.init rows (fun _ ->
@@ -727,7 +713,7 @@ let tune path options rows seed budget reps no_profile out report obs =
   guarded @@ fun () ->
   with_obs obs @@ fun () ->
   let module T = Spnc_tune.Tune in
-  let model = read_model path in
+  let model = Spnc_spn.Serialize.read_model path in
   let rng = Spnc_data.Rng.create ~seed in
   let data =
     Array.init rows (fun _ ->

@@ -37,20 +37,6 @@ let dir_models dir =
          then Some (model_name_of_path f, Filename.concat dir f)
          else None)
 
-let read_model path : Spnc_spn.Model.t =
-  if Filename.check_suffix path ".spn" then
-    match Spnc_spn.Serialize.read_file path with
-    | Ok m -> m
-    | Error e -> failwith (Printf.sprintf "%s: %s" path e)
-  else
-    let ic = open_in path in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    Spnc_spn.Text.of_string content
-
 (* the same synthetic input stream [spnc_cli run] evaluates: a fresh
    seeded RNG per model, rows x features uniform in [-3, 3) — so the
    mean log-likelihood printed here and by the CLI must agree *)
@@ -217,7 +203,7 @@ let check model_specs addr rows per_request seed concurrency deadline_ms
   let models =
     List.map
       (fun (name, path) ->
-        let m = read_model path in
+        let m = Spnc_spn.Serialize.read_model path in
         (name, m, synthesize_rows ~seed ~rows ~features:m.Spnc_spn.Model.num_features))
       specs
   in

@@ -79,19 +79,7 @@ let loaded t =
 
 let load_model = function
   | Src_model m -> m
-  | Src_path path ->
-      if Filename.check_suffix path ".spn" then
-        match Spnc_spn.Serialize.read_file path with
-        | Ok m -> m
-        | Error e -> failwith (Printf.sprintf "%s: %s" path e)
-      else
-        let ic = open_in path in
-        let content =
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        Spnc_spn.Text.of_string content
+  | Src_path path -> Spnc_spn.Serialize.read_model path
 
 let evict_over_cap t =
   while Hashtbl.length t.engines > t.cap do

@@ -256,3 +256,19 @@ let read_file path : (Model.t, string) result =
       let n = in_channel_length ic in
       let s = really_input_string ic n in
       of_string s)
+
+(** [read_model path] — a [.spn] binary model, or any other file as the
+    text DSL. *)
+let read_model path : Model.t =
+  if Filename.check_suffix path ".spn" then
+    match read_file path with
+    | Ok m -> m
+    | Error e -> failwith (Printf.sprintf "%s: %s" path e)
+  else
+    let ic = open_in path in
+    let content =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    in
+    Text.of_string content

@@ -27,3 +27,9 @@ val of_string_exn : string -> Model.t
 
 val write_file : string -> Model.t -> unit
 val read_file : string -> (Model.t, string) result
+
+(** [read_model path] reads a model file: the binary format for a [.spn]
+    suffix, the text DSL ({!Text}) otherwise.
+    @raise Failure ["path: reason"] on a malformed binary file; the
+    DSL parser's and [open_in]'s exceptions pass through. *)
+val read_model : string -> Model.t
