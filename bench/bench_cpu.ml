@@ -326,7 +326,7 @@ let bench_cold_start a ~models =
     "cold start (%d models): full compile %.4fs  disk-served %.4fs  speedup \
      %.2fx  (%d disk hit(s))@."
     (Array.length models) full_s disk_s (full_s /. disk_s) disk_hits;
-  A.entry a A.Measured ~unit:"s" "cold_start.full_compile_seconds" full_s;
+  A.entry a A.Measured ~unit:"s" ~hard:true "cold_start.full_compile_seconds" full_s;
   A.entry a A.Measured ~unit:"s" "cold_start.disk_hit_seconds" disk_s;
   A.entry a A.Measured ~better:A.Higher ~unit:"x" "cold_start.speedup"
     (full_s /. disk_s);

@@ -24,49 +24,71 @@ let class_of_type (t : Types.t) : cls =
   | Types.MemRef _ | Types.Tensor _ -> CB
   | t -> fail "isel: no register class for type %s" (Types.to_string t)
 
+(* A growable array; [push] appends and returns the new element's index. *)
+type 'a buf = { mutable data : 'a array; mutable len : int }
+
+let buf x = { data = Array.make 64 x; len = 0 }
+
+let push b x =
+  if b.len = Array.length b.data then begin
+    let d = Array.make (2 * b.len) x in
+    Array.blit b.data 0 d 0 b.len;
+    b.data <- d
+  end;
+  b.data.(b.len) <- x;
+  b.len <- b.len + 1;
+  b.len - 1
+
+let contents b = Array.sub b.data 0 b.len
+
+(* Registers are minted densely per class and value ids are dense per
+   module, so all per-register and per-value state is arrays. *)
 type st = {
-  mutable nf : int;
-  mutable ni : int;
-  mutable nv : int;
-  mutable nb : int;
-  regs : (int, cls * Lir.reg) Hashtbl.t;  (** cir value id -> register *)
-  const_ints : (int, int) Hashtbl.t;  (** int registers with known value *)
+  (* per class, the provenance of each minted register (from the defining
+     cir op); the class's register count is the buffer's length *)
+  lf : Loc.t buf;
+  li : Loc.t buf;
+  lv : Loc.t buf;
+  lb : Loc.t buf;
+  iconst : int option buf;  (** per int register, its value if constant *)
+  mutable vid_reg : int array;  (** cir value id -> register, valid ... *)
+  mutable vid_func : int array;  (** ... when this equals [func] *)
+  mutable func : int;  (** number of the function being selected *)
   func_index : (string, int) Hashtbl.t;
   mutable max_vec_width : int;
-  reg_locs : (cls * Lir.reg, Loc.t) Hashtbl.t;
-      (** provenance of each minted register (from the defining cir op) *)
   mutable cur_loc : Loc.t;  (** location of the op being selected *)
 }
 
 let fresh st (c : cls) : Lir.reg =
   match c with
-  | CF ->
-      let r = st.nf in
-      st.nf <- st.nf + 1;
-      r
+  | CF -> push st.lf st.cur_loc
   | CI ->
-      let r = st.ni in
-      st.ni <- st.ni + 1;
-      r
-  | CV ->
-      let r = st.nv in
-      st.nv <- st.nv + 1;
-      r
-  | CB ->
-      let r = st.nb in
-      st.nb <- st.nb + 1;
-      r
+      ignore (push st.iconst None);
+      push st.li st.cur_loc
+  | CV -> push st.lv st.cur_loc
+  | CB -> push st.lb st.cur_loc
 
 let reg_of st (v : Ir.value) : Lir.reg =
-  match Hashtbl.find_opt st.regs v.Ir.vid with
-  | Some (_, r) -> r
-  | None -> fail "isel: value %%%d has no register" v.Ir.vid
+  let id = v.Ir.vid in
+  if id >= 0 && id < Array.length st.vid_func && st.vid_func.(id) = st.func
+  then st.vid_reg.(id)
+  else fail "isel: value %%%d has no register" id
 
 let def st (v : Ir.value) : Lir.reg =
-  let c = class_of_type v.Ir.vty in
-  let r = fresh st c in
-  Hashtbl.replace st.regs v.Ir.vid (c, r);
-  if Loc.is_known st.cur_loc then Hashtbl.replace st.reg_locs (c, r) st.cur_loc;
+  let r = fresh st (class_of_type v.Ir.vty) in
+  let id = v.Ir.vid in
+  let n = Array.length st.vid_reg in
+  if id >= n then begin
+    let grow a x =
+      let a' = Array.make (max (id + 1) (2 * n)) x in
+      Array.blit a 0 a' 0 n;
+      a'
+    in
+    st.vid_reg <- grow st.vid_reg 0;
+    st.vid_func <- grow st.vid_func (-1)
+  end;
+  st.vid_reg.(id) <- r;
+  st.vid_func.(id) <- st.func;
   r
 
 let is_vec (v : Ir.value) = match v.Ir.vty with Types.Vector _ -> true | _ -> false
@@ -96,10 +118,16 @@ let mathfn_of = function
   | "math.log1p" -> Lir.MLog1p
   | n -> fail "isel: unknown math fn %s" n
 
-let rec sel_ops st (ops : Ir.op list) : Lir.instr list =
-  List.concat_map (sel_op st) ops
+(* [scf.yield] selects to nothing, every other op to one instruction. *)
+let rec sel_ops st (ops : Ir.op list) : Lir.instr array =
+  let out = buf Lir.Ret in
+  List.iter
+    (fun (op : Ir.op) ->
+      if op.Ir.name <> "scf.yield" then ignore (push out (sel_op st op)))
+    ops;
+  contents out
 
-and sel_op st (op : Ir.op) : Lir.instr list =
+and sel_op st (op : Ir.op) : Lir.instr =
   st.cur_loc <- op.Ir.loc;
   let o n = Ir.operand_n op n in
   let r0 () = Ir.result op in
@@ -107,71 +135,71 @@ and sel_op st (op : Ir.op) : Lir.instr list =
   | "arith.constant" -> (
       let res = r0 () in
       match (Ir.attr op "value", res.Ir.vty) with
-      | Some (Attr.Float f), Types.Vector _ -> [ Lir.VConst (def st res, f) ]
-      | Some (Attr.Float f), _ -> [ Lir.ConstF (def st res, f) ]
+      | Some (Attr.Float f), Types.Vector _ -> Lir.VConst (def st res, f)
+      | Some (Attr.Float f), _ -> Lir.ConstF (def st res, f)
       | Some (Attr.Int i), Types.Vector _ ->
-          [ Lir.VConst (def st res, float_of_int i) ]
+          Lir.VConst (def st res, float_of_int i)
       | Some (Attr.Int i), (Types.Index | Types.Int _ | Types.Bool) ->
           let r = def st res in
-          Hashtbl.replace st.const_ints r i;
-          [ Lir.ConstI (r, i) ]
-      | Some (Attr.Int i), _ -> [ Lir.ConstF (def st res, float_of_int i) ]
+          st.iconst.data.(r) <- Some i;
+          Lir.ConstI (r, i)
+      | Some (Attr.Int i), _ -> Lir.ConstF (def st res, float_of_int i)
       | _ -> fail "isel: bad constant")
   | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" | "arith.maxf"
   | "arith.minf" ->
       let fb = fbin_of op.Ir.name in
       let a = reg_of st (o 0) and b = reg_of st (o 1) in
-      if is_vec (r0 ()) then [ Lir.VBin (fb, def st (r0 ()), a, b) ]
-      else [ Lir.FBin (fb, def st (r0 ()), a, b) ]
+      if is_vec (r0 ()) then Lir.VBin (fb, def st (r0 ()), a, b)
+      else Lir.FBin (fb, def st (r0 ()), a, b)
   | "arith.addi" ->
-      [ Lir.IBin (Lir.IAdd, def st (r0 ()), reg_of st (o 0), reg_of st (o 1)) ]
+      Lir.IBin (Lir.IAdd, def st (r0 ()), reg_of st (o 0), reg_of st (o 1))
   | "arith.muli" ->
-      [ Lir.IBin (Lir.IMul, def st (r0 ()), reg_of st (o 0), reg_of st (o 1)) ]
+      Lir.IBin (Lir.IMul, def st (r0 ()), reg_of st (o 0), reg_of st (o 1))
   | "arith.divi" ->
-      [ Lir.IBin (Lir.IDiv, def st (r0 ()), reg_of st (o 0), reg_of st (o 1)) ]
+      Lir.IBin (Lir.IDiv, def st (r0 ()), reg_of st (o 0), reg_of st (o 1))
   | "arith.andi" ->
       let a = reg_of st (o 0) and b = reg_of st (o 1) in
       if is_vec (r0 ()) || is_vec (o 0) then
         (* 0/1 masks: conjunction is lane-wise multiplication *)
-        [ Lir.VBin (Lir.FMul, def st (r0 ()), a, b) ]
-      else [ Lir.IBin (Lir.IAnd, def st (r0 ()), a, b) ]
+        Lir.VBin (Lir.FMul, def st (r0 ()), a, b)
+      else Lir.IBin (Lir.IAnd, def st (r0 ()), a, b)
   | "arith.ori" ->
       let a = reg_of st (o 0) and b = reg_of st (o 1) in
       if is_vec (r0 ()) || is_vec (o 0) then
-        [ Lir.VBin (Lir.FMax, def st (r0 ()), a, b) ]
-      else [ Lir.IBin (Lir.IOr, def st (r0 ()), a, b) ]
+        Lir.VBin (Lir.FMax, def st (r0 ()), a, b)
+      else Lir.IBin (Lir.IOr, def st (r0 ()), a, b)
   | "arith.cmpf" ->
       let pred = pred_of (Option.value ~default:"olt" (Ir.string_attr op "predicate")) in
       let a = reg_of st (o 0) and b = reg_of st (o 1) in
       if is_vec (o 0) || is_vec (o 1) then
-        [ Lir.VCmp (pred, def st (r0 ()), a, b) ]
-      else [ Lir.FCmp (pred, def st (r0 ()), a, b) ]
+        Lir.VCmp (pred, def st (r0 ()), a, b)
+      else Lir.FCmp (pred, def st (r0 ()), a, b)
   | "arith.select" -> (
       let c = reg_of st (o 0) and t = reg_of st (o 1) and f = reg_of st (o 2) in
       let res = r0 () in
       match class_of_type res.Ir.vty with
-      | CV -> [ Lir.VSel (def st res, c, t, f) ]
-      | CF -> [ Lir.SelF (def st res, c, t, f) ]
-      | CI -> [ Lir.SelI (def st res, c, t, f) ]
+      | CV -> Lir.VSel (def st res, c, t, f)
+      | CF -> Lir.SelF (def st res, c, t, f)
+      | CI -> Lir.SelI (def st res, c, t, f)
       | CB -> fail "isel: select on buffers")
   | "arith.fptosi" ->
-      if is_vec (r0 ()) then [ Lir.VFloor (def st (r0 ()), reg_of st (o 0)) ]
-      else [ Lir.FtoI (def st (r0 ()), reg_of st (o 0)) ]
-  | "arith.sitofp" -> [ Lir.ItoF (def st (r0 ()), reg_of st (o 0)) ]
+      if is_vec (r0 ()) then Lir.VFloor (def st (r0 ()), reg_of st (o 0))
+      else Lir.FtoI (def st (r0 ()), reg_of st (o 0))
+  | "arith.sitofp" -> Lir.ItoF (def st (r0 ()), reg_of st (o 0))
   | "math.log" | "math.exp" | "math.log1p" ->
       let fn = mathfn_of op.Ir.name in
       let src = reg_of st (o 0) in
       if is_vec (r0 ()) then begin
         if Ir.bool_attr op "veclib" <> Some true then
           fail "isel: vector math without veclib must be scalarized earlier";
-        [ Lir.VCall1 (fn, def st (r0 ()), src) ]
+        Lir.VCall1 (fn, def st (r0 ()), src)
       end
-      else [ Lir.Call1 (fn, def st (r0 ()), src) ]
+      else Lir.Call1 (fn, def st (r0 ()), src)
   | "memref.load" ->
-      [ Lir.Load (def st (r0 ()), reg_of st (o 0), reg_of st (o 1)) ]
+      Lir.Load (def st (r0 ()), reg_of st (o 0), reg_of st (o 1))
   | "memref.store" ->
-      [ Lir.Store (reg_of st (o 0), reg_of st (o 1), reg_of st (o 2)) ]
-  | "memref.dim" -> [ Lir.Dim (def st (r0 ()), reg_of st (o 0)) ]
+      Lir.Store (reg_of st (o 0), reg_of st (o 1), reg_of st (o 2))
+  | "memref.dim" -> Lir.Dim (def st (r0 ()), reg_of st (o 0))
   | "memref.alloc" -> (
       let res = r0 () in
       let cols =
@@ -182,41 +210,39 @@ and sel_op st (op : Ir.op) : Lir.instr list =
               1 dims
         | _ -> 1
       in
-      [ Lir.AllocBuf (def st res, reg_of st (o 0), cols) ])
-  | "memref.dealloc" -> [ Lir.DeallocBuf (reg_of st (o 0)) ]
-  | "memref.copy" -> [ Lir.CopyBuf (reg_of st (o 0), reg_of st (o 1)) ]
+      Lir.AllocBuf (def st res, reg_of st (o 0), cols))
+  | "memref.dealloc" -> Lir.DeallocBuf (reg_of st (o 0))
+  | "memref.copy" -> Lir.CopyBuf (reg_of st (o 0), reg_of st (o 1))
   | "memref.global_table" -> (
       match Ir.dense_attr op "values" with
-      | Some values -> [ Lir.TableConst (def st (r0 ()), values) ]
+      | Some values -> Lir.TableConst (def st (r0 ()), values)
       | None -> fail "isel: global_table without values")
   | "vector.load" ->
-      [ Lir.VLoad (def st (r0 ()), reg_of st (o 0), reg_of st (o 1)) ]
+      Lir.VLoad (def st (r0 ()), reg_of st (o 0), reg_of st (o 1))
   | "vector.store" ->
-      [ Lir.VStore (reg_of st (o 0), reg_of st (o 1), reg_of st (o 2)) ]
+      Lir.VStore (reg_of st (o 0), reg_of st (o 1), reg_of st (o 2))
   | "vector.gather" ->
       let stride = Option.value ~default:1 (Ir.int_attr op "stride") in
-      [ Lir.VGather (def st (r0 ()), reg_of st (o 0), reg_of st (o 1), stride) ]
+      Lir.VGather (def st (r0 ()), reg_of st (o 0), reg_of st (o 1), stride)
   | "vector.shuffled_load" ->
       let stride = Option.value ~default:1 (Ir.int_attr op "stride") in
       let loads = Option.value ~default:1.0 (Ir.float_attr op "loads") in
       let shuffles = Option.value ~default:1.0 (Ir.float_attr op "shuffles") in
-      [
-        Lir.VShufLoad
-          (def st (r0 ()), reg_of st (o 0), reg_of st (o 1), stride, loads, shuffles);
-      ]
+      Lir.VShufLoad
+        (def st (r0 ()), reg_of st (o 0), reg_of st (o 1), stride, loads, shuffles)
   | "vector.gather_indexed" ->
-      [ Lir.VGatherIdx (def st (r0 ()), reg_of st (o 0), reg_of st (o 1)) ]
+      Lir.VGatherIdx (def st (r0 ()), reg_of st (o 0), reg_of st (o 1))
   | "vector.extract" ->
       let lane = Option.value ~default:0 (Ir.int_attr op "lane") in
-      [ Lir.VExtract (def st (r0 ()), reg_of st (o 0), lane) ]
+      Lir.VExtract (def st (r0 ()), reg_of st (o 0), lane)
   | "vector.insert" ->
       let lane = Option.value ~default:0 (Ir.int_attr op "lane") in
-      [ Lir.VInsert (def st (r0 ()), reg_of st (o 0), reg_of st (o 1), lane) ]
-  | "vector.broadcast" -> [ Lir.VBroadcast (def st (r0 ()), reg_of st (o 0)) ]
+      Lir.VInsert (def st (r0 ()), reg_of st (o 0), reg_of st (o 1), lane)
+  | "vector.broadcast" -> Lir.VBroadcast (def st (r0 ()), reg_of st (o 0))
   | "scf.for" ->
       let lb = reg_of st (o 0) and ub = reg_of st (o 1) in
       let step =
-        match Hashtbl.find_opt st.const_ints (reg_of st (o 2)) with
+        match st.iconst.data.(reg_of st (o 2)) with
         | Some s -> s
         | None -> fail "isel: scf.for step must be a constant"
       in
@@ -238,49 +264,40 @@ and sel_op st (op : Ir.op) : Lir.instr list =
         blk.Ir.bops;
       if !width > st.max_vec_width then st.max_vec_width <- !width;
       let body = sel_ops st blk.Ir.bops in
-      [ Lir.Loop { iv; lb; ub; step; body = Array.of_list body; vector_width = !width } ]
-  | "scf.yield" -> []
+      Lir.Loop { iv; lb; ub; step; body; vector_width = !width }
   | "func.call" -> (
       let callee = Option.get (Ir.string_attr op "callee") in
       match Hashtbl.find_opt st.func_index callee with
       | Some idx ->
-          [ Lir.CallFn (idx, List.map (fun v -> reg_of st v) op.Ir.operands) ]
+          Lir.CallFn (idx, List.map (fun v -> reg_of st v) op.Ir.operands)
       | None -> fail "isel: unknown callee %s" callee)
-  | "func.return" -> [ Lir.Ret ]
+  | "func.return" -> Lir.Ret
   | other -> fail "isel: unsupported cir op %s" other
 
 let sel_func st (f : Ir.op) : Lir.func =
-  st.nf <- 0;
-  st.ni <- 0;
-  st.nv <- 0;
-  st.nb <- 0;
-  Hashtbl.reset st.regs;
-  Hashtbl.reset st.const_ints;
-  Hashtbl.reset st.reg_locs;
+  List.iter (fun b -> b.len <- 0) [ st.lf; st.li; st.lv; st.lb ];
+  st.iconst.len <- 0;
+  st.func <- st.func + 1;
   st.cur_loc <- Loc.Unknown;
   st.max_vec_width <- 1;
   let blk = Option.get (Ir.entry_block f) in
   let params = List.map (def st) blk.Ir.bargs in
-  let body = Array.of_list (sel_ops st blk.Ir.bops) in
-  let locs_of c n =
-    Array.init n (fun r ->
-        Option.value ~default:Loc.Unknown (Hashtbl.find_opt st.reg_locs (c, r)))
-  in
+  let body = sel_ops st blk.Ir.bops in
   {
     Lir.fname = Option.value ~default:"?" (Ir.string_attr f "sym_name");
     params;
     body;
-    nf = st.nf;
-    ni = st.ni;
-    nv = st.nv;
-    nb = st.nb;
+    nf = st.lf.len;
+    ni = st.li.len;
+    nv = st.lv.len;
+    nb = st.lb.len;
     vec_width = st.max_vec_width;
     prov =
       {
-        Lir.pf = locs_of CF st.nf;
-        pi = locs_of CI st.ni;
-        pv = locs_of CV st.nv;
-        pb = locs_of CB st.nb;
+        Lir.pf = contents st.lf;
+        pi = contents st.li;
+        pv = contents st.lv;
+        pb = contents st.lb;
       };
   }
 
@@ -299,15 +316,16 @@ let run (m : Ir.modul) ~entry : Lir.modul =
     funcs;
   let st =
     {
-      nf = 0;
-      ni = 0;
-      nv = 0;
-      nb = 0;
-      regs = Hashtbl.create 1024;
-      const_ints = Hashtbl.create 64;
+      lf = buf Loc.Unknown;
+      li = buf Loc.Unknown;
+      lv = buf Loc.Unknown;
+      lb = buf Loc.Unknown;
+      iconst = buf None;
+      vid_reg = [||];
+      vid_func = [||];
+      func = 0;
       func_index;
       max_vec_width = 1;
-      reg_locs = Hashtbl.create 1024;
       cur_loc = Loc.Unknown;
     }
   in

@@ -99,6 +99,25 @@ let pure (i : instr) =
       false
   | _ -> true
 
+(* Registers are dense within each class (isel mints them 0, 1, ...), so
+   every per-register map below is one array per class, sized by the
+   function's register counts [nf]/[ni]/[nv].  Accesses are bounds-checked:
+   a hand-built function whose registers exceed its counts raises
+   [Invalid_argument]. *)
+
+(* [filter_map f a]: the instructions [f] keeps, in order. *)
+let filter_map (f : instr -> instr option) (a : instr array) : instr array =
+  let out = Array.make (Array.length a) Ret and n = ref 0 in
+  Array.iter
+    (fun i ->
+      match f i with
+      | Some i ->
+          out.(!n) <- i;
+          incr n
+      | None -> ())
+    a;
+  Array.sub out 0 !n
+
 (* -- Constant folding --------------------------------------------------------- *)
 
 let fbin_eval op a b =
@@ -119,100 +138,170 @@ let ibin_eval op a b =
   | IAnd -> if a <> 0 && b <> 0 then 1 else 0
   | IOr -> if a <> 0 || b <> 0 then 1 else 0
 
-let rec constfold_body (fenv : (reg, float) Hashtbl.t)
-    (ienv : (reg, int) Hashtbl.t) (body : instr array) : instr array =
+(* The known constant value of each float and int register. *)
+type env = {
+  fknown : bool array;
+  fval : float array;
+  iknown : bool array;
+  ival : int array;
+}
+
+let rec constfold_body (env : env) (body : instr array) : instr array =
+  let setf d v =
+    env.fknown.(d) <- true;
+    env.fval.(d) <- v
+  and seti d v =
+    env.iknown.(d) <- true;
+    env.ival.(d) <- v
+  in
   Array.map
     (fun i ->
       match i with
       | ConstF (d, v) ->
-          Hashtbl.replace fenv d v;
+          setf d v;
           i
       | ConstI (d, v) ->
-          Hashtbl.replace ienv d v;
+          seti d v;
           i
       | FBin (FMA, d, _, _) ->
           (* binary FMA is malformed (the addend was dropped); never fold
              it — let it reach the engines, which trap on it *)
-          Hashtbl.remove fenv d;
+          env.fknown.(d) <- false;
           i
-      | FBin (op, d, a, b) -> (
-          match (Hashtbl.find_opt fenv a, Hashtbl.find_opt fenv b) with
-          | Some x, Some y ->
-              let v = fbin_eval op x y in
-              Hashtbl.replace fenv d v;
-              ConstF (d, v)
-          | _ ->
-              Hashtbl.remove fenv d;
-              i)
-      | IBin (op, d, a, b) -> (
-          match (Hashtbl.find_opt ienv a, Hashtbl.find_opt ienv b) with
-          | Some x, Some y ->
-              let v = ibin_eval op x y in
-              Hashtbl.replace ienv d v;
-              ConstI (d, v)
-          | _ ->
-              Hashtbl.remove ienv d;
-              i)
+      | FBin (op, d, a, b) ->
+          if env.fknown.(a) && env.fknown.(b) then begin
+            let v = fbin_eval op env.fval.(a) env.fval.(b) in
+            setf d v;
+            ConstF (d, v)
+          end
+          else begin
+            env.fknown.(d) <- false;
+            i
+          end
+      | IBin (op, d, a, b) ->
+          if env.iknown.(a) && env.iknown.(b) then begin
+            let v = ibin_eval op env.ival.(a) env.ival.(b) in
+            seti d v;
+            ConstI (d, v)
+          end
+          else begin
+            env.iknown.(d) <- false;
+            i
+          end
       | Loop l ->
           (* constants from outside remain valid inside; definitions inside
              the loop are cleared after (they are iteration-dependent) *)
-          let f' = Hashtbl.copy fenv and i' = Hashtbl.copy ienv in
-          Hashtbl.remove i' l.iv;
-          let body' = constfold_body f' i' l.body in
-          Loop { l with body = body' }
+          let inner =
+            {
+              fknown = Array.copy env.fknown;
+              fval = Array.copy env.fval;
+              iknown = Array.copy env.iknown;
+              ival = Array.copy env.ival;
+            }
+          in
+          inner.iknown.(l.iv) <- false;
+          Loop { l with body = constfold_body inner l.body }
       | other ->
           List.iter
             (fun (c, r) ->
               match c with
-              | F -> Hashtbl.remove fenv r
-              | I -> Hashtbl.remove ienv r
+              | F -> env.fknown.(r) <- false
+              | I -> env.iknown.(r) <- false
               | _ -> ())
             (defs other);
           other)
     body
 
 let constfold (f : func) : func =
-  { f with body = constfold_body (Hashtbl.create 64) (Hashtbl.create 64) f.body }
+  let env =
+    {
+      fknown = Array.make f.nf false;
+      fval = Array.make f.nf 0.0;
+      iknown = Array.make f.ni false;
+      ival = Array.make f.ni 0;
+    }
+  in
+  { f with body = constfold_body env f.body }
 
 (* -- Local CSE ------------------------------------------------------------------ *)
 
-(* Key: instruction with dst erased.  We reuse the instr representation
-   with dst=-1 for hashing. *)
-let cse_key (i : instr) : instr option =
-  if not (pure i) then None
-  else
-    Some
-      (match i with
-      | ConstF (_, v) -> ConstF (-1, v)
-      | ConstI (_, v) -> ConstI (-1, v)
-      | VConst (_, v) -> VConst (-1, v)
-      | FBin (op, _, a, b) -> FBin (op, -1, a, b)
-      | FBin3 (op, _, a, b, c) -> FBin3 (op, -1, a, b, c)
-      | IBin (op, _, a, b) -> IBin (op, -1, a, b)
-      | FCmp (p, _, a, b) -> FCmp (p, -1, a, b)
-      | SelF (_, c, t, f) -> SelF (-1, c, t, f)
-      | SelI (_, c, t, f) -> SelI (-1, c, t, f)
-      | FtoI (_, a) -> FtoI (-1, a)
-      | ItoF (_, a) -> ItoF (-1, a)
-      | Call1 (fn, _, a) -> Call1 (fn, -1, a)
-      | VBin (op, _, a, b) -> VBin (op, -1, a, b)
-      | VBin3 (op, _, a, b, c) -> VBin3 (op, -1, a, b, c)
-      | VCmp (p, _, a, b) -> VCmp (p, -1, a, b)
-      | VSel (_, c, t, f) -> VSel (-1, c, t, f)
-      | VCall1 (fn, _, a) -> VCall1 (fn, -1, a)
-      | VExtract (_, v, l) -> VExtract (-1, v, l)
-      | VInsert (_, s, v, l) -> VInsert (-1, s, v, l)
-      | VBroadcast (_, s) -> VBroadcast (-1, s)
-      | VFloor (_, a) -> VFloor (-1, a)
-      | Dim (_, b) -> Dim (-1, b)
-      | i -> i)
+(* The CSE candidates: pure instructions other than [TableConst] (buffer
+   registers are never substituted). *)
+let cse_candidate (i : instr) =
+  pure i && match i with TableConst _ -> false | _ -> true
 
-(* Replace a register use according to a per-class substitution. *)
-let substitute (subf : (reg, reg) Hashtbl.t) (subi : (reg, reg) Hashtbl.t)
-    (subv : (reg, reg) Hashtbl.t) (i : instr) : instr =
-  let sf r = Option.value ~default:r (Hashtbl.find_opt subf r) in
-  let si r = Option.value ~default:r (Hashtbl.find_opt subi r) in
-  let sv r = Option.value ~default:r (Hashtbl.find_opt subv r) in
+(* The expression table, keyed by a candidate with its destination
+   ignored.  Floats compare by the float rule shared with the LoSPN CSE,
+   so 0.0 and -0.0 stay apart; operators are left to [equal]. *)
+module Expr = Hashtbl.Make (struct
+  type t = instr
+
+  let equal (x : instr) (y : instr) =
+    match (x, y) with
+    | ConstF (_, u), ConstF (_, v) | VConst (_, u), VConst (_, v) ->
+        Spnc_mlir.Cse.same_float u v
+    | ConstI (_, u), ConstI (_, v) -> u = v
+    | FBin (o, _, a, b), FBin (o', _, a', b')
+    | VBin (o, _, a, b), VBin (o', _, a', b') ->
+        o = o' && a = a' && b = b'
+    | FBin3 (o, _, a, b, c), FBin3 (o', _, a', b', c')
+    | VBin3 (o, _, a, b, c), VBin3 (o', _, a', b', c') ->
+        o = o' && a = a' && b = b' && c = c'
+    | IBin (o, _, a, b), IBin (o', _, a', b') -> o = o' && a = a' && b = b'
+    | FCmp (p, _, a, b), FCmp (p', _, a', b')
+    | VCmp (p, _, a, b), VCmp (p', _, a', b') ->
+        p = p' && a = a' && b = b'
+    | SelF (_, c, t, f), SelF (_, c', t', f')
+    | SelI (_, c, t, f), SelI (_, c', t', f')
+    | VSel (_, c, t, f), VSel (_, c', t', f') ->
+        c = c' && t = t' && f = f'
+    | FtoI (_, a), FtoI (_, a')
+    | ItoF (_, a), ItoF (_, a')
+    | VFloor (_, a), VFloor (_, a')
+    | VBroadcast (_, a), VBroadcast (_, a')
+    | Dim (_, a), Dim (_, a') ->
+        a = a'
+    | Call1 (fn, _, a), Call1 (fn', _, a') | VCall1 (fn, _, a), VCall1 (fn', _, a')
+      ->
+        fn = fn' && a = a'
+    | VExtract (_, v, l), VExtract (_, v', l') -> v = v' && l = l'
+    | VInsert (_, s, v, l), VInsert (_, s', v', l') -> s = s' && v = v' && l = l'
+    | _ -> false
+
+  let hash (i : instr) =
+    let ( ++ ) h x = (h * 31) + x in
+    match i with
+    | ConstF (_, v) -> Hashtbl.hash v
+    | VConst (_, v) -> 1 ++ Hashtbl.hash v
+    | ConstI (_, v) -> 2 ++ v
+    | FBin (_, _, a, b) -> 3 ++ a ++ b
+    | VBin (_, _, a, b) -> 4 ++ a ++ b
+    | FBin3 (_, _, a, b, c) -> 5 ++ a ++ b ++ c
+    | VBin3 (_, _, a, b, c) -> 6 ++ a ++ b ++ c
+    | IBin (_, _, a, b) -> 7 ++ a ++ b
+    | FCmp (_, _, a, b) -> 8 ++ a ++ b
+    | VCmp (_, _, a, b) -> 9 ++ a ++ b
+    | SelF (_, c, t, f) -> 10 ++ c ++ t ++ f
+    | SelI (_, c, t, f) -> 11 ++ c ++ t ++ f
+    | VSel (_, c, t, f) -> 12 ++ c ++ t ++ f
+    | FtoI (_, a) -> 13 ++ a
+    | ItoF (_, a) -> 14 ++ a
+    | VFloor (_, a) -> 15 ++ a
+    | VBroadcast (_, a) -> 16 ++ a
+    | Dim (_, a) -> 17 ++ a
+    | Call1 (_, _, a) -> 18 ++ a
+    | VCall1 (_, _, a) -> 19 ++ a
+    | VExtract (_, v, l) -> 20 ++ v ++ l
+    | VInsert (_, s, v, l) -> 21 ++ s ++ v ++ l
+    | _ -> 22
+end)
+
+(* Per class, the register each register's uses now read (initially
+   itself). *)
+type subst = { sf : reg array; si : reg array; sv : reg array }
+
+let substitute (s : subst) (i : instr) : instr =
+  let sf r = s.sf.(r) and si r = s.si.(r) and sv r = s.sv.(r) in
   match i with
   | ConstF _ | ConstI _ | VConst _ | TableConst _ | Ret -> i
   | FBin (op, d, a, b) -> FBin (op, d, sf a, sf b)
@@ -246,148 +335,152 @@ let substitute (subf : (reg, reg) Hashtbl.t) (subi : (reg, reg) Hashtbl.t)
   | Loop l -> Loop { l with lb = si l.lb; ub = si l.ub }
 
 (* Registers are in SSA form within a function (isel mints fresh regs), so
-   the substitution maps can be shared with nested loop bodies: an outer
-   dedup must rewrite uses inside loops too. *)
-let rec cse_body ?(subf = Hashtbl.create 16) ?(subi = Hashtbl.create 16)
-    ?(subv = Hashtbl.create 16) (body : instr array) : instr array =
-  let seen : (instr, reg) Hashtbl.t = Hashtbl.create 64 in
-  let out = ref [] in
-  Array.iter
+   the substitution is shared with nested loop bodies: an outer dedup must
+   rewrite uses inside loops too. *)
+let rec cse_body (s : subst) (body : instr array) : instr array =
+  let seen = Expr.create (Array.length body) in
+  filter_map
     (fun i ->
-      let i = substitute subf subi subv i in
-      match i with
+      match substitute s i with
       | Loop l ->
           (* expression table is per-region (conservative), but the
-             substitutions flow through *)
-          out := Loop { l with body = cse_body ~subf ~subi ~subv l.body } :: !out
-      | _ -> (
-          match cse_key i with
-          | Some key -> (
-              match Hashtbl.find_opt seen key with
-              | Some prior -> (
-                  match defs i with
-                  | [ (F, d) ] -> Hashtbl.replace subf d prior
-                  | [ (I, d) ] -> Hashtbl.replace subi d prior
-                  | [ (V, d) ] -> Hashtbl.replace subv d prior
-                  | _ -> out := i :: !out)
-              | None ->
-                  (match defs i with
-                  | [ (_, d) ] -> Hashtbl.replace seen key d
-                  | _ -> ());
-                  out := i :: !out)
-          | None -> out := i :: !out))
-    body;
-  Array.of_list (List.rev !out)
+             substitution flows through *)
+          Some (Loop { l with body = cse_body s l.body })
+      | i when cse_candidate i -> (
+          match (Expr.find_opt seen i, defs i) with
+          | Some prior, [ (F, d) ] ->
+              s.sf.(d) <- prior;
+              None
+          | Some prior, [ (I, d) ] ->
+              s.si.(d) <- prior;
+              None
+          | Some prior, [ (V, d) ] ->
+              s.sv.(d) <- prior;
+              None
+          | None, [ (_, d) ] ->
+              Expr.add seen i d;
+              Some i
+          | _ -> Some i)
+      | i -> Some i)
+    body
 
-let cse (f : func) : func = { f with body = cse_body f.body }
+let cse (f : func) : func =
+  let id n = Array.init n Fun.id in
+  { f with body = cse_body { sf = id f.nf; si = id f.ni; sv = id f.nv } f.body }
 
 (* -- Dead code elimination -------------------------------------------------------- *)
 
-let rec collect_uses (used_f : (reg, unit) Hashtbl.t) used_i used_v
-    (body : instr array) =
+(* One flag per register of each class. *)
+type marks = { mf : bool array; mi : bool array; mv : bool array }
+
+let marks (f : func) =
+  {
+    mf = Array.make f.nf false;
+    mi = Array.make f.ni false;
+    mv = Array.make f.nv false;
+  }
+
+let copy_marks m =
+  { mf = Array.copy m.mf; mi = Array.copy m.mi; mv = Array.copy m.mv }
+
+let mark m (c, r) =
+  match c with
+  | F -> m.mf.(r) <- true
+  | I -> m.mi.(r) <- true
+  | V -> m.mv.(r) <- true
+  | B -> ()
+
+(* Buffers are never dead and never loop-variant. *)
+let marked m (c, r) =
+  match c with F -> m.mf.(r) | I -> m.mi.(r) | V -> m.mv.(r) | B -> true
+
+let rec mark_uses (used : marks) (body : instr array) =
   Array.iter
     (fun i ->
-      List.iter
-        (fun (c, r) ->
-          match c with
-          | F -> Hashtbl.replace used_f r ()
-          | I -> Hashtbl.replace used_i r ()
-          | V -> Hashtbl.replace used_v r ()
-          | B -> ())
-        (uses i);
-      match i with Loop l -> collect_uses used_f used_i used_v l.body | _ -> ())
+      List.iter (mark used) (uses i);
+      match i with Loop l -> mark_uses used l.body | _ -> ())
     body
 
-let rec dce_body used_f used_i used_v (body : instr array) : instr array =
-  Array.of_list
-    (List.filter_map
-       (fun i ->
-         match i with
-         | Loop l -> Some (Loop { l with body = dce_body used_f used_i used_v l.body })
-         | _ ->
-             if pure i then
-               let dead =
-                 List.for_all
-                   (fun (c, r) ->
-                     match c with
-                     | F -> not (Hashtbl.mem used_f r)
-                     | I -> not (Hashtbl.mem used_i r)
-                     | V -> not (Hashtbl.mem used_v r)
-                     | B -> false)
-                   (defs i)
-               in
-               if dead && defs i <> [] then None else Some i
-             else Some i)
-       (Array.to_list body))
+(* One round: drop every pure definer none of whose defs is used,
+   counting the drops in [removed]. *)
+let rec dce_body (used : marks) (removed : int ref) (body : instr array) :
+    instr array =
+  filter_map
+    (fun i ->
+      match i with
+      | Loop l -> Some (Loop { l with body = dce_body used removed l.body })
+      | _ ->
+          if
+            pure i
+            &&
+            match defs i with
+            | [] -> false
+            | ds -> not (List.exists (marked used) ds)
+          then begin
+            incr removed;
+            None
+          end
+          else Some i)
+    body
 
+(* Rounds until one removes nothing, at most 8. *)
 let dce (f : func) : func =
-  let rec go f n =
-    if n = 0 then f
-    else begin
-      let used_f = Hashtbl.create 256
-      and used_i = Hashtbl.create 256
-      and used_v = Hashtbl.create 256 in
-      collect_uses used_f used_i used_v f.body;
-      let body' = dce_body used_f used_i used_v f.body in
-      if Lir.count_instrs body' = Lir.count_instrs f.body then { f with body = body' }
-      else go { f with body = body' } (n - 1)
-    end
+  let rec go body rounds =
+    let used = marks f in
+    mark_uses used body;
+    let removed = ref 0 in
+    let body' = dce_body used removed body in
+    if !removed = 0 || rounds = 1 then body' else go body' (rounds - 1)
   in
-  go f 8
+  { f with body = go f.body 8 }
 
 (* -- Loop-invariant code motion ------------------------------------------------------ *)
 
-let rec licm_body (defined_outside : (rc * reg, unit) Hashtbl.t)
-    (body : instr array) : instr array =
+let rec licm_body (outside : marks) (body : instr array) : instr array =
   let out = ref [] in
   Array.iter
     (fun i ->
       (match i with
       | Loop l ->
           (* values defined so far are invariant w.r.t. this loop *)
-          let outer = Hashtbl.copy defined_outside in
-          (* hoist: repeatedly move loop-body instrs whose uses are all
+          let inv = copy_marks outside in
+          (* hoist, to just before the loop: sweep the body until a sweep
+             moves nothing, taking each pure instr whose uses are all
              invariant *)
-          let body_list = ref (Array.to_list l.body) in
-          let hoisted = ref [] in
+          let hoisted = Array.make (Array.length l.body) false in
           let changed = ref true in
           while !changed do
             changed := false;
-            let invariant (ins : instr) =
-              pure ins
-              && List.for_all
-                   (fun (c, r) -> c = B || Hashtbl.mem outer (c, r))
-                   (uses ins)
-            in
-            body_list :=
-              List.filter
-                (fun ins ->
-                  if invariant ins then begin
-                    hoisted := ins :: !hoisted;
-                    List.iter
-                      (fun (c, r) -> Hashtbl.replace outer (c, r) ())
-                      (defs ins);
-                    changed := true;
-                    false
-                  end
-                  else true)
-                !body_list
+            Array.iteri
+              (fun k ins ->
+                if
+                  (not hoisted.(k)) && pure ins
+                  && List.for_all (marked inv) (uses ins)
+                then begin
+                  hoisted.(k) <- true;
+                  out := ins :: !out;
+                  List.iter (mark inv) (defs ins);
+                  changed := true
+                end)
+              l.body
           done;
-          (* recurse into nested loops with the enlarged outer set *)
-          Hashtbl.replace outer (I, l.iv) ();
-          let inner = licm_body outer (Array.of_list !body_list) in
-          List.iter (fun h -> out := h :: !out) (List.rev !hoisted);
-          out := Loop { l with body = inner } :: !out
+          (* recurse into nested loops with the enlarged invariant set *)
+          mark inv (I, l.iv);
+          let k = ref (-1) in
+          let rest =
+            filter_map
+              (fun ins ->
+                incr k;
+                if hoisted.(!k) then None else Some ins)
+              l.body
+          in
+          out := Loop { l with body = licm_body inv rest } :: !out
       | _ -> out := i :: !out);
-      List.iter (fun (c, r) -> Hashtbl.replace defined_outside (c, r) ()) (defs i))
+      List.iter (mark outside) (defs i))
     body;
   Array.of_list (List.rev !out)
 
-let licm (f : func) : func =
-  let outside = Hashtbl.create 64 in
-  (* parameters are defined outside everything *)
-  List.iter (fun p -> Hashtbl.replace outside (B, p) ()) f.params;
-  { f with body = licm_body outside f.body }
+let licm (f : func) : func = { f with body = licm_body (marks f) f.body }
 
 (* -- FMA fusion (-O3) ------------------------------------------------------------------- *)
 
@@ -399,22 +492,20 @@ let remark_fused ~vec loc =
       (if vec then "fused vector multiply-add into one FMA"
        else "fused multiply-add into one FMA")
 
-let rec fma_body ?(prov = Lir.no_prov) (body : instr array) : instr array =
+let rec fma_body (f : func) (body : instr array) : instr array =
   let n = Array.length body in
   let consumed = Array.make n false in
-  let use_count_f = Hashtbl.create 64 and use_count_v = Hashtbl.create 64 in
-  let bump tbl r =
-    Hashtbl.replace tbl r (1 + Option.value ~default:0 (Hashtbl.find_opt tbl r))
-  in
+  (* uses of each float and vector register within [body] *)
+  let uses_f = Array.make f.nf 0 and uses_v = Array.make f.nv 0 in
   let rec count (body : instr array) =
     Array.iter
       (fun i ->
         List.iter
           (fun (c, r) ->
             match c with
-            | F -> bump use_count_f r
-            | V -> bump use_count_v r
-            | _ -> ())
+            | F -> uses_f.(r) <- uses_f.(r) + 1
+            | V -> uses_v.(r) <- uses_v.(r) + 1
+            | I | B -> ())
           (uses i);
         match i with Loop l -> count l.body | _ -> ())
       body
@@ -424,23 +515,22 @@ let rec fma_body ?(prov = Lir.no_prov) (body : instr array) : instr array =
   for k = 0 to n - 1 do
     if not consumed.(k) then begin
       match body.(k) with
-      | Loop l -> out := Lir.Loop { l with body = fma_body ~prov l.body } :: !out
-      | FBin (FMul, t, a, b)
-        when Hashtbl.find_opt use_count_f t = Some 1 && k + 1 < n -> (
+      | Loop l -> out := Lir.Loop { l with body = fma_body f l.body } :: !out
+      | FBin (FMul, t, a, b) when uses_f.(t) = 1 && k + 1 < n -> (
           (* look ahead a short window for FAdd(d, t, c) or FAdd(d, c, t).
              The fused FMA is emitted at the multiply's position, so the
              addend [c] is read early: fusing is only sound if nothing in
              the window (k, j) defines [c]. *)
           let fused = ref false in
-          let window_defs = Hashtbl.create 8 in
+          let window_defs = ref [] in
           (try
              for j = k + 1 to min (n - 1) (k + 4) do
                match body.(j) with
                | FBin (FAdd, d, x, y) when (x = t || y = t) && not consumed.(j) ->
                    let c = if x = t then y else x in
-                   if Hashtbl.mem window_defs c then raise Exit;
+                   if List.mem c !window_defs then raise Exit;
                    out := FBin3 (FMA, d, a, b, c) :: !out;
-                   remark_fused ~vec:false (prov_reg prov.pf d);
+                   remark_fused ~vec:false (prov_reg f.prov.pf d);
                    consumed.(j) <- true;
                    fused := true;
                    raise Exit
@@ -449,23 +539,22 @@ let rec fma_body ?(prov = Lir.no_prov) (body : instr array) : instr array =
                    raise Exit
                | instr ->
                    List.iter
-                     (fun (cl, r) -> if cl = F then Hashtbl.replace window_defs r ())
+                     (fun (cl, r) -> if cl = F then window_defs := r :: !window_defs)
                      (defs instr)
              done
            with Exit -> ());
           if not !fused then out := body.(k) :: !out)
-      | VBin (FMul, t, a, b)
-        when Hashtbl.find_opt use_count_v t = Some 1 && k + 1 < n -> (
+      | VBin (FMul, t, a, b) when uses_v.(t) = 1 && k + 1 < n -> (
           let fused = ref false in
-          let window_defs = Hashtbl.create 8 in
+          let window_defs = ref [] in
           (try
              for j = k + 1 to min (n - 1) (k + 4) do
                match body.(j) with
                | VBin (FAdd, d, x, y) when (x = t || y = t) && not consumed.(j) ->
                    let c = if x = t then y else x in
-                   if Hashtbl.mem window_defs c then raise Exit;
+                   if List.mem c !window_defs then raise Exit;
                    out := VBin3 (FMA, d, a, b, c) :: !out;
-                   remark_fused ~vec:true (prov_reg prov.pv d);
+                   remark_fused ~vec:true (prov_reg f.prov.pv d);
                    consumed.(j) <- true;
                    fused := true;
                    raise Exit
@@ -474,7 +563,7 @@ let rec fma_body ?(prov = Lir.no_prov) (body : instr array) : instr array =
                    raise Exit
                | instr ->
                    List.iter
-                     (fun (cl, r) -> if cl = V then Hashtbl.replace window_defs r ())
+                     (fun (cl, r) -> if cl = V then window_defs := r :: !window_defs)
                      (defs instr)
              done
            with Exit -> ());
@@ -484,7 +573,7 @@ let rec fma_body ?(prov = Lir.no_prov) (body : instr array) : instr array =
   done;
   Array.of_list (List.rev !out)
 
-let fma (f : func) : func = { f with body = fma_body ~prov:f.prov f.body }
+let fma (f : func) : func = { f with body = fma_body f f.body }
 
 (* -- Fault injection ------------------------------------------------------------------ *)
 
@@ -517,20 +606,38 @@ let bad_peephole (f : func) : func =
 
 (* -- Driver --------------------------------------------------------------------------- *)
 
+(* Each -O level as its sequence of named passes.  Every pass is local to
+   one function. *)
+let passes (level : level) : (string * (func -> func)) list =
+  let cf = ("lir-constfold", constfold)
+  and cse = ("lir-cse", cse)
+  and dce = ("lir-dce", dce)
+  and licm = ("lir-licm", licm)
+  and fma = ("lir-fma", fma) in
+  match level with
+  | O0 -> []
+  | O1 -> [ cf; cse; dce ]
+  | O2 -> [ cf; cse; dce; licm; cse; dce ]
+  | O3 -> [ cf; cse; dce; cf; cse; dce; licm; cse; dce; fma ]
+
+let faulty level = !inject_bad_peephole && level <> O0
+
 (** [run_func level f] — the per-function pipeline of [run].  Exposed so
     the auto-tuner can re-optimize {e individual} task functions of an
     already-compiled module (profile-guided per-task levels: extra -O3
     effort only on the functions that dominate dynamic cycles). *)
 let run_func (level : level) (f : func) : func =
-  let opt f =
-    match level with
-    | O0 -> f
-    | O1 -> dce (cse (constfold f))
-    | O2 -> dce (cse (licm (dce (cse (constfold f)))))
-    | O3 -> fma (dce (cse (licm (dce (cse (constfold (dce (cse (constfold f)))))))))
-  in
-  if !inject_bad_peephole && level <> O0 then bad_peephole (opt f) else opt f
+  let f = List.fold_left (fun f (_, pass) -> pass f) f (passes level) in
+  if faulty level then bad_peephole f else f
 
-(** [run level m] optimizes every function of the module. *)
+(** [run level m] optimizes every function of the module, one pass at a
+    time over all of them, each pass under its own trace span. *)
 let run (level : level) (m : Lir.modul) : Lir.modul =
-  { m with Lir.funcs = Array.map (run_func level) m.Lir.funcs }
+  let funcs =
+    List.fold_left
+      (fun funcs (name, pass) ->
+        Spnc_obs.Trace.with_span ~cat:"pass" name (fun () -> Array.map pass funcs))
+      m.Lir.funcs (passes level)
+  in
+  let funcs = if faulty level then Array.map bad_peephole funcs else funcs in
+  { m with Lir.funcs }

@@ -48,7 +48,11 @@ val fma : Lir.func -> Lir.func
     enabled by default. *)
 val inject_bad_peephole : bool ref
 
-(** [run level m] optimizes every function of the module at [level]. *)
+(** [run level m] optimizes every function of the module at [level],
+    one pass at a time over all of them, each pass under its own
+    [pass]-category trace span ([lir-constfold], [lir-cse], [lir-dce],
+    [lir-licm], [lir-fma]).  Every pass is local to one function, so the
+    result equals {!run_func} on each function. *)
 val run : level -> Lir.modul -> Lir.modul
 
 (** [run_func level f] — the same pipeline on a single function.  Used by

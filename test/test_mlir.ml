@@ -228,6 +228,35 @@ let test_cse_dedups () =
   check tint "ops after cse" 3 (Ir.count_ops (fun _ -> true) m');
   check tbool "still valid" true (Verifier.is_valid m')
 
+(* The CSE key is the op itself: attributes compare structurally, floats
+   by bit pattern with all NaNs alike, so it merges exactly what the
+   printed attributes would. *)
+let test_cse_key () =
+  Spnc_lospn.Ops.register ();
+  let b = Builder.create () in
+  let const attrs = Builder.op b "lo_spn.constant" ~results:[ Types.F32 ] ~attrs () in
+  let ops_after ops = Ir.count_ops (fun _ -> true) (Cse.run (Builder.modul ops)) in
+  let v x = ("value", Attr.Float x) in
+  check tint "0.0 and -0.0 stay apart" 2 (ops_after [ const [ v 0.0 ]; const [ v (-0.0) ] ]);
+  check tint "equal bit patterns merge" 1 (ops_after [ const [ v 0.5 ]; const [ v 0.5 ] ]);
+  check tint "two NaNs merge" 1
+    (ops_after [ const [ v Float.nan ]; const [ v (Int64.float_of_bits 0x7FF0000000000001L) ] ]);
+  let table t = [ v 1.0; ("table", Attr.DenseF t) ] in
+  check tint "one DenseF entry apart" 2
+    (ops_after [ const (table [| 0.25; 0.5 |]); const (table [| 0.25; 0.75 |]) ]);
+  check tint "a zero's sign in a DenseF apart" 2
+    (ops_after [ const (table [| 0.25; 0.0 |]); const (table [| 0.25; -0.0 |]) ]);
+  check tint "equal DenseF tables merge" 1
+    (ops_after [ const (table [| 0.25; 0.5 |]); const (table [| 0.25; 0.5 |]) ]);
+  check tint "dictionary order does not matter" 1
+    (ops_after [ const [ v 1.0; ("k", Attr.Int 3) ]; const [ ("k", Attr.Int 3); v 1.0 ] ]);
+  let wrap regions = Builder.op b "test.wrap" ~regions () in
+  let region ops = Builder.region [ Builder.block b ~arg_tys:[] (fun _ -> ops) ] in
+  check tint "sibling regions stay apart" 3
+    (ops_after [ wrap [ region [ const [ v 2.0 ] ]; region [ const [ v 2.0 ] ] ] ]);
+  check tint "a nested region sees its parent's ops" 2
+    (ops_after [ const [ v 2.0 ]; wrap [ region [ const [ v 2.0 ] ] ] ])
+
 let test_constfold_folds_chain () =
   Spnc_lospn.Ops.register ();
   let b = Builder.create () in
@@ -444,6 +473,7 @@ let suite =
     Alcotest.test_case "verifier rejects double def" `Quick test_verifier_rejects_double_def;
     Alcotest.test_case "dialect verifier runs" `Quick test_dialect_verifier_runs;
     Alcotest.test_case "cse dedups" `Quick test_cse_dedups;
+    Alcotest.test_case "cse key" `Quick test_cse_key;
     Alcotest.test_case "constfold chain" `Quick test_constfold_folds_chain;
     Alcotest.test_case "constfold log space" `Quick test_constfold_log_space;
     Alcotest.test_case "dce removes dead" `Quick test_dce_removes_dead;

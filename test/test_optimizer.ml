@@ -111,6 +111,78 @@ let test_cse_does_not_merge_loads () =
   check tint "loads preserved" 2
     (count (fun i -> match i with Lir.Load _ -> true | _ -> false) f')
 
+(* CSE merges two constants only when their bit patterns are equal or
+   both are NaN: 0.0 and -0.0 stay apart. *)
+let test_cse_float_rule () =
+  let nan2 = Int64.float_of_bits 0x7FF0000000000001L in
+  let values = [ 0.0; -0.0; 0.0; -0.0; Float.nan; nan2; 1.5; 1.5 ] in
+  let n = List.length values in
+  let f =
+    {
+      (func ~nf:n ~ni:1
+         ((Lir.ConstI (0, 0) :: List.mapi (fun k v -> Lir.ConstF (k, v)) values)
+         @ List.init n (fun k -> Lir.Store (0, 0, k))
+         @ [ Lir.Ret ]))
+      with
+      nv = n;
+    }
+  in
+  let vec =
+    {
+      f with
+      body =
+        Array.of_list
+          ((Lir.ConstI (0, 0) :: List.mapi (fun k v -> Lir.VConst (k, v)) values)
+          @ List.init n (fun k -> Lir.VStore (0, 0, k))
+          @ [ Lir.Ret ]);
+    }
+  in
+  let kept f =
+    let out = ref [] in
+    Array.iter
+      (function
+        | Lir.ConstF (_, v) | Lir.VConst (_, v) -> out := Int64.bits_of_float v :: !out
+        | _ -> ())
+      (Opt.cse f).Lir.body;
+    List.rev !out
+  in
+  let expected = List.map Int64.bits_of_float [ 0.0; -0.0; Float.nan; 1.5 ] in
+  check (Alcotest.list Alcotest.int64) "scalar constants kept" expected (kept f);
+  check (Alcotest.list Alcotest.int64) "vector constants kept" expected (kept vec)
+
+(* The function that exposed the ±0 merge: x / -0.0 after an unrelated
+   use of 0.0.  Every level must store -inf on both engines. *)
+let test_signed_zero_levels () =
+  let f =
+    func ~nf:5 ~ni:2
+      [
+        Lir.ConstI (0, 0);
+        Lir.ConstI (1, 1);
+        Lir.Load (0, 0, 0);
+        (* x = 1.0 *)
+        Lir.ConstF (1, 0.0);
+        Lir.FBin (Lir.FAdd, 2, 0, 1);
+        Lir.Store (0, 1, 2);
+        Lir.ConstF (3, -0.0);
+        Lir.FBin (Lir.FDiv, 4, 0, 3);
+        Lir.Store (0, 0, 4);
+        Lir.Ret;
+      ]
+  in
+  List.iter
+    (fun level ->
+      let m = Opt.run level { Lir.funcs = [| f |]; entry = 0 } in
+      List.iter
+        (fun (engine, run) ->
+          let buf = Spnc_cpu.Vm.buffer ~rows:2 ~cols:1 in
+          buf.Spnc_cpu.Vm.data.(0) <- 1.0;
+          run m ~buffers:[ buf ];
+          check (Alcotest.float 0.0)
+            (Printf.sprintf "%s %s: 1 / -0" (Opt.level_to_string level) engine)
+            Float.neg_infinity buf.Spnc_cpu.Vm.data.(0))
+        [ ("vm", Spnc_cpu.Vm.run); ("jit", Spnc_cpu.Jit.run_once) ])
+    [ Opt.O0; Opt.O1; Opt.O2; Opt.O3 ]
+
 (* -- DCE ---------------------------------------------------------------------- *)
 
 let test_dce_keeps_effects () =
@@ -221,6 +293,65 @@ let test_fma_respects_multiple_uses () =
   check tint "no fma" 0
     (count (fun i -> match i with Lir.FBin3 _ -> true | _ -> false) f')
 
+(* Per-register state is arrays sized by the function's register counts:
+   a register beyond them raises instead of reading out of bounds. *)
+let test_registers_beyond_counts_raise () =
+  let f =
+    func ~nf:1 ~ni:1
+      [
+        Lir.ConstI (0, 0);
+        Lir.ConstF (3, 1.0);
+        Lir.FBin (Lir.FAdd, 4, 3, 3);
+        Lir.Store (0, 0, 4);
+        Lir.Ret;
+      ]
+  in
+  List.iter
+    (fun (name, pass) ->
+      check tbool name true
+        (match pass f with _ -> false | exception Invalid_argument _ -> true))
+    [
+      ("constfold", Opt.constfold);
+      ("cse", Opt.cse);
+      ("dce", Opt.dce);
+      ("licm", Opt.licm);
+      ("fma", Opt.fma);
+    ]
+
+(* [run] goes pass by pass over every function, one [pass] span per
+   pass, and gives what [run_func] gives on each function. *)
+let test_run_spans_passes () =
+  let module Trace = Spnc_obs.Trace in
+  let f =
+    func ~nf:4 ~ni:1
+      [
+        Lir.ConstI (0, 0);
+        Lir.ConstF (0, 2.0);
+        Lir.ConstF (1, 2.0);
+        Lir.FBin (Lir.FMul, 2, 0, 1);
+        Lir.FBin (Lir.FAdd, 3, 2, 0);
+        Lir.Store (0, 0, 3);
+        Lir.Ret;
+      ]
+  in
+  let m = { Lir.funcs = [| f; { f with Lir.fname = "u" } |]; entry = 0 } in
+  Trace.clear ();
+  Trace.set_enabled true;
+  let m' = Fun.protect ~finally:(fun () -> Trace.set_enabled false) (fun () -> Opt.run Opt.O3 m) in
+  let spans =
+    List.filter_map
+      (fun (e : Trace.event) -> if e.Trace.cat = "pass" then Some e.Trace.name else None)
+      (Trace.events ())
+  in
+  Trace.clear ();
+  check (Alcotest.list Alcotest.string) "one span per pass"
+    [ "lir-constfold"; "lir-cse"; "lir-dce"; "lir-constfold"; "lir-cse"; "lir-dce";
+      "lir-licm"; "lir-cse"; "lir-dce"; "lir-fma" ]
+    spans;
+  Array.iteri
+    (fun k g -> check tbool "run = run_func" true (m'.Lir.funcs.(k) = Opt.run_func Opt.O3 g))
+    m.Lir.funcs
+
 (* semantic check: every pass preserves results on a concrete function *)
 let test_passes_preserve_semantics () =
   let body =
@@ -260,9 +391,14 @@ let suite =
     Alcotest.test_case "constfold stops" `Quick test_constfold_stops_at_unknown;
     Alcotest.test_case "cse dedups" `Quick test_cse_dedups_and_rewrites_uses;
     Alcotest.test_case "cse keeps loads" `Quick test_cse_does_not_merge_loads;
+    Alcotest.test_case "cse float rule" `Quick test_cse_float_rule;
+    Alcotest.test_case "signed zero at every level" `Quick test_signed_zero_levels;
     Alcotest.test_case "dce keeps effects" `Quick test_dce_keeps_effects;
     Alcotest.test_case "licm selective" `Quick test_licm_hoists_invariants_only;
     Alcotest.test_case "fma fuses" `Quick test_fma_fuses_single_use_mul;
     Alcotest.test_case "fma multiple uses" `Quick test_fma_respects_multiple_uses;
+    Alcotest.test_case "registers beyond counts raise" `Quick
+      test_registers_beyond_counts_raise;
+    Alcotest.test_case "run spans each pass" `Quick test_run_spans_passes;
     Alcotest.test_case "passes preserve semantics" `Quick test_passes_preserve_semantics;
   ]
