@@ -7,7 +7,7 @@
     The harness is fully in-process (no sockets): a fleet of [--models]
     tiny tenant SPNs behind one {!Spnc_serve.Server}, driven by
     closed-loop single-row clients against an unbatched server
-    ([max_batch=1], [max_delay=0]) and then against the batched server.
+    ([max_batch=1]) and then against the batched server.
     Their capacity ratio is [batched_vs_unbatched_speedup].  Every ok
     response is bit-compared against a precomputed sequential
     {!Spnc.Compiler.execute} reference — batching must not change a
@@ -74,9 +74,9 @@ type tenant = {
    (submit_async the whole burst, then settle it) for [duration];
    returns (ok-responses per second, ok responses that diverged from the
    reference).  Pipelined submission keeps the queues deep — a
-   synchronous closed loop would measure notification latency (and the
-   batcher's flush timer) instead of server capacity.  One request per
-   model first so the engine LRU is warm before the clock starts. *)
+   synchronous closed loop would measure notification latency instead
+   of server capacity.  One request per model first so the engine LRU
+   is warm before the clock starts. *)
 let closed_loop server (tenants : tenant array) ~k ~seed : float * int =
   Array.iter
     (fun tn ->
@@ -179,9 +179,7 @@ let () =
     rps
   in
   let unbatched_rps =
-    capacity "unbatched"
-      { options with Options.serve_max_batch = 1; serve_max_delay_ms = 0.0 }
-      ~seed:31
+    capacity "unbatched" { options with Options.serve_max_batch = 1 } ~seed:31
   in
   (* the snapshot then describes only the batched server *)
   Spnc_obs.Metrics.reset_all ();

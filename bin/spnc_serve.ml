@@ -47,59 +47,8 @@ let synthesize_rows ~seed ~rows ~features =
 
 (* -- serve --------------------------------------------------------------------- *)
 
-let handle_connection server fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let write_lock = Mutex.create () in
-  let respond ~id resp =
-    try
-      Mutex.lock write_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock write_lock)
-        (fun () ->
-          output_string oc (Proto.encode_response ~id resp);
-          output_char oc '\n';
-          flush oc)
-    with Sys_error _ | Unix.Unix_error _ -> () (* peer went away *)
-  in
-  let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-    | line when String.trim line = "" -> loop ()
-    | line ->
-        (match Proto.decode_request line with
-        | Error e ->
-            respond ~id:0 (Error { T.reason = T.Bad_request; detail = e })
-        | Ok wr ->
-            let deadline =
-              Option.map
-                (fun ms -> Unix.gettimeofday () +. (ms /. 1000.0))
-                wr.Proto.wr_deadline_ms
-            in
-            let ticket =
-              Serve.submit_async server ~model:wr.Proto.wr_model ?deadline
-                wr.Proto.wr_rows
-            in
-            let settle () = respond ~id:wr.Proto.wr_id (Serve.await ticket) in
-            (* pipelining: settle out of band so slow batches never block
-               the read loop; responses carry the caller's id.  Under
-               overload the spawn itself can fail (EAGAIN): then settle
-               inline, which slows this reader down but keeps it alive *)
-            match
-              if Spnc_resilience.Fault.fire "serve.spawn_fail" then
-                failwith "injected fault at serve.spawn_fail"
-              else Thread.create settle ()
-            with
-            | _ -> ()
-            | exception (Failure _ | Sys_error _) -> settle ());
-        loop ()
-  in
-  loop ()
-
-let serve models_specs models_dir host port threads max_batch max_delay_ms
-    queue_cap global_queue_cap engines_cap dispatchers starvation_ms
-    cache_dir cache_mb =
+let serve models_specs models_dir host port threads max_batch queue_cap
+    global_queue_cap engines_cap dispatchers starvation_ms cache_dir cache_mb =
   let specs =
     List.map parse_model_spec models_specs
     @ (match models_dir with None -> [] | Some d -> dir_models d)
@@ -113,7 +62,6 @@ let serve models_specs models_dir host port threads max_batch max_delay_ms
       Spnc.Options.default with
       threads;
       serve_max_batch = max_batch;
-      serve_max_delay_ms = max_delay_ms;
       serve_queue_cap = queue_cap;
       serve_global_queue_cap = global_queue_cap;
       serve_engines_cap = engines_cap;
@@ -159,7 +107,7 @@ let serve models_specs models_dir host port threads max_batch max_delay_ms
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
     | exception Unix.Unix_error _ when !stopping -> ()
     | fd, _ ->
-        ignore (Thread.create (fun () -> handle_connection server fd) ());
+        ignore (Thread.create (Spnc_serve.Connection.serve server) fd);
         accept_loop ()
   in
   accept_loop ();
@@ -244,12 +192,19 @@ let check model_specs addr rows per_request seed concurrency deadline_ms
         output_string oc (Proto.encode_request wr);
         output_char oc '\n';
         flush oc;
-        (match Proto.decode_response (input_line ic) with
-        | Ok (id, resp) when id = i -> responses.(i) <- Some resp
-        | Ok (_, resp) -> responses.(i) <- Some resp (* tolerate id drift *)
-        | Error e ->
-            responses.(i) <-
-              Some (Error { T.reason = T.Engine_failure; detail = e }));
+        (* one request in flight per connection: a response with another
+           id can only be a server bug, and counts as failed *)
+        responses.(i) <-
+          Some
+            (match Proto.decode_response (input_line ic) with
+            | Ok (id, resp) when id = i -> resp
+            | Ok (id, _) ->
+                Error
+                  {
+                    T.reason = T.Engine_failure;
+                    detail = Printf.sprintf "response carries id %d" id;
+                  }
+            | Error e -> Error { T.reason = T.Engine_failure; detail = e });
         pull ()
       end
     in
@@ -347,13 +302,7 @@ let serve_cmd =
     Arg.(
       value
       & opt int Spnc.Options.default.Spnc.Options.serve_max_batch
-      & info [ "max-batch" ] ~doc:"Batcher flush threshold, rows.")
-  in
-  let max_delay =
-    Arg.(
-      value
-      & opt float Spnc.Options.default.Spnc.Options.serve_max_delay_ms
-      & info [ "max-delay-ms" ] ~doc:"Batcher flush timer, milliseconds.")
+      & info [ "max-batch" ] ~doc:"Batch bound, rows.")
   in
   let queue_cap =
     Arg.(
@@ -397,12 +346,21 @@ let serve_cmd =
       & opt int Spnc.Options.default.Spnc.Options.kernel_cache_mb
       & info [ "kernel-cache-mb" ])
   in
+  let chaos =
+    Cmd.Env.info "SPNC_CHAOS"
+      ~doc:
+        "Arm fault injection (seed=S,rate=R[,points=a;b], \
+         docs/RESILIENCE.md).  The serving layer's own point is \
+         $(b,serve.batch_stall): a dispatch stalls 20 ms before it runs its \
+         batch, as a slow batch would."
+  in
   Cmd.v
-    (Cmd.info "serve" ~doc:"Host SPN models with dynamic batching.")
+    (Cmd.info "serve" ~envs:[ chaos ]
+       ~doc:"Host SPN models with dynamic batching.")
     Term.(
       const serve $ models $ models_dir $ host $ port $ threads $ max_batch
-      $ max_delay $ queue_cap $ global_cap $ engines_cap $ dispatchers
-      $ starvation $ cache_dir $ cache_mb)
+      $ queue_cap $ global_cap $ engines_cap $ dispatchers $ starvation
+      $ cache_dir $ cache_mb)
 
 let check_cmd =
   let models =

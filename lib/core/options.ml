@@ -65,7 +65,6 @@ type t = {
   deadline_ms : float option;
   exec_retries : int;
   serve_max_batch : int;
-  serve_max_delay_ms : float;
   serve_queue_cap : int;
   serve_global_queue_cap : int;
   serve_engines_cap : int;
@@ -103,7 +102,6 @@ let default =
     deadline_ms = None;
     exec_retries = 2;
     serve_max_batch = 256;
-    serve_max_delay_ms = 2.0;
     serve_queue_cap = 256;
     serve_global_queue_cap = 4096;
     serve_engines_cap = 64;
@@ -154,8 +152,8 @@ let compile_of (t : t) : compile =
         gpu = _; batch_size = _; threads = _; sched = _; streams = _;
         engine = _; use_kernel_cache = _; kernel_cache_dir = _;
         kernel_cache_mb = _; profile = _; output_guard = _; deadline_ms = _;
-        exec_retries = _; serve_max_batch = _; serve_max_delay_ms = _;
-        serve_queue_cap = _; serve_global_queue_cap = _; serve_engines_cap = _;
+        exec_retries = _; serve_max_batch = _; serve_queue_cap = _;
+        serve_global_queue_cap = _; serve_engines_cap = _;
         serve_dispatchers = _; serve_starvation_ms = _ } =
     t
   in

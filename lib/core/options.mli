@@ -100,9 +100,8 @@ type t = {
   (* serving knobs (docs/PERFORMANCE.md §7): the spnc_serve batcher and
      admission layer *)
   serve_max_batch : int;
-      (** dynamic-batcher flush threshold, in rows *)
-  serve_max_delay_ms : float;
-      (** dynamic-batcher flush timer (oldest queued request) *)
+      (** dynamic-batcher batch bound, in rows: a free dispatcher takes
+          whole queued requests up to this many *)
   serve_queue_cap : int;
       (** per-model admission bound, in queued requests *)
   serve_global_queue_cap : int;

@@ -5,7 +5,8 @@
     adversity can be introduced: kernel-cache I/O (short read, torn
     write, bit flip, ENOSPC, lock contention), pool workers (chunk
     failure, slow-chunk stall, round-entry stall), JIT compilation, the
-    GPU backend, and [spnc_serve]'s per-request settle-thread spawn.
+    GPU backend, and [spnc_serve]'s dispatch ([serve.batch_stall], a
+    slow batch).
     When the registry is {e disarmed} (the default) every point costs a
     single atomic load and injects nothing; when {e armed} with a seed
     and a rate, each point fires according to a decision that is a pure

@@ -7,19 +7,22 @@
     (load-shedding) instead of letting latency collapse under an
     unbounded backlog.
 
-    A queue is {e ready} when it holds [max_batch] rows (flush on size)
-    or its oldest request has waited [max_delay] (flush on timer) —
-    whichever comes first.  {!pop_ready} picks among ready queues by
-    earliest effective deadline ({!Types.priority}: the tightest request
-    deadline in the queue, clipped by the starvation guard so
-    deadline-less traffic eventually wins) and pops whole head-of-line
-    requests up to [max_batch] rows.  Requests whose deadline has
-    already passed are swept out on the same call and never reach a
-    dispatch — the "never dispatched" guarantee the serve tests pin.
+    Dispatch is work-conserving: a queue is {e ready} as soon as it
+    holds a request, so a free dispatcher never waits on a timer, and
+    batches form only from what queued while every dispatcher was busy.
+    {!pop_ready} picks among non-empty queues by earliest effective
+    deadline ({!Types.priority}: the tightest request deadline in the
+    queue, clipped by the starvation guard so deadline-less traffic
+    eventually wins) and pops whole head-of-line requests up to
+    [max_batch] rows.  Requests whose deadline has already passed are
+    swept out on the same call and never reach a dispatch — the "never
+    dispatched" guarantee the serve tests pin.
 
     All state is guarded by one mutex; every operation is O(queued
-    requests) worst case, which the admission caps keep small.  Pure
-    policy lives here — no domains, no clocks — so the flush/EDF
+    requests) worst case, which the admission caps keep small.  Idle
+    dispatchers park in {!wait} on a condition variable under that same
+    mutex, so the emptiness check and the wait are one critical section
+    and no wakeup is lost.  No domains, no clocks — the ordering
     behavior is deterministic under test (the server injects [now]). *)
 
 module T = Types
@@ -32,10 +35,11 @@ type mq = {
 
 type t = {
   lock : Mutex.t;
+  nonempty : Condition.t;  (** signalled once per admitted request *)
   queues : (string, mq) Hashtbl.t;
   mutable total_reqs : int;
-  max_batch : int;  (** flush threshold and batch bound, in rows *)
-  max_delay : float;  (** flush timer, seconds *)
+  mutable closed : bool;
+  max_batch : int;  (** batch bound, in rows *)
   starvation : float;  (** starvation guard, seconds *)
   queue_cap : int;  (** per-model bound, in requests *)
   global_cap : int;  (** process-wide bound, in requests *)
@@ -51,18 +55,16 @@ type pick = {
   p_expired : T.request list;
       (** swept this call: deadline passed while queued *)
   p_batch : batch option;
-  p_next : float option;
-      (** absolute time the earliest timer flush comes due, for the
-          dispatcher's sleep; [None] when every queue is empty *)
 }
 
-let create ~max_batch ~max_delay_ms ~starvation_ms ~queue_cap ~global_cap =
+let create ~max_batch ~starvation_ms ~queue_cap ~global_cap =
   {
     lock = Mutex.create ();
+    nonempty = Condition.create ();
     queues = Hashtbl.create 64;
     total_reqs = 0;
+    closed = false;
     max_batch = max 1 max_batch;
-    max_delay = Float.max 0.0 max_delay_ms /. 1000.0;
     starvation = Float.max 0.0 starvation_ms /. 1000.0;
     queue_cap = max 1 queue_cap;
     global_cap = max 1 global_cap;
@@ -74,7 +76,8 @@ let locked t f =
 
 let enqueue t (r : T.request) : (unit, T.reject_reason) result =
   locked t (fun () ->
-      if t.total_reqs >= t.global_cap then Error T.Overloaded_global
+      if t.closed then Error T.Closed
+      else if t.total_reqs >= t.global_cap then Error T.Overloaded_global
       else begin
         let mq =
           match Hashtbl.find_opt t.queues r.T.req_model with
@@ -91,6 +94,7 @@ let enqueue t (r : T.request) : (unit, T.reject_reason) result =
           Queue.add r mq.mq_q;
           mq.mq_rows <- mq.mq_rows + r.T.req_rows;
           t.total_reqs <- t.total_reqs + 1;
+          Condition.signal t.nonempty;
           Ok ()
         end
       end)
@@ -119,11 +123,6 @@ let sweep_expired t (mq : mq) ~now acc =
   Queue.clear mq.mq_q;
   Queue.transfer keep mq.mq_q;
   !expired
-
-let ready (t : t) (mq : mq) ~now =
-  (not (Queue.is_empty mq.mq_q))
-  && (mq.mq_rows >= t.max_batch
-     || now -. (Queue.peek mq.mq_q).T.req_enqueued >= t.max_delay)
 
 (* Tightest effective deadline among the queue's requests — the EDF key. *)
 let queue_priority (t : t) (mq : mq) : float =
@@ -155,12 +154,12 @@ let pop_ready t ~now : pick =
       let expired =
         Hashtbl.fold (fun _ mq acc -> sweep_expired t mq ~now acc) t.queues []
       in
-      (* EDF across models: among ready queues, earliest effective
+      (* EDF across models: among non-empty queues, earliest effective
          deadline wins *)
       let best =
         Hashtbl.fold
           (fun _ mq acc ->
-            if not (ready t mq ~now) then acc
+            if Queue.is_empty mq.mq_q then acc
             else
               let p = queue_priority t mq in
               match acc with
@@ -168,22 +167,22 @@ let pop_ready t ~now : pick =
               | _ -> Some (mq, p))
           t.queues None
       in
-      let batch = Option.map (fun (mq, _) -> pop_batch t mq) best in
-      let next =
-        Hashtbl.fold
-          (fun _ mq acc ->
-            if Queue.is_empty mq.mq_q then acc
-            else
-              let due =
-                if mq.mq_rows >= t.max_batch then now
-                else (Queue.peek mq.mq_q).T.req_enqueued +. t.max_delay
-              in
-              match acc with
-              | Some a when a <= due -> acc
-              | _ -> Some due)
-          t.queues None
-      in
-      { p_expired = expired; p_batch = batch; p_next = next })
+      {
+        p_expired = expired;
+        p_batch = Option.map (fun (mq, _) -> pop_batch t mq) best;
+      })
+
+let wait t =
+  locked t (fun () ->
+      while t.total_reqs = 0 && not t.closed do
+        Condition.wait t.nonempty t.lock
+      done;
+      not t.closed)
+
+let close t =
+  locked t (fun () ->
+      t.closed <- true;
+      Condition.broadcast t.nonempty)
 
 (** Pop everything (shutdown): the caller fulfills each request with a
     [Closed] rejection. *)

@@ -4,10 +4,11 @@
     Request path: {!submit_async} validates the rows, checks the
     registry, applies admission control ({!Batcher.enqueue}: bounded
     per-model and global queues — over-cap requests are shed with a
-    structured [overloaded] rejection) and wakes a dispatcher.  A
-    dispatcher pops the ready queue with the earliest effective deadline
-    ({!Batcher.pop_ready}), coalesces its head-of-line requests into one
-    batch, and runs it through the model's hot engine with
+    structured [overloaded] rejection), which wakes one dispatcher.  A
+    free dispatcher pops the non-empty queue with the earliest effective
+    deadline at once ({!Batcher.pop_ready}), coalesces its head-of-line
+    requests — whatever queued while every dispatcher was busy — into
+    one batch, and runs it through the model's hot engine with
     {!Spnc_runtime.Exec.execute_segments} — each request is one segment,
     so the kernel writes every caller's results straight into that
     caller's buffer (zero-copy scatter).  Per-row results are
@@ -20,12 +21,16 @@
     of its requests and a {!Spnc_runtime.Exec.Deadline_exceeded} maps
     back to [Expired] responses (exit-75 semantics at the CLI boundary).
 
+    Settling: every request settles exactly once, into its cell (for
+    {!await}) and through its optional [on_settle] callback, which runs
+    on whichever thread settles it — a dispatcher, or the submitter
+    itself when the request is rejected at admission.
+
     Threading: submitters may be any mix of systhreads and domains;
-    dispatchers are domains ([options.serve_dispatchers]), woken through
-    a self-pipe and parked in [Unix.select] until the next timer flush
-    comes due.  Tests create the server with [~dispatchers:0] and an
-    injected [~clock], then drive {!step} by hand — every flush/EDF
-    decision is deterministic. *)
+    dispatchers are domains ([options.serve_dispatchers]) parked in
+    {!Batcher.wait} while every queue is empty.  Tests create the server
+    with [~dispatchers:0] and an injected [~clock], then drive {!step}
+    by hand — every EDF decision is deterministic. *)
 
 module T = Types
 module Metrics = Spnc_obs.Metrics
@@ -74,8 +79,6 @@ type t = {
   options : Spnc.Options.t;
   clock : unit -> float;
   stop : bool Atomic.t;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
   mutable domains : unit Domain.t list;
 }
 
@@ -100,6 +103,7 @@ let batch_deadline (reqs : T.request list) : float option =
 (* -- Dispatch ------------------------------------------------------------------ *)
 
 let dispatch_batch t (b : Batcher.batch) ~now =
+  Spnc_resilience.Fault.maybe_stall "serve.batch_stall" ~seconds:0.02;
   match Registry.engine t.registry b.Batcher.b_model with
   | Error msg ->
       List.iter
@@ -190,8 +194,8 @@ let dispatch_batch t (b : Batcher.batch) ~now =
                 good))
 
 (* One dispatcher iteration: sweep expired, dispatch at most one batch.
-   Returns (made progress, next timer-flush instant). *)
-let dispatch_once t ~now : bool * float option =
+   Returns whether either happened. *)
+let dispatch_once t ~now : bool =
   let pick = Batcher.pop_ready t.batcher ~now in
   List.iter
     (fun r ->
@@ -213,52 +217,21 @@ let dispatch_once t ~now : bool * float option =
         (mm_depth b.Batcher.b_model)
         (float_of_int (Batcher.depth t.batcher b.Batcher.b_model));
       dispatch_batch t b ~now);
-  ( pick.Batcher.p_expired <> [] || pick.Batcher.p_batch <> None,
-    pick.Batcher.p_next )
-
-let wake t =
-  try ignore (Unix.write t.wake_w (Bytes.make 1 'w') 0 1) with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-  | Unix.Unix_error (Unix.EPIPE, _, _)
-  | Unix.Unix_error (Unix.EBADF, _, _)
-  ->
-    ()
+  pick.Batcher.p_expired <> [] || pick.Batcher.p_batch <> None
 
 let dispatcher_loop t =
-  let buf = Bytes.create 64 in
-  while not (Atomic.get t.stop) do
-    let now = t.clock () in
-    let progress, next = dispatch_once t ~now in
-    if (not progress) && not (Atomic.get t.stop) then begin
-      (* park until woken or the next timer flush; the 0.25 s cap bounds
-         shutdown latency even if a wake byte is lost *)
-      let timeout =
-        match next with
-        | Some due -> Float.max 0.0 (Float.min 0.25 (due -. now))
-        | None -> 0.25
-      in
-      (try ignore (Unix.select [ t.wake_r ] [] [] timeout)
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      try ignore (Unix.read t.wake_r buf 0 64) with
-      | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-      | Unix.Unix_error (Unix.EBADF, _, _)
-      ->
-        ()
-    end
+  while Batcher.wait t.batcher do
+    ignore (dispatch_once t ~now:(t.clock ()))
   done
 
 let create ?clock ?dispatchers ~(options : Spnc.Options.t) () =
   let batcher =
     Batcher.create ~max_batch:options.Spnc.Options.serve_max_batch
-      ~max_delay_ms:options.Spnc.Options.serve_max_delay_ms
       ~starvation_ms:options.Spnc.Options.serve_starvation_ms
       ~queue_cap:options.Spnc.Options.serve_queue_cap
       ~global_cap:options.Spnc.Options.serve_global_queue_cap
   in
   let registry = Registry.create ~options () in
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
   let t =
     {
       registry;
@@ -266,8 +239,6 @@ let create ?clock ?dispatchers ~(options : Spnc.Options.t) () =
       options;
       clock = Option.value clock ~default:Unix.gettimeofday;
       stop = Atomic.make false;
-      wake_r;
-      wake_w;
       domains = [];
     }
   in
@@ -287,9 +258,10 @@ let register_path t ~name path = Registry.register_path t.registry ~name path
 let models t = Registry.names t.registry
 let registry t = t.registry
 
-let reject ~model ~now reason detail : ticket =
+let reject ?on_settle ~model ~now reason detail : ticket =
   let r =
-    T.make_request ~model ~flat:[||] ~rows:0 ~features:0 ~deadline:None ~now
+    T.make_request ?on_settle ~model ~flat:[||] ~rows:0 ~features:0
+      ~deadline:None ~now ()
   in
   (match reason with
   | T.Overloaded_model | T.Overloaded_global -> Metrics.counter_incr m_shed
@@ -298,18 +270,21 @@ let reject ~model ~now reason detail : ticket =
   T.fulfill r (Error { T.reason; detail });
   r
 
-let submit_async t ~model ?deadline (rows_2d : float array array) : ticket =
+let submit_async t ~model ?deadline ?on_settle (rows_2d : float array array)
+    : ticket =
   Metrics.counter_incr m_requests;
   Metrics.counter_incr (mm_requests model);
   let now = t.clock () in
-  if Atomic.get t.stop then reject ~model ~now T.Closed "server shutting down"
+  let reject = reject ?on_settle ~model ~now in
+  if Atomic.get t.stop then reject T.Closed "server shutting down"
   else if not (Registry.mem t.registry model) then
-    reject ~model ~now T.Unknown_model (Printf.sprintf "no model %S" model)
+    reject T.Unknown_model (Printf.sprintf "no model %S" model)
   else begin
     let rows = Array.length rows_2d in
     if rows = 0 then begin
       let r =
-        T.make_request ~model ~flat:[||] ~rows:0 ~features:0 ~deadline ~now
+        T.make_request ?on_settle ~model ~flat:[||] ~rows:0 ~features:0
+          ~deadline ~now ()
       in
       Metrics.counter_incr m_ok;
       T.fulfill r (Ok [||]);
@@ -321,15 +296,22 @@ let submit_async t ~model ?deadline (rows_2d : float array array) : ticket =
         features = 0
         || Array.exists (fun row -> Array.length row <> features) rows_2d
       in
-      if ragged then reject ~model ~now T.Bad_request "ragged or zero-width rows"
+      if ragged then reject T.Bad_request "ragged or zero-width rows"
       else
         match deadline with
         | Some d when d <= now ->
-            reject ~model ~now T.Expired "deadline already passed at submit"
+            reject T.Expired "deadline already passed at submit"
         | _ ->
             let flat = Array.concat (Array.to_list rows_2d) in
-            let r = T.make_request ~model ~flat ~rows ~features ~deadline ~now in
+            let r =
+              T.make_request ?on_settle ~model ~flat ~rows ~features ~deadline
+                ~now ()
+            in
             (match Batcher.enqueue t.batcher r with
+            | Error T.Closed ->
+                (* shutdown closed the batcher after the [stop] check *)
+                Metrics.counter_incr m_failed;
+                fulfill_error r T.Closed "server shutting down"
             | Error reason ->
                 Metrics.counter_incr m_shed;
                 fulfill_error r reason
@@ -339,8 +321,7 @@ let submit_async t ~model ?deadline (rows_2d : float array array) : ticket =
                 Metrics.gauge_add m_queued_rows (rows_f r);
                 Metrics.gauge_add m_rows_in_flight (rows_f r);
                 Metrics.gauge_set (mm_depth model)
-                  (float_of_int (Batcher.depth t.batcher model));
-                wake t);
+                  (float_of_int (Batcher.depth t.batcher model)));
             r
     end
   end
@@ -352,14 +333,13 @@ let submit t ~model ?deadline rows_2d : T.response =
 
 (* -- Test hook & shutdown ------------------------------------------------------ *)
 
-let step t ~now = fst (dispatch_once t ~now)
+let step t ~now = dispatch_once t ~now
 let pending t = Batcher.total_queued t.batcher
 let queue_depth t model = Batcher.depth t.batcher model
 
 let shutdown t =
   if not (Atomic.exchange t.stop true) then begin
-    (* one byte per dispatcher so every select returns promptly *)
-    List.iter (fun _ -> wake t) t.domains;
+    Batcher.close t.batcher;
     List.iter Domain.join t.domains;
     t.domains <- [];
     let orphans = Batcher.drain t.batcher in
@@ -368,7 +348,5 @@ let shutdown t =
         Metrics.gauge_add m_queued_rows (-.rows_f r);
         Metrics.gauge_add m_rows_in_flight (-.rows_f r);
         fulfill_error r T.Closed "server shut down")
-      orphans;
-    (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-    try Unix.close t.wake_w with Unix.Unix_error _ -> ()
+      orphans
   end

@@ -2,11 +2,12 @@
     response type, and the in-flight request record with its completion
     cell.
 
-    A request is submitted by one thread (a connection handler, a bench
+    A request is submitted by one thread (a connection reader, a bench
     client) and fulfilled by another (a dispatcher domain); the
-    completion cell is a classic mutex + condition pair.  [fulfill] is
-    idempotent — the first response wins — so shutdown paths may sweep
-    queues without racing a concurrent dispatch. *)
+    completion cell is a classic mutex + condition pair, plus an
+    optional settle callback for submitters that do not wait.
+    [fulfill] is idempotent — the first response wins — so shutdown
+    paths may sweep queues without racing a concurrent dispatch. *)
 
 type reject_reason =
   | Overloaded_model  (** per-model queue at [serve_queue_cap] — shed *)
@@ -58,12 +59,15 @@ type request = {
   req_out : float array;
       (** caller-owned result buffer the batch kernel writes into
           directly (one {!Spnc_runtime.Exec.segment} per request) *)
+  req_on_settle : (response -> unit) option;
+      (** called once with the first response, outside [cell_lock]; it
+          must neither block nor raise (it may run on a dispatcher) *)
   cell_lock : Mutex.t;
   cell_cond : Condition.t;
   mutable cell_resp : response option;
 }
 
-let make_request ~model ~flat ~rows ~features ~deadline ~now =
+let make_request ?on_settle ~model ~flat ~rows ~features ~deadline ~now () =
   {
     req_model = model;
     req_flat = flat;
@@ -72,6 +76,7 @@ let make_request ~model ~flat ~rows ~features ~deadline ~now =
     req_deadline = deadline;
     req_enqueued = now;
     req_out = Array.make (max 0 rows) 0.0;
+    req_on_settle = on_settle;
     cell_lock = Mutex.create ();
     cell_cond = Condition.create ();
     cell_resp = None;
@@ -81,12 +86,13 @@ let make_request ~model ~flat ~rows ~features ~deadline ~now =
    racing dispatch must settle exactly once. *)
 let fulfill (r : request) (resp : response) : unit =
   Mutex.lock r.cell_lock;
-  (match r.cell_resp with
-  | None ->
-      r.cell_resp <- Some resp;
-      Condition.broadcast r.cell_cond
-  | Some _ -> ());
-  Mutex.unlock r.cell_lock
+  let first = Option.is_none r.cell_resp in
+  if first then begin
+    r.cell_resp <- Some resp;
+    Condition.broadcast r.cell_cond
+  end;
+  Mutex.unlock r.cell_lock;
+  if first then Option.iter (fun settle -> settle resp) r.req_on_settle
 
 let await (r : request) : response =
   Mutex.lock r.cell_lock;

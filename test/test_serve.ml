@@ -1,15 +1,21 @@
-(** Serving-layer tests ({!Spnc_serve}): batcher flush policy
-    (flush-on-size vs flush-on-timer, driven by an injected clock), EDF
+(** Serving-layer tests ({!Spnc_serve}): the work-conserving batcher
+    policy (a queued request is ready at once, batches are whole
+    requests up to [max_batch] rows, driven by an injected clock), EDF
     ordering across model queues, admission control (per-model and
     global queue caps shedding with structured rejections),
-    deadline-expired requests being swept and never dispatched, scatter
-    bit-identity of batched execution against sequential per-request
+    deadline-expired requests being swept and never dispatched, the
+    settle callback firing exactly once, scatter bit-identity of
+    batched execution against sequential per-request
     {!Spnc.Compiler.execute} under randomized concurrent interleavings
-    at 1/2/4 engine threads, and the registry's bounded engine LRU
-    including reload through the persistent kernel cache's disk tier. *)
+    at 1/2/4 engine threads, connections over socket pairs (half-close,
+    descriptor reuse, a slow reader), and the registry's bounded engine
+    LRU including reload through the persistent kernel cache's disk
+    tier. *)
 
 module Serve = Spnc_serve.Server
 module Batcher = Spnc_serve.Batcher
+module Connection = Spnc_serve.Connection
+module Proto = Spnc_serve.Protocol
 module Registry = Spnc_serve.Registry
 module T = Spnc_serve.Types
 module Compiler = Spnc.Compiler
@@ -66,58 +72,73 @@ let mk_req ?deadline ~model ~rows ~now () =
   let features = 2 in
   T.make_request ~model
     ~flat:(Array.make (rows * features) 0.0)
-    ~rows ~features ~deadline ~now
+    ~rows ~features ~deadline ~now ()
 
-let mk_batcher ?(max_batch = 8) ?(max_delay_ms = 10.0) ?(starvation_ms = 1000.0)
-    ?(queue_cap = 16) ?(global_cap = 64) () =
-  Batcher.create ~max_batch ~max_delay_ms ~starvation_ms ~queue_cap ~global_cap
+let mk_batcher ?(max_batch = 8) ?(starvation_ms = 1000.0) ?(queue_cap = 16)
+    ?(global_cap = 64) () =
+  Batcher.create ~max_batch ~starvation_ms ~queue_cap ~global_cap
 
-let test_flush_on_size () =
-  let b = mk_batcher ~max_batch:8 ~max_delay_ms:10.0 () in
-  let now = 100.0 in
-  for _ = 1 to 7 do
-    match Batcher.enqueue b (mk_req ~model:"a" ~rows:1 ~now ()) with
-    | Ok () -> ()
-    | Error _ -> Alcotest.fail "enqueue under cap must admit"
-  done;
-  (* 7 rows, no time passed: not size-ready, not timer-ready *)
-  let p = Batcher.pop_ready b ~now in
-  check tbool "7 rows: no batch yet" true (p.Batcher.p_batch = None);
-  check tbool "7 rows: nothing expired" true (p.Batcher.p_expired = []);
-  (match Batcher.enqueue b (mk_req ~model:"a" ~rows:1 ~now ()) with
+let admit b r =
+  match Batcher.enqueue b r with
   | Ok () -> ()
-  | Error _ -> Alcotest.fail "8th enqueue must admit");
-  (* 8 rows = max_batch: flushes with zero elapsed time *)
+  | Error _ -> Alcotest.fail "enqueue under the caps must admit"
+
+let popped_rows b ~now =
   match (Batcher.pop_ready b ~now).Batcher.p_batch with
+  | Some batch -> List.map (fun r -> r.T.req_rows) batch.Batcher.b_reqs
+  | None -> []
+
+let test_ready_at_once () =
+  let b = mk_batcher ~max_batch:8 () in
+  let now = 100.0 in
+  (* one request, no time elapsed: ready at once, and a dispatcher
+     parked in [wait] would not block *)
+  admit b (mk_req ~model:"a" ~rows:1 ~now ());
+  check tbool "wait returns at once on a queued request" true (Batcher.wait b);
+  check (Alcotest.list tint) "a lone request pops with no time elapsed" [ 1 ]
+    (popped_rows b ~now);
+  check (Alcotest.list tint) "empty: nothing pops" [] (popped_rows b ~now);
+  Batcher.close b;
+  check tbool "wait returns false once closed" false (Batcher.wait b);
+  match Batcher.enqueue b (mk_req ~model:"a" ~rows:1 ~now ()) with
+  | Error T.Closed -> ()
+  | _ -> Alcotest.fail "a closed batcher must refuse admission"
+
+(* Size is the only bound on a batch: whole head-of-line requests up to
+   max_batch rows, with no time elapsed. *)
+let test_flush_on_size () =
+  let b = mk_batcher ~max_batch:8 () in
+  let now = 100.0 in
+  (* 8 rows = max_batch: one batch takes the whole queue *)
+  for _ = 1 to 8 do
+    admit b (mk_req ~model:"a" ~rows:1 ~now ())
+  done;
+  (match (Batcher.pop_ready b ~now).Batcher.p_batch with
   | Some batch ->
       check tint "size flush takes the whole queue" 8 batch.Batcher.b_rows;
       check tint "queue drained" 0 (Batcher.depth b "a")
-  | None -> Alcotest.fail "size-ready queue must flush without waiting"
-
-let test_flush_on_timer () =
-  let b = mk_batcher ~max_batch:100 ~max_delay_ms:10.0 () in
-  let now = 50.0 in
-  (match Batcher.enqueue b (mk_req ~model:"a" ~rows:2 ~now ()) with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "enqueue must admit");
-  let early = Batcher.pop_ready b ~now:(now +. 0.005) in
-  check tbool "before max_delay: held back" true (early.Batcher.p_batch = None);
-  (* p_next names the pending timer flush *)
-  (match early.Batcher.p_next with
-  | Some t ->
-      check tbool "p_next = enqueue + max_delay" true
-        (Float.abs (t -. (now +. 0.010)) < 1e-9)
-  | None -> Alcotest.fail "a queued request must schedule a flush");
-  match (Batcher.pop_ready b ~now:(now +. 0.011)).Batcher.p_batch with
-  | Some batch -> check tint "timer flush rows" 2 batch.Batcher.b_rows
-  | None -> Alcotest.fail "past max_delay the queue must flush"
+  | None -> Alcotest.fail "size-ready queue must flush without waiting");
+  (* queued while no dispatcher polled: they pop together, as whole
+     requests up to max_batch rows (3+3 fit, a third 3 would make 9) *)
+  List.iter (fun rows -> admit b (mk_req ~model:"a" ~rows ~now ())) [ 3; 3; 3 ];
+  check (Alcotest.list tint) "the backlog pops as whole requests" [ 3; 3 ]
+    (popped_rows b ~now);
+  check (Alcotest.list tint) "the rest pops next" [ 3 ] (popped_rows b ~now);
+  (* an oversized first request is still taken, alone *)
+  admit b (mk_req ~model:"a" ~rows:10 ~now ());
+  admit b (mk_req ~model:"a" ~rows:1 ~now ());
+  check (Alcotest.list tint) "an oversized head pops alone" [ 10 ]
+    (popped_rows b ~now);
+  check (Alcotest.list tint) "then the request behind it" [ 1 ]
+    (popped_rows b ~now);
+  check (Alcotest.list tint) "empty: nothing pops" [] (popped_rows b ~now)
 
 let test_edf_order () =
-  let b = mk_batcher ~max_batch:100 ~max_delay_ms:5.0 ~starvation_ms:1e7 () in
+  let b = mk_batcher ~max_batch:100 ~starvation_ms:1e7 () in
   let now = 10.0 in
-  (* both timer-ready at pop time; "late" enqueued first but has the
-     later deadline — EDF must pick "soon" (starvation guard pushed out
-     of the way so the deadlines alone order the pick) *)
+  (* both queued at pop time; "late" enqueued first but has the later
+     deadline — EDF must pick "soon" (starvation guard pushed out of the
+     way so the deadlines alone order the pick) *)
   (match Batcher.enqueue b (mk_req ~deadline:(now +. 60.0) ~model:"late" ~rows:1 ~now ()) with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "enqueue late");
@@ -128,15 +149,15 @@ let test_edf_order () =
   | Some batch ->
       check Alcotest.string "earliest deadline dispatches first" "soon"
         batch.Batcher.b_model
-  | None -> Alcotest.fail "timer-ready queues must flush");
+  | None -> Alcotest.fail "non-empty queues must pop");
   match (Batcher.pop_ready b ~now:(now +. 0.006)).Batcher.p_batch with
   | Some batch ->
       check Alcotest.string "then the later deadline" "late"
         batch.Batcher.b_model
-  | None -> Alcotest.fail "second queue must flush next"
+  | None -> Alcotest.fail "second queue must pop next"
 
 let test_starvation_guard () =
-  let b = mk_batcher ~max_batch:100 ~max_delay_ms:1.0 ~starvation_ms:50.0 () in
+  let b = mk_batcher ~max_batch:100 ~starvation_ms:50.0 () in
   let now = 10.0 in
   (* deadline-less request enqueued long ago: its effective deadline is
      enqueued+starvation, which beats a fresh tight-deadline tenant *)
@@ -154,7 +175,7 @@ let test_starvation_guard () =
   | Some batch ->
       check Alcotest.string "starved best-effort traffic dispatches first"
         "old" batch.Batcher.b_model
-  | None -> Alcotest.fail "both queues are timer-ready"
+  | None -> Alcotest.fail "both queues hold a request"
 
 let test_queue_caps () =
   let b = mk_batcher ~queue_cap:3 ~global_cap:5 () in
@@ -204,7 +225,7 @@ let test_server_shed_and_depth () =
   (match Serve.await (Serve.submit_async server ~model:"nope" data) with
   | Error { T.reason = T.Unknown_model; _ } -> ()
   | _ -> Alcotest.fail "unknown model must reject");
-  (* drain: flush-on-timer via stepped clock *)
+  (* drain: one step pops the queued pair *)
   clock := !clock +. 1.0;
   check tbool "step dispatches" true (Serve.step server ~now:!clock);
   (match (Serve.await t1, Serve.await t2) with
@@ -278,12 +299,228 @@ let test_server_shutdown_drains () =
   | Error { T.reason = T.Closed; _ } -> ()
   | _ -> Alcotest.fail "submits after shutdown must reject as closed"
 
+(* Every outcome settles through [on_settle] exactly once, with the
+   very response [await] returns: ok, shed and bad request (the last two
+   inline, before [submit_async] returns), expired while queued, and
+   closed at shutdown. *)
+let test_on_settle_once () =
+  let clock = ref 5000.0 in
+  let options = { base_options with serve_queue_cap = 2 } in
+  let server = stepped_server ~options ~clock () in
+  Serve.register_model server ~name:"m0" (model 0);
+  let data = rows_for (model 0) 1 in
+  let submit ?deadline rows =
+    let seen = ref [] in
+    let ticket =
+      Serve.submit_async server ~model:"m0" ?deadline
+        ~on_settle:(fun resp -> seen := resp :: !seen)
+        rows
+    in
+    (ticket, seen)
+  in
+  let settled what (ticket, seen) =
+    match !seen with
+    | [ resp ] ->
+        check tbool (what ^ ": the awaited response") true
+          (resp == Serve.await ticket);
+        resp
+    | l -> Alcotest.failf "%s: on_settle fired %d times" what (List.length l)
+  in
+  let pending what (_, seen) =
+    check tint (what ^ ": not settled yet") 0 (List.length !seen)
+  in
+  let reason = function Error e -> Some e.T.reason | Ok _ -> None in
+  let ok = submit data in
+  let expiring = submit ~deadline:(!clock +. 0.5) data in
+  let shed = submit data in
+  check tbool "shed settles inline" true
+    (reason (settled "shed" shed) = Some T.Overloaded_model);
+  check tbool "bad request settles inline" true
+    (reason (settled "bad request" (submit [| [| 1.0 |]; [||] |]))
+    = Some T.Bad_request);
+  pending "ok" ok;
+  pending "expiring" expiring;
+  (* the step sweeps the expired request and dispatches the other *)
+  clock := !clock +. 1.0;
+  check tbool "step" true (Serve.step server ~now:!clock);
+  check tbool "expired while queued" true
+    (reason (settled "expired" expiring) = Some T.Expired);
+  (match settled "ok" ok with
+  | Ok values -> check tint "ok: one row" 1 (Array.length values)
+  | Error _ -> Alcotest.fail "ok: must dispatch");
+  let closing = submit data in
+  pending "closing" closing;
+  Serve.shutdown server;
+  check tbool "closed at shutdown" true
+    (reason (settled "closed" closing) = Some T.Closed);
+  (* shutdown's drain settled none of them a second time *)
+  List.iter
+    (fun (what, sub) -> ignore (settled what sub))
+    [ ("ok", ok); ("expired", expiring); ("shed", shed); ("closed", closing) ]
+
+(* -- connections over socket pairs --------------------------------------------- *)
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let request_line ~id ~model rows =
+  Proto.encode_request
+    { Proto.wr_id = id; wr_model = model; wr_rows = rows; wr_deadline_ms = None }
+  ^ "\n"
+
+(* Serve one end of a fresh socket pair on its own thread; returns the
+   client end and the thread, which ends once the server end is closed. *)
+let open_connection server =
+  let s, c = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (s, c, Thread.create (Connection.serve server) s)
+
+(* Send every line, half-close, and read responses to end of input. *)
+let exchange server lines =
+  let _, c, th = open_connection server in
+  write_all c (String.concat "" lines);
+  Unix.shutdown c Unix.SHUTDOWN_SEND;
+  let ic = Unix.in_channel_of_descr c in
+  let rec read acc =
+    match input_line ic with
+    | line -> (
+        match Proto.decode_response line with
+        | Ok (id, resp) -> read ((id, resp) :: acc)
+        | Error e -> Alcotest.failf "undecodable response %S: %s" line e)
+    | exception End_of_file -> List.rev acc
+  in
+  let got = read [] in
+  close_in ic;
+  Thread.join th;
+  got
+
+let live_server () =
+  let server = Serve.create ~options:base_options () in
+  let refs =
+    Array.init 2 (fun i ->
+        let m = model i in
+        Serve.register_model server ~name:m.Model.name m;
+        let pool = rows_for ~seed:(700 + i) m 16 in
+        let compiled = Compiler.compile ~options:base_options m in
+        (m.Model.name, pool, compiled))
+  in
+  (server, refs)
+
+(* A client that pipelines N requests and half-closes gets exactly its
+   N ids back, each bit-identical to [Compiler.execute]. *)
+let test_half_close () =
+  let server, refs = live_server () in
+  let n = 24 in
+  let reqs =
+    List.init n (fun i ->
+        let name, pool, compiled = refs.(i mod 2) in
+        let rows = 1 + (i mod 3) in
+        let slice = Array.sub pool (i mod 8) rows in
+        (100 + i, name, slice, Compiler.execute compiled slice))
+  in
+  let got =
+    exchange server
+      (List.map
+         (fun (id, model, slice, _) -> request_line ~id ~model slice)
+         reqs)
+  in
+  Serve.shutdown server;
+  check (Alcotest.list tint) "exactly the N ids"
+    (List.map (fun (id, _, _, _) -> id) reqs)
+    (List.sort compare (List.map fst got));
+  List.iter
+    (fun (id, _, _, expect) ->
+      match List.assoc id got with
+      | Ok values -> check_bits (Printf.sprintf "id %d" id) expect values
+      | Error e ->
+          Alcotest.failf "id %d: %s" id (T.reject_reason_to_string e.T.reason))
+    reqs
+
+(* Sequential connections reuse descriptor numbers; a response written
+   after its connection's descriptor was closed would land on the next
+   one. *)
+let test_no_foreign_ids () =
+  let server, refs = live_server () in
+  let name, pool, _ = refs.(0) in
+  for k = 0 to 19 do
+    let ids = List.init 5 (fun j -> (5 * k) + j) in
+    let got =
+      exchange server
+        (List.map
+           (fun id -> request_line ~id ~model:name [| pool.(id mod 16) |])
+           ids)
+    in
+    List.iter
+      (fun (id, _) ->
+        if not (List.mem id ids) then
+          Alcotest.failf "connection %d received foreign id %d" k id)
+      got;
+    check (Alcotest.list tint)
+      (Printf.sprintf "connection %d: its own ids" k)
+      ids
+      (List.sort compare (List.map fst got))
+  done;
+  Serve.shutdown server
+
+(* A peer that never reads fills its connection's socket; with one
+   dispatcher, another connection must still be answered.  B uses its
+   own model, so A's backlog cannot shed B's requests at admission. *)
+let test_slow_reader () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let server = Serve.create ~dispatchers:1 ~options:base_options () in
+  let pools =
+    Array.init 2 (fun i ->
+        let m = model i in
+        Serve.register_model server ~name:(Printf.sprintf "m%d" i) m;
+        rows_for ~seed:77 m 16)
+  in
+  let lines ~model ~base n =
+    String.concat ""
+      (List.init n (fun i ->
+           request_line ~id:(base + i) ~model:(Printf.sprintf "m%d" model)
+             [| pools.(model).(i mod 16) |]))
+  in
+  let sa, ca, tha = open_connection server in
+  Unix.setsockopt_int sa Unix.SO_SNDBUF 4096;
+  (* the server reads without pause; the timeout only keeps a regression
+     from hanging the suite *)
+  Unix.setsockopt_float ca Unix.SO_SNDTIMEO 10.0;
+  (try write_all ca (lines ~model:0 ~base:0 3000) with Unix.Unix_error _ -> ());
+  let _, cb, thb = open_connection server in
+  Unix.setsockopt_float cb Unix.SO_RCVTIMEO 10.0;
+  let t0 = Unix.gettimeofday () in
+  write_all cb (lines ~model:1 ~base:10_000 20);
+  let ic = Unix.in_channel_of_descr cb in
+  let answered = ref 0 in
+  (try
+     while !answered < 20 do
+       match Proto.decode_response (input_line ic) with
+       | Ok (id, Ok _) when id >= 10_000 && id < 10_020 -> incr answered
+       | Ok (id, Error e) ->
+           Alcotest.failf "B: id %d: %s" id
+             (T.reject_reason_to_string e.T.reason)
+       | _ -> Alcotest.fail "B: unexpected response"
+     done
+   with End_of_file | Sys_blocked_io | Sys_error _ | Unix.Unix_error _ -> ());
+  check tint "B: all 20 answered" 20 !answered;
+  check tbool "B: within 10 s" true (Unix.gettimeofday () -. t0 < 10.0);
+  Unix.shutdown cb Unix.SHUTDOWN_SEND;
+  close_in ic;
+  Thread.join thb;
+  (* hanging up A fails its blocked write; its connection then ends *)
+  Unix.close ca;
+  Thread.join tha;
+  Serve.shutdown server
+
 (* -- scatter bit-identity under concurrency ----------------------------------- *)
 
 (* Real dispatcher domains, several client threads firing randomized
    slices of precomputed pools at randomized models: every response must
    be bit-identical to the sequential whole-pool reference, whatever
-   batches the flush policy happened to coalesce. *)
+   batches the dispatchers happened to coalesce. *)
 let scatter_identity ~threads () =
   let options = { base_options with threads } in
   let server = Serve.create ~options () in
@@ -393,8 +630,8 @@ let test_registry_kcache_reload () =
 
 let suite =
   [
+    ("batcher: work-conserving pop", `Quick, test_ready_at_once);
     ("batcher: flush on size", `Quick, test_flush_on_size);
-    ("batcher: flush on timer", `Quick, test_flush_on_timer);
     ("batcher: EDF ordering", `Quick, test_edf_order);
     ("batcher: starvation guard", `Quick, test_starvation_guard);
     ("batcher: queue caps shed", `Quick, test_queue_caps);
@@ -404,6 +641,10 @@ let suite =
       test_server_expired_never_dispatched );
     ("server: bad requests reject", `Quick, test_server_bad_request);
     ("server: shutdown drains as closed", `Quick, test_server_shutdown_drains);
+    ("server: on_settle fires once", `Quick, test_on_settle_once);
+    ("connection: half-close answers all", `Quick, test_half_close);
+    ("connection: no foreign ids after reuse", `Quick, test_no_foreign_ids);
+    ("connection: a slow reader delays no one", `Quick, test_slow_reader);
     ("scatter identity, threads=1", `Quick, scatter_identity ~threads:1);
     ("scatter identity, threads=2", `Quick, scatter_identity ~threads:2);
     ("scatter identity, threads=4", `Quick, scatter_identity ~threads:4);

@@ -105,8 +105,8 @@ let test_compile_key_structure () =
          use_kernel_cache = false; kernel_cache_dir = Some "/nonexistent";
          kernel_cache_mb = 1; profile = true;
          output_guard = Spnc_resilience.Guard.Fail; deadline_ms = Some 5.0;
-         exec_retries = 0; serve_max_batch = 1; serve_max_delay_ms = 9.0;
-         serve_queue_cap = 1; serve_global_queue_cap = 1;
+         exec_retries = 0; serve_max_batch = 1; serve_queue_cap = 1;
+         serve_global_queue_cap = 1;
          serve_engines_cap = 1; serve_dispatchers = 7;
          serve_starvation_ms = 1.0 })
 
