@@ -7,7 +7,8 @@
       (AVX2 + veclib + shuffle), with an exact output comparison each.
       The scalar kernels spend most of their time in libm, which both
       engines pay identically, so dispatch elimination shows up
-      strongest on the vectorized kernels;
+      strongest on the vectorized kernels, whose Gaussian leaves and
+      log-sum-exps the JIT fuses (counted, and gated);
     - sustained throughput of the persistent worker pool (§4);
     - Fig. 6 and the auto-tuner, whose full DSE report goes to
       [DSE_cpu.json];
@@ -143,7 +144,20 @@ let bench_config a ~models ~data ~prefix cfg_name base_options =
   A.entry a A.Measured ~unit:"s" (prefix ^ ".vm_seconds") vm_s;
   A.entry a A.Measured ~unit:"s" ~hard:true (prefix ^ ".jit_seconds") jit_s;
   A.entry a A.Measured ~better:A.Higher ~unit:"x" (prefix ^ ".jit_speedup")
-    (vm_s /. jit_s)
+    (vm_s /. jit_s);
+  jit_c
+
+(* Gaussian leaves and log-sum-exps the JIT compiled into one closure
+   each, over the kernels of [cs] *)
+let fused cs =
+  Array.fold_left
+    (fun (g, l) c ->
+      match c.Compiler.artifact with
+      | Compiler.Cpu_kernel k ->
+          let g', l' = Spnc_cpu.Jit.fused (Compiler.force_jit k.Compiler.jit) in
+          (g + g', l + l')
+      | Compiler.Gpu_kernel _ -> (g, l))
+    (0, 0) cs
 
 (* -- Sustained throughput (docs/PERFORMANCE.md §4) ---------------------------- *)
 
@@ -346,8 +360,8 @@ let () =
     "bench_cpu: %d speaker models, %d rows, %d rep(s), %d thread(s), scale %s@."
     (Array.length models) rows !reps !threads W.scale_name;
   let a = A.create "bench_cpu" in
-  bench_config a ~models ~data ~prefix:"scalar" "no-vec" (W.cpu_novec ());
-  bench_config a ~models ~data ~prefix:"best_cpu" "avx2" (W.cpu_avx2 ());
+  ignore (bench_config a ~models ~data ~prefix:"scalar" "no-vec" (W.cpu_novec ()));
+  let avx2 = bench_config a ~models ~data ~prefix:"best_cpu" "avx2" (W.cpu_avx2 ()) in
   bench_sustained a ~model:models.(0) ~data;
   let tune_r = bench_fig6 a ~model:models.(0) ~data in
   (* cold start resets the memory cache, so it runs after every section
@@ -406,5 +420,13 @@ let () =
       ("full_compiles", A.Lower, k.Compiler.full_compiles);
       ("disk_hits", A.Higher, k.Compiler.disk_hits);
     ];
+  (* a kernel that stops fusing an idiom fails the gate (its count
+     falls to 0, past the hard limit) *)
+  let gaussians, lses = fused avx2 in
+  Fmt.pr "jit fusion (avx2): %d Gaussian leaves, %d log-sum-exps@." gaussians lses;
+  A.entry a A.Count ~better:A.Higher ~hard:true ~unit:"idioms"
+    "best_cpu.jit_fused_gaussian" (float_of_int gaussians);
+  A.entry a A.Count ~better:A.Higher ~hard:true ~unit:"idioms"
+    "best_cpu.jit_fused_lse" (float_of_int lses);
   A.write a !out_path;
   A.exit_on_divergence a

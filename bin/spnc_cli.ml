@@ -653,7 +653,12 @@ let run path options rows seed verify verbose profile tuned_config autotune obs 
           Spnc_cpu.Profile.write_file p path;
           Fmt.pr "profile: written to %s@." path
       | _ -> ()));
-  if verbose then pp_cache_counters ();
+  if verbose then begin
+    pp_cache_counters ();
+    let count name = Spnc_obs.Metrics.(counter_value (counter name)) in
+    Fmt.pr "jit fusion: %d Gaussian leaf(s), %d log-sum-exp(s)@."
+      (count "cpu.jit.fused_gaussian") (count "cpu.jit.fused_lse")
+  end;
   0
 
 let run_cmd =
@@ -666,7 +671,8 @@ let run_cmd =
   let verbose =
     Arg.(
       value & flag
-      & info [ "verbose"; "v" ] ~doc:"Also print kernel-cache counters.")
+      & info [ "verbose"; "v" ]
+          ~doc:"Also print kernel-cache counters and the JIT's fused idioms.")
   in
   let profile =
     Arg.(

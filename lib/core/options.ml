@@ -288,16 +288,33 @@ let compile_of_json (j : Json.t) : (compile, string) result =
 
 let fingerprint (k : compile) = Json.to_string (compile_to_json k)
 
+(* The compile key, then every runtime knob.  Every field is bound by
+   name, as in [compile_of]: a new field is a build error here too. *)
 let pp ppf (t : t) =
+  let { (* the compile key prints these, and [machine]'s isa and veclib *)
+        target = _; vectorize = _; use_veclib = _; use_shuffle = _;
+        use_gather_tables = _; opt_level = _; lospn_opt_order = _;
+        max_partition_size = _; block_size = _; space = _; base_type = _;
+        support_marginal = _; gpu_fallback = _;
+        machine; gpu; batch_size; threads; sched; streams; engine;
+        use_kernel_cache; kernel_cache_dir; kernel_cache_mb; profile;
+        output_guard; deadline_ms; exec_retries; serve_max_batch;
+        serve_queue_cap; serve_global_queue_cap; serve_engines_cap;
+        serve_dispatchers; serve_starvation_ms } =
+    t
+  in
+  let opt f = function None -> "none" | Some x -> f x in
   Fmt.pf ppf
-    "%s %s vec=%b veclib=%b shuffle=%b %s part=%s batch=%d block=%d \
-     threads=%d sched=%s streams=%d engine=%s cache=%b profile=%b guard=%s"
-    (target_to_string t.target) t.machine.M.cpu_name t.vectorize t.use_veclib
-    t.use_shuffle
-    (Spnc_cpu.Optimizer.level_to_string t.opt_level)
-    (match t.max_partition_size with None -> "off" | Some s -> string_of_int s)
-    t.batch_size t.block_size (effective_threads t) (sched_to_string t.sched)
-    t.streams
-    (Spnc_cpu.Jit.engine_to_string t.engine)
-    t.use_kernel_cache t.profile
-    (Spnc_resilience.Guard.policy_to_string t.output_guard)
+    "%s machine=%S gpu=%S batch=%d threads=%d sched=%s streams=%d engine=%s \
+     cache=%b cache_dir=%s cache_mb=%d profile=%b guard=%s deadline_ms=%s \
+     retries=%d serve_batch=%d serve_queue=%d serve_global_queue=%d \
+     serve_engines=%d serve_dispatchers=%d serve_starvation_ms=%g"
+    (fingerprint (compile_of t))
+    machine.M.cpu_name gpu.M.gpu_name batch_size (normalize_threads threads)
+    (sched_to_string sched) streams
+    (Spnc_cpu.Jit.engine_to_string engine)
+    use_kernel_cache (opt Fun.id kernel_cache_dir) kernel_cache_mb profile
+    (Spnc_resilience.Guard.policy_to_string output_guard)
+    (opt (Printf.sprintf "%g") deadline_ms)
+    exec_retries serve_max_batch serve_queue_cap serve_global_queue_cap
+    serve_engines_cap serve_dispatchers serve_starvation_ms

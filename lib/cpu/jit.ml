@@ -36,6 +36,15 @@
     a time.  Code outside loops, and ineligible loops, call the same
     closures with [n = 1]: the VM's order exactly.
 
+    {b Fused idioms.}  In an eligible loop, the two SPN idioms
+    [Lower_cpu] spells out as chains of vector instructions — a
+    log-space Gaussian leaf (with its marginal select) and a binary
+    log-sum-exp — compile to one closure each, at the idiom's last
+    instruction, when every intermediate is read only inside the idiom.
+    The intermediates get no closure and no slot; the closure runs the
+    same IEEE operations in the same order, so the VM, which runs each
+    instruction on its own, stays the reference bit for bit.
+
     {b Frames.}  F and V registers live in one float array, I registers
     in an int array, buffers in their own.  A register whose defs and
     uses all lie inside one eligible loop body shares a column slot with
@@ -103,17 +112,24 @@ type cfunc = {
   b_size : int;
 }
 
-type kernel = { cfuncs : cfunc array; centry : int }
+type kernel = {
+  cfuncs : cfunc array;
+  centry : int;
+  gaussians : int;  (** fused idioms, over all functions *)
+  lses : int;
+}
 
 type state = frame array
 
 (* -- Analysis ----------------------------------------------------------------- *)
 
-(* One scan over a function's flattened body fills per-class register
-   arrays (F, I, V, B = 0..3): where each register is defined and read,
-   its last position, whether it is a promotable constant.  Eligibility
-   and slot assignment then read those arrays, so compile time stays
-   linear in the instruction count. *)
+(* One scan over a function's flattened body records each position's def
+   and uses in flat [int] arrays, and fills per-class register arrays
+   (F, I, V, B = 0..3): where each register is defined and read, how
+   often it is read, its last position, whether it is a promotable
+   constant.  Eligibility, idiom matching and slot assignment then read
+   those arrays, so compile time stays linear in the instruction count
+   and [Optimizer.defs]/[uses] run once per instruction. *)
 
 let cls = function
   | Optimizer.F -> 0
@@ -121,10 +137,10 @@ let cls = function
   | Optimizer.V -> 2
   | Optimizer.B -> 3
 
-(* [f c r] for each register [ins] defines / reads; the short lists die
-   young, unlike lists kept per instruction *)
-let iter_defs f ins = List.iter (fun (c, r) -> f c r) (Optimizer.defs ins)
-let iter_uses f ins = List.iter (fun (c, r) -> f c r) (Optimizer.uses ins)
+(* a (class, register) pair as one [int] of the flat arrays *)
+let[@inline] enc c r = (r lsl 2) lor c
+let[@inline] ecls e = e land 3
+let[@inline] ereg e = e asr 2
 
 (* where all of a register's defs (or uses) lie: one innermost loop id,
    [top] outside loops, [nowhere] before the first, [mixed] once two
@@ -134,8 +150,15 @@ let mixed = -2
 let nowhere = -3
 let merge cur l = if cur = nowhere || cur = l then l else mixed
 
+(* [base] of a register with no slot: not placed (yet), or an
+   intermediate of a fused idiom, which no closure writes *)
+let unplaced = -1
+let fused_away = -2
+
 type regs = {
   ndefs : int array;
+  nuses : int array;  (** operand positions that read it *)
+  dpos : int array;  (** flat position of its last def *)
   def_in : int array;
   use_in : int array;
   last : int array;  (** last flat position that defines or reads it *)
@@ -144,7 +167,7 @@ type regs = {
   konst : bool array;  (** defined by a [ConstF]/[ConstI]/[VConst] *)
   fval : float array;
   ival : int array;
-  base : int array;  (** frame offset of its slot; -1 when it has none *)
+  base : int array;  (** frame offset of its slot, or [unplaced]/[fused_away] *)
 }
 
 type lp = {
@@ -159,16 +182,33 @@ type lp = {
   mutable touched : int list;  (** buffer registers loaded or stored *)
 }
 
+(* What the closure compiler does at a position of an eligible vector
+   loop (see "Fused idioms" below). *)
+type role =
+  | Plain  (** its own closure *)
+  | Member  (** an intermediate of a later root's idiom: no closure *)
+  | Gauss of { x : int; mean : float; inv : float; mhalf : float; k : float }
+      (** root of a log-space Gaussian leaf over V register [x] *)
+  | Lse of { a : int; b : int }
+      (** root of a binary log-sum-exp of V registers [a] and [b] *)
+
 type an = {
   w : int;
   rs : regs array;
   loops : lp array;
+  flat : instr array;  (** the body in pre-order, by position *)
+  dreg : int array;  (** the register each position defines, or -1 *)
+  ustart : int array;  (** position [p] reads [ureg.(ustart.(p) ..)] *)
+  ureg : int array;
+  roles : role array;
   negative : bool;  (** some register index is negative *)
   mutable pool_fl : int;  (** float words of the shared column slots *)
   mutable pool_it : int;
   mutable fl_words : int;  (** frame sizes, growing as slots are laid out *)
   mutable it_words : int;
   b_size : int;
+  mutable gaussians : int;  (** fused idioms *)
+  mutable lses : int;
 }
 
 (* A [ConstF]/[ConstI]/[VConst] whose destination has exactly one
@@ -215,14 +255,32 @@ let analyse (fn : func) : an =
   let negative = ref false in
   let see c r =
     let c = cls c in
-    if r < 0 then negative := true else if r >= bound.(c) then bound.(c) <- r + 1
+    if r < 0 then negative := true else if r >= bound.(c) then bound.(c) <- r + 1;
+    enc c r
   in
-  List.iter (see Optimizer.B) fn.params;
-  Array.iter (fun ins -> iter_defs see ins; iter_uses see ins) flat;
+  List.iter (fun r -> ignore (see Optimizer.B r)) fn.params;
+  (* a Lir instruction defines at most one register *)
+  let dreg = Array.make n (-1) and ustart = Array.make (n + 1) 0 in
+  let ureg = ref (Array.make ((3 * n) + 4) 0) and nu = ref 0 in
+  Array.iteri
+    (fun p ins ->
+      (match Optimizer.defs ins with (c, r) :: _ -> dreg.(p) <- see c r | [] -> ());
+      List.iter
+        (fun (c, r) ->
+          if !nu = Array.length !ureg then
+            ureg := Array.append !ureg (Array.make (!nu + 4) 0);
+          !ureg.(!nu) <- see c r;
+          incr nu)
+        (Optimizer.uses ins);
+      ustart.(p + 1) <- !nu)
+    flat;
+  let ureg = !ureg in
   let mk c =
     let n = bound.(c) in
     {
       ndefs = Array.make n 0;
+      nuses = Array.make n 0;
+      dpos = Array.make n (-1);
       def_in = Array.make n nowhere;
       use_in = Array.make n nowhere;
       last = Array.make n (-1);
@@ -230,58 +288,187 @@ let analyse (fn : func) : an =
       konst = Array.make n false;
       fval = Array.make (if c = 0 || c = 2 then n else 0) 0.0;
       ival = Array.make (if c = 1 then n else 0) 0;
-      base = Array.make n (-1);
+      base = Array.make n unplaced;
     }
   in
   let rs = Array.init 4 mk in
   let rec within l d = l = d || (l >= 0 && within loops.(l).parent d) in
   if not !negative then
-    Array.iteri
-      (fun p ins ->
-        let l = parent.(p) in
-        iter_uses
-          (fun c r ->
-            let x = rs.(cls c) in
-            x.use_in.(r) <- merge x.use_in.(r) l;
-            x.last.(r) <- p;
-            if x.ndefs.(r) = 0 || not (within l x.def_in.(r)) then
-              x.early.(r) <- true)
-          ins;
+    for p = 0 to n - 1 do
+      let l = parent.(p) in
+      for u = ustart.(p) to ustart.(p + 1) - 1 do
+        let e = ureg.(u) in
+        let x = rs.(ecls e) and r = ereg e in
+        x.use_in.(r) <- merge x.use_in.(r) l;
+        x.nuses.(r) <- x.nuses.(r) + 1;
+        x.last.(r) <- p;
+        if x.ndefs.(r) = 0 || not (within l x.def_in.(r)) then x.early.(r) <- true
+      done;
+      let e = dreg.(p) in
+      if e >= 0 then begin
         (* a loop's induction variable lives inside the loop *)
         let dl = if loop_id.(p) >= 0 then loop_id.(p) else l in
-        iter_defs
-          (fun c r ->
-            let x = rs.(cls c) in
-            x.ndefs.(r) <- x.ndefs.(r) + 1;
-            x.def_in.(r) <- merge x.def_in.(r) dl;
-            x.last.(r) <- p)
-          ins;
-        match ins with
-        | ConstF (d, v) -> rs.(0).konst.(d) <- true; rs.(0).fval.(d) <- v
-        | ConstI (d, v) -> rs.(1).konst.(d) <- true; rs.(1).ival.(d) <- v
-        | VConst (d, v) -> rs.(2).konst.(d) <- true; rs.(2).fval.(d) <- v
-        | Loop _ | CallFn _ | AllocBuf _ | DeallocBuf _ | CopyBuf _
-        | TableConst _ ->
-            if l >= 0 then loops.(l).straight <- false
-        | _ -> ())
-      flat;
+        let x = rs.(ecls e) and r = ereg e in
+        x.ndefs.(r) <- x.ndefs.(r) + 1;
+        x.dpos.(r) <- p;
+        x.def_in.(r) <- merge x.def_in.(r) dl;
+        x.last.(r) <- p
+      end;
+      match flat.(p) with
+      | ConstF (d, v) -> rs.(0).konst.(d) <- true; rs.(0).fval.(d) <- v
+      | ConstI (d, v) -> rs.(1).konst.(d) <- true; rs.(1).ival.(d) <- v
+      | VConst (d, v) -> rs.(2).konst.(d) <- true; rs.(2).fval.(d) <- v
+      | Loop _ | CallFn _ | AllocBuf _ | DeallocBuf _ | CopyBuf _ | TableConst _ ->
+          if l >= 0 then loops.(l).straight <- false
+      | _ -> ()
+    done;
   {
     w = max 1 fn.vec_width;
     rs;
     loops;
+    flat;
+    dreg;
+    ustart;
+    ureg;
+    roles = Array.make n Plain;
     negative = !negative;
     pool_fl = 0;
     pool_it = 0;
     fl_words = 0;
     it_words = 0;
     b_size = max 1 bound.(3);
+    gaussians = 0;
+    lses = 0;
   }
+
+(* -- Fused idioms ------------------------------------------------------------- *)
+
+(* [Lower_cpu] spells two SPN idioms out as chains of vector
+   instructions, which the closure compiler folds into one closure each
+   (docs/PERFORMANCE.md §1, "Fused idioms"):
+   - a log-space Gaussian leaf: [z0 = x - mean], [z = z0 * inv],
+     [z2 = z * z], [h = z2 * mhalf], [g = h + k] (at -O3 the last two
+     are one [FMA g z2 mhalf k]), and with marginal support a select
+     [sel c t g];
+   - a binary log-sum-exp: [m = max a b], [mn = min a b], [d = mn - m],
+     [e = exp d], [l = log1p e], [s = m + l], [c = (m = -inf)] and
+     [sel c m s].
+   The root is the select, or [g] for a Gaussian without one.  Every
+   intermediate must have one definition in the loop body before the
+   root and no read outside the idiom (its read count is exactly the
+   idiom's), and an input read by a member must not be redefined before
+   the root; the constants must be promoted.  The fused closure computes
+   the same IEEE operations in the same order, so the output is the
+   VM's bit for bit. *)
+
+exception No_match
+
+let plain = function Plain -> true | _ -> false
+
+(* Match the idioms rooted in the body of eligible vector loop [id],
+   last root first, so that a Gaussian's [g] is claimed by its select
+   before it can root a Gaussian of its own. *)
+let match_idioms an (defd : int array) id =
+  let lp = an.loops.(id) in
+  let lo = lp.pos + 1 and hi = lp.pos + Array.length lp.l.body in
+  let x = an.rs.(2) in
+  let members = ref [] in
+  (* the instruction defining intermediate [r] of the idiom rooted at [q],
+     which reads it [reads] times *)
+  let def q r reads =
+    let p = x.dpos.(r) in
+    if x.ndefs.(r) <> 1 || x.nuses.(r) <> reads || p < lo || p >= q
+       || not (plain an.roles.(p))
+    then raise_notrace No_match;
+    members := p :: !members;
+    an.flat.(p)
+  in
+  let imm r = if promoted x r then x.fval.(r) else raise_notrace No_match in
+  (* an input keeps its value from the members' reads to the root *)
+  let input r =
+    if x.ndefs.(r) > 1 && defd.(r) = id then raise_notrace No_match;
+    r
+  in
+  let gauss q g =
+    let z2, mhalf, k =
+      match g with
+      | VBin (FAdd, _, h, k) -> (
+          match def q h 1 with
+          | VBin (FMul, _, z2, mh) -> (z2, imm mh, imm k)
+          | _ -> raise_notrace No_match)
+      | VBin3 (_, _, z2, mh, k) -> (z2, imm mh, imm k)
+      | _ -> raise_notrace No_match
+    in
+    match def q z2 1 with
+    | VBin (FMul, _, z, z') when z = z' -> (
+        match def q z 2 with
+        | VBin (FMul, _, z0, inv) -> (
+            let inv = imm inv in
+            match def q z0 1 with
+            | VBin (FSub, _, xr, mean) ->
+                Gauss { x = input xr; mean = imm mean; inv; mhalf; k }
+            | _ -> raise_notrace No_match)
+        | _ -> raise_notrace No_match)
+    | _ -> raise_notrace No_match
+  in
+  let lse q c t e =
+    match def q c 1 with
+    | VCmp (Oeq, _, m, ninf) when m = t && imm ninf = Float.neg_infinity -> (
+        match def q e 1 with
+        | VBin (FAdd, _, m', l) when m' = m -> (
+            match def q l 1 with
+            | VCall1 (MLog1p, _, ex) -> (
+                match def q ex 1 with
+                | VCall1 (MExp, _, d) -> (
+                    match def q d 1 with
+                    | VBin (FSub, _, mn, m') when m' = m -> (
+                        match (def q mn 1, def q m 4) with
+                        | VBin (FMin, _, a, b), VBin (FMax, _, a', b')
+                          when a = a' && b = b' ->
+                            Lse { a = input a; b = input b }
+                        | _ -> raise_notrace No_match)
+                    | _ -> raise_notrace No_match)
+                | _ -> raise_notrace No_match)
+            | _ -> raise_notrace No_match)
+        | _ -> raise_notrace No_match)
+    | _ -> raise_notrace No_match
+  in
+  let attempt q f =
+    members := [];
+    match f () with
+    | role ->
+        an.roles.(q) <- role;
+        List.iter
+          (fun p ->
+            an.roles.(p) <- Member;
+            x.base.(ereg an.dreg.(p)) <- fused_away)
+          !members;
+        (* the inputs are read at the root now *)
+        let keep r = if x.last.(r) < q then x.last.(r) <- q in
+        (match role with
+        | Gauss g -> keep g.x; an.gaussians <- an.gaussians + 1
+        | Lse l -> keep l.a; keep l.b; an.lses <- an.lses + 1
+        | Plain | Member -> ());
+        true
+    | exception No_match -> false
+  in
+  for q = hi downto lo do
+    if plain an.roles.(q) then
+      match an.flat.(q) with
+      | VSel (r, c, t, e) ->
+          (* the fused select writes the leaf before it reads [c] and [t] *)
+          if (not (attempt q (fun () -> lse q c t e))) && r <> c && r <> t then
+            ignore (attempt q (fun () -> gauss q (def q e 1)))
+      | (VBin (FAdd, _, _, _) | VBin3 _) as g ->
+          ignore (attempt q (fun () -> gauss q g))
+      | _ -> ()
+  done
 
 (* Scratch marks of the per-loop scans, stamped with the loop id so they
    never need clearing. *)
 type scratch = {
   defd : int array array;  (** defined in the body *)
-  first : int array array;  (** body index of that first def *)
+  first : int array array;  (** position of that first def *)
   outer : int array array;  (** recorded as an outer operand *)
   live : int array array;  (** holds a pool slot *)
   loaded : int array;  (** buffer registers *)
@@ -299,78 +486,79 @@ let scratch an =
     stored = Array.make an.b_size nowhere;
   }
 
-(* Decide whether loop [id] runs in columns, and if so give its local
-   registers, its induction variable and its broadcast columns slots in
-   the function's shared column pool (offsets from 0; the loops of one
-   function never run at the same time, so they share the pool). *)
+(* Decide whether loop [id] runs in columns, and if so fuse its idioms
+   and give its local registers, its induction variable and its
+   broadcast columns slots in the function's shared column pool
+   (offsets from 0; the loops of one function never run at the same
+   time, so they share the pool). *)
 let plan_loop an sc id =
   let lp = an.loops.(id) in
-  let body = lp.l.body and iv = lp.l.iv in
+  let lo = lp.pos + 1 and hi = lp.pos + Array.length lp.l.body in
+  let iv = lp.l.iv in
   let ok = ref lp.straight in
+  (* nothing the body defines may be read outside it *)
+  let inside c r =
+    let u = an.rs.(c).use_in.(r) in
+    promoted an.rs.(c) r || u = id || u = nowhere
+  in
   if !ok then begin
-    Array.iteri
-      (fun i ins ->
-        iter_defs
-          (fun c r ->
-            let c = cls c in
-            if sc.defd.(c).(r) <> id then begin
-              sc.defd.(c).(r) <- id;
-              sc.first.(c).(r) <- i
-            end)
-          ins)
-      body;
+    for p = lo to hi do
+      let e = an.dreg.(p) in
+      if e >= 0 then begin
+        let c = ecls e and r = ereg e in
+        if sc.defd.(c).(r) <> id then begin
+          sc.defd.(c).(r) <- id;
+          sc.first.(c).(r) <- p
+        end;
+        if not (inside c r) then ok := false
+      end
+    done;
     sc.defd.(1).(iv) <- id;
-    sc.first.(1).(iv) <- -1;
+    sc.first.(1).(iv) <- lp.pos;
+    if not (inside 1 iv) then ok := false;
     let outer = ref [] in
     let touch b =
       if sc.loaded.(b) <> id && sc.stored.(b) <> id then
         lp.touched <- b :: lp.touched
     in
-    Array.iteri
-      (fun i ins ->
-        (match ins with
-        | Store (b, _, _) | VStore (b, _, _) ->
-            touch b;
-            if sc.loaded.(b) = id then ok := false;
-            if sc.stored.(b) <> id then begin
-              sc.stored.(b) <- id;
-              lp.stored <- b :: lp.stored
-            end
-        | Load (_, b, _) | VLoad (_, b, _) | VGather (_, b, _, _)
-        | VShufLoad (_, b, _, _, _, _) | VGatherIdx (_, b, _) ->
-            touch b;
-            if sc.stored.(b) = id then ok := false;
-            sc.loaded.(b) <- id
-        | _ -> ());
-        (* a value read before the body defines it is carried over from
-           the previous iteration *)
-        iter_uses
-          (fun c r ->
-            let c = cls c in
-            if c = 3 || promoted an.rs.(c) r then ()
-            else if sc.defd.(c).(r) = id then begin
-              if sc.first.(c).(r) >= i then ok := false
-            end
-            else if sc.outer.(c).(r) <> id then begin
-              sc.outer.(c).(r) <- id;
-              outer := (c, r) :: !outer
-            end)
-          ins)
-      body;
-    (* nothing the body defines may be read outside it *)
-    let inside c r =
-      let u = an.rs.(c).use_in.(r) in
-      promoted an.rs.(c) r || u = id || u = nowhere
-    in
-    if not (inside 1 iv) then ok := false;
-    Array.iter
-      (iter_defs (fun c r -> if not (inside (cls c) r) then ok := false))
-      body;
+    for p = lo to hi do
+      (match an.flat.(p) with
+      | Store (b, _, _) | VStore (b, _, _) ->
+          touch b;
+          if sc.loaded.(b) = id then ok := false;
+          if sc.stored.(b) <> id then begin
+            sc.stored.(b) <- id;
+            lp.stored <- b :: lp.stored
+          end
+      | Load (_, b, _) | VLoad (_, b, _) | VGather (_, b, _, _)
+      | VShufLoad (_, b, _, _, _, _) | VGatherIdx (_, b, _) ->
+          touch b;
+          if sc.stored.(b) = id then ok := false;
+          sc.loaded.(b) <- id
+      | _ -> ());
+      (* a value read before the body defines it is carried over from
+         the previous iteration *)
+      for u = an.ustart.(p) to an.ustart.(p + 1) - 1 do
+        let e = an.ureg.(u) in
+        let c = ecls e and r = ereg e in
+        if c = 3 || promoted an.rs.(c) r then ()
+        else if sc.defd.(c).(r) = id then begin
+          if sc.first.(c).(r) >= p then ok := false
+        end
+        else if sc.outer.(c).(r) <> id then begin
+          sc.outer.(c).(r) <- id;
+          outer := (c, r) :: !outer
+        end
+      done
+    done;
     if !ok then begin
       lp.eligible <- true;
+      match_idioms an sc.defd.(2) id;
       (* linear scan per class over the straight-line body; a slot is
          freed after the instruction of its register's last use has
-         taken its own slots, so no instruction writes an operand *)
+         taken its own slots, so no instruction writes an operand.  A
+         fused member takes no slot, and its root reads the idiom's
+         inputs, so they expire there *)
       let nslots = [| 0; 0; 0 |] and free = [| []; []; [] |] in
       let take c =
         match free.(c) with
@@ -390,7 +578,6 @@ let plan_loop an sc id =
         assigned := (c, r) :: !assigned
       in
       let expire p c r =
-        let c = cls c in
         if c < 3 && sc.live.(c).(r) = id && an.rs.(c).last.(r) = p then begin
           sc.live.(c).(r) <- nowhere;
           free.(c) <- an.rs.(c).base.(r) :: free.(c)
@@ -398,19 +585,27 @@ let plan_loop an sc id =
       in
       if local 1 iv then begin
         start 1 iv;
-        expire lp.pos Optimizer.I iv
+        expire lp.pos 1 iv
       end;
-      Array.iteri
-        (fun i ins ->
-          let p = lp.pos + 1 + i in
-          iter_defs
-            (fun c r ->
-              let c = cls c in
-              if local c r && an.rs.(c).base.(r) < 0 then start c r)
-            ins;
-          iter_uses (expire p) ins;
-          iter_defs (expire p) ins)
-        body;
+      for p = lo to hi do
+        match an.roles.(p) with
+        | Member -> ()
+        | role ->
+            let e = an.dreg.(p) in
+            if e >= 0 then begin
+              let c = ecls e and r = ereg e in
+              if local c r && an.rs.(c).base.(r) = unplaced then start c r
+            end;
+            for u = an.ustart.(p) to an.ustart.(p + 1) - 1 do
+              let e = an.ureg.(u) in
+              expire p (ecls e) (ereg e)
+            done;
+            (match role with
+            | Gauss g -> expire p 2 g.x
+            | Lse l -> expire p 2 l.a; expire p 2 l.b
+            | Plain | Member -> ());
+            if e >= 0 then expire p (ecls e) (ereg e)
+      done;
       (* slot numbers -> offsets: F columns, then V columns, in [fl] *)
       let off c s =
         if c = 2 then (nslots.(0) * chunk) + (s * chunk * an.w) else s * chunk
@@ -438,7 +633,7 @@ let plan (an : an) : unit =
       let x = an.rs.(c) in
       for r = 0 to Array.length x.base - 1 do
         let used = x.ndefs.(r) > 0 || x.use_in.(r) <> nowhere in
-        if x.base.(r) < 0 && used && not (promoted x r) then begin
+        if x.base.(r) = unplaced && used && not (promoted x r) then begin
           let d = x.def_in.(r) in
           let column = d = mixed || (d >= 0 && an.loops.(d).eligible) in
           let size = lanes an c * if column then chunk else 1 in
@@ -533,6 +728,40 @@ let[@inline] sel_cc x d c t e i =
 let[@inline] sel_sc x d c ts e i =
   let k = b2i (fget x (c + i) <> 0.0) and ei = e + i in
   fset x (d + i) (fget x (ei + (-k land (ts - ei))))
+
+(* The fused idioms' lanes (see "Fused idioms" above).  A Gaussian leaf:
+   [((x - mean) * inv)^2 * mhalf + k], which is what both its -O1 chain
+   and its -O3 [FMA] compute. *)
+let[@inline] gauss_cii x d a mean inv mhalf k i =
+  let z = (fget x (a + i) -. mean) *. inv in
+  fset x (d + i) ((z *. z *. mhalf) +. k)
+
+(* ... and its marginal select: the leaf's value is stored, then read
+   back or replaced by the select's other operand by index, as in
+   [pick] (a NaN test that branches mispredicts on marginalized rows) *)
+let[@inline] gauss_sel x d a mean inv mhalf k c t mt i =
+  gauss_cii x d a mean inv mhalf k i;
+  pick x d ~k:(b2i (fget x (c + i) <> 0.0)) t mt d (-1) i
+
+(* A log-sum-exp's first phase: [d = min a b - max a b], each operand
+   picked as [max_cc]/[min_cc] pick it *)
+let[@inline] lse_diff x d a b i =
+  let u = fget x (a + i) and v = fget x (b + i) in
+  let lt = b2i (u < v) in
+  if lt lor b2i (v < u) = 0 then fset x (d + i) (Float.min u v -. Float.max u v)
+  else
+    fset x (d + i)
+      (fget x (b + i + (-lt land (a - b))) -. fget x (a + i + (-lt land (b - a))))
+
+(* ... and its last: [m + log1p (exp d)], or [m] when [m = -inf] *)
+let[@inline] lse_add x d a b i =
+  let u = fget x (a + i) and v = fget x (b + i) in
+  let lt = b2i (u < v) in
+  let m =
+    if lt lor b2i (v < u) = 0 then Float.max u v
+    else fget x (a + i + (-lt land (b - a)))
+  in
+  fset x (d + i) (if m = Float.neg_infinity then m else m +. fget x (d + i))
 
 (* Fuse a straight-line sequence of closures into one: a flat loop over
    the array, so executing a body is one indirect call per instruction
@@ -1050,6 +1279,66 @@ and vsel cx d c t e : code =
           pick x d ~k:(b2i (fget x (c + i) <> 0.0)) t mt e me i
         done
 
+(* A fused Gaussian leaf rooted at [root]: the leaf alone, or under the
+   marginal select [sel c t g]. *)
+and gauss cx root ~x ~mean ~inv ~mhalf ~k : code =
+  let w = cx.an.w and a = fcol cx 2 x in
+  match root with
+  | VSel (d, c, t, _) ->
+      let d = dst cx 2 d and c = fcol cx 2 c in
+      let t, mt = fpick cx 2 t in
+      fun fr n ->
+        let x = fr.fl and len = n * w in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          gauss_sel x d a mean inv mhalf k c t mt j;
+          gauss_sel x d a mean inv mhalf k c t mt (j + 1);
+          gauss_sel x d a mean inv mhalf k c t mt (j + 2);
+          gauss_sel x d a mean inv mhalf k c t mt (j + 3);
+          gauss_sel x d a mean inv mhalf k c t mt (j + 4);
+          gauss_sel x d a mean inv mhalf k c t mt (j + 5);
+          gauss_sel x d a mean inv mhalf k c t mt (j + 6);
+          gauss_sel x d a mean inv mhalf k c t mt (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do gauss_sel x d a mean inv mhalf k c t mt j done
+  | VBin (_, d, _, _) | VBin3 (_, d, _, _, _) ->
+      let d = dst cx 2 d in
+      fun fr n ->
+        let x = fr.fl and len = n * w in
+        let i = ref 0 in
+        while !i + 8 <= len do
+          let j = !i in
+          gauss_cii x d a mean inv mhalf k j;
+          gauss_cii x d a mean inv mhalf k (j + 1);
+          gauss_cii x d a mean inv mhalf k (j + 2);
+          gauss_cii x d a mean inv mhalf k (j + 3);
+          gauss_cii x d a mean inv mhalf k (j + 4);
+          gauss_cii x d a mean inv mhalf k (j + 5);
+          gauss_cii x d a mean inv mhalf k (j + 6);
+          gauss_cii x d a mean inv mhalf k (j + 7);
+          i := j + 8
+        done;
+        for j = !i to len - 1 do gauss_cii x d a mean inv mhalf k j done
+  | _ -> invalid_arg "Jit.gauss"
+
+(* A fused log-sum-exp rooted at [sel c m s], in phases over the chunk
+   with the destination column as scratch: tight [exp] and [log1p]
+   loops run faster than one [exp]-then-[log1p] chain per lane. *)
+and lse cx root a b : code =
+  let w = cx.an.w in
+  match root with
+  | VSel (d, _, _, _) ->
+      let d = dst cx 2 d and a = fcol cx 2 a and b = fcol cx 2 b in
+      fun fr n ->
+        let x = fr.fl and len = n * w in
+        for i = 0 to len - 1 do lse_diff x d a b i done;
+        for i = d to d + len - 1 do fset x i (exp (fget x i)) done;
+        for i = d to d + len - 1 do fset x i (Float.log1p (fget x i)) done;
+        for i = 0 to len - 1 do lse_add x d a b i done
+  | _ -> invalid_arg "Jit.lse"
+
 and compile_loop cx (l : loop) : code =
   let id = cx.next_loop in
   cx.next_loop <- id + 1;
@@ -1089,7 +1378,7 @@ and compile_loop cx (l : loop) : code =
       lp.bcast;
     let outer = cx.cur in
     cx.cur <- id;
-    let body = compile_body cx l.body in
+    let body = compile_body cx ~at:(lp.pos + 1) l.body in
     cx.cur <- outer;
     (* distinct buffer registers over one backing array would see the
        stores of later iterations early: run those one at a time *)
@@ -1117,7 +1406,9 @@ and compile_loop cx (l : loop) : code =
       end
   end
 
-and compile_body cx (body : instr array) : code =
+(* [at] is the flat position of [body.(0)] in an eligible loop, whose
+   positions may root or belong to fused idioms; -1 elsewhere. *)
+and compile_body cx ?(at = -1) (body : instr array) : code =
   let an = cx.an in
   let is_promoted = function
     | ConstF (d, _) -> promoted an.rs.(0) d
@@ -1126,24 +1417,30 @@ and compile_body cx (body : instr array) : code =
     | _ -> false
   in
   (* in order: loops are numbered as [analyse] met them *)
-  let codes =
-    Array.fold_left
-      (fun acc ins ->
-        (* profiled compile: each closure first bumps its pre-resolved
-           (node, opcode) cell by its iteration count; a promoted
-           constant only bumps, so the counts stay the VM's *)
-        match (is_promoted ins, cx.prof ins) with
-        | true, None -> acc
-        | true, Some cell -> (fun _ n -> Profile.bump_n cell n) :: acc
-        | false, None -> compile_instr cx ins :: acc
-        | false, Some cell ->
-            let c = compile_instr cx ins in
-            (fun fr n -> Profile.bump_n cell n; c fr n) :: acc)
-      [] body
-  in
-  fuse (Array.of_list (List.rev codes))
+  let codes = ref [] in
+  Array.iteri
+    (fun i ins ->
+      let code =
+        match if at < 0 then Plain else an.roles.(at + i) with
+        | Member -> None
+        | Plain -> if is_promoted ins then None else Some (compile_instr cx ins)
+        | Gauss { x; mean; inv; mhalf; k } ->
+            Some (gauss cx ins ~x ~mean ~inv ~mhalf ~k)
+        | Lse { a; b } -> Some (lse cx ins a b)
+      in
+      (* profiled compile: each closure first bumps its pre-resolved
+         (node, opcode) cell by its iteration count; a promoted constant
+         or a fused member only bumps, so the counts stay the VM's *)
+      match (code, cx.prof ins) with
+      | None, None -> ()
+      | None, Some cell -> codes := (fun _ n -> Profile.bump_n cell n) :: !codes
+      | Some c, None -> codes := c :: !codes
+      | Some c, Some cell ->
+          codes := (fun fr n -> Profile.bump_n cell n; c fr n) :: !codes)
+    body;
+  fuse (Array.of_list (List.rev !codes))
 
-let compile_func ?profile (k : kernel) (fn : func) : cfunc =
+let compile_func ?profile (k : kernel) (fn : func) : cfunc * an =
   let an = analyse fn in
   plan an;
   let prof =
@@ -1161,7 +1458,7 @@ let compile_func ?profile (k : kernel) (fn : func) : cfunc =
     else compile_body cx fn.body
   in
   let inits = Array.of_list cx.inits in
-  {
+  ( {
     src = fn;
     cparams = Array.of_list fn.params;
     code;
@@ -1169,7 +1466,11 @@ let compile_func ?profile (k : kernel) (fn : func) : cfunc =
     fl_size = an.fl_words;
     it_size = an.it_words;
     b_size = an.b_size;
-  }
+  },
+    an )
+
+let fused_gaussian_counter = Spnc_obs.Metrics.counter "cpu.jit.fused_gaussian"
+let fused_lse_counter = Spnc_obs.Metrics.counter "cpu.jit.fused_lse"
 
 (** [compile ?profile m] — compile the module once into closures.  The
     result is immutable and safe to share across domains; pair it with
@@ -1186,9 +1487,24 @@ let compile ?profile (m : modul) : kernel =
     { src = fn; cparams = [||]; code = (fun _ _ -> ()); init = ignore;
       fl_size = 0; it_size = 0; b_size = 0 }
   in
-  let k = { cfuncs = Array.map placeholder m.funcs; centry = m.entry } in
-  Array.iteri (fun i fn -> k.cfuncs.(i) <- compile_func ?profile k fn) m.funcs;
-  k
+  let k =
+    { cfuncs = Array.map placeholder m.funcs; centry = m.entry; gaussians = 0;
+      lses = 0 }
+  in
+  (* the result below is a copy of [k] sharing its [cfuncs] *)
+  let gaussians = ref 0 and lses = ref 0 in
+  Array.iteri
+    (fun i fn ->
+      let cf, an = compile_func ?profile k fn in
+      k.cfuncs.(i) <- cf;
+      gaussians := !gaussians + an.gaussians;
+      lses := !lses + an.lses)
+    m.funcs;
+  Spnc_obs.Metrics.counter_incr ~by:!gaussians fused_gaussian_counter;
+  Spnc_obs.Metrics.counter_incr ~by:!lses fused_lse_counter;
+  { k with gaussians = !gaussians; lses = !lses }
+
+let fused (k : kernel) = (k.gaussians, k.lses)
 
 (* -- Execution state ----------------------------------------------------------- *)
 

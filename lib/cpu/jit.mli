@@ -9,7 +9,10 @@
     loop over register columns, so an eligible loop (straight-line, no
     value carried across iterations — see jit.ml) dispatches each
     instruction once per {!chunk} iterations; other code runs the same
-    closures with [n = 1] (docs/PERFORMANCE.md §1).
+    closures with [n = 1] (docs/PERFORMANCE.md §1).  In such a loop, a
+    log-space Gaussian leaf and a binary log-sum-exp, as [Lower_cpu]
+    emits them, compile to one closure each ({!fused}), computing the
+    same bits as the VM's instruction-by-instruction run.
 
     A compiled {!kernel} is immutable and shareable across domains; all
     mutable register state lives in a per-domain {!state}, allocated once
@@ -43,6 +46,11 @@ type state
     profiling in it.  Raises {!Vm.Trap} only at run time, never during
     compilation. *)
 val compile : ?profile:Profile.t -> Lir.modul -> kernel
+
+(** [fused k] — how many log-space Gaussian leaves and binary
+    log-sum-exps [compile] folded into one closure each (also added to
+    the [cpu.jit.fused_gaussian] and [cpu.jit.fused_lse] counters). *)
+val fused : kernel -> int * int
 
 val make_state : kernel -> state
 

@@ -319,6 +319,151 @@ let test_jit_columns_match_vm () =
       (false, [ 1; c - 1; c; c + 1; (3 * c) + 2 ]);
     ]
 
+(* -- Fused idioms -------------------------------------------------------------- *)
+
+(* [Lower_cpu]'s two fused idioms spelled out by hand, so that the test
+   picks their operands: a log-sum-exp of columns [a] and [b], a
+   marginalized log-space Gaussian leaf of column [x], and the -O3 form
+   of an unmarginalized one (its [h + k] an FMA).  One 8-lane vector
+   loop covers every row; the test pads the rows to whole vectors. *)
+let fused_idioms_kernel : Lir.modul =
+  let open Lir in
+  let body =
+    [|
+      VLoad (0, 0, 5);
+      VLoad (1, 1, 5);
+      (* log-sum-exp *)
+      VBin (FMax, 2, 0, 1);
+      VBin (FMin, 3, 0, 1);
+      VBin (FSub, 4, 3, 2);
+      VCall1 (MExp, 5, 4);
+      VCall1 (MLog1p, 6, 5);
+      VBin (FAdd, 7, 2, 6);
+      VConst (8, Float.neg_infinity);
+      VCmp (Oeq, 9, 2, 8);
+      VSel (10, 9, 2, 7);
+      VStore (3, 5, 10);
+      (* marginalized Gaussian *)
+      VLoad (11, 2, 5);
+      VConst (12, 0.75);
+      VConst (13, 1.0 /. 1.5);
+      VBin (FSub, 14, 11, 12);
+      VBin (FMul, 15, 14, 13);
+      VBin (FMul, 16, 15, 15);
+      VConst (17, -0.5);
+      VBin (FMul, 18, 16, 17);
+      VConst (19, -1.3);
+      VBin (FAdd, 20, 18, 19);
+      VCmp (Uno, 21, 11, 11);
+      VConst (22, 0.0);
+      VSel (23, 21, 22, 20);
+      VStore (4, 5, 23);
+      (* Gaussian at -O3 *)
+      VBin (FSub, 24, 11, 12);
+      VBin (FMul, 25, 24, 13);
+      VBin (FMul, 26, 25, 25);
+      VBin3 (FMA, 27, 26, 17, 19);
+      VStore (5, 5, 27);
+    |]
+  in
+  let f =
+    {
+      fname = "fused";
+      params = [ 0; 1; 2; 3; 4; 5 ];
+      body =
+        [|
+          Dim (0, 0);
+          ConstI (1, 0);
+          Loop { iv = 5; lb = 1; ub = 0; step = 8; vector_width = 8; body };
+          Ret;
+        |];
+      nf = 0;
+      ni = 6;
+      nv = 28;
+      nb = 6;
+      vec_width = 8;
+      prov = no_prov;
+    }
+  in
+  { funcs = [| f |]; entry = 0 }
+
+(* The fused closures against the VM on the values where a log-sum-exp
+   or a Gaussian leaf takes its special paths: -inf, equal and signed
+   zero operands, NaN, infinities and overflowing squares, cycled so
+   that each meets every lane, around the chunk boundary. *)
+let test_jit_fused_idioms_special_values () =
+  let inf = Float.infinity and nan = Float.nan in
+  let pairs =
+    [| (-.inf, -.inf); (-.inf, -2.5); (-2.5, -.inf); (-2.5, -2.5); (0.0, -0.0);
+       (-0.0, 0.0); (nan, -2.5); (-2.5, nan); (inf, -2.5); (-2.5, inf);
+       (inf, inf); (inf, -.inf); (-1.0, -3.0); (-40.0, -1.0); (-800.0, -1.0) |]
+  and xs = [| nan; inf; -.inf; 1e300; -1e300; 0.75; -2.0; 3.5; -0.0 |] in
+  let m = fused_idioms_kernel in
+  let k = Jit.compile m in
+  check (Alcotest.pair tint tint) "Gaussians and log-sum-exps fused" (2, 1)
+    (Jit.fused k);
+  let st = Jit.make_state k in
+  let c = Jit.chunk in
+  List.iter
+    (fun n ->
+      let rows = (n + 7) / 8 * 8 in
+      let col f = Vm.of_flat (Array.init rows f) ~rows ~cols:1 in
+      let ins =
+        [ col (fun r -> fst pairs.(r mod Array.length pairs));
+          col (fun r -> snd pairs.(r mod Array.length pairs));
+          col (fun r -> xs.(r mod Array.length xs)) ]
+      in
+      let run f =
+        let outs = List.init 3 (fun _ -> Vm.buffer ~rows ~cols:1) in
+        f ~buffers:(ins @ outs);
+        Array.concat (List.map (fun o -> o.Vm.data) outs)
+      in
+      check_bits (Printf.sprintf "%d rows" n) (run (Vm.run m)) (run (Jit.run k st)))
+    [ 1; (c * 8) - 1; c * 8; (c * 8) + 1 ]
+
+(* A speaker-ID-shaped kernel (AVX2, marginal support) fuses every
+   log-sum-exp and every Gaussian leaf of its vector loop, at -O1 and at
+   -O3, where the leaves end in an FMA: a lowering change that breaks
+   an idiom's shape fails here instead of quietly slowing the kernel. *)
+let test_jit_fuses_speaker_kernel () =
+  let rng = Spnc_data.Rng.create ~seed:41 in
+  let model =
+    Spnc_spn.Random_spn.generate_sized rng Spnc_spn.Random_spn.speaker_id_config
+      ~min_ops:150
+  in
+  List.iter
+    (fun opt_level ->
+      let options =
+        { Options.default with vectorize = true; use_veclib = true;
+          use_shuffle = true; support_marginal = true; opt_level;
+          use_kernel_cache = false }
+      in
+      let lir =
+        match (Compiler.compile ~options model).Compiler.artifact with
+        | Compiler.Cpu_kernel a -> a.Compiler.lir
+        | Compiler.Gpu_kernel _ -> Alcotest.fail "expected a CPU kernel"
+      in
+      (* in the vector loop, each log-sum-exp has one log1p, and every
+         other select is a Gaussian leaf's *)
+      let count p =
+        Array.fold_left
+          (fun acc (f : Lir.func) ->
+            Array.fold_left
+              (fun acc -> function
+                | Lir.Loop l when l.Lir.vector_width > 1 ->
+                    acc + Lir.count_instrs ~filter:p l.Lir.body
+                | _ -> acc)
+              acc f.Lir.body)
+          0 lir.Lir.funcs
+      in
+      let lses = count (function Lir.VCall1 (Lir.MLog1p, _, _) -> true | _ -> false)
+      and sels = count (function Lir.VSel _ -> true | _ -> false) in
+      let level = Spnc_cpu.Optimizer.level_to_string opt_level in
+      check tbool (level ^ ": both idioms present") true (lses > 0 && sels > lses);
+      check (Alcotest.pair tint tint) (level ^ ": all fused") (sels - lses, lses)
+        (Jit.fused (Jit.compile lir)))
+    Spnc_cpu.Optimizer.[ O1; O3 ]
+
 (* A loop that carries a value from one iteration to the next (a running
    sum) cannot run in columns; it must still compute the VM's prefix
    sums, across what would be chunk boundaries. *)
@@ -1047,6 +1192,10 @@ let suite =
     Alcotest.test_case "jit state reuse" `Quick test_jit_state_reuse;
     Alcotest.test_case "jit columns match vm across chunks" `Quick
       test_jit_columns_match_vm;
+    Alcotest.test_case "jit fused idioms on special values" `Quick
+      test_jit_fused_idioms_special_values;
+    Alcotest.test_case "jit fuses a speaker kernel" `Quick
+      test_jit_fuses_speaker_kernel;
     Alcotest.test_case "jit carried loop matches vm" `Quick
       test_jit_carried_loop_matches_vm;
     Alcotest.test_case "jit aliased buffers match vm" `Quick

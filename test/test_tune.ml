@@ -110,6 +110,17 @@ let test_compile_key_structure () =
          serve_engines_cap = 1; serve_dispatchers = 7;
          serve_starvation_ms = 1.0 })
 
+(* [Options.pp] prints the compile key whole, then the runtime knobs *)
+let test_options_pp () =
+  let o = { base with support_marginal = true; threads = 3 } in
+  let text = Fmt.str "%a" Options.pp o in
+  check tbool "starts with the compile key" true
+    (String.starts_with ~prefix:(key o) text);
+  List.iter
+    (fun s -> check tbool ("names " ^ s) true (Astring_contains.contains text s))
+    [ {|"support_marginal": true|}; {|"space": |}; {|"base_type": |};
+      "threads=3"; "engine=jit" ]
+
 (* -- Lattice enumeration ---------------------------------------------------- *)
 
 let test_enumerate () =
@@ -458,6 +469,7 @@ let suite =
   [
     Alcotest.test_case "compile key structure" `Quick
       test_compile_key_structure;
+    Alcotest.test_case "options print the compile key" `Quick test_options_pp;
     Alcotest.test_case "lattice enumeration and dedup" `Quick test_enumerate;
     Alcotest.test_case "tuned-config JSON round-trip" `Quick
       test_config_roundtrip;
