@@ -94,10 +94,6 @@ and exec_op ctx (op : Ir.op) : unit =
       | a, b -> set ctx (r ()) (B (as_b a || as_b b)))
   | "arith.addi" -> set ctx (r ()) (I (as_i (o 0) + as_i (o 1)))
   | "arith.muli" -> set ctx (r ()) (I (as_i (o 0) * as_i (o 1)))
-  | "arith.divi" ->
-      let d = as_i (o 1) in
-      if d = 0 then fail "arith.divi by zero";
-      set ctx (r ()) (I (as_i (o 0) / d))
   | "arith.fptosi" -> (
       match o 0 with
       | V x -> set ctx (r ()) (V (Array.map (fun f -> Float.of_int (int_of_float (Float.floor f))) x))

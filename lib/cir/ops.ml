@@ -36,7 +36,6 @@ let fptosi = "arith.fptosi"
 let sitofp = "arith.sitofp"
 let andi = "arith.andi"  (* i1 conjunction (scalar or vector) *)
 let ori = "arith.ori"
-let divi = "arith.divi"  (* index division (loop-bound computation) *)
 
 (* math *)
 let log_ = "math.log"
@@ -159,7 +158,7 @@ let register () =
   register_simple ~pure:true constant v_ok;
   List.iter
     (fun n -> register_simple ~pure:true n verify_binary)
-    [ addf; subf; mulf; divf; maxf; minf; addi; muli; andi; ori; divi ];
+    [ addf; subf; mulf; divf; maxf; minf; addi; muli; andi; ori ];
   register_simple ~pure:true cmpf verify_binary;
   register_simple ~pure:true cmpi verify_binary;
   List.iter (fun n -> register_simple ~pure:true n verify_unary)

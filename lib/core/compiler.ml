@@ -376,7 +376,7 @@ let cache_key ~(options : Options.compile) (model : Spnc_spn.Model.t) : string =
    changes shape: the format tag keeps old entries from being
    unmarshalled into the wrong layout.  The OCaml version rides along
    because Marshal output is not stable across compiler versions. *)
-let disk_fmt = "spnc-compiled-v2/" ^ Sys.ocaml_version
+let disk_fmt = "spnc-compiled-v3/" ^ Sys.ocaml_version
 
 (* one warning per process for an unusable cache dir, not one per compile *)
 let disk_warned = Atomic.make false
@@ -534,13 +534,9 @@ let load_exec ?pool ?profile (c : compiled) : Spnc_runtime.Exec.t =
             if threads > 1 then Some (Spnc_runtime.Pool.global ~threads)
             else None
       in
-      let min_chunk =
-        Options.(cpu_lower_options (compile_of c.options))
-          .Spnc_cpu.Lower_cpu.width
-      in
       Spnc_runtime.Exec.load ~batch_size:c.options.Options.batch_size ~threads
-        ~engine ?jit:jk ?profile ~sched:c.options.Options.sched ~min_chunk
-        ?pool ~out_cols:c.out_cols lir
+        ~engine ?jit:jk ?profile ~sched:c.options.Options.sched ?pool
+        ~out_cols:c.out_cols lir
 
 (** [execute c rows] — run the compiled kernel on row-major samples and
     return one {e log}-likelihood per sample (kernels compiled for linear

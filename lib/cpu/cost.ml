@@ -62,15 +62,11 @@ let rec body_cycles (cpu : M.cpu) (body : instr array) ~rows ~width : float =
     (fun acc i ->
       match i with
       | Loop l ->
+          (* the runtime pads the last partial group, so a loop of step
+             [w] runs ceil(rows / w) times *)
           let trips =
             if l.step <= 0 then 0.0
-            else if l.vector_width > 1 then
-              (* the vectorized loop covers the divisible prefix *)
-              Float.of_int (rows / l.step)
-            else if l.step = 1 && width > 1 then
-              (* scalar epilogue after a vector loop: remainder only *)
-              Float.of_int (rows mod width)
-            else Float.of_int (rows / l.step)
+            else Float.of_int ((rows + l.step - 1) / l.step)
           in
           let per_iter =
             body_cycles cpu l.body ~rows ~width:(max width l.vector_width)
@@ -79,9 +75,6 @@ let rec body_cycles (cpu : M.cpu) (body : instr array) ~rows ~width : float =
           acc +. (trips *. per_iter)
       | _ -> acc +. (instr_cycles cpu i *. gather_width_factor i ~width))
     0.0 body
-
-(* Epilogue-detection subtlety: a function compiled without vectorization
-   has width=1 everywhere so every loop runs [rows] iterations. *)
 
 type estimate = {
   cycles : float;

@@ -155,8 +155,6 @@ and sel_op st (op : Ir.op) : Lir.instr =
       Lir.IBin (Lir.IAdd, def st (r0 ()), reg_of st (o 0), reg_of st (o 1))
   | "arith.muli" ->
       Lir.IBin (Lir.IMul, def st (r0 ()), reg_of st (o 0), reg_of st (o 1))
-  | "arith.divi" ->
-      Lir.IBin (Lir.IDiv, def st (r0 ()), reg_of st (o 0), reg_of st (o 1))
   | "arith.andi" ->
       let a = reg_of st (o 0) and b = reg_of st (o 1) in
       if is_vec (r0 ()) || is_vec (o 0) then

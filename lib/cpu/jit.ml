@@ -681,7 +681,6 @@ let[@inline] ibin_eval op (x : int) y =
   match op with
   | IAdd -> x + y
   | IMul -> x * y
-  | IDiv -> if y = 0 then 0 else x / y
   | IAnd -> if x <> 0 && y <> 0 then 1 else 0
   | IOr -> if x <> 0 || y <> 0 then 1 else 0
 

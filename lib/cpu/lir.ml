@@ -15,7 +15,7 @@ type fbin = FAdd | FSub | FMul | FDiv | FMax | FMin | FMA
 (** [FMA dst a b] in our encoding is fused multiply-add created by the -O3
     peephole; see {!Optimizer}. *)
 
-type ibin = IAdd | IMul | IDiv | IAnd | IOr
+type ibin = IAdd | IMul | IAnd | IOr
 
 type pred = Olt | Ole | Ogt | Oge | Oeq | One | Uno
 

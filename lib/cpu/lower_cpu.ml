@@ -9,8 +9,10 @@
     table lookups; Gaussian leaves to the (log-)PDF computation.
 
     With [vectorize] enabled, the batch loop is vectorized data-parallel
-    over [width] samples, with a scalar epilogue loop for the remainder.
-    Memory access patterns exploit the LoSPN access semantics:
+    over [width] samples and steps by [width]; there is no scalar
+    epilogue, so the kernel must be called on a multiple of [width] rows
+    ([Spnc_runtime.Exec] pads the last partial group).  Memory access
+    patterns exploit the LoSPN access semantics:
 
     - intermediate task buffers are transposed, so vector loads of one
       slot across consecutive samples are contiguous [vector.load]s;
@@ -539,52 +541,20 @@ let lower_task b opts (task : Ir.op) ~name : Ir.op =
           args;
         let rows_v = Hashtbl.find rows_of (List.hd args).Ir.vid in
         let tables = hoist_tables e task ~is_log in
+        let mode =
+          if opts.vectorize && opts.width > 1 then Vec opts.width else Scalar
+        in
         let zero = const_i e 0 in
-        let one = const_i e 1 in
-        if opts.vectorize && opts.width > 1 then begin
-          let w = opts.width in
-          let w_c = const_i e w in
-          (* vec_end = (rows / w) * w, computed as rows - rows mod w via
-             integer ops: q = rows * 1 / w is unavailable (no divi); use
-             muli on (rows / w) — emit a dedicated op for clarity *)
-          let q =
-            emit e
-              (Builder.op b "arith.divi" ~operands:[ rows_v; w_c ]
-                 ~results:[ Types.Index ] ())
-          in
-          let vec_end = emit e (C.binary b C.muli q w_c ~ty:Types.Index) in
-          (* vector loop *)
-          let vec_block =
-            Builder.block b ~arg_tys:[ Types.Index ] (fun ivs ->
-                let iv = List.hd ivs in
-                let e' = { b; opts; acc = []; cur_loc = Loc.Unknown } in
-                lower_iteration e' (Vec w) ~iv ~arg_env ~rows_of ~tables ~base
-                  tb.Ir.bops;
-                List.rev (Builder.op b C.yield () :: e'.acc))
-          in
-          emit_ e (C.for_op b ~lb:zero ~ub:vec_end ~step:w_c ~body_block:vec_block);
-          (* scalar epilogue *)
-          let epi_block =
-            Builder.block b ~arg_tys:[ Types.Index ] (fun ivs ->
-                let iv = List.hd ivs in
-                let e' = { b; opts; acc = []; cur_loc = Loc.Unknown } in
-                lower_iteration e' Scalar ~iv ~arg_env ~rows_of ~tables ~base
-                  tb.Ir.bops;
-                List.rev (Builder.op b C.yield () :: e'.acc))
-          in
-          emit_ e (C.for_op b ~lb:vec_end ~ub:rows_v ~step:one ~body_block:epi_block)
-        end
-        else begin
-          let body_block =
-            Builder.block b ~arg_tys:[ Types.Index ] (fun ivs ->
-                let iv = List.hd ivs in
-                let e' = { b; opts; acc = []; cur_loc = Loc.Unknown } in
-                lower_iteration e' Scalar ~iv ~arg_env ~rows_of ~tables ~base
-                  tb.Ir.bops;
-                List.rev (Builder.op b C.yield () :: e'.acc))
-          in
-          emit_ e (C.for_op b ~lb:zero ~ub:rows_v ~step:one ~body_block)
-        end;
+        let step = const_i e (match mode with Vec w -> w | Scalar -> 1) in
+        let body_block =
+          Builder.block b ~arg_tys:[ Types.Index ] (fun ivs ->
+              let iv = List.hd ivs in
+              let e' = { b; opts; acc = []; cur_loc = Loc.Unknown } in
+              lower_iteration e' mode ~iv ~arg_env ~rows_of ~tables ~base
+                tb.Ir.bops;
+              List.rev (Builder.op b C.yield () :: e'.acc))
+        in
+        emit_ e (C.for_op b ~lb:zero ~ub:rows_v ~step ~body_block);
         List.rev (Builder.op b C.return_ () :: e.acc))
   in
   C.func_op b ~sym_name:name ~block

@@ -2,8 +2,9 @@
 
     Each [lo_spn.task] becomes a function with a loop over the batch; the
     kernel becomes a function that allocates intermediates and calls the
-    tasks in order.  With [vectorize], the batch loop is vectorized
-    data-parallel over [width] samples plus a scalar epilogue; access
+    tasks in order.  With [vectorize], the one batch loop is vectorized
+    data-parallel over [width] samples, with no scalar epilogue: callers
+    pass a multiple of [width] rows ([Spnc_runtime.Exec] pads); access
     patterns exploit the LoSPN semantics (contiguous vector loads from
     transposed intermediate buffers; gathers or shuffled loads for
     strided input features); without [use_veclib], vector elementary

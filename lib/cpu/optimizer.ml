@@ -134,7 +134,6 @@ let ibin_eval op a b =
   match op with
   | IAdd -> a + b
   | IMul -> a * b
-  | IDiv -> if b = 0 then 0 else a / b
   | IAnd -> if a <> 0 && b <> 0 then 1 else 0
   | IOr -> if a <> 0 || b <> 0 then 1 else 0
 
@@ -423,16 +422,16 @@ let rec dce_body (used : marks) (removed : int ref) (body : instr array) :
           else Some i)
     body
 
-(* Rounds until one removes nothing, at most 8. *)
+(* Rounds until one removes nothing. *)
 let dce (f : func) : func =
-  let rec go body rounds =
+  let rec go body =
     let used = marks f in
     mark_uses used body;
     let removed = ref 0 in
     let body' = dce_body used removed body in
-    if !removed = 0 || rounds = 1 then body' else go body' (rounds - 1)
+    if !removed = 0 then body' else go body'
   in
-  { f with body = go f.body 8 }
+  { f with body = go f.body }
 
 (* -- Loop-invariant code motion ------------------------------------------------------ *)
 

@@ -44,7 +44,6 @@ let opcode (i : instr) : string =
   | FBin3 _ -> "fma"
   | IBin (IAdd, _, _, _) -> "iadd"
   | IBin (IMul, _, _, _) -> "imul"
-  | IBin (IDiv, _, _, _) -> "idiv"
   | IBin (IAnd, _, _, _) -> "iand"
   | IBin (IOr, _, _, _) -> "ior"
   | FCmp _ -> "fcmp"

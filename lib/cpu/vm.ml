@@ -101,7 +101,6 @@ let rec exec (m : modul) (fr : frame) (body : instr array) : unit =
           (match op with
           | IAdd -> i.(a) + i.(bb)
           | IMul -> i.(a) * i.(bb)
-          | IDiv -> if i.(bb) = 0 then 0 else i.(a) / i.(bb)
           | IAnd -> if i.(a) <> 0 && i.(bb) <> 0 then 1 else 0
           | IOr -> if i.(a) <> 0 || i.(bb) <> 0 then 1 else 0)
     | FCmp (p, d, a, bb) -> i.(d) <- (if pred_eval p f.(a) f.(bb) then 1 else 0)

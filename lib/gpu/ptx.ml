@@ -59,7 +59,6 @@ let rec emit_op st (op : Ir.op) =
   | "arith.minf" -> emitf st "min.f32 %s, %s, %s;" (d ()) (r 0) (r 1)
   | "arith.addi" -> emitf st "add.s32 %s, %s, %s;" (d ()) (r 0) (r 1)
   | "arith.muli" -> emitf st "mad.lo.s32 %s, %s, %s, 0;" (d ()) (r 0) (r 1)
-  | "arith.divi" -> emitf st "div.s32 %s, %s, %s;" (d ()) (r 0) (r 1)
   | "arith.andi" -> emitf st "and.pred %s, %s, %s;" (d ()) (r 0) (r 1)
   | "arith.ori" -> emitf st "or.pred %s, %s, %s;" (d ()) (r 0) (r 1)
   | "arith.cmpf" ->

@@ -90,7 +90,7 @@ let rec op_cycles (g : M.gpu) (op : Ir.op) : float =
   | "math.log" | "math.exp" | "math.log1p" -> g.M.gpu_special_cost
   | "arith.select" -> g.M.gpu_select_cost
   | "arith.cmpf" | "arith.cmpi" | "arith.andi" | "arith.ori" -> 1.0
-  | "arith.addi" | "arith.muli" | "arith.divi" -> 0.5
+  | "arith.addi" | "arith.muli" -> 0.5
   | "arith.fptosi" | "arith.sitofp" -> 1.0
   | "memref.load" -> g.M.gpu_load_cost
   | "memref.store" -> g.M.gpu_store_cost

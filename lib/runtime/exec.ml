@@ -8,8 +8,10 @@
     process these chunks in parallel."  The user-provided batch size is
     an optimization hint and an upper bound on the chunk size; when
     running parallel, {!chunk_plan} shrinks chunks toward ~4 per worker
-    (oversubscription so work stealing has slack to rebalance) with a
-    floor at the SIMD width so JIT lane loops stay full.
+    (oversubscription so work stealing has slack to rebalance).  A
+    vectorized kernel has no scalar epilogue (DESIGN.md §4), so chunks
+    are whole multiples of its SIMD width, and {!run_chunk} pads a
+    segment's last, partial chunk with copies of its last real row.
 
     Streaming execution (docs/PERFORMANCE.md §4): the pool is created
     {e once} — at [load] time, or passed in by the caller (the compiler
@@ -21,7 +23,7 @@
     the kernel as buffer {e views} — base offset + length into the
     shared flat input — instead of [Array.sub] copies, and single-slot
     results are written by the kernel directly into the shared output
-    array.
+    array.  Only a padded chunk is copied.
 
     Fault tolerance (docs/RESILIENCE.md): a kernel trap inside one chunk
     must not hang the batch or lose domains.  Workers run every chunk
@@ -66,7 +68,10 @@ let m_queue_wait = Obs_metrics.histogram "runtime.exec.queue_wait_seconds"
 type ctx = {
   state : Jit.state option;  (** JIT register frames (engine = Jit) *)
   mutable scratch : float array;
-      (** pooled output backing for multi-slot kernels; grown on demand *)
+      (** pooled output backing for multi-slot kernels and padded
+          chunks; grown on demand *)
+  mutable padded : float array;
+      (** pooled input backing for padded chunks; grown on demand *)
 }
 
 type t = {
@@ -80,7 +85,7 @@ type t = {
   batch_size : int;  (** chunk size hint / upper bound *)
   threads : int;
   sched : Pool.sched;
-  min_chunk : int;  (** adaptive-chunk floor (SIMD width) *)
+  width : int;  (** SIMD width: every kernel call sees a multiple of it *)
   pool : Pool.t option;  (** worker pool iff [threads > 1] *)
   owns_pool : bool;  (** [shutdown] tears the pool down iff set *)
   ctxs : ctx option array;  (** per-worker-slot contexts, lazily filled *)
@@ -91,18 +96,21 @@ type t = {
 
 let auto_threads () = max 1 (min 64 (Domain.recommended_domain_count ()))
 
-let chunk_plan ~rows ~threads ~batch_size ~min_chunk =
-  if rows <= 0 then batch_size
-  else if threads <= 1 then batch_size
-  else
-    (* ~4x oversubscription: aim for four chunks per worker so stealing
-       has slack to rebalance skewed chunk costs, but never exceed the
-       user's batch-size hint and never drop below the SIMD width *)
-    let target = (rows + (threads * 4) - 1) / (threads * 4) in
-    max 1 (max min_chunk (min batch_size target))
+let chunk_plan ~rows ~threads ~batch_size ~width =
+  let width = max 1 width in
+  let chunk =
+    if rows <= 0 || threads <= 1 then batch_size
+    else
+      (* ~4x oversubscription: aim for four chunks per worker so stealing
+         has slack to rebalance skewed chunk costs, but never exceed the
+         user's batch-size hint *)
+      min batch_size ((rows + (threads * 4) - 1) / (threads * 4))
+  in
+  (* whole SIMD groups, so only a segment's last chunk is ever padded *)
+  max width (chunk / width * width)
 
 let load ?(batch_size = 4096) ?(threads = 1) ?(engine = Jit.Jit) ?jit ?profile
-    ?(sched = Pool.Stealing) ?(min_chunk = 1) ?pool ~out_cols kernel =
+    ?(sched = Pool.Stealing) ?pool ~out_cols kernel =
   if batch_size <= 0 then invalid_arg "Exec.load: batch_size must be positive";
   let threads = if threads <= 0 then auto_threads () else min threads 256 in
   (* compile eagerly (and on the caller's domain): Jit.kernel is immutable
@@ -132,7 +140,9 @@ let load ?(batch_size = 4096) ?(threads = 1) ?(engine = Jit.Jit) ?jit ?profile
     batch_size;
     threads;
     sched;
-    min_chunk = max 1 min_chunk;
+    width =
+      Array.fold_left (fun w f -> max w f.Spnc_cpu.Lir.vec_width) 1
+        kernel.Spnc_cpu.Lir.funcs;
     pool;
     owns_pool;
     ctxs = Array.make (max 1 threads) None;
@@ -182,7 +192,7 @@ let () =
 
 let make_ctx (t : t) : ctx =
   Obs_metrics.counter_incr m_ctx_created;
-  { state = Option.map Jit.make_state t.jit; scratch = [||] }
+  { state = Option.map Jit.make_state t.jit; scratch = [||]; padded = [||] }
 
 (* Worker slot -> context, created on first use and kept for the life of
    [t].  Slots are owned by exactly one worker within a round, so the
@@ -224,11 +234,27 @@ type segment = {
 let run_chunk (t : t) (ctx : ctx) ~(seg : segment) ~num_features ~lo ~hi :
     unit =
   let rows = hi - lo in
-  (* zero-copy: a window into the shared flat input, no Array.sub *)
+  (* the kernel runs on whole SIMD groups: [krows] rows, [rows] real *)
+  let krows = (rows + t.width - 1) / t.width * t.width in
   let input =
-    Vm.view seg.seg_flat ~off:(lo * num_features) ~rows ~cols:num_features
+    if krows = rows then
+      (* zero-copy: a window into the shared flat input, no Array.sub *)
+      Vm.view seg.seg_flat ~off:(lo * num_features) ~rows ~cols:num_features
+    else begin
+      (* the partial last group: the real rows, then copies of the last
+         one, in pooled per-worker scratch *)
+      let need = krows * num_features in
+      if Array.length ctx.padded < need then ctx.padded <- Array.make need 0.0;
+      Array.blit seg.seg_flat (lo * num_features) ctx.padded 0
+        (rows * num_features);
+      for r = rows to krows - 1 do
+        Array.blit seg.seg_flat ((hi - 1) * num_features) ctx.padded
+          (r * num_features) num_features
+      done;
+      Vm.view ctx.padded ~off:0 ~rows:krows ~cols:num_features
+    end
   in
-  if t.out_cols = 1 then begin
+  if t.out_cols = 1 && krows = rows then begin
     (* result slot 0 is transposed (the first [rows] entries), and with a
        single slot the output buffer IS slot 0 — so the kernel writes
        straight into the caller-visible output array *)
@@ -236,13 +262,14 @@ let run_chunk (t : t) (ctx : ctx) ~(seg : segment) ~num_features ~lo ~hi :
     run_engine t ctx ~buffers:[ input; ob ]
   end
   else begin
-    (* multi-slot kernels need [rows * out_cols] of scratch; pool it per
-       worker and re-zero the used prefix so every chunk still sees the
-       fresh-buffer semantics kernels were written against *)
-    let need = rows * t.out_cols in
+    (* multi-slot kernels and padded groups need [krows * out_cols] of
+       scratch; pool it per worker and re-zero the used prefix so every
+       chunk still sees the fresh-buffer semantics kernels were written
+       against *)
+    let need = krows * t.out_cols in
     if Array.length ctx.scratch < need then ctx.scratch <- Array.make need 0.0
     else Array.fill ctx.scratch 0 need 0.0;
-    let ob = Vm.view ctx.scratch ~off:0 ~rows ~cols:t.out_cols in
+    let ob = Vm.view ctx.scratch ~off:0 ~rows:krows ~cols:t.out_cols in
     run_engine t ctx ~buffers:[ input; ob ];
     (* result slot 0 is transposed: the first [rows] entries *)
     Array.blit ctx.scratch 0 seg.seg_out (seg.seg_out_pos + lo) rows
@@ -272,7 +299,7 @@ let run_segments ?deadline ?(retries = 0) (t : t) ~num_features
       (fun () ->
         let chunk =
           chunk_plan ~rows ~threads:t.threads ~batch_size:t.batch_size
-            ~min_chunk:t.min_chunk
+            ~width:t.width
         in
         (* (segment index, local lo, local hi, global row base) *)
         let chunks =

@@ -5,14 +5,20 @@
     into chunks and processes them on a persistent {!Pool} of OCaml 5
     domains.  The batch size is an optimization hint and an upper bound
     on the chunk size; in parallel runs {!chunk_plan} targets ~4 chunks
-    per worker with a floor at the SIMD width.
+    per worker.  A vectorized kernel has no scalar epilogue, so it only
+    ever sees whole multiples of its SIMD width in rows: a segment's
+    last, partial chunk runs once, padded in per-worker scratch with
+    copies of its last real row, and only the real rows' results are
+    copied back.  Run directly ({!Spnc_cpu.Vm.run}, {!Spnc_cpu.Jit.run})
+    on a partial group, such a kernel traps at its first input read.
 
     Streaming execution (docs/PERFORMANCE.md §4): the worker pool and the
     per-worker contexts (JIT register frames + scratch) are created once
     per loaded kernel — or shared, via [?pool] — and reused across every
     [execute] call; nothing is spawned per call.  Chunks are zero-copy:
     kernels receive {!Spnc_cpu.Vm.view}s into the shared flat input (and,
-    for single-slot kernels, into the shared output).
+    for single-slot kernels, into the shared output); only a padded
+    chunk is copied.
 
     Fault tolerance: a kernel trap inside one chunk cancels the remaining
     chunks, the round is drained, and exactly one {!Chunk_error} surfaces
@@ -20,20 +26,20 @@
 
 type t
 
-(** [load ?batch_size ?threads ?engine ?jit ?sched ?min_chunk ?pool
-    ~out_cols kernel] prepares a kernel whose output buffer has
-    [out_cols] slots per sample (slot 0 is the query result).
+(** [load ?batch_size ?threads ?engine ?jit ?sched ?pool ~out_cols
+    kernel] prepares a kernel whose output buffer has [out_cols] slots
+    per sample (slot 0 is the query result).  The SIMD width is the
+    kernel's own: the largest [vec_width] of its functions.
 
     [threads <= 0] means auto: [Domain.recommended_domain_count],
     clamped to [1..64]; positive values are clamped to 256.  [engine]
     picks the execution engine (default {!Spnc_cpu.Jit.Jit}, the closure
     compiler); pass [?jit] to reuse an already-compiled
     {!Spnc_cpu.Jit.kernel} (e.g. from the compiler's kernel cache).
-    [sched] picks the parallel scheduler (default {!Pool.Stealing});
-    [min_chunk] is the adaptive-chunk floor (pass the SIMD width so JIT
-    lane loops stay full).  When [threads > 1] the kernel either uses
-    the caller-provided [?pool] (shared; never shut down by {!shutdown})
-    or creates its own (torn down by {!shutdown}).
+    [sched] picks the parallel scheduler (default {!Pool.Stealing}).
+    When [threads > 1] the kernel either uses the caller-provided [?pool]
+    (shared; never shut down by {!shutdown}) or creates its own (torn
+    down by {!shutdown}).
 
     [?profile] enables per-SPN-node instruction profiling
     (docs/OBSERVABILITY.md): the VM engine switches to
@@ -49,7 +55,6 @@ val load :
   ?jit:Spnc_cpu.Jit.kernel ->
   ?profile:Spnc_cpu.Profile.t ->
   ?sched:Pool.sched ->
-  ?min_chunk:int ->
   ?pool:Pool.t ->
   out_cols:int ->
   Spnc_cpu.Lir.modul ->
@@ -63,14 +68,13 @@ val shutdown : t -> unit
     passed).  Safe to call on single-threaded or pool-sharing kernels
     (no-op). *)
 
-val chunk_plan :
-  rows:int -> threads:int -> batch_size:int -> min_chunk:int -> int
+val chunk_plan : rows:int -> threads:int -> batch_size:int -> width:int -> int
 (** The adaptive chunk size used by [execute]: [batch_size] when
-    single-threaded, otherwise
-    [max min_chunk (min batch_size (ceil (rows / (threads * 4))))]
-    (clamped to at least 1) — ~4 chunks per worker so work stealing has
-    slack, floored at the SIMD width so lane loops stay full.  Pure;
-    exposed for tests. *)
+    single-threaded, otherwise [min batch_size (ceil (rows / (threads * 4)))]
+    — ~4 chunks per worker so work stealing has slack — rounded down to
+    a multiple of the SIMD [width] and floored at it ([width] is clamped
+    to at least 1).  Only a segment's last chunk can then be partial.
+    Pure; exposed for tests. *)
 
 val auto_threads : unit -> int
 (** [Domain.recommended_domain_count ()] clamped to [1..64] — the

@@ -14,9 +14,10 @@
       result stays within tolerance of the reference and one
       seed-chosen (level, VM-vs-JIT) pair stays bit-identical;
     - the paper's best CPU lowering (AVX2, 8 lanes, veclib, shuffled
-      loads) at one seed-chosen level is VM/JIT bit-identical and within
-      tolerance of the reference, over enough rows that both the vector
-      body and the scalar epilogue run.
+      loads) at one seed-chosen level is VM/JIT bit-identical, within
+      tolerance of the reference, and bit-identical to the scalar
+      lowering at the same level, over enough rows that a full column
+      chunk, a partial one and the runtime's padded last group run.
 
     A model-derived case is further checked end to end against
     {!Spnc_spn.Infer} ({!check_model}).  Any violation is a structured
@@ -166,14 +167,13 @@ let optimize level lir = lowering (fun () -> Optimizer.run level lir)
 
 (* One engine execution: slot-0 results, or a trap class.  [jit] is the
    closure compilation of [lir], shared across thread counts. *)
-let eval_cpu ?pool ?min_chunk ~batch_size ~engine ~jit ~threads ~out_cols
+let eval_cpu ?pool ~batch_size ~engine ~jit ~threads ~out_cols
     (lir : Spnc_cpu.Lir.modul) (data : float array array) :
     (float array, string) result =
   try
     let jit = if engine = Jit.Jit then Some (Lazy.force jit) else None in
     let ex =
-      Exec.load ~batch_size ~threads ~engine ?jit ?min_chunk ?pool ~out_cols
-        lir
+      Exec.load ~batch_size ~threads ~engine ?jit ?pool ~out_cols lir
     in
     Ok
       (Fun.protect
@@ -376,15 +376,15 @@ let check_program ?(config = default_config) ?order (p : Smith.program) :
   let reference = eval_interp lb0 p in
   let pool = Pool.global ~threads:4 in
   (* runs of one optimized lowering of [lb] *)
-  let eval ?(data = p.Smith.data) ?(batch_size = p.Smith.batch_size)
-      ?min_chunk lb lir engines =
+  let eval ?(data = p.Smith.data) ?(batch_size = p.Smith.batch_size) lb lir
+      engines =
     let out_cols = Compiler.out_cols_of_lospn lb in
     let jit = lazy (Jit.compile lir) in
     List.map
       (fun (engine, threads) ->
         ( Printf.sprintf "%s-t%d" (Jit.engine_to_string engine) threads,
-          eval_cpu ~pool ?min_chunk ~batch_size ~engine ~jit ~threads ~out_cols
-            lir data ))
+          eval_cpu ~pool ~batch_size ~engine ~jit ~threads ~out_cols lir data
+        ))
       engines
   in
   let lower ?cpu_options ~pipeline ~level lb =
@@ -462,8 +462,8 @@ let check_program ?(config = default_config) ?order (p : Smith.program) :
   done;
   (* 6. the vectorized lowering at one seed-chosen level, on the case's
      rows tiled to [Jit.chunk] 8-lane iterations plus 9 rows in one
-     kernel call: a full column chunk, a partial one and the scalar
-     epilogue all run *)
+     kernel call: a full column chunk, a partial one and a last group
+     the runtime pads all run *)
   let tiled n =
     let tile a = Array.init n (fun i -> a.(i mod p.Smith.rows)) in
     (tile, tile p.Smith.data)
@@ -473,12 +473,21 @@ let check_program ?(config = default_config) ?order (p : Smith.program) :
   let tile, data = tiled n in
   let what = "vectorized avx2x8+veclib+shuffle" in
   let runs =
-    eval ~data ~batch_size:n ~min_chunk:8 lb0
+    eval ~data ~batch_size:n lb0
       (lower ~cpu_options:vector_options ~pipeline:what ~level lb0)
       Jit.[ (Vm, 1); (Jit, 1) ]
   in
   identical ~what runs;
   within ~what (Result.map tile reference) runs;
+  (* ... bit for bit the scalar lowering's rows at the same level: a
+     row's bits never depend on which lowering scored it *)
+  let scalar =
+    eval ~data ~batch_size:n lb0
+      (optimize level lir0 |> ok_or "pipeline" what)
+      Jit.[ (Vm, 1) ]
+  in
+  identical ~what:(what ^ " vs scalar")
+    (runs @ List.map (fun (name, out) -> ("scalar-" ^ name, out)) scalar);
   (* ... and the scalar lowering at another, across one scalar chunk *)
   let level = Rng.choose rng levels in
   let n = Jit.chunk + 3 in

@@ -79,20 +79,18 @@ let to_lir ?(cpu_options = Lower.scalar_options) ?partition_size
   let lir = Spnc_cpu.Isel.run cir ~entry:"spn_kernel" in
   Opt.run level lir
 
-let run_vm lir ~(rows : float array array) ~num_features =
-  let n = Array.length rows in
-  let flat = Array.concat (Array.to_list rows) in
-  let input = Spnc_cpu.Vm.of_flat flat ~rows:n ~cols:num_features in
+(* The VM through the runtime, which pads a vectorized kernel's last
+   partial group of rows. *)
+let run_vm lir ~(rows : float array array) =
   (* output cols from entry's last parameter is opaque at Lir level; SPN
      kernels always produce slot 0 per sample, and the partition pass puts
      the root at slot 0, so allocate generously *)
-  let out = Spnc_cpu.Vm.buffer ~rows:n ~cols:4 in
-  Spnc_cpu.Vm.run lir ~buffers:[ input; out ];
-  Array.sub out.Spnc_cpu.Vm.data 0 n
+  let t = Spnc_runtime.Exec.load ~engine:Spnc_cpu.Jit.Vm ~out_cols:4 lir in
+  Spnc_runtime.Exec.execute_rows t rows
 
 let differential ?cpu_options ?partition_size ?level ~tol t rows =
   let lir = to_lir ?cpu_options ?partition_size ?level t in
-  let out = run_vm lir ~rows ~num_features:t.Model.num_features in
+  let out = run_vm lir ~rows in
   Array.iteri
     (fun i row ->
       let expected = Infer.log_likelihood t row in

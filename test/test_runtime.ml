@@ -268,9 +268,10 @@ let test_jit_state_reuse () =
     [ Jit.chunk + 5; 3; (2 * Jit.chunk) + 1; Jit.chunk; 1 ]
 
 (* The column engine against the VM on a compiled speaker-ID-shaped
-   kernel (Gaussian mixtures, NaN-marginalized inputs), one kernel call
+   kernel (Gaussian mixtures, NaN-marginalized inputs), one runtime call
    per row count, around every chunk boundary: the 8-lane loop's
-   ([Jit.chunk] x 8 rows) and the scalar loop's ([Jit.chunk] rows). *)
+   ([Jit.chunk] x 8 rows, the last group padded by [Exec]) and the
+   scalar loop's ([Jit.chunk] rows). *)
 let test_jit_columns_match_vm () =
   let rng = Spnc_data.Rng.create ~seed:41 in
   let model =
@@ -298,21 +299,18 @@ let test_jit_columns_match_vm () =
         | Compiler.Cpu_kernel a -> a.Compiler.lir
         | Compiler.Gpu_kernel _ -> Alcotest.fail "expected a CPU kernel"
       in
-      let cols = compiled.Compiler.out_cols in
-      let k = Jit.compile lir in
-      let st = Jit.make_state k in
+      let load engine =
+        Exec.load ~engine ~out_cols:compiled.Compiler.out_cols lir
+      in
+      let vm = load Jit.Vm and jit = load Jit.Jit in
       List.iter
         (fun n ->
           let flat = rows n in
-          let run f =
-            let out = Vm.buffer ~rows:n ~cols in
-            f ~buffers:[ Vm.of_flat flat ~rows:n ~cols:nf; out ];
-            out.Vm.data
-          in
+          let run t = Exec.execute t ~flat ~rows:n ~num_features:nf in
           check_bits
             (Printf.sprintf "%s, %d rows"
                (if vectorize then "vectorized" else "scalar") n)
-            (run (Vm.run lir)) (run (Jit.run k st)))
+            (run vm) (run jit))
         counts)
     [
       (true, [ 1; 7; 8; 9; (c * 8) - 1; c * 8; (c * 8) + 1; (2 * c * 8) + 13 ]);
@@ -847,17 +845,21 @@ let test_pool_obs_metrics_parity () =
 
 let test_adaptive_chunk_plan () =
   check tint "single-threaded: the batch size" 64
-    (Exec.chunk_plan ~rows:100_000 ~threads:1 ~batch_size:64 ~min_chunk:8);
-  check tint "parallel: ~4 chunks per worker" 63
-    (Exec.chunk_plan ~rows:1000 ~threads:4 ~batch_size:64 ~min_chunk:8);
+    (Exec.chunk_plan ~rows:100_000 ~threads:1 ~batch_size:64 ~width:8);
+  check tint "parallel: ~4 chunks per worker (63), whole SIMD groups" 56
+    (Exec.chunk_plan ~rows:1000 ~threads:4 ~batch_size:64 ~width:8);
+  check tint "scalar kernels are not rounded" 63
+    (Exec.chunk_plan ~rows:1000 ~threads:4 ~batch_size:64 ~width:1);
   check tint "floored at the SIMD width" 16
-    (Exec.chunk_plan ~rows:1000 ~threads:32 ~batch_size:64 ~min_chunk:16);
+    (Exec.chunk_plan ~rows:1000 ~threads:32 ~batch_size:64 ~width:16);
   check tint "capped at the batch size" 64
-    (Exec.chunk_plan ~rows:100_000 ~threads:2 ~batch_size:64 ~min_chunk:8);
+    (Exec.chunk_plan ~rows:100_000 ~threads:2 ~batch_size:64 ~width:8);
+  check tint "a batch size off the width rounds down" 16
+    (Exec.chunk_plan ~rows:100_000 ~threads:1 ~batch_size:20 ~width:8);
   check tint "tiny inputs still respect the floor" 8
-    (Exec.chunk_plan ~rows:3 ~threads:4 ~batch_size:64 ~min_chunk:8);
-  check tint "degenerate floor clamps to 1" 1
-    (Exec.chunk_plan ~rows:10 ~threads:4 ~batch_size:1 ~min_chunk:0)
+    (Exec.chunk_plan ~rows:3 ~threads:4 ~batch_size:64 ~width:8);
+  check tint "degenerate width clamps to 1" 1
+    (Exec.chunk_plan ~rows:10 ~threads:4 ~batch_size:1 ~width:0)
 
 (* Static and Stealing must be observationally identical: per-sample
    results do not depend on which worker ran which chunk. *)
@@ -869,8 +871,7 @@ let test_sched_grid_bit_identical () =
       List.iter
         (fun threads ->
           let t =
-            Exec.load ~batch_size:3 ~threads ~sched ~min_chunk:2 ~out_cols:1
-              kernel_2feat
+            Exec.load ~batch_size:3 ~threads ~sched ~out_cols:1 kernel_2feat
           in
           check_bits
             (Printf.sprintf "sched=%s threads=%d" (Pool.sched_to_string sched)

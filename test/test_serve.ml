@@ -520,8 +520,12 @@ let test_slow_reader () =
 (* Real dispatcher domains, several client threads firing randomized
    slices of precomputed pools at randomized models: every response must
    be bit-identical to the sequential whole-pool reference, whatever
-   batches the dispatchers happened to coalesce. *)
-let scatter_identity ~threads () =
+   batches the dispatchers happened to coalesce.  With [vectorize], every
+   1-4-row segment of a batch is a partial 8-row group the runtime pads. *)
+let scatter_identity ~vectorize ~threads () =
+  let base_options =
+    { base_options with vectorize; use_veclib = vectorize }
+  in
   let options = { base_options with threads } in
   let server = Serve.create ~options () in
   let pools =
@@ -645,9 +649,18 @@ let suite =
     ("connection: half-close answers all", `Quick, test_half_close);
     ("connection: no foreign ids after reuse", `Quick, test_no_foreign_ids);
     ("connection: a slow reader delays no one", `Quick, test_slow_reader);
-    ("scatter identity, threads=1", `Quick, scatter_identity ~threads:1);
-    ("scatter identity, threads=2", `Quick, scatter_identity ~threads:2);
-    ("scatter identity, threads=4", `Quick, scatter_identity ~threads:4);
+    ( "scatter identity, threads=1",
+      `Quick,
+      scatter_identity ~vectorize:false ~threads:1 );
+    ( "scatter identity, threads=2",
+      `Quick,
+      scatter_identity ~vectorize:false ~threads:2 );
+    ( "scatter identity, threads=4",
+      `Quick,
+      scatter_identity ~vectorize:false ~threads:4 );
+    ( "scatter identity, vectorized, threads=2",
+      `Quick,
+      scatter_identity ~vectorize:true ~threads:2 );
     ("registry: engine LRU eviction", `Quick, test_registry_lru);
     ("registry: kcache disk reload", `Quick, test_registry_kcache_reload);
   ]

@@ -132,6 +132,7 @@ let test_vm_traps () =
 
 module Profile = Spnc_cpu.Profile
 module Jit = Spnc_cpu.Jit
+module Exec = Spnc_runtime.Exec
 
 let tint = Alcotest.int
 
@@ -297,8 +298,8 @@ let run_lir lir ~rows ~num_features =
 
 (* Exact profiles across column chunks: a column closure counts its
    whole chunk at once, so on a vectorized kernel whose 8-lane loop runs
-   two chunks (and whose scalar epilogue runs too) every cell of the
-   JIT's profile equals the VM's. *)
+   two full chunks and a partial one (whose last group the runtime pads)
+   every cell of the JIT's profile equals the VM's. *)
 let test_profile_jit_equals_vm_across_chunks () =
   let rng = Rng.create ~seed:17 in
   let t =
@@ -309,11 +310,13 @@ let test_profile_jit_equals_vm_across_chunks () =
   let n = (2 * Jit.chunk * 8) + 13 in
   let drng = Rng.create ~seed:18 in
   let flat = Array.init (n * 5) (fun _ -> Rng.range drng (-3.0) 3.0) in
-  let buffers () = [ Vm.of_flat flat ~rows:n ~cols:5; Vm.buffer ~rows:n ~cols:1 ] in
   let pv = Profile.create () and pj = Profile.create () in
-  Vm.run_profiled lir pv ~buffers:(buffers ());
-  let k = Jit.compile ~profile:pj lir in
-  Jit.run k (Jit.make_state k) ~buffers:(buffers ());
+  let run engine profile =
+    let ex = Exec.load ~engine ~profile ~out_cols:1 lir in
+    ignore (Exec.execute ex ~flat ~rows:n ~num_features:5)
+  in
+  run Jit.Vm pv;
+  run Jit.Jit pj;
   check tint "equal totals" (Profile.total pv) (Profile.total pj);
   let counts p =
     List.sort compare
@@ -348,6 +351,10 @@ let test_optimizer_equivalence_prop =
       let o3 = run_lir (compile_lir Opt.O3 t) ~rows ~num_features:6 in
       Array.for_all2 (fun a b -> a = b || Float.abs (a -. b) < 1e-12) o0 o3)
 
+(* The padding contract: through [Exec], on both engines, the vectorized
+   lowering scores every row count — each of 1..17, 19, and either side
+   of a JIT column chunk of 8-lane groups — bit for bit as the scalar
+   lowering does. *)
 let test_scalar_vector_equivalence_prop =
   QCheck.Test.make ~count:12 ~name:"scalar and vectorized kernels agree"
     QCheck.(int_range 0 10_000)
@@ -357,14 +364,66 @@ let test_scalar_vector_equivalence_prop =
         Random_spn.generate rng
           { Random_spn.default_config with num_features = 5; max_depth = 5 }
       in
-      let data_rng = Rng.create ~seed:(seed + 2) in
-      let rows =
-        Array.init 19 (fun _ ->
-            Array.init 5 (fun _ -> Rng.range data_rng (-3.0) 3.0))
+      let counts =
+        List.init 17 succ @ [ 19; (Jit.chunk * 8) - 1; (Jit.chunk * 8) + 1 ]
       in
-      let s = run_lir (compile_lir ~vec:false Opt.O1 t) ~rows ~num_features:5 in
-      let v = run_lir (compile_lir ~vec:true Opt.O1 t) ~rows ~num_features:5 in
-      Array.for_all2 (fun a b -> a = b || Float.abs (a -. b) < 1e-9) s v)
+      let data_rng = Rng.create ~seed:(seed + 2) in
+      let flat =
+        Array.init
+          (5 * List.fold_left max 0 counts)
+          (fun _ -> Rng.range data_rng (-3.0) 3.0)
+      in
+      let scalar = compile_lir ~vec:false Opt.O1 t
+      and vec = compile_lir ~vec:true Opt.O1 t in
+      List.for_all
+        (fun engine ->
+          let s = Exec.load ~engine ~out_cols:1 scalar
+          and v = Exec.load ~engine ~out_cols:1 vec in
+          List.for_all
+            (fun n ->
+              let run ex =
+                Exec.execute ex ~flat:(Array.sub flat 0 (n * 5)) ~rows:n
+                  ~num_features:5
+              in
+              Array.for_all2
+                (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+                (run s) (run v))
+            counts)
+        Jit.[ Vm; Jit ])
+
+(* Called directly, without the runtime's padding, a vectorized kernel
+   on a partial group of rows reads past its input: both engines trap at
+   that first read, and no result is written. *)
+let test_partial_group_traps () =
+  let t =
+    Random_spn.generate (Rng.create ~seed:19)
+      { Random_spn.default_config with num_features = 5; max_depth = 5 }
+  in
+  let lir = compile_lir ~vec:true Opt.O1 t in
+  let k = Jit.compile lir in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (engine, run) ->
+          let out = Vm.buffer ~rows:n ~cols:1 in
+          Array.fill out.Vm.data 0 n 42.0;
+          let input =
+            Vm.of_flat (Array.init (n * 5) float_of_int) ~rows:n ~cols:5
+          in
+          (match run ~buffers:[ input; out ] with
+          | exception Vm.Trap msg ->
+              check tbool
+                (Printf.sprintf "%s, %d rows: trap at the input read (%s)"
+                   engine n msg)
+                true
+                (Astring_contains.contains msg "gather out of bounds")
+          | () -> Alcotest.failf "%s, %d rows: no trap" engine n);
+          check tbool
+            (Printf.sprintf "%s, %d rows: no result written" engine n)
+            true
+            (Array.for_all (fun x -> x = 42.0) out.Vm.data))
+        [ ("vm", Vm.run lir); ("jit", Jit.run k (Jit.make_state k)) ])
+    [ 1; 5; 7 ]
 
 (* -- Regalloc rematerialization ----------------------------------------------------- *)
 
@@ -482,6 +541,8 @@ let suite =
       test_profile_jit_equals_vm_across_chunks;
     QCheck_alcotest.to_alcotest test_optimizer_equivalence_prop;
     QCheck_alcotest.to_alcotest test_scalar_vector_equivalence_prop;
+    Alcotest.test_case "vectorized kernel traps on a partial group" `Quick
+      test_partial_group_traps;
     Alcotest.test_case "remat excludes constants" `Quick test_remat_reduces_intervals;
     Alcotest.test_case "topo_random topological" `Quick test_topo_random_is_topological;
     Alcotest.test_case "dfs beats random ordering" `Quick test_dfs_beats_random_ordering;
