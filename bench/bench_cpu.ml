@@ -341,9 +341,9 @@ let bench_cold_start a ~models =
      %.2fx  (%d disk hit(s))@."
     (Array.length models) full_s disk_s (full_s /. disk_s) disk_hits;
   A.entry a A.Measured ~unit:"s" ~hard:true "cold_start.full_compile_seconds" full_s;
+  (* the ratio stays on stdout only: gated [better: higher], a faster
+     compile would read as a regression, and both halves are gated *)
   A.entry a A.Measured ~unit:"s" "cold_start.disk_hit_seconds" disk_s;
-  A.entry a A.Measured ~better:A.Higher ~unit:"x" "cold_start.speedup"
-    (full_s /. disk_s);
   A.entry a A.Count ~better:A.Higher ~unit:"hits" "cold_start.disk_hits"
     (float_of_int disk_hits)
 

@@ -18,7 +18,7 @@ module Diag = Spnc_resilience.Diag
 module Guard = Spnc_resilience.Guard
 module Fault = Spnc_resilience.Fault
 
-type timing = { stage : string; seconds : float }
+type timing = { stage : string; seconds : float; minor_words : float }
 
 (* A lazy-like cell for the deferred closure compilation that is safe to
    share across domains AND retryable after a failed build: [Lazy.t]
@@ -73,12 +73,14 @@ let stage_seconds (c : compiled) stage =
 
 let pp_timings ppf (c : compiled) =
   let total = compile_seconds c in
+  let words = List.fold_left (fun acc t -> acc +. t.minor_words) 0.0 c.timings in
   List.iter
     (fun t ->
-      Fmt.pf ppf "%-22s %8.4fs (%5.1f%%)@." t.stage t.seconds
-        (if total > 0.0 then 100.0 *. t.seconds /. total else 0.0))
+      Fmt.pf ppf "%-22s %8.4fs (%5.1f%%) %10.0f minor words@." t.stage t.seconds
+        (if total > 0.0 then 100.0 *. t.seconds /. total else 0.0)
+        t.minor_words)
     c.timings;
-  Fmt.pf ppf "%-22s %8.4fs@." "TOTAL" total
+  Fmt.pf ppf "%-22s %8.4fs         %10.0f minor words@." "TOTAL" total words
 
 (* Determine the output-slot count from the bufferized kernel signature. *)
 let out_cols_of_lospn (m : Ir.modul) =
@@ -160,9 +162,12 @@ let compile_full ~(options : Options.compile) (model : Spnc_spn.Model.t) :
        path a real bug in that stage would *)
     if Fault.fire ("compile." ^ stage) then
       Diag.fail ~pass:stage "injected failure at stage %s" stage;
-    (* one clock pair feeds both the stage ledger and the trace span *)
+    (* one clock pair feeds both the stage ledger and the trace span;
+       the allocation counter is this domain's, which runs the stage *)
+    let words = Gc.minor_words () in
     let r, seconds = Spnc_obs.Trace.timed ~cat:"compile" stage f in
-    timings := { stage; seconds } :: !timings;
+    timings :=
+      { stage; seconds; minor_words = Gc.minor_words () -. words } :: !timings;
     r
   in
   (* the query's batch size only names the IR's [batchSize] attribute,
@@ -376,7 +381,7 @@ let cache_key ~(options : Options.compile) (model : Spnc_spn.Model.t) : string =
    changes shape: the format tag keeps old entries from being
    unmarshalled into the wrong layout.  The OCaml version rides along
    because Marshal output is not stable across compiler versions. *)
-let disk_fmt = "spnc-compiled-v3/" ^ Sys.ocaml_version
+let disk_fmt = "spnc-compiled-v4/" ^ Sys.ocaml_version
 
 (* one warning per process for an unusable cache dir, not one per compile *)
 let disk_warned = Atomic.make false

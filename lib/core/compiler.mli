@@ -10,7 +10,9 @@
 
 open Spnc_mlir
 
-type timing = { stage : string; seconds : float }
+(** One stage of a compile: its wall-clock time and the words it
+    allocated on the minor heap ([Gc.minor_words] around the stage). *)
+type timing = { stage : string; seconds : float; minor_words : float }
 
 type jit_cell
 (** Deferred closure compilation with retryable failure: unlike

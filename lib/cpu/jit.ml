@@ -129,7 +129,7 @@ type state = frame array
    often it is read, its last position, whether it is a promotable
    constant.  Eligibility, idiom matching and slot assignment then read
    those arrays, so compile time stays linear in the instruction count
-   and [Optimizer.defs]/[uses] run once per instruction. *)
+   and [Optimizer.iter_regs] runs once per instruction. *)
 
 let cls = function
   | Optimizer.F -> 0
@@ -261,17 +261,18 @@ let analyse (fn : func) : an =
   List.iter (fun r -> ignore (see Optimizer.B r)) fn.params;
   (* a Lir instruction defines at most one register *)
   let dreg = Array.make n (-1) and ustart = Array.make (n + 1) 0 in
-  let ureg = ref (Array.make ((3 * n) + 4) 0) and nu = ref 0 in
+  let ureg = ref (Array.make ((3 * n) + 4) 0) and nu = ref 0 and at = ref 0 in
+  let def c r = dreg.(!at) <- see c r
+  and use c r =
+    if !nu = Array.length !ureg then
+      ureg := Array.append !ureg (Array.make (!nu + 4) 0);
+    !ureg.(!nu) <- see c r;
+    incr nu
+  in
   Array.iteri
     (fun p ins ->
-      (match Optimizer.defs ins with (c, r) :: _ -> dreg.(p) <- see c r | [] -> ());
-      List.iter
-        (fun (c, r) ->
-          if !nu = Array.length !ureg then
-            ureg := Array.append !ureg (Array.make (!nu + 4) 0);
-          !ureg.(!nu) <- see c r;
-          incr nu)
-        (Optimizer.uses ins);
+      at := p;
+      Optimizer.iter_regs ~use ~def ins;
       ustart.(p + 1) <- !nu)
     flat;
   let ureg = !ureg in

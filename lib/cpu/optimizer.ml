@@ -36,57 +36,49 @@ open Lir
 
 type rc = F | I | V | B
 
-let defs (i : instr) : (rc * reg) list =
-  match i with
-  | ConstF (d, _) | FBin (_, d, _, _) | FBin3 (_, d, _, _, _) | SelF (d, _, _, _)
-  | ItoF (d, _) | Call1 (_, d, _) | Load (d, _, _) | VExtract (d, _, _) ->
-      [ (F, d) ]
-  | ConstI (d, _) | IBin (_, d, _, _) | FCmp (_, d, _, _) | SelI (d, _, _, _)
-  | FtoI (d, _) | Dim (d, _) ->
-      [ (I, d) ]
-  | VConst (d, _) | VBin (_, d, _, _) | VBin3 (_, d, _, _, _) | VCmp (_, d, _, _)
-  | VSel (d, _, _, _) | VCall1 (_, d, _) | VLoad (d, _, _)
-  | VGather (d, _, _, _) | VShufLoad (d, _, _, _, _, _)
-  | VGatherIdx (d, _, _) | VFloor (d, _)
-  | VInsert (d, _, _, _) | VBroadcast (d, _) ->
-      [ (V, d) ]
-  | AllocBuf (d, _, _) | TableConst (d, _) -> [ (B, d) ]
-  | Store _ | VStore _ | DeallocBuf _ | CopyBuf _ | CallFn _ | Ret -> []
-  | Loop l -> [ (I, l.iv) ]
+let[@inline] no_reg (_ : rc) (_ : reg) = ()
 
-let uses (i : instr) : (rc * reg) list =
+(* Every pass, the register allocator, the JIT's analysis and the
+   profiler read an instruction's registers through this one match. *)
+let iter_regs ~(use : rc -> reg -> unit) ~(def : rc -> reg -> unit)
+    (i : instr) : unit =
   match i with
-  | ConstF _ | ConstI _ | VConst _ | TableConst _ | Ret -> []
-  | FBin (_, _, a, b) -> [ (F, a); (F, b) ]
-  | FBin3 (_, _, a, b, c) -> [ (F, a); (F, b); (F, c) ]
-  | IBin (_, _, a, b) -> [ (I, a); (I, b) ]
-  | FCmp (_, _, a, b) -> [ (F, a); (F, b) ]
-  | SelF (_, c, t, f) -> [ (I, c); (F, t); (F, f) ]
-  | SelI (_, c, t, f) -> [ (I, c); (I, t); (I, f) ]
-  | FtoI (_, a) -> [ (F, a) ]
-  | ItoF (_, a) -> [ (I, a) ]
-  | Call1 (_, _, a) -> [ (F, a) ]
-  | Load (_, b, idx) -> [ (B, b); (I, idx) ]
-  | Store (b, idx, s) -> [ (B, b); (I, idx); (F, s) ]
-  | VBin (_, _, a, b) -> [ (V, a); (V, b) ]
-  | VBin3 (_, _, a, b, c) -> [ (V, a); (V, b); (V, c) ]
-  | VCmp (_, _, a, b) -> [ (V, a); (V, b) ]
-  | VSel (_, c, t, f) -> [ (V, c); (V, t); (V, f) ]
-  | VCall1 (_, _, a) -> [ (V, a) ]
-  | VLoad (_, b, idx) -> [ (B, b); (I, idx) ]
-  | VStore (b, idx, s) -> [ (B, b); (I, idx); (V, s) ]
-  | VGather (_, b, idx, _) | VShufLoad (_, b, idx, _, _, _) -> [ (B, b); (I, idx) ]
-  | VGatherIdx (_, b, idx) -> [ (B, b); (V, idx) ]
-  | VFloor (_, a) -> [ (V, a) ]
-  | VExtract (_, v, _) -> [ (V, v) ]
-  | VInsert (_, s, v, _) -> [ (F, s); (V, v) ]
-  | VBroadcast (_, s) -> [ (F, s) ]
-  | Dim (_, b) -> [ (B, b) ]
-  | AllocBuf (_, rows, _) -> [ (I, rows) ]
-  | DeallocBuf b -> [ (B, b) ]
-  | CopyBuf (a, b) -> [ (B, a); (B, b) ]
-  | CallFn (_, args) -> List.map (fun a -> (B, a)) args
-  | Loop l -> [ (I, l.lb); (I, l.ub) ]
+  | ConstF (d, _) -> def F d
+  | ConstI (d, _) -> def I d
+  | VConst (d, _) -> def V d
+  | TableConst (d, _) -> def B d
+  | Ret -> ()
+  | FBin (_, d, a, b) -> use F a; use F b; def F d
+  | FBin3 (_, d, a, b, c) -> use F a; use F b; use F c; def F d
+  | IBin (_, d, a, b) -> use I a; use I b; def I d
+  | FCmp (_, d, a, b) -> use F a; use F b; def I d
+  | SelF (d, c, t, f) -> use I c; use F t; use F f; def F d
+  | SelI (d, c, t, f) -> use I c; use I t; use I f; def I d
+  | FtoI (d, a) -> use F a; def I d
+  | ItoF (d, a) -> use I a; def F d
+  | Call1 (_, d, a) -> use F a; def F d
+  | Load (d, b, idx) -> use B b; use I idx; def F d
+  | Store (b, idx, s) -> use B b; use I idx; use F s
+  | VBin (_, d, a, b) -> use V a; use V b; def V d
+  | VBin3 (_, d, a, b, c) -> use V a; use V b; use V c; def V d
+  | VCmp (_, d, a, b) -> use V a; use V b; def V d
+  | VSel (d, c, t, f) -> use V c; use V t; use V f; def V d
+  | VCall1 (_, d, a) -> use V a; def V d
+  | VLoad (d, b, idx) -> use B b; use I idx; def V d
+  | VStore (b, idx, s) -> use B b; use I idx; use V s
+  | VGather (d, b, idx, _) | VShufLoad (d, b, idx, _, _, _) ->
+      use B b; use I idx; def V d
+  | VGatherIdx (d, b, idx) -> use B b; use V idx; def V d
+  | VFloor (d, a) -> use V a; def V d
+  | VExtract (d, v, _) -> use V v; def F d
+  | VInsert (d, s, v, _) -> use F s; use V v; def V d
+  | VBroadcast (d, s) -> use F s; def V d
+  | Dim (d, b) -> use B b; def I d
+  | AllocBuf (d, rows, _) -> use I rows; def B d
+  | DeallocBuf b -> use B b
+  | CopyBuf (a, b) -> use B a; use B b
+  | CallFn (_, args) -> List.iter (use B) args
+  | Loop l -> use I l.lb; use I l.ub; def I l.iv
 
 (* pure = no side effects, safe to CSE / sink / hoist / remove-if-dead *)
 let pure (i : instr) =
@@ -152,6 +144,11 @@ let rec constfold_body (env : env) (body : instr array) : instr array =
   and seti d v =
     env.iknown.(d) <- true;
     env.ival.(d) <- v
+  and forget c r =
+    match c with
+    | F -> env.fknown.(r) <- false
+    | I -> env.iknown.(r) <- false
+    | V | B -> ()
   in
   Array.map
     (fun i ->
@@ -201,13 +198,7 @@ let rec constfold_body (env : env) (body : instr array) : instr array =
           inner.iknown.(l.iv) <- false;
           Loop { l with body = constfold_body inner l.body }
       | other ->
-          List.iter
-            (fun (c, r) ->
-              match c with
-              | F -> env.fknown.(r) <- false
-              | I -> env.iknown.(r) <- false
-              | _ -> ())
-            (defs other);
+          iter_regs ~use:no_reg ~def:forget other;
           other)
     body
 
@@ -229,12 +220,10 @@ let constfold (f : func) : func =
 let cse_candidate (i : instr) =
   pure i && match i with TableConst _ -> false | _ -> true
 
-(* The expression table, keyed by a candidate with its destination
-   ignored.  Floats compare by the float rule shared with the LoSPN CSE,
-   so 0.0 and -0.0 stay apart; operators are left to [equal]. *)
-module Expr = Hashtbl.Make (struct
-  type t = instr
-
+(* The key of a candidate: the candidate with its destination ignored.
+   Floats compare by the float rule shared with the LoSPN CSE, so 0.0 and
+   -0.0 stay apart; operators are left to [equal]. *)
+module Expr = struct
   let equal (x : instr) (y : instr) =
     match (x, y) with
     | ConstF (_, u), ConstF (_, v) | VConst (_, u), VConst (_, v) ->
@@ -293,7 +282,7 @@ module Expr = Hashtbl.Make (struct
     | VExtract (_, v, l) -> 20 ++ v ++ l
     | VInsert (_, s, v, l) -> 21 ++ s ++ v ++ l
     | _ -> 22
-end)
+end
 
 (* Per class, the register each register's uses now read (initially
    itself). *)
@@ -335,31 +324,67 @@ let substitute (s : subst) (i : instr) : instr =
 
 (* Registers are in SSA form within a function (isel mints fresh regs), so
    the substitution is shared with nested loop bodies: an outer dedup must
-   rewrite uses inside loops too. *)
+   rewrite uses inside loops too.  An instruction none of whose operands
+   moved is kept as it is. *)
 let rec cse_body (s : subst) (body : instr array) : instr array =
-  let seen = Expr.create (Array.length body) in
+  (* the expression table: open addressing over [keys], the candidates
+     kept so far; a slot holds a key's index + 1, or 0 when empty *)
+  let n = Array.length body in
+  let cap = ref 16 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let slots = Array.make !cap 0 and keys = Array.make n Ret and nkeys = ref 0 in
+  let slot_of i =
+    let h = Expr.hash i * 0x5bd1e995 in
+    let k = ref ((h lxor (h lsr 17)) land mask) in
+    while slots.(!k) <> 0 && not (Expr.equal keys.(slots.(!k) - 1) i) do
+      k := (!k + 1) land mask
+    done;
+    !k
+  in
+  (* a candidate defines one F, I or V register: an equal key's
+     register [prior] replaces it *)
+  let prior = ref 0 in
+  let take_prior _ d = prior := d
+  and redirect c d =
+    match c with
+    | F -> s.sf.(d) <- !prior
+    | I -> s.si.(d) <- !prior
+    | V -> s.sv.(d) <- !prior
+    | B -> ()
+  in
+  let moved = ref false in
+  let check c r =
+    match c with
+    | F -> if s.sf.(r) <> r then moved := true
+    | I -> if s.si.(r) <> r then moved := true
+    | V -> if s.sv.(r) <> r then moved := true
+    | B -> ()
+  in
   filter_map
     (fun i ->
-      match substitute s i with
+      moved := false;
+      iter_regs ~use:check ~def:no_reg i;
+      match if !moved then substitute s i else i with
       | Loop l ->
           (* expression table is per-region (conservative), but the
              substitution flows through *)
           Some (Loop { l with body = cse_body s l.body })
-      | i when cse_candidate i -> (
-          match (Expr.find_opt seen i, defs i) with
-          | Some prior, [ (F, d) ] ->
-              s.sf.(d) <- prior;
-              None
-          | Some prior, [ (I, d) ] ->
-              s.si.(d) <- prior;
-              None
-          | Some prior, [ (V, d) ] ->
-              s.sv.(d) <- prior;
-              None
-          | None, [ (_, d) ] ->
-              Expr.add seen i d;
-              Some i
-          | _ -> Some i)
+      | i when cse_candidate i ->
+          let k = slot_of i in
+          if slots.(k) <> 0 then begin
+            iter_regs ~use:no_reg ~def:take_prior keys.(slots.(k) - 1);
+            iter_regs ~use:no_reg ~def:redirect i;
+            None
+          end
+          else begin
+            keys.(!nkeys) <- i;
+            incr nkeys;
+            slots.(k) <- !nkeys;
+            Some i
+          end
       | i -> Some i)
     body
 
@@ -369,80 +394,124 @@ let cse (f : func) : func =
 
 (* -- Dead code elimination -------------------------------------------------------- *)
 
+(* A pure instruction is dead when nothing live reads its register.  One
+   scan counts every register's reads over the whole function and chains
+   each register's pure definers; the pure definers of unread registers
+   die, and a dead instruction releases its own reads, which may leave
+   further registers unread.  Removing only ever lowers counts, so this
+   reaches the fixpoint that removing in rounds reaches.  Buffer
+   registers are never dead. *)
+let dce (f : func) : func =
+  (* the body in pre-order, a [Loop] before its body *)
+  let n = count_instrs f.body in
+  let flat = Array.make n Ret and next = ref 0 in
+  let rec flatten body =
+    Array.iter
+      (fun i ->
+        flat.(!next) <- i;
+        incr next;
+        match i with Loop l -> flatten l.body | _ -> ())
+      body
+  in
+  flatten f.body;
+  let uf = Array.make f.nf 0 and ui = Array.make f.ni 0 and uv = Array.make f.nv 0 in
+  (* the last pure definer of each register, and each definer's previous *)
+  let df = Array.make f.nf (-1) and di = Array.make f.ni (-1)
+  and dv = Array.make f.nv (-1) and chain = Array.make n (-1) in
+  let p = ref 0 in
+  let count c r =
+    match c with
+    | F -> uf.(r) <- uf.(r) + 1
+    | I -> ui.(r) <- ui.(r) + 1
+    | V -> uv.(r) <- uv.(r) + 1
+    | B -> ()
+  and definer c r =
+    let link d =
+      chain.(!p) <- d.(r);
+      d.(r) <- !p
+    in
+    if pure flat.(!p) then match c with F -> link df | I -> link di | V -> link dv | B -> ()
+  in
+  for q = 0 to n - 1 do
+    p := q;
+    iter_regs ~use:count ~def:definer flat.(q)
+  done;
+  let dead = Array.make n false and stack = Array.make n 0 and sp = ref 0 in
+  let kill d r =
+    let q = ref d.(r) in
+    while !q >= 0 do
+      dead.(!q) <- true;
+      stack.(!sp) <- !q;
+      incr sp;
+      q := chain.(!q)
+    done
+  in
+  let unread u d = Array.iteri (fun r k -> if k = 0 then kill d r) u in
+  unread uf df;
+  unread ui di;
+  unread uv dv;
+  let release c r =
+    let drop u d =
+      u.(r) <- u.(r) - 1;
+      if u.(r) = 0 then kill d r
+    in
+    match c with F -> drop uf df | I -> drop ui di | V -> drop uv dv | B -> ()
+  in
+  let removed = !sp > 0 in
+  while !sp > 0 do
+    decr sp;
+    iter_regs ~use:release ~def:no_reg flat.(stack.(!sp))
+  done;
+  if not removed then f
+  else begin
+    p := 0;
+    let rec keep body =
+      filter_map
+        (fun i ->
+          let q = !p in
+          incr p;
+          if dead.(q) then None
+          else match i with Loop l -> Some (Loop { l with body = keep l.body }) | _ -> Some i)
+        body
+    in
+    { f with body = keep f.body }
+  end
+
+(* -- Loop-invariant code motion ------------------------------------------------------ *)
+
 (* One flag per register of each class. *)
 type marks = { mf : bool array; mi : bool array; mv : bool array }
-
-let marks (f : func) =
-  {
-    mf = Array.make f.nf false;
-    mi = Array.make f.ni false;
-    mv = Array.make f.nv false;
-  }
 
 let copy_marks m =
   { mf = Array.copy m.mf; mi = Array.copy m.mi; mv = Array.copy m.mv }
 
-let mark m (c, r) =
+let mark m c r =
   match c with
   | F -> m.mf.(r) <- true
   | I -> m.mi.(r) <- true
   | V -> m.mv.(r) <- true
   | B -> ()
 
-(* Buffers are never dead and never loop-variant. *)
-let marked m (c, r) =
+(* Buffers are never loop-variant. *)
+let marked m c r =
   match c with F -> m.mf.(r) | I -> m.mi.(r) | V -> m.mv.(r) | B -> true
-
-let rec mark_uses (used : marks) (body : instr array) =
-  Array.iter
-    (fun i ->
-      List.iter (mark used) (uses i);
-      match i with Loop l -> mark_uses used l.body | _ -> ())
-    body
-
-(* One round: drop every pure definer none of whose defs is used,
-   counting the drops in [removed]. *)
-let rec dce_body (used : marks) (removed : int ref) (body : instr array) :
-    instr array =
-  filter_map
-    (fun i ->
-      match i with
-      | Loop l -> Some (Loop { l with body = dce_body used removed l.body })
-      | _ ->
-          if
-            pure i
-            &&
-            match defs i with
-            | [] -> false
-            | ds -> not (List.exists (marked used) ds)
-          then begin
-            incr removed;
-            None
-          end
-          else Some i)
-    body
-
-(* Rounds until one removes nothing. *)
-let dce (f : func) : func =
-  let rec go body =
-    let used = marks f in
-    mark_uses used body;
-    let removed = ref 0 in
-    let body' = dce_body used removed body in
-    if !removed = 0 then body' else go body'
-  in
-  { f with body = go f.body }
-
-(* -- Loop-invariant code motion ------------------------------------------------------ *)
 
 let rec licm_body (outside : marks) (body : instr array) : instr array =
   let out = ref [] in
+  let mark_outside = mark outside in
   Array.iter
     (fun i ->
       (match i with
       | Loop l ->
           (* values defined so far are invariant w.r.t. this loop *)
           let inv = copy_marks outside in
+          let mark_inv = mark inv and invariant = ref true in
+          let check c r = if not (marked inv c r) then invariant := false in
+          let all_invariant ins =
+            invariant := true;
+            iter_regs ~use:check ~def:no_reg ins;
+            !invariant
+          in
           (* hoist, to just before the loop: sweep the body until a sweep
              moves nothing, taking each pure instr whose uses are all
              invariant *)
@@ -452,19 +521,16 @@ let rec licm_body (outside : marks) (body : instr array) : instr array =
             changed := false;
             Array.iteri
               (fun k ins ->
-                if
-                  (not hoisted.(k)) && pure ins
-                  && List.for_all (marked inv) (uses ins)
-                then begin
+                if (not hoisted.(k)) && pure ins && all_invariant ins then begin
                   hoisted.(k) <- true;
                   out := ins :: !out;
-                  List.iter (mark inv) (defs ins);
+                  iter_regs ~use:no_reg ~def:mark_inv ins;
                   changed := true
                 end)
               l.body
           done;
           (* recurse into nested loops with the enlarged invariant set *)
-          mark inv (I, l.iv);
+          mark inv I l.iv;
           let k = ref (-1) in
           let rest =
             filter_map
@@ -475,11 +541,13 @@ let rec licm_body (outside : marks) (body : instr array) : instr array =
           in
           out := Loop { l with body = licm_body inv rest } :: !out
       | _ -> out := i :: !out);
-      List.iter (mark outside) (defs i))
+      iter_regs ~use:no_reg ~def:mark_outside i)
     body;
   Array.of_list (List.rev !out)
 
-let licm (f : func) : func = { f with body = licm_body (marks f) f.body }
+let licm (f : func) : func =
+  let m = { mf = Array.make f.nf false; mi = Array.make f.ni false; mv = Array.make f.nv false } in
+  { f with body = licm_body m f.body }
 
 (* -- FMA fusion (-O3) ------------------------------------------------------------------- *)
 
@@ -496,20 +564,36 @@ let rec fma_body (f : func) (body : instr array) : instr array =
   let consumed = Array.make n false in
   (* uses of each float and vector register within [body] *)
   let uses_f = Array.make f.nf 0 and uses_v = Array.make f.nv 0 in
+  let count_use c r =
+    match c with
+    | F -> uses_f.(r) <- uses_f.(r) + 1
+    | V -> uses_v.(r) <- uses_v.(r) + 1
+    | I | B -> ()
+  in
   let rec count (body : instr array) =
     Array.iter
       (fun i ->
-        List.iter
-          (fun (c, r) ->
-            match c with
-            | F -> uses_f.(r) <- uses_f.(r) + 1
-            | V -> uses_v.(r) <- uses_v.(r) + 1
-            | I | B -> ())
-          (uses i);
+        iter_regs ~use:count_use ~def:no_reg i;
         match i with Loop l -> count l.body | _ -> ())
       body
   in
   count body;
+  (* the class and register an instruction defines ([dreg] -1: none) *)
+  let dcls = ref B and dreg = ref (-1) in
+  let see c r =
+    dcls := c;
+    dreg := r
+  in
+  (* a window instruction that redefines [t] ends the window; the others
+     add their [cl] definitions to [window_defs] *)
+  let window_def cl t window_defs instr =
+    dreg := -1;
+    iter_regs ~use:no_reg ~def:see instr;
+    if !dreg >= 0 && !dcls == cl then begin
+      if !dreg = t then raise Exit;
+      window_defs := !dreg :: !window_defs
+    end
+  in
   let out = ref [] in
   for k = 0 to n - 1 do
     if not consumed.(k) then begin
@@ -533,13 +617,7 @@ let rec fma_body (f : func) (body : instr array) : instr array =
                    consumed.(j) <- true;
                    fused := true;
                    raise Exit
-               | instr
-                 when List.exists (fun (cl, r) -> cl = F && r = t) (defs instr) ->
-                   raise Exit
-               | instr ->
-                   List.iter
-                     (fun (cl, r) -> if cl = F then window_defs := r :: !window_defs)
-                     (defs instr)
+               | instr -> window_def F t window_defs instr
              done
            with Exit -> ());
           if not !fused then out := body.(k) :: !out)
@@ -557,13 +635,7 @@ let rec fma_body (f : func) (body : instr array) : instr array =
                    consumed.(j) <- true;
                    fused := true;
                    raise Exit
-               | instr
-                 when List.exists (fun (cl, r) -> cl = V && r = t) (defs instr) ->
-                   raise Exit
-               | instr ->
-                   List.iter
-                     (fun (cl, r) -> if cl = V then window_defs := r :: !window_defs)
-                     (defs instr)
+               | instr -> window_def V t window_defs instr
              done
            with Exit -> ());
           if not !fused then out := body.(k) :: !out)

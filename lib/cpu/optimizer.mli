@@ -18,16 +18,18 @@ val level_to_string : level -> string
 (** Inverse of {!level_to_string}; accepts "-O2" and "O2" forms. *)
 val level_of_string : string -> level option
 
-(** Register class of an operand/result (used by regalloc): float / int
-    / vector / buffer. *)
+(** Register class of an operand/result: float / int / vector /
+    buffer. *)
 type rc = F | I | V | B
 
-(** [defs i] — the registers instruction [i] defines, with classes.  A
-    [Loop] defines its induction variable. *)
-val defs : Lir.instr -> (rc * Lir.reg) list
-
-(** [uses i] — the registers instruction [i] reads, with classes. *)
-val uses : Lir.instr -> (rc * Lir.reg) list
+(** [iter_regs ~use ~def i] calls [use c r] on each register [i] reads,
+    in operand order, then [def c r] on the register it defines, if any
+    (no instruction defines two; a [Loop] defines its induction variable
+    and reads its bounds, not its body).  It allocates nothing, so
+    callers that build [use] and [def] once per pass read a whole
+    function without allocating. *)
+val iter_regs :
+  use:(rc -> Lir.reg -> unit) -> def:(rc -> Lir.reg -> unit) -> Lir.instr -> unit
 
 (** [pure i] — no side effects; eligible for CSE/DCE/hoisting.  Loads are
     deliberately not pure (a preceding store may alias). *)

@@ -88,18 +88,12 @@ let node_of (f : func) (i : instr) : int =
     | Optimizer.V -> f.prov.pv
     | Optimizer.B -> f.prov.pb
   in
-  let first regs =
-    List.fold_left
-      (fun acc (rc, r) ->
-        match acc with
-        | Some _ -> acc
-        | None -> Spnc_mlir.Loc.node_id (prov_reg (arr rc) r))
-      None regs
-  in
-  match first (Optimizer.defs i) with
-  | Some n -> n
-  | None -> (
-      match first (Optimizer.uses i) with Some n -> n | None -> -1)
+  let node rc r = Spnc_mlir.Loc.node_id (prov_reg (arr rc) r) in
+  let d = ref None and u = ref None in
+  Optimizer.iter_regs i
+    ~use:(fun rc r -> if Option.is_none !u then u := node rc r)
+    ~def:(fun rc r -> d := node rc r);
+  match (!d, !u) with Some n, _ | None, Some n -> n | None, None -> -1
 
 (** [cell_for t f i] — the (get-or-create) cell the instruction bumps.
     Safe to call from multiple domains; intended for resolution ahead of

@@ -47,12 +47,6 @@ let live_intervals (f : func) =
       order = Array.make n 0; n = 0 }
   in
   let cf = cls f.nf and ci = cls f.ni and cv = cls f.nv in
-  let of_rc = function
-    | Optimizer.F -> Some cf
-    | Optimizer.I -> Some ci
-    | Optimizer.V -> Some cv
-    | Optimizer.B -> None
-  in
   let rec mark_remat (body : instr array) =
     Array.iter
       (function
@@ -64,42 +58,51 @@ let live_intervals (f : func) =
       body
   in
   mark_remat f.body;
-  let pos = ref 0 in
-  (* [loops]: (start, end) positions of the enclosing loops *)
-  let rec scan (body : instr array) ~loops =
+  (* the position being scanned, and the (start, end) positions of the
+     loops enclosing it *)
+  let pos = ref 0 and loops = ref [] in
+  let rec live_to d e = function
+    | [] -> e
+    | (ls, le) :: outer -> live_to d (if 0 < d && d < ls then max e le else e) outer
+  in
+  let use_in c r =
+    let d = c.first_def.(r) in
+    if d >= 0 then c.last_use.(r) <- max (live_to d !pos !loops) c.last_use.(r)
+  and def_in c r =
+    if c.first_def.(r) = 0 then begin
+      c.first_def.(r) <- !pos;
+      c.order.(c.n) <- r;
+      c.n <- c.n + 1
+    end
+  in
+  let use rc r =
+    match rc with
+    | Optimizer.F -> use_in cf r
+    | Optimizer.I -> use_in ci r
+    | Optimizer.V -> use_in cv r
+    | Optimizer.B -> ()
+  and def rc r =
+    match rc with
+    | Optimizer.F -> def_in cf r
+    | Optimizer.I -> def_in ci r
+    | Optimizer.V -> def_in cv r
+    | Optimizer.B -> ()
+  in
+  let rec scan (body : instr array) =
     Array.iter
       (fun ins ->
         incr pos;
-        let p = !pos in
-        List.iter
-          (fun (rc, r) ->
-            match of_rc rc with
-            | Some c when c.first_def.(r) >= 0 ->
-                let d = c.first_def.(r) in
-                let e =
-                  List.fold_left
-                    (fun e (ls, le) -> if 0 < d && d < ls then max e le else e)
-                    p loops
-                in
-                c.last_use.(r) <- max e c.last_use.(r)
-            | _ -> ())
-          (Optimizer.uses ins);
-        List.iter
-          (fun (rc, r) ->
-            match of_rc rc with
-            | Some c when c.first_def.(r) = 0 ->
-                c.first_def.(r) <- p;
-                c.order.(c.n) <- r;
-                c.n <- c.n + 1
-            | _ -> ())
-          (Optimizer.defs ins);
+        Optimizer.iter_regs ~use ~def ins;
         match ins with
         | Loop l ->
-            scan l.body ~loops:((p, p + Lir.count_instrs l.body + 1) :: loops)
+            let outer = !loops in
+            loops := (!pos, !pos + Lir.count_instrs l.body + 1) :: outer;
+            scan l.body;
+            loops := outer
         | _ -> ())
       body
   in
-  scan f.body ~loops:[];
+  scan f.body;
   (cf, ci, cv)
 
 (* Classic linear scan over one class, intervals in start order; returns

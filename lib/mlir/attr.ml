@@ -82,7 +82,14 @@ module Dict = struct
   type t = (string * attr) list
 
   let empty : t = []
-  let of_list l : t = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+  let rec sorted = function
+    | (a, _) :: ((b, _) :: _ as rest) -> String.compare a b <= 0 && sorted rest
+    | _ -> true
+
+  (* [List.sort] is stable, so a sorted list is its own result *)
+  let of_list l : t =
+    if sorted l then l else List.sort (fun (a, _) (b, _) -> String.compare a b) l
+
   let find (d : t) key = List.assoc_opt key d
   let mem (d : t) key = List.mem_assoc key d
 

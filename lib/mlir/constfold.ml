@@ -7,12 +7,16 @@
     dialect constant.  Folded-over constants that become dead are cleaned
     up by the subsequent DCE inside {!Canonicalize}. *)
 
+(* [n] from [i] on equals [s] from [j] on, up to the end of [s] *)
+let rec equal_from n i s j =
+  j = String.length s || (n.[i] = s.[j] && equal_from n (i + 1) s (j + 1))
+
 let is_constant_op (op : Ir.op) =
-  (match String.rindex_opt op.Ir.name '.' with
-  | Some i ->
-      String.sub op.Ir.name (i + 1) (String.length op.Ir.name - i - 1)
-        = "constant"
-  | None -> op.Ir.name = "constant")
+  let n = op.Ir.name and s = "constant" in
+  let l = String.length n and k = String.length s in
+  l >= k
+  && (l = k || n.[l - k - 1] = '.')
+  && equal_from n (l - k) s 0
   && Ir.attr op "value" <> None
 
 (** [run b m] folds constants in [m], minting new values from [b]. *)

@@ -53,45 +53,31 @@ module Key = Hashtbl.Make (struct
     (h * 31) + Hashtbl.hash op.Ir.attrs
 end)
 
+(* One table for the whole module, scoped: a nested block adds only keys
+   its enclosing scopes lack (a present key deduplicates instead), and
+   removes them when it ends, which restores the table its parent had. *)
 let run (m : Ir.modul) : Ir.modul =
-  let rec rebuild_ops (s : Rewrite.subst ref) (seen : Ir.value list Key.t)
-      (ops : Ir.op list) : Ir.op list =
-    List.concat_map
-      (fun (op : Ir.op) ->
-        let operands = List.map (Rewrite.subst_value !s) op.Ir.operands in
-        let regions =
-          List.map
-            (fun (r : Ir.region) ->
-              {
-                Ir.blocks =
-                  List.map
-                    (fun (b : Ir.block) ->
-                      (* child scope: copy of the parent's expression table *)
-                      let child = Key.copy seen in
-                      { b with Ir.bops = rebuild_ops s child b.Ir.bops })
-                    r.Ir.blocks;
-              })
-            op.Ir.regions
-        in
-        let op = { op with Ir.operands; regions } in
-        if (not (Dialect.is_pure op.Ir.name)) || op.Ir.regions <> [] then [ op ]
-        else
-          match Key.find_opt seen op with
-          | Some prior_results ->
-              List.iter2
-                (fun old_r new_r -> s := Ir.VMap.add old_r new_r !s)
-                op.Ir.results prior_results;
-              if Spnc_obs.Remark.enabled () then
-                Spnc_obs.Remark.emit ~pass:"cse"
-                  ~loc:(if Loc.is_known op.Ir.loc then Loc.to_string op.Ir.loc else "")
-                  (Fmt.str "deduplicated %s with an earlier identical op"
-                     op.Ir.name);
-              []
-          | None ->
-              Key.replace seen op op.Ir.results;
-              [ op ])
-      ops
-  in
-  let s = ref Ir.VMap.empty in
-  let top = Key.create 256 in
-  { m with Ir.mops = rebuild_ops s top m.Ir.mops }
+  let seen : Ir.value list Key.t = Key.create (max 16 (Ir.count_ops (fun _ -> true) m)) in
+  let added = ref [] in
+  Rewrite.transform m
+    ~in_block:(fun k ->
+      let outer = !added in
+      added := [];
+      let b = k () in
+      List.iter (Key.remove seen) !added;
+      added := outer;
+      b)
+    ~rewrite:(fun (op : Ir.op) ->
+      if op.Ir.regions <> [] || not (Dialect.is_pure op.Ir.name) then Rewrite.Keep
+      else
+        match Key.find_opt seen op with
+        | Some prior_results ->
+            if Spnc_obs.Remark.enabled () then
+              Spnc_obs.Remark.emit ~pass:"cse"
+                ~loc:(if Loc.is_known op.Ir.loc then Loc.to_string op.Ir.loc else "")
+                (Fmt.str "deduplicated %s with an earlier identical op" op.Ir.name);
+            Rewrite.Replace ([], prior_results)
+        | None ->
+            Key.add seen op op.Ir.results;
+            added := op :: !added;
+            Rewrite.Keep)

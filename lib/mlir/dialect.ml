@@ -20,25 +20,34 @@ type op_info = {
       (** no side effects; eligible for CSE and dead-code elimination *)
 }
 
-let registry : (string, op_info) Hashtbl.t = Hashtbl.create 64
+(* keyed by op name: every pass looks ops up here, so the table compares
+   names with [String.equal] rather than the polymorphic equality *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+let registry : op_info Names.t = Names.create 64
 
 (** [register info] installs [info]; re-registration replaces silently so
     test suites can run registration code repeatedly. *)
-let register (info : op_info) = Hashtbl.replace registry info.op_name info
+let register (info : op_info) = Names.replace registry info.op_name info
 
 let register_simple ?fold ?canon ?(pure = false) op_name verify =
   register { op_name; verify; fold; canon; pure }
 
 let is_pure name =
-  match Hashtbl.find_opt registry name with
+  match Names.find_opt registry name with
   | Some i -> i.pure
   | None -> false
 
-let lookup name = Hashtbl.find_opt registry name
+let lookup name = Names.find_opt registry name
 
 (** [known_dialects ()] lists the dialect prefixes with registered ops. *)
 let known_dialects () =
-  Hashtbl.fold
+  Names.fold
     (fun name _ acc ->
       let d =
         match String.index_opt name '.' with

@@ -83,7 +83,7 @@ val nodes_postorder : t -> node list
 val depth : t -> int
 
 (** [scope n] is the sorted list of variables appearing under [n].
-    Assumes smoothness for sums; {!Validate.scopes} computes exact scopes. *)
+    Assumes smoothness for sums; {!Validate.check} checks it. *)
 val scope : node -> int list
 
 val pp_desc_kind : Format.formatter -> node -> unit

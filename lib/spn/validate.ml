@@ -7,35 +7,55 @@
     sanity, and that all referenced variables are within
     [0 .. num_features-1]. *)
 
-module ISet = Set.Make (Int)
-
 type issue = { node_id : int; message : string }
 
 let pp_issue ppf i = Fmt.pf ppf "node %d: %s" i.node_id i.message
 
-(** [scopes t] computes the scope of every unique node, memoized by id. *)
-let scopes (t : Model.t) : (int, ISet.t) Hashtbl.t =
-  let memo = Hashtbl.create 256 in
+(* Scopes are bitsets over the model's distinct leaf variables (negative
+   and out-of-range ones included, so their overlaps are found too), one
+   row of [words] ints per unique node, numbered children first: the
+   order of [Model.iter_unique]. *)
+type scopes = {
+  nodes : Model.node array;  (** the unique nodes, children first *)
+  index : (int, int) Hashtbl.t;  (** node id -> its row *)
+  words : int;
+  bits : int array;  (** row [i] is [bits.(i * words) ..] *)
+}
+
+let scopes (t : Model.t) : scopes =
+  let index = Hashtbl.create 1024 and order = ref [] in
+  let vars = Hashtbl.create 64 in
   Model.iter_unique
-    (fun n ->
-      let s =
-        match n.Model.desc with
-        | Model.Gaussian { var; _ }
-        | Model.Categorical { var; _ }
-        | Model.Histogram { var; _ } ->
-            ISet.singleton var
-        | Model.Sum cs ->
-            List.fold_left
-              (fun acc (_, c) -> ISet.union acc (Hashtbl.find memo c.Model.id))
-              ISet.empty cs
-        | Model.Product cs ->
-            List.fold_left
-              (fun acc c -> ISet.union acc (Hashtbl.find memo c.Model.id))
-              ISet.empty cs
-      in
-      Hashtbl.replace memo n.Model.id s)
+    (fun nd ->
+      Hashtbl.replace index nd.Model.id (Hashtbl.length index);
+      order := nd :: !order;
+      Option.iter
+        (fun v ->
+          if not (Hashtbl.mem vars v) then Hashtbl.add vars v (Hashtbl.length vars))
+        (Model.var_of_leaf nd))
     t;
-  memo
+  let nodes = Array.of_list (List.rev !order) in
+  let words = max 1 ((Hashtbl.length vars + Sys.int_size - 1) / Sys.int_size) in
+  let bits = Array.make (Array.length nodes * words) 0 in
+  Array.iteri
+    (fun i (nd : Model.node) ->
+      let row = i * words in
+      let union c =
+        let crow = Hashtbl.find index c.Model.id * words in
+        for w = 0 to words - 1 do
+          bits.(row + w) <- bits.(row + w) lor bits.(crow + w)
+        done
+      in
+      match nd.Model.desc with
+      | Model.Sum cs -> List.iter (fun (_, c) -> union c) cs
+      | Model.Product cs -> List.iter union cs
+      | Model.Gaussian { var; _ }
+      | Model.Categorical { var; _ }
+      | Model.Histogram { var; _ } ->
+          let b = Hashtbl.find vars var in
+          bits.(row + (b / Sys.int_size)) <- 1 lsl (b mod Sys.int_size))
+    nodes;
+  { nodes; index; words; bits }
 
 (** [check ?weight_eps t] returns all structural issues of [t]. *)
 let check ?(weight_eps = 1e-6) (t : Model.t) : issue list =
@@ -43,9 +63,17 @@ let check ?(weight_eps = 1e-6) (t : Model.t) : issue list =
   let add node_id fmt =
     Fmt.kstr (fun message -> issues := { node_id; message } :: !issues) fmt
   in
-  let scope_of = scopes t in
-  Model.iter_unique
-    (fun n ->
+  let sc = scopes t in
+  let words = sc.words and bits = sc.bits in
+  let row (c : Model.node) = Hashtbl.find sc.index c.Model.id * words in
+  let same_scope r r' =
+    let rec go w = w = words || (bits.(r + w) = bits.(r' + w) && go (w + 1)) in
+    go 0
+  in
+  (* the running union of a product's children so far *)
+  let union = Array.make words 0 in
+  Array.iter
+    (fun (n : Model.node) ->
       let id = n.Model.id in
       match n.Model.desc with
       | Model.Sum cs ->
@@ -58,23 +86,27 @@ let check ?(weight_eps = 1e-6) (t : Model.t) : issue list =
           (* smoothness *)
           (match cs with
           | (_, first) :: rest ->
-              let s0 = Hashtbl.find scope_of first.Model.id in
+              let r0 = row first in
               List.iter
                 (fun (_, c) ->
-                  if not (ISet.equal s0 (Hashtbl.find scope_of c.Model.id)) then
+                  if not (same_scope r0 (row c)) then
                     add id "not smooth: child %d has different scope" c.Model.id)
                 rest
           | [] -> add id "sum with no children")
       | Model.Product cs ->
           (* decomposability *)
-          let union = ref ISet.empty in
+          Array.fill union 0 words 0;
           List.iter
             (fun c ->
-              let s = Hashtbl.find scope_of c.Model.id in
-              if not (ISet.is_empty (ISet.inter !union s)) then
+              let r = row c in
+              let overlap = ref false in
+              for w = 0 to words - 1 do
+                if union.(w) land bits.(r + w) <> 0 then overlap := true;
+                union.(w) <- union.(w) lor bits.(r + w)
+              done;
+              if !overlap then
                 add id "not decomposable: child %d overlaps previous scope"
-                  c.Model.id;
-              union := ISet.union !union s)
+                  c.Model.id)
             cs;
           if cs = [] then add id "product with no children"
       | Model.Gaussian { var; stddev; _ } ->
@@ -103,7 +135,7 @@ let check ?(weight_eps = 1e-6) (t : Model.t) : issue list =
             densities;
           if Float.abs (!mass -. 1.0) > 1e-3 then
             add id "histogram mass %.9f, expected 1.0" !mass)
-    t;
+    sc.nodes;
   List.rev !issues
 
 let is_valid t = check t = []

@@ -5,15 +5,9 @@
     product node have pairwise disjoint scopes.  Weight normalization,
     leaf parameter sanity and variable ranges are checked as well. *)
 
-module ISet : Set.S with type elt = int
-
 type issue = { node_id : int; message : string }
 
 val pp_issue : Format.formatter -> issue -> unit
-
-(** [scopes t] computes the exact scope of every unique node, keyed by
-    node id. *)
-val scopes : Model.t -> (int, ISet.t) Hashtbl.t
 
 (** [check ?weight_eps t] returns all structural issues of [t] (empty for
     a valid model). *)

@@ -62,6 +62,23 @@ let test_one_call_api () =
   let _c, out = Compiler.compile_and_execute t rows in
   check_against_reference ~tol:1e-8 t rows out
 
+(* every stage records the minor-heap words it allocated beside its time;
+   the lowering stages build new IR, so theirs cannot be 0 *)
+let test_stage_minor_words () =
+  let c =
+    Compiler.compile
+      ~options:{ (Options.best_cpu ()) with use_kernel_cache = false }
+      (speaker_like_spn ())
+  in
+  List.iter
+    (fun (t : Compiler.timing) ->
+      check tbool (t.Compiler.stage ^ " words >= 0") true (t.Compiler.minor_words >= 0.0);
+      if List.mem t.Compiler.stage [ "hispn-translation"; "lower-to-lospn"; "cpu-lowering" ]
+      then check tbool (t.Compiler.stage ^ " allocates") true (t.Compiler.minor_words > 0.0))
+    c.Compiler.timings;
+  check tbool "cpu-lowering timed" true
+    (List.exists (fun (t : Compiler.timing) -> t.Compiler.stage = "cpu-lowering") c.Compiler.timings)
+
 let test_invalid_model_rejected () =
   let g0 = Model.gaussian ~var:0 ~mean:0.0 ~stddev:1.0 in
   let g1 = Model.gaussian ~var:0 ~mean:1.0 ~stddev:1.0 in
@@ -207,6 +224,7 @@ let suite =
     Alcotest.test_case "compile+execute gpu" `Quick test_compile_execute_gpu;
     Alcotest.test_case "compile+execute partitioned" `Quick test_compile_execute_partitioned;
     Alcotest.test_case "one-call api" `Quick test_one_call_api;
+    Alcotest.test_case "stage minor words" `Quick test_stage_minor_words;
     Alcotest.test_case "invalid model rejected" `Quick test_invalid_model_rejected;
     Alcotest.test_case "cpu timings recorded" `Quick test_timings_recorded;
     Alcotest.test_case "gpu timings recorded" `Quick test_gpu_timings_recorded;

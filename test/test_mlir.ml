@@ -305,6 +305,164 @@ let test_dce_removes_dead () =
   let m' = Rewrite.dce m in
   check tint "dead constant removed" 3 (Ir.count_ops (fun _ -> true) m')
 
+(* -- Rewrites that change nothing, and the one-sweep DCE --------------------- *)
+
+(* The DCE's oracle: rounds of "erase every pure op whose results are all
+   unused, counting uses anywhere in the module" until a round erases
+   nothing.  Returns the module and the number of rounds that erased. *)
+let reference_dce (m : Ir.modul) : Ir.modul * int =
+  let rec go m rounds =
+    let used = Hashtbl.create 64 in
+    Ir.walk
+      (fun op ->
+        List.iter (fun (v : Ir.value) -> Hashtbl.replace used v.Ir.vid ()) op.Ir.operands)
+      m;
+    let erased = ref false in
+    let rec ops l =
+      List.filter_map
+        (fun (op : Ir.op) ->
+          if
+            Dialect.is_pure op.Ir.name
+            && op.Ir.results <> []
+            && List.for_all
+                 (fun (v : Ir.value) -> not (Hashtbl.mem used v.Ir.vid))
+                 op.Ir.results
+          then begin
+            erased := true;
+            None
+          end
+          else
+            Some
+              {
+                op with
+                Ir.regions =
+                  List.map
+                    (fun (r : Ir.region) ->
+                      {
+                        Ir.blocks =
+                          List.map
+                            (fun (b : Ir.block) -> { b with Ir.bops = ops b.Ir.bops })
+                            r.Ir.blocks;
+                      })
+                    op.Ir.regions;
+              })
+        l
+    in
+    let m' = { m with Ir.mops = ops m.Ir.mops } in
+    if !erased then go m' (rounds + 1) else (m', rounds)
+  in
+  go m 0
+
+(* [m] with its [k]-th result-less op (pre-order) erased: the values it
+   read may leave dead chains, dead region ops and values read only in a
+   dead region behind *)
+let drop_effect (m : Ir.modul) k : Ir.modul =
+  let seen = ref (-1) in
+  let rec ops l =
+    List.filter_map
+      (fun (op : Ir.op) ->
+        if op.Ir.results = [] && op.Ir.regions = [] && (incr seen; !seen = k) then None
+        else
+          Some
+            {
+              op with
+              Ir.regions =
+                List.map
+                  (fun (r : Ir.region) ->
+                    {
+                      Ir.blocks =
+                        List.map
+                          (fun (b : Ir.block) -> { b with Ir.bops = ops b.Ir.bops })
+                          r.Ir.blocks;
+                    })
+                  op.Ir.regions;
+            })
+      l
+  in
+  { m with Ir.mops = ops m.Ir.mops }
+
+(* HiSPN and LoSPN modules: the smith IR corpus and model cases *)
+let rewrite_corpus () =
+  Spnc.Pipelines.register_dialects ();
+  List.concat_map
+    (fun id ->
+      let p = Spnc_smith.Smith.case ~seed:3 ~id () in
+      let hi = p.Spnc_smith.Smith.modul in
+      let lo = Spnc_lospn.Lower_hispn.run (Canonicalize.run hi) in
+      [ hi; lo; Spnc_lospn.Bufferize.run lo ])
+    (List.init 16 Fun.id)
+
+let printed m = Printer.modul_to_string m
+
+let test_dce_matches_rounds () =
+  let erased = ref 0 and deep = ref 0 and bodies = ref 0 in
+  List.iter
+    (fun m ->
+      let effects = Ir.count_ops (fun o -> o.Ir.results = [] && o.Ir.regions = []) m in
+      List.iter
+        (fun v ->
+          let want, rounds = reference_dce v in
+          let got = Rewrite.dce v in
+          check tstr "one sweep = rounds" (printed want) (printed got);
+          let count name m = Ir.count_ops (fun o -> o.Ir.name = name) m in
+          if rounds > 0 then incr erased;
+          if rounds > 2 then incr deep;
+          if count Spnc_lospn.Ops.body_name got < count Spnc_lospn.Ops.body_name v
+          then incr bodies)
+        (m :: List.init (min effects 4) (drop_effect m)))
+    (rewrite_corpus ());
+  (* the corpus reaches what the sweep must get right *)
+  check tbool "some variants lose ops" true (!erased > 10);
+  check tbool "dead chains need more than two rounds" true (!deep > 0);
+  check tbool "dead lo_spn.body regions go" true (!bodies > 0)
+
+(* a dead region op takes the values only its region reads with it; a
+   live one keeps its region but loses the region's dead ops *)
+let test_dce_dead_region () =
+  Spnc_lospn.Ops.register ();
+  let b = Builder.create () in
+  let const x =
+    Builder.op b "lo_spn.constant" ~results:[ Types.F32 ] ~attrs:[ ("value", Attr.Float x) ] ()
+  in
+  let body c =
+    Builder.op b "lo_spn.body" ~results:[ Types.F32 ]
+      ~regions:
+        [
+          Builder.region
+            [
+              Builder.block b ~arg_tys:[] (fun _ ->
+                  let m = Builder.op b "lo_spn.mul" ~operands:[ Ir.result c; Ir.result c ]
+                      ~results:[ Types.F32 ] () in
+                  let dead = Builder.op b "lo_spn.add" ~operands:[ Ir.result c; Ir.result c ]
+                      ~results:[ Types.F32 ] () in
+                  [ m; dead; Builder.op b "lo_spn.yield" ~operands:[ Ir.result m ] () ]);
+            ];
+        ]
+      ()
+  in
+  let c1 = const 1.0 and c2 = const 2.0 in
+  let gone = body c1 and kept = body c2 in
+  let use = Builder.op b "lo_spn.yield" ~operands:[ Ir.result kept ] () in
+  let m = Builder.modul [ c1; c2; gone; kept; use ] in
+  let m' = Rewrite.dce m in
+  check tstr "one sweep = rounds" (printed (fst (reference_dce m))) (printed m');
+  check tint "dead body, its constant and the live body's dead add go" 5
+    (Ir.count_ops (fun _ -> true) m')
+
+(* a rewrite that changes nothing returns its input, not a copy *)
+let test_unchanged_is_shared () =
+  List.iter
+    (fun m ->
+      check tbool "transform Keep" true
+        (Rewrite.transform ~rewrite:(fun _ -> Rewrite.Keep) m == m);
+      let m = Rewrite.dce m in
+      check tbool "dce" true (Rewrite.dce m == m);
+      let m = Cse.run m in
+      check tbool "cse" true (Cse.run m == m);
+      let m = Constfold.run (Builder.seed_from m) m in
+      check tbool "constfold" true (Constfold.run (Builder.seed_from m) m == m))
+    (rewrite_corpus ())
+
 (* -- Locations ------------------------------------------------------------- *)
 
 let test_loc_roundtrip () =
@@ -477,6 +635,9 @@ let suite =
     Alcotest.test_case "constfold chain" `Quick test_constfold_folds_chain;
     Alcotest.test_case "constfold log space" `Quick test_constfold_log_space;
     Alcotest.test_case "dce removes dead" `Quick test_dce_removes_dead;
+    Alcotest.test_case "dce sweep matches rounds" `Quick test_dce_matches_rounds;
+    Alcotest.test_case "dce dead region" `Quick test_dce_dead_region;
+    Alcotest.test_case "unchanged rewrites are shared" `Quick test_unchanged_is_shared;
     Alcotest.test_case "loc print/parse roundtrip" `Quick test_loc_roundtrip;
     Alcotest.test_case "print-after-change silent when unchanged" `Quick
       test_print_after_change_silent_when_unchanged;

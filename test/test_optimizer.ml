@@ -205,6 +205,121 @@ let test_dce_keeps_effects () =
   check tint "store kept" 1
     (count (fun i -> match i with Lir.Store _ -> true | _ -> false) f')
 
+(* The DCE's oracle: rounds of "mark every register any instruction
+   reads, drop the pure instructions whose register is unmarked" until a
+   round drops nothing.  Buffer registers count as read. *)
+let reference_dce (f : Lir.func) : Lir.func =
+  let skip (_ : Opt.rc) (_ : Lir.reg) = () in
+  let rec round (body : Lir.instr array) =
+    let used = Hashtbl.create 64 in
+    let rec mark body =
+      Array.iter
+        (fun i ->
+          Opt.iter_regs i ~def:skip ~use:(fun c r -> Hashtbl.replace used (c, r) ());
+          match i with Lir.Loop l -> mark l.Lir.body | _ -> ())
+        body
+    in
+    mark body;
+    let dropped = ref false in
+    let rec sweep body =
+      Array.of_list
+        (List.filter_map
+           (fun i ->
+             let dead = ref false in
+             Opt.iter_regs i ~use:skip ~def:(fun c r ->
+                 dead := c <> Opt.B && not (Hashtbl.mem used (c, r)));
+             match i with
+             | Lir.Loop l -> Some (Lir.Loop { l with body = sweep l.Lir.body })
+             | _ when Opt.pure i && !dead ->
+                 dropped := true;
+                 None
+             | _ -> Some i)
+           (Array.to_list body))
+    in
+    let body' = sweep body in
+    if !dropped then round body' else body'
+  in
+  { f with Lir.body = round f.Lir.body }
+
+(* Registers carried around a loop: a pure cycle reads itself and
+   survives, a dead chain goes whole, a two-register cycle survives, and
+   a register with two pure definers goes with both once unread. *)
+let test_dce_carried_loops () =
+  let f =
+    func ~nf:10 ~ni:3
+      [
+        Lir.ConstI (0, 0);
+        Lir.ConstI (1, 8);
+        Lir.ConstF (0, 1.0);
+        Lir.ConstF (6, 0.5);
+        Lir.Loop
+          {
+            Lir.iv = 2;
+            lb = 0;
+            ub = 1;
+            step = 1;
+            vector_width = 1;
+            body =
+              [|
+                Lir.FBin (Lir.FAdd, 1, 1, 0);
+                (* f1 = f1 + f0: reads itself *)
+                Lir.FBin (Lir.FMul, 2, 0, 0);
+                Lir.FBin (Lir.FAdd, 3, 2, 2);
+                Lir.FBin (Lir.FSub, 4, 3, 2);
+                (* f2 -> f3 -> f4: a dead chain *)
+                Lir.FBin (Lir.FAdd, 5, 7, 0);
+                Lir.FBin (Lir.FMul, 7, 5, 0);
+                (* f5 <-> f7: carried across iterations *)
+                Lir.ConstF (6, 0.25);
+                (* f6's second definer, read by nothing *)
+                Lir.FBin (Lir.FMul, 8, 0, 0);
+                Lir.Store (0, 2, 8);
+              |];
+          };
+        Lir.ConstF (9, 3.0);
+        Lir.Ret;
+      ]
+  in
+  let f' = Opt.dce f in
+  let want = reference_dce f in
+  check tbool "one use-count pass = rounds" true (compare f'.Lir.body want.Lir.body = 0);
+  let defines r =
+    count (fun i -> match i with Lir.FBin (_, d, _, _) | Lir.ConstF (d, _) -> d = r | _ -> false) f'
+  in
+  check tint "pure self-cycle survives" 1 (defines 1);
+  check tint "dead chain goes" 0 (defines 2 + defines 3 + defines 4);
+  check tint "two-register cycle survives" 2 (defines 5 + defines 7);
+  check tint "unread two-definer register goes" 0 (defines 6);
+  check tint "unread constant goes" 0 (defines 9);
+  check tbool "nothing dead: the same function back" true (Opt.dce f' == f')
+
+(* The same oracle on isel output: every kernel of a few models *)
+let test_dce_matches_rounds_on_kernels () =
+  let models =
+    List.init 4 (fun seed ->
+        Spnc_spn.Random_spn.generate (Spnc_data.Rng.create ~seed)
+          Spnc_spn.Random_spn.default_config)
+  in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun vectorize ->
+          let options =
+            { Spnc.Options.default with vectorize; use_kernel_cache = false;
+              opt_level = Opt.O0; support_marginal = vectorize }
+          in
+          match (Spnc.Compiler.compile ~options model).Spnc.Compiler.artifact with
+          | Spnc.Compiler.Cpu_kernel { lir; _ } ->
+              Array.iter
+                (fun f ->
+                  let f = Opt.cse (Opt.constfold f) in
+                  check tbool "one use-count pass = rounds" true
+                    (compare (Opt.dce f).Lir.body (reference_dce f).Lir.body = 0))
+                lir.Lir.funcs
+          | Spnc.Compiler.Gpu_kernel _ -> Alcotest.fail "expected a CPU kernel")
+        [ false; true ])
+    models
+
 (* -- LICM ---------------------------------------------------------------------- *)
 
 let test_licm_hoists_invariants_only () =
@@ -394,6 +509,8 @@ let suite =
     Alcotest.test_case "cse float rule" `Quick test_cse_float_rule;
     Alcotest.test_case "signed zero at every level" `Quick test_signed_zero_levels;
     Alcotest.test_case "dce keeps effects" `Quick test_dce_keeps_effects;
+    Alcotest.test_case "dce carried loops" `Quick test_dce_carried_loops;
+    Alcotest.test_case "dce matches rounds on kernels" `Quick test_dce_matches_rounds_on_kernels;
     Alcotest.test_case "licm selective" `Quick test_licm_hoists_invariants_only;
     Alcotest.test_case "fma fuses" `Quick test_fma_fuses_single_use_mul;
     Alcotest.test_case "fma multiple uses" `Quick test_fma_respects_multiple_uses;

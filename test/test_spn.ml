@@ -112,6 +112,149 @@ let test_validate_rejects_var_out_of_range () =
   let t = Model.make ~num_features:2 g in
   check tbool "var out of range" false (Validate.is_valid t)
 
+(* The validator's oracle: the same checks with scopes on [Set.Make (Int)],
+   which also returns the issues in [Model.iter_unique] order. *)
+module ISet = Set.Make (Int)
+
+let reference_check (t : Model.t) : Validate.issue list =
+  let weight_eps = 1e-6 in
+  let issues = ref [] in
+  let add node_id fmt =
+    Fmt.kstr (fun message -> issues := { Validate.node_id; message } :: !issues) fmt
+  in
+  let scope = Hashtbl.create 256 in
+  Model.iter_unique
+    (fun n ->
+      let union cs =
+        List.fold_left (fun acc c -> ISet.union acc (Hashtbl.find scope c.Model.id)) ISet.empty cs
+      in
+      Hashtbl.replace scope n.Model.id
+        (match n.Model.desc with
+        | Model.Gaussian { var; _ } | Model.Categorical { var; _ } | Model.Histogram { var; _ } ->
+            ISet.singleton var
+        | Model.Sum cs -> union (List.map snd cs)
+        | Model.Product cs -> union cs))
+    t;
+  let in_range var = var >= 0 && var < t.Model.num_features in
+  Model.iter_unique
+    (fun n ->
+      let id = n.Model.id in
+      match n.Model.desc with
+      | Model.Sum cs ->
+          let w_total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 cs in
+          if Float.abs (w_total -. 1.0) > weight_eps then
+            add id "sum weights total %.9f, expected 1.0" w_total;
+          List.iter (fun (w, _) -> if w < 0.0 then add id "negative weight %g" w) cs;
+          (match cs with
+          | (_, first) :: rest ->
+              let s0 = Hashtbl.find scope first.Model.id in
+              List.iter
+                (fun (_, c) ->
+                  if not (ISet.equal s0 (Hashtbl.find scope c.Model.id)) then
+                    add id "not smooth: child %d has different scope" c.Model.id)
+                rest
+          | [] -> add id "sum with no children")
+      | Model.Product cs ->
+          ignore
+            (List.fold_left
+               (fun union c ->
+                 let s = Hashtbl.find scope c.Model.id in
+                 if not (ISet.is_empty (ISet.inter union s)) then
+                   add id "not decomposable: child %d overlaps previous scope" c.Model.id;
+                 ISet.union union s)
+               ISet.empty cs);
+          if cs = [] then add id "product with no children"
+      | Model.Gaussian { var; stddev; _ } ->
+          if stddev <= 0.0 then add id "gaussian stddev %g <= 0" stddev;
+          if not (in_range var) then add id "gaussian variable %d out of range" var
+      | Model.Categorical { var; probs } ->
+          let total = Array.fold_left ( +. ) 0.0 probs in
+          if Float.abs (total -. 1.0) > weight_eps then
+            add id "categorical probabilities total %.9f" total;
+          if not (in_range var) then add id "categorical variable %d out of range" var
+      | Model.Histogram { var; breaks; densities } ->
+          if not (in_range var) then add id "histogram variable %d out of range" var;
+          Array.iteri
+            (fun i b ->
+              if i > 0 && b <= breaks.(i - 1) then
+                add id "histogram breaks not strictly increasing at %d" i)
+            breaks;
+          let mass = ref 0.0 in
+          Array.iteri
+            (fun i d -> mass := !mass +. (d *. float_of_int (breaks.(i + 1) - breaks.(i))))
+            densities;
+          if Float.abs (!mass -. 1.0) > 1e-3 then
+            add id "histogram mass %.9f, expected 1.0" !mass)
+    t;
+  List.rev !issues
+
+(* [t] with the variable of its [k]-th leaf (children first) set to [var],
+   sharing kept *)
+let with_leaf_var (t : Model.t) k var : Model.t =
+  let memo = Hashtbl.create 256 and leaf = ref (-1) in
+  let pick v = if !leaf = k then var else v in
+  let rec go (n : Model.node) =
+    match Hashtbl.find_opt memo n.Model.id with
+    | Some n' -> n'
+    | None ->
+        let n' =
+          match n.Model.desc with
+          | Model.Sum cs -> Model.sum (List.map (fun (w, c) -> (w, go c)) cs)
+          | Model.Product cs -> Model.product (List.map go cs)
+          | Model.Gaussian { var = v; mean; stddev } ->
+              incr leaf;
+              Model.mk (Model.Gaussian { var = pick v; mean; stddev })
+          | Model.Categorical { var = v; probs } ->
+              incr leaf;
+              Model.mk (Model.Categorical { var = pick v; probs })
+          | Model.Histogram { var = v; breaks; densities } ->
+              incr leaf;
+              Model.mk (Model.Histogram { var = pick v; breaks; densities })
+        in
+        Hashtbl.replace memo n.Model.id n';
+        n'
+  in
+  Model.make ~name:t.Model.name ~num_features:t.Model.num_features (go t.Model.root)
+
+let test_validate_matches_sets () =
+  let rng = Rng.create ~seed:77 in
+  List.iter
+    (fun nf ->
+      for seed = 1 to 4 do
+        let t =
+          Random_spn.generate (Rng.create ~seed)
+            { Random_spn.default_config with num_features = nf; max_depth = 5 }
+        in
+        let leaf var = Model.gaussian ~var ~mean:0.0 ~stddev:1.0 in
+        let on root = Model.make ~num_features:nf root in
+        let leaves = Model.fold_unique (fun k n -> if Model.is_leaf n then k + 1 else k) 0 t in
+        let mutants =
+          [
+            on (Model.sum [ (0.5, t.Model.root); (0.5, leaf (nf - 1)) ]);
+            on (Model.product [ t.Model.root; leaf 0 ]);
+            on (Model.product [ t.Model.root; leaf nf ]);
+            on (Model.product [ t.Model.root; leaf (-1); Model.product [ leaf (-1); leaf (-2) ] ]);
+          ]
+          @ List.init 6 (fun _ ->
+                with_leaf_var t (Rng.int rng leaves) (Rng.int rng (nf + 4) - 2))
+        in
+        check tint "valid model has no issues" 0 (List.length (Validate.check t));
+        List.iter
+          (fun m ->
+            let want = reference_check m and got = Validate.check m in
+            if want <> got then
+              Alcotest.failf "%d features: bitsets found@.%s@.sets found@.%s" nf
+                (Validate.issues_to_string got) (Validate.issues_to_string want))
+          (t :: mutants);
+        (* the fixed mutants are invalid in the ways their names say *)
+        List.iteri
+          (fun i m ->
+            if i > 0 || nf > 1 then
+              check tbool "mutant rejected" true (Validate.check m <> []))
+          (List.filteri (fun i _ -> i < 4) mutants)
+      done)
+    [ 1; 62; 63; 200 ]
+
 (* -- Inference --------------------------------------------------------------- *)
 
 let test_inference_manual () =
@@ -383,6 +526,7 @@ let suite =
     Alcotest.test_case "validate non-smooth" `Quick test_validate_rejects_nonsmooth;
     Alcotest.test_case "validate non-decomposable" `Quick test_validate_rejects_nondecomposable;
     Alcotest.test_case "validate var range" `Quick test_validate_rejects_var_out_of_range;
+    Alcotest.test_case "validate matches set scopes" `Quick test_validate_matches_sets;
     Alcotest.test_case "inference manual" `Quick test_inference_manual;
     Alcotest.test_case "inference discrete" `Quick test_inference_discrete;
     Alcotest.test_case "inference marginal" `Quick test_inference_marginal;
