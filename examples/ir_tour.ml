@@ -72,10 +72,9 @@ let () =
   Fmt.pr "... (%d lines total)@." (List.length lines);
 
   (* And the Lir "object code" of the scalar CPU kernel, after -O2. *)
-  let scalar = Spnc_cpu.Lower_cpu.run lo in
   let lir =
     Spnc_cpu.Optimizer.run Spnc_cpu.Optimizer.O2
-      (Spnc_cpu.Isel.run scalar ~entry:"spn_kernel")
+      (Spnc_cpu.Isel.finish (Spnc_cpu.Lower_cpu.isel lo) ~entry:"spn_kernel")
   in
   banner "LLVM-like backend: instruction counts after -O2";
   Array.iter

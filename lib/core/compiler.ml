@@ -18,7 +18,13 @@ module Diag = Spnc_resilience.Diag
 module Guard = Spnc_resilience.Guard
 module Fault = Spnc_resilience.Fault
 
-type timing = { stage : string; seconds : float; minor_words : float }
+type timing = {
+  stage : string;
+  seconds : float;
+  minor_words : float;
+  direct_words : float;
+  minor_collections : int;
+}
 
 (* A lazy-like cell for the deferred closure compilation that is safe to
    share across domains AND retryable after a failed build: [Lazy.t]
@@ -73,14 +79,19 @@ let stage_seconds (c : compiled) stage =
 
 let pp_timings ppf (c : compiled) =
   let total = compile_seconds c in
-  let words = List.fold_left (fun acc t -> acc +. t.minor_words) 0.0 c.timings in
+  let sum f = List.fold_left (fun acc t -> acc +. f t) 0.0 c.timings in
+  Fmt.pf ppf "%-22s %9s %8s %11s %9s %11s@." "stage" "seconds" "share" "minor words"
+    "minor GCs" "major words";
   List.iter
     (fun t ->
-      Fmt.pf ppf "%-22s %8.4fs (%5.1f%%) %10.0f minor words@." t.stage t.seconds
+      Fmt.pf ppf "%-22s %8.4fs (%5.1f%%) %11.0f %9d %11.0f@." t.stage t.seconds
         (if total > 0.0 then 100.0 *. t.seconds /. total else 0.0)
-        t.minor_words)
+        t.minor_words t.minor_collections t.direct_words)
     c.timings;
-  Fmt.pf ppf "%-22s %8.4fs         %10.0f minor words@." "TOTAL" total words
+  Fmt.pf ppf "%-22s %8.4fs          %11.0f %9.0f %11.0f@." "TOTAL" total
+    (sum (fun t -> t.minor_words))
+    (sum (fun t -> float_of_int t.minor_collections))
+    (sum (fun t -> t.direct_words))
 
 (* Determine the output-slot count from the bufferized kernel signature. *)
 let out_cols_of_lospn (m : Ir.modul) =
@@ -163,11 +174,22 @@ let compile_full ~(options : Options.compile) (model : Spnc_spn.Model.t) :
     if Fault.fire ("compile." ^ stage) then
       Diag.fail ~pass:stage "injected failure at stage %s" stage;
     (* one clock pair feeds both the stage ledger and the trace span;
-       the allocation counter is this domain's, which runs the stage *)
-    let words = Gc.minor_words () in
+       the allocation counters are this domain's, which runs the stage,
+       and exact at any point ([Gc.quick_stat]'s word counts move only
+       at collections, so only its collection count is read) *)
+    let minor0, promoted0, major0 = Gc.counters () in
+    let collections0 = (Gc.quick_stat ()).Gc.minor_collections in
     let r, seconds = Spnc_obs.Trace.timed ~cat:"compile" stage f in
+    let minor1, promoted1, major1 = Gc.counters () in
     timings :=
-      { stage; seconds; minor_words = Gc.minor_words () -. words } :: !timings;
+      {
+        stage;
+        seconds;
+        minor_words = minor1 -. minor0;
+        direct_words = major1 -. major0 -. (promoted1 -. promoted0);
+        minor_collections = (Gc.quick_stat ()).Gc.minor_collections - collections0;
+      }
+      :: !timings;
     r
   in
   (* the query's batch size only names the IR's [batchSize] attribute,
@@ -238,13 +260,16 @@ let compile_full ~(options : Options.compile) (model : Spnc_spn.Model.t) :
   let out_cols = out_cols_of_lospn lo in
   let num_tasks = Ir.count_ops (fun o -> o.Ir.name = Spnc_lospn.Ops.task_name) lo in
   let build_cpu () =
-    let cir =
+    (* one walk lowers and selects: no cir module is built; what
+       selection does after it (closing the functions, the entry lookup)
+       is timed as its own stage *)
+    let sel =
       timed "cpu-lowering" (fun () ->
-          Spnc_cpu.Lower_cpu.run ~options:(Options.cpu_lower_options options) lo)
+          Spnc_cpu.Lower_cpu.isel ~options:(Options.cpu_lower_options options) lo)
     in
     let lir =
       timed "instruction-selection" (fun () ->
-          Spnc_cpu.Isel.run cir ~entry:"spn_kernel")
+          Spnc_cpu.Isel.finish sel ~entry:"spn_kernel")
     in
     let lir =
       timed "llvm-optimization" (fun () ->
@@ -381,7 +406,7 @@ let cache_key ~(options : Options.compile) (model : Spnc_spn.Model.t) : string =
    changes shape: the format tag keeps old entries from being
    unmarshalled into the wrong layout.  The OCaml version rides along
    because Marshal output is not stable across compiler versions. *)
-let disk_fmt = "spnc-compiled-v4/" ^ Sys.ocaml_version
+let disk_fmt = "spnc-compiled-v5/" ^ Sys.ocaml_version
 
 (* one warning per process for an unusable cache dir, not one per compile *)
 let disk_warned = Atomic.make false

@@ -10,9 +10,18 @@
 
 open Spnc_mlir
 
-(** One stage of a compile: its wall-clock time and the words it
-    allocated on the minor heap ([Gc.minor_words] around the stage). *)
-type timing = { stage : string; seconds : float; minor_words : float }
+(** One stage of a compile: its wall-clock time, the words it allocated
+    on the minor heap and straight into the major heap ([Gc.counters]
+    around the stage, on the domain that runs it), and the minor
+    collections that ran meanwhile ([Gc.quick_stat]; on several domains
+    these include collections another domain requested). *)
+type timing = {
+  stage : string;
+  seconds : float;
+  minor_words : float;
+  direct_words : float;  (** major-heap words minus promoted words *)
+  minor_collections : int;
+}
 
 type jit_cell
 (** Deferred closure compilation with retryable failure: unlike

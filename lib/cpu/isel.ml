@@ -1,5 +1,13 @@
-(** Instruction selection: cir functions → Lir (paper §IV-B's "translated
-    to LLVM IR").
+(** Instruction selection: cir ops → Lir (paper §IV-B's "translated to
+    LLVM IR").
+
+    The selector takes one cir op at a time between four structural
+    points: a function starts (with its block arguments), a loop starts
+    (with its induction variable), the loop ends (with its bounds and
+    step), the function ends.  On the compile path {!Lower_cpu.isel}
+    calls them as it emits, so each op is garbage as soon as it is
+    selected and no cir module exists between the two stages; {!finish}
+    then closes the functions.
 
     The translation is deliberately naive — redundant constants, address
     arithmetic and table materializations inside loop bodies are emitted
@@ -24,71 +32,163 @@ let class_of_type (t : Types.t) : cls =
   | Types.MemRef _ | Types.Tensor _ -> CB
   | t -> fail "isel: no register class for type %s" (Types.to_string t)
 
-(* A growable array; [push] appends and returns the new element's index. *)
-type 'a buf = { mutable data : 'a array; mutable len : int }
+(* A growable array in chunks small enough for the minor heap, so that
+   growing it copies nothing and leaves no large array behind.  A chunk's
+   fill is fixed when the buffer is made, never a pushed value (a young
+   fill would tie the chunk to the minor heap).  [len] is one past the
+   highest index set. *)
+type 'a buf = { mutable chunks : 'a array array; mutable len : int; fill : 'a }
 
-let buf x = { data = Array.make 64 x; len = 0 }
+let chunk_bits = 8
+let chunk = 1 lsl chunk_bits
+let buf fill = { chunks = [||]; len = 0; fill }
 
-let push b x =
-  if b.len = Array.length b.data then begin
-    let d = Array.make (2 * b.len) x in
-    Array.blit b.data 0 d 0 b.len;
-    b.data <- d
+(* [get b i] — [fill] where nothing was set, including chunks skipped
+   over by [set] *)
+let get b i =
+  if i >= b.len then b.fill
+  else
+    let c = b.chunks.(i lsr chunk_bits) in
+    if c == [||] then b.fill else c.(i land (chunk - 1))
+
+let set b i x =
+  let c = i lsr chunk_bits in
+  let n = Array.length b.chunks in
+  if c >= n then begin
+    let spine = Array.make (max (c + 1) (2 * n)) [||] in
+    Array.blit b.chunks 0 spine 0 n;
+    b.chunks <- spine
   end;
-  b.data.(b.len) <- x;
-  b.len <- b.len + 1;
-  b.len - 1
+  if b.chunks.(c) == [||] then b.chunks.(c) <- Array.make chunk b.fill;
+  b.chunks.(c).(i land (chunk - 1)) <- x;
+  if i >= b.len then b.len <- i + 1
 
-let contents b = Array.sub b.data 0 b.len
+(* [push b x] appends [x] and returns its index. *)
+let push b x =
+  let i = b.len in
+  set b i x;
+  i
 
-(* Registers are minted densely per class and value ids are dense per
-   module, so all per-register and per-value state is arrays. *)
-type st = {
-  (* per class, the provenance of each minted register (from the defining
-     cir op); the class's register count is the buffer's length *)
+(* [sub b pos n] — elements [pos .. pos + n) as one array, the only one
+   of its size the buffer allocates. *)
+let sub b pos n =
+  let a = Array.make n b.fill in
+  let i = ref 0 in
+  while !i < n do
+    let p = pos + !i in
+    let k = min (n - !i) (chunk - (p land (chunk - 1))) in
+    Array.blit b.chunks.(p lsr chunk_bits) (p land (chunk - 1)) a !i k;
+    i := !i + k
+  done;
+  a
+
+(* A function of the selection: registers are minted densely per class
+   and numbered from 0 in each function; its registers' provenance and
+   its top-level instructions sit in the selection's shared buffers from
+   the offsets below, until {!finish} closes it. *)
+type fn = {
+  name : string;
+  mutable params : Lir.reg list;
+  code0 : int;  (** its top-level body is [code.(code0 .. code0 + ncode)] *)
+  mutable ncode : int;
+  f0 : int;  (** its float registers' provenance is [lf.(f0 .. f0 + nf)] *)
+  i0 : int;
+  v0 : int;
+  b0 : int;
+  mutable nf : int;
+  mutable ni : int;
+  mutable nv : int;
+  mutable nb : int;
+  mutable vec_width : int;  (** the widest of its loops' vector widths *)
+}
+
+(* An open loop: its body is [code.(code0 ..)] until it ends. *)
+type loop = { iv : Lir.reg; code0 : int; mutable width : int }
+
+(* Value ids are dense in the order the walk mints them, so the value ->
+   register map is a buffer indexed from the first value defined. *)
+type t = {
   lf : Loc.t buf;
   li : Loc.t buf;
   lv : Loc.t buf;
   lb : Loc.t buf;
-  iconst : int option buf;  (** per int register, its value if constant *)
-  mutable vid_reg : int array;  (** cir value id -> register, valid ... *)
-  mutable vid_func : int array;  (** ... when this equals [func] *)
-  mutable func : int;  (** number of the function being selected *)
+  iconst : int option buf;  (** per int register ([li]'s index), its value if constant *)
+  code : Lir.instr buf;
+      (** ended functions' top-level bodies, then the open function's,
+          then each open loop's body *)
+  mutable vid0 : int;  (** value id of [vids]'s index 0 *)
+  vids : int buf;
+      (** value id - [vid0] -> [(func lsl 32) lor register], valid when
+          [func] is the open function's *)
+  mutable func : int;  (** number of the open or last function *)
+  mutable fn : fn;  (** the open function *)
+  mutable loops : loop list;  (** open loops, innermost first *)
+  mutable ended : fn list;  (** ended functions, last first *)
   func_index : (string, int) Hashtbl.t;
-  mutable max_vec_width : int;
   mutable cur_loc : Loc.t;  (** location of the op being selected *)
 }
 
+let no_fn =
+  {
+    name = "";
+    params = [];
+    code0 = 0;
+    ncode = 0;
+    f0 = 0;
+    i0 = 0;
+    v0 = 0;
+    b0 = 0;
+    nf = 0;
+    ni = 0;
+    nv = 0;
+    nb = 0;
+    vec_width = 1;
+  }
+
+let create () =
+  {
+    lf = buf Loc.Unknown;
+    li = buf Loc.Unknown;
+    lv = buf Loc.Unknown;
+    lb = buf Loc.Unknown;
+    iconst = buf None;
+    code = buf Lir.Ret;
+    vid0 = 0;
+    vids = buf (-1);
+    func = 0;
+    fn = no_fn;
+    loops = [];
+    ended = [];
+    func_index = Hashtbl.create 8;
+    cur_loc = Loc.Unknown;
+  }
+
 let fresh st (c : cls) : Lir.reg =
   match c with
-  | CF -> push st.lf st.cur_loc
+  | CF -> push st.lf st.cur_loc - st.fn.f0
   | CI ->
       ignore (push st.iconst None);
-      push st.li st.cur_loc
-  | CV -> push st.lv st.cur_loc
-  | CB -> push st.lb st.cur_loc
+      push st.li st.cur_loc - st.fn.i0
+  | CV -> push st.lv st.cur_loc - st.fn.v0
+  | CB -> push st.lb st.cur_loc - st.fn.b0
 
 let reg_of st (v : Ir.value) : Lir.reg =
-  let id = v.Ir.vid in
-  if id >= 0 && id < Array.length st.vid_func && st.vid_func.(id) = st.func
-  then st.vid_reg.(id)
-  else fail "isel: value %%%d has no register" id
+  let x = if v.Ir.vid < st.vid0 then -1 else get st.vids (v.Ir.vid - st.vid0) in
+  if x lsr 32 = st.func then x land 0xffff_ffff
+  else fail "isel: value %%%d has no register" v.Ir.vid
 
 let def st (v : Ir.value) : Lir.reg =
-  let r = fresh st (class_of_type v.Ir.vty) in
-  let id = v.Ir.vid in
-  let n = Array.length st.vid_reg in
-  if id >= n then begin
-    let grow a x =
-      let a' = Array.make (max (id + 1) (2 * n)) x in
-      Array.blit a 0 a' 0 n;
-      a'
-    in
-    st.vid_reg <- grow st.vid_reg 0;
-    st.vid_func <- grow st.vid_func (-1)
-  end;
-  st.vid_reg.(id) <- r;
-  st.vid_func.(id) <- st.func;
+  let cls = class_of_type v.Ir.vty in
+  (match (v.Ir.vty, st.loops) with
+  | Types.Vector (w, _), l :: _ -> if w > l.width then l.width <- w
+  | _ -> ());
+  let r = fresh st cls in
+  (* the first value defined starts the map: the walk mints the first
+     function's arguments first *)
+  if st.vids.len = 0 then st.vid0 <- v.Ir.vid
+  else if v.Ir.vid < st.vid0 then
+    fail "isel: value %%%d precedes the first value defined" v.Ir.vid;
+  set st.vids (v.Ir.vid - st.vid0) ((st.func lsl 32) lor r);
   r
 
 let is_vec (v : Ir.value) = match v.Ir.vty with Types.Vector _ -> true | _ -> false
@@ -118,17 +218,8 @@ let mathfn_of = function
   | "math.log1p" -> Lir.MLog1p
   | n -> fail "isel: unknown math fn %s" n
 
-(* [scf.yield] selects to nothing, every other op to one instruction. *)
-let rec sel_ops st (ops : Ir.op list) : Lir.instr array =
-  let out = buf Lir.Ret in
-  List.iter
-    (fun (op : Ir.op) ->
-      if op.Ir.name <> "scf.yield" then ignore (push out (sel_op st op)))
-    ops;
-  contents out
-
-and sel_op st (op : Ir.op) : Lir.instr =
-  st.cur_loc <- op.Ir.loc;
+(* Every cir op but the structural ones selects to one instruction. *)
+let sel_op st (op : Ir.op) : Lir.instr =
   let o n = Ir.operand_n op n in
   let r0 () = Ir.result op in
   match op.Ir.name with
@@ -141,7 +232,7 @@ and sel_op st (op : Ir.op) : Lir.instr =
           Lir.VConst (def st res, float_of_int i)
       | Some (Attr.Int i), (Types.Index | Types.Int _ | Types.Bool) ->
           let r = def st res in
-          st.iconst.data.(r) <- Some i;
+          set st.iconst (st.fn.i0 + r) (Some i);
           Lir.ConstI (r, i)
       | Some (Attr.Int i), _ -> Lir.ConstF (def st res, float_of_int i)
       | _ -> fail "isel: bad constant")
@@ -237,32 +328,6 @@ and sel_op st (op : Ir.op) : Lir.instr =
       let lane = Option.value ~default:0 (Ir.int_attr op "lane") in
       Lir.VInsert (def st (r0 ()), reg_of st (o 0), reg_of st (o 1), lane)
   | "vector.broadcast" -> Lir.VBroadcast (def st (r0 ()), reg_of st (o 0))
-  | "scf.for" ->
-      let lb = reg_of st (o 0) and ub = reg_of st (o 1) in
-      let step =
-        match st.iconst.data.(reg_of st (o 2)) with
-        | Some s -> s
-        | None -> fail "isel: scf.for step must be a constant"
-      in
-      let blk = Option.get (Ir.entry_block op) in
-      let iv = def st (List.hd blk.Ir.bargs) in
-      (* detect the vector width used inside *)
-      let width = ref 1 in
-      List.iter
-        (fun (o : Ir.op) ->
-          Ir.walk_ops
-            (fun inner ->
-              List.iter
-                (fun (r : Ir.value) ->
-                  match r.Ir.vty with
-                  | Types.Vector (w, _) -> if w > !width then width := w
-                  | _ -> ())
-                inner.Ir.results)
-            o)
-        blk.Ir.bops;
-      if !width > st.max_vec_width then st.max_vec_width <- !width;
-      let body = sel_ops st blk.Ir.bops in
-      Lir.Loop { iv; lb; ub; step; body; vector_width = !width }
   | "func.call" -> (
       let callee = Option.get (Ir.string_attr op "callee") in
       match Hashtbl.find_opt st.func_index callee with
@@ -272,65 +337,93 @@ and sel_op st (op : Ir.op) : Lir.instr =
   | "func.return" -> Lir.Ret
   | other -> fail "isel: unsupported cir op %s" other
 
-let sel_func st (f : Ir.op) : Lir.func =
-  List.iter (fun b -> b.len <- 0) [ st.lf; st.li; st.lv; st.lb ];
-  st.iconst.len <- 0;
+(* -- The selector's entry points ------------------------------------------- *)
+
+let func_start st name (args : Ir.value list) =
+  if st.fn != no_fn then fail "isel: function %s starts inside %s" name st.fn.name;
+  (* functions are numbered from 1, in order; their index is one less *)
+  Hashtbl.replace st.func_index name st.func;
   st.func <- st.func + 1;
+  st.fn <-
+    {
+      no_fn with
+      name;
+      code0 = st.code.len;
+      f0 = st.lf.len;
+      i0 = st.li.len;
+      v0 = st.lv.len;
+      b0 = st.lb.len;
+    };
   st.cur_loc <- Loc.Unknown;
-  st.max_vec_width <- 1;
-  let blk = Option.get (Ir.entry_block f) in
-  let params = List.map (def st) blk.Ir.bargs in
-  let body = sel_ops st blk.Ir.bops in
+  st.fn.params <- List.map (def st) args
+
+let op st loc (op : Ir.op) =
+  if op.Ir.name <> "scf.yield" then begin
+    st.cur_loc <- loc;
+    ignore (push st.code (sel_op st op))
+  end
+
+let loop_start st (iv : Ir.value) =
+  if st.fn == no_fn then fail "isel: loop outside a function";
+  st.cur_loc <- Loc.Unknown;
+  let iv = def st iv in
+  st.loops <- { iv; code0 = st.code.len; width = 1 } :: st.loops
+
+let loop_end st ~lb ~ub ~step =
+  match st.loops with
+  | [] -> fail "isel: loop end outside a loop"
+  | l :: outer ->
+      let lb = reg_of st lb and ub = reg_of st ub in
+      let step =
+        match class_of_type step.Ir.vty with
+        | CI -> (
+            match get st.iconst (st.fn.i0 + reg_of st step) with
+            | Some s -> s
+            | None -> fail "isel: scf.for step must be a constant")
+        | _ -> fail "isel: scf.for step must be a constant"
+      in
+      let body = sub st.code l.code0 (st.code.len - l.code0) in
+      st.code.len <- l.code0;
+      st.loops <- outer;
+      (match outer with o :: _ -> if l.width > o.width then o.width <- l.width | [] -> ());
+      if l.width > st.fn.vec_width then st.fn.vec_width <- l.width;
+      ignore
+        (push st.code
+           (Lir.Loop { iv = l.iv; lb; ub; step; body; vector_width = l.width }))
+
+let func_end st =
+  let f = st.fn in
+  if f == no_fn || st.loops <> [] then fail "isel: function end without its start";
+  f.ncode <- st.code.len - f.code0;
+  f.nf <- st.lf.len - f.f0;
+  f.ni <- st.li.len - f.i0;
+  f.nv <- st.lv.len - f.v0;
+  f.nb <- st.lb.len - f.b0;
+  st.ended <- f :: st.ended;
+  st.fn <- no_fn
+
+let close st (f : fn) : Lir.func =
   {
-    Lir.fname = Option.value ~default:"?" (Ir.string_attr f "sym_name");
-    params;
-    body;
-    nf = st.lf.len;
-    ni = st.li.len;
-    nv = st.lv.len;
-    nb = st.lb.len;
-    vec_width = st.max_vec_width;
+    Lir.fname = f.name;
+    params = f.params;
+    body = sub st.code f.code0 f.ncode;
+    nf = f.nf;
+    ni = f.ni;
+    nv = f.nv;
+    nb = f.nb;
+    vec_width = f.vec_width;
     prov =
       {
-        Lir.pf = contents st.lf;
-        pi = contents st.li;
-        pv = contents st.lv;
-        pb = contents st.lb;
+        Lir.pf = sub st.lf f.f0 f.nf;
+        pi = sub st.li f.i0 f.ni;
+        pv = sub st.lv f.v0 f.nv;
+        pb = sub st.lb f.b0 f.nb;
       };
   }
 
-(** [run m ~entry] selects instructions for every [func.func] of a cir
-    module; [entry] names the kernel entry function. *)
-let run (m : Ir.modul) ~entry : Lir.modul =
-  let funcs =
-    List.filter (fun (o : Ir.op) -> o.Ir.name = "func.func") m.Ir.mops
-  in
-  let func_index = Hashtbl.create 8 in
-  List.iteri
-    (fun i (f : Ir.op) ->
-      match Ir.string_attr f "sym_name" with
-      | Some n -> Hashtbl.replace func_index n i
-      | None -> ())
-    funcs;
-  let st =
-    {
-      lf = buf Loc.Unknown;
-      li = buf Loc.Unknown;
-      lv = buf Loc.Unknown;
-      lb = buf Loc.Unknown;
-      iconst = buf None;
-      vid_reg = [||];
-      vid_func = [||];
-      func = 0;
-      func_index;
-      max_vec_width = 1;
-      cur_loc = Loc.Unknown;
-    }
-  in
-  let lfuncs = Array.of_list (List.map (sel_func st) funcs) in
-  let entry_idx =
-    match Hashtbl.find_opt func_index entry with
-    | Some i -> i
-    | None -> fail "isel: entry %s not found" entry
-  in
-  { Lir.funcs = lfuncs; entry = entry_idx }
+let finish st ~entry : Lir.modul =
+  if st.fn != no_fn then fail "isel: function %s never ended" st.fn.name;
+  let funcs = Array.of_list (List.rev_map (close st) st.ended) in
+  match Hashtbl.find_opt st.func_index entry with
+  | Some entry -> { Lir.funcs; entry }
+  | None -> fail "isel: entry %s not found" entry

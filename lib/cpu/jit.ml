@@ -1438,7 +1438,11 @@ and compile_body cx ?(at = -1) (body : instr array) : code =
       | Some c, Some cell ->
           codes := (fun fr n -> Profile.bump_n cell n; c fr n) :: !codes)
     body;
-  fuse (Array.of_list (List.rev !codes))
+  (* filled with a constant closure, not with a young one: a major-heap
+     array made with a young fill forces a minor collection *)
+  let a = Array.make (List.length !codes) (fun _ _ -> ()) in
+  List.iteri (fun i c -> a.(Array.length a - 1 - i) <- c) !codes;
+  fuse a
 
 let compile_func ?profile (k : kernel) (fn : func) : cfunc * an =
   let an = analyse fn in

@@ -43,27 +43,57 @@ let scalar_options =
 
 type mode = Scalar | Vec of int
 
-(* The emitter: accumulates ops in order, offering typed helpers. *)
+(* Where the walk's ops go: one cir op at a time, between four
+   structural points (a function starts with its block arguments, a loop
+   starts with its induction variable, the loop ends with its bounds and
+   step, the function ends).  [op] receives the location the op is to
+   carry. *)
+type sink = {
+  op : Loc.t -> Ir.op -> unit;
+  func_start : string -> Ir.value list -> unit;
+  loop_start : Ir.value -> unit;
+  loop_end : lb:Ir.value -> ub:Ir.value -> step:Ir.value -> unit;
+  func_end : unit -> unit;
+}
+
+(* The emitter: hands ops to its sink in order, offering typed helpers. *)
 type emitter = {
   b : Builder.t;
   opts : options;
-  mutable acc : Ir.op list;  (** reversed *)
+  sink : sink;
   mutable cur_loc : Loc.t;
-      (** provenance of the LoSPN op currently being expanded; stamped
-          onto every emitted cir op that has no location of its own, so
-          the SPN node id survives down to cir *)
+      (** provenance of the LoSPN op currently being expanded; given to
+          every emitted cir op that has no location of its own, so the
+          SPN node id survives down to cir and Lir *)
 }
 
-let stamp e (op : Ir.op) =
-  if Loc.is_known op.Ir.loc || not (Loc.is_known e.cur_loc) then op
-  else { op with Ir.loc = e.cur_loc }
+let emitter b opts sink = { b; opts; sink; cur_loc = Loc.Unknown }
+
+let emit_ e (op : Ir.op) =
+  e.sink.op (if Loc.is_known op.Ir.loc then op.Ir.loc else e.cur_loc) op
 
 let emit e op =
-  let op = stamp e op in
-  e.acc <- op :: e.acc;
+  emit_ e op;
   Ir.result op
 
-let emit_ e op = e.acc <- stamp e op :: e.acc
+(* [op] with location [loc], copied only when that changes it *)
+let stamp loc (op : Ir.op) = if op.Ir.loc == loc then op else { op with Ir.loc }
+
+let collect b opts f =
+  let acc = ref [] in
+  let structural _ =
+    invalid_arg "Lower_cpu.collect: a collected block has no functions or loops"
+  in
+  f
+    (emitter b opts
+       {
+         op = (fun loc op -> acc := stamp loc op :: !acc);
+         func_start = (fun _ -> structural);
+         loop_start = structural;
+         loop_end = (fun ~lb:_ ~ub:_ ~step:_ -> structural ());
+         func_end = structural;
+       });
+  List.rev !acc
 
 let scalar_of (t : Types.t) = Types.strip_log (Types.element_type t)
 
@@ -331,11 +361,9 @@ let emit_write e mode ~buf ~iv ~slot ~transposed ~rows_v ~value =
 (* -- Task body lowering ------------------------------------------------------ *)
 
 (* Tables needed by the discrete leaves of a task are hoisted to the top
-   of the task function; keyed per leaf op result id. *)
-type tables = { mutable by_op : (int * Ir.value) list }
-
-let hoist_tables e (task : Ir.op) ~is_log : tables =
-  let tables = { by_op = [] } in
+   of the task function; keyed by the leaf op's result id. *)
+let hoist_tables e (task : Ir.op) : (int, Ir.value) Hashtbl.t =
+  let tables = Hashtbl.create 16 in
   let counter = ref 0 in
   Ir.walk_ops
     (fun (op : Ir.op) ->
@@ -343,15 +371,12 @@ let hoist_tables e (task : Ir.op) ~is_log : tables =
         incr counter;
         let name = Printf.sprintf "table_%d_%d" (Ir.result op).Ir.vid !counter in
         let t = emit e (C.global_table_op e.b ~values ~name) in
-        tables.by_op <- ((Ir.result op).Ir.vid, t) :: tables.by_op
+        Hashtbl.replace tables (Ir.result op).Ir.vid t
       in
-      if op.Ir.name = Spnc_lospn.Ops.categorical_name then begin
-        let probs = Option.get (Ir.dense_attr op "probabilities") in
-        (* probabilities were already log-transformed during LoSPN lowering
-           when computing in log space *)
-        ignore is_log;
-        add probs
-      end
+      (* categorical probabilities were already log-transformed during
+         LoSPN lowering when computing in log space *)
+      if op.Ir.name = Spnc_lospn.Ops.categorical_name then
+        add (Option.get (Ir.dense_attr op "probabilities"))
       else if op.Ir.name = Spnc_lospn.Ops.histogram_name then begin
         let densities = Option.get (Ir.dense_attr op "densities") in
         let breaks =
@@ -406,7 +431,7 @@ let lower_body_ops e mode ~(env : (int, Ir.value) Hashtbl.t) ~tables ~base
              ~is_log ~marginal ~base)
       else if op.Ir.name = Spnc_lospn.Ops.categorical_name then begin
         let x = get (Ir.operand_n op 0) in
-        let table = List.assoc (Ir.result op).Ir.vid tables.by_op in
+        let table = Hashtbl.find tables (Ir.result op).Ir.vid in
         let limit =
           Array.length (Option.get (Ir.dense_attr op "probabilities"))
         in
@@ -426,7 +451,7 @@ let lower_body_ops e mode ~(env : (int, Ir.value) Hashtbl.t) ~tables ~base
       end
       else if op.Ir.name = Spnc_lospn.Ops.histogram_name then begin
         let x = get (Ir.operand_n op 0) in
-        let table = List.assoc (Ir.result op).Ir.vid tables.by_op in
+        let table = Hashtbl.find tables (Ir.result op).Ir.vid in
         let breaks =
           match Ir.attr op "buckets" with
           | Some (Attr.Array l) ->
@@ -510,7 +535,7 @@ let lower_iteration e mode ~iv ~(arg_env : (int, Ir.value) Hashtbl.t)
 
 (* -- Task and kernel functions ------------------------------------------------ *)
 
-let lower_task b opts (task : Ir.op) ~name : Ir.op =
+let lower_task b opts sink (task : Ir.op) ~name =
   let tb = Option.get (Ir.entry_block task) in
   let arg_tys =
     List.map (fun (v : Ir.value) -> v.Ir.vty) (List.tl tb.Ir.bargs)
@@ -522,122 +547,171 @@ let lower_task b opts (task : Ir.op) ~name : Ir.op =
     | _ -> Types.F32
   in
   let base = Types.strip_log ct in
-  let is_log = match ct with Types.Log _ -> true | _ -> false in
-  let block =
-    Builder.block b ~arg_tys (fun args ->
-        let e = { b; opts; acc = []; cur_loc = Loc.Unknown } in
-        (* bind LoSPN block args (minus the index) to function params *)
-        let arg_env = Hashtbl.create 8 in
-        List.iter2
-          (fun (old_arg : Ir.value) (newv : Ir.value) ->
-            Hashtbl.replace arg_env old_arg.Ir.vid newv)
-          (List.tl tb.Ir.bargs) args;
-        (* rows per buffer (dynamic dimension) *)
-        let rows_of = Hashtbl.create 8 in
-        List.iter
-          (fun (arg : Ir.value) ->
-            let d = emit e (C.dim_op b arg ~index:0) in
-            Hashtbl.replace rows_of arg.Ir.vid d)
-          args;
-        let rows_v = Hashtbl.find rows_of (List.hd args).Ir.vid in
-        let tables = hoist_tables e task ~is_log in
-        let mode =
-          if opts.vectorize && opts.width > 1 then Vec opts.width else Scalar
-        in
-        let zero = const_i e 0 in
-        let step = const_i e (match mode with Vec w -> w | Scalar -> 1) in
-        let body_block =
-          Builder.block b ~arg_tys:[ Types.Index ] (fun ivs ->
-              let iv = List.hd ivs in
-              let e' = { b; opts; acc = []; cur_loc = Loc.Unknown } in
-              lower_iteration e' mode ~iv ~arg_env ~rows_of ~tables ~base
-                tb.Ir.bops;
-              List.rev (Builder.op b C.yield () :: e'.acc))
-        in
-        emit_ e (C.for_op b ~lb:zero ~ub:rows_v ~step ~body_block);
-        List.rev (Builder.op b C.return_ () :: e.acc))
+  let e = emitter b opts sink in
+  let args = Builder.fresh_list b arg_tys in
+  sink.func_start name args;
+  (* bind LoSPN block args (minus the index) to function params *)
+  let arg_env = Hashtbl.create 8 in
+  List.iter2
+    (fun (old_arg : Ir.value) (newv : Ir.value) ->
+      Hashtbl.replace arg_env old_arg.Ir.vid newv)
+    (List.tl tb.Ir.bargs) args;
+  (* rows per buffer (dynamic dimension) *)
+  let rows_of = Hashtbl.create 8 in
+  List.iter
+    (fun (arg : Ir.value) ->
+      let d = emit e (C.dim_op b arg ~index:0) in
+      Hashtbl.replace rows_of arg.Ir.vid d)
+    args;
+  let rows_v = Hashtbl.find rows_of (List.hd args).Ir.vid in
+  let tables = hoist_tables e task in
+  let mode =
+    if opts.vectorize && opts.width > 1 then Vec opts.width else Scalar
   in
-  C.func_op b ~sym_name:name ~block
+  let zero = const_i e 0 in
+  let step = const_i e (match mode with Vec w -> w | Scalar -> 1) in
+  let iv = Builder.fresh b Types.Index in
+  sink.loop_start iv;
+  lower_iteration (emitter b opts sink) mode ~iv ~arg_env ~rows_of ~tables ~base
+    tb.Ir.bops;
+  sink.loop_end ~lb:zero ~ub:rows_v ~step;
+  emit_ e (Builder.op b C.return_ ());
+  sink.func_end ()
+
+(* The kernel entry: allocates the intermediate buffers and calls the
+   task functions, which are lowered first, in order. *)
+let lower_kernel b opts sink (kernel : Ir.op) =
+  let sym =
+    Option.value ~default:"spn_kernel" (Ir.string_attr kernel "sym_name")
+  in
+  let kb = Option.get (Ir.entry_block kernel) in
+  let task_funcs = Hashtbl.create 8 in
+  let counter = ref 0 in
+  List.iter
+    (fun (op : Ir.op) ->
+      if op.Ir.name = Spnc_lospn.Ops.task_name then begin
+        let name = Printf.sprintf "%s_task_%d" sym !counter in
+        incr counter;
+        lower_task b opts sink op ~name;
+        Hashtbl.replace task_funcs op name
+      end)
+    kb.Ir.bops;
+  let e = emitter b opts sink in
+  let args =
+    Builder.fresh_list b (List.map (fun (v : Ir.value) -> v.Ir.vty) kb.Ir.bargs)
+  in
+  sink.func_start sym args;
+  let env = Hashtbl.create 16 in
+  List.iter2
+    (fun (old_arg : Ir.value) newv -> Hashtbl.replace env old_arg.Ir.vid newv)
+    kb.Ir.bargs args;
+  let rows = emit e (C.dim_op b (List.hd args) ~index:0) in
+  List.iter
+    (fun (op : Ir.op) ->
+      if op.Ir.name = Spnc_lospn.Ops.alloc_name then begin
+        let res = Ir.result op in
+        let a =
+          emit e (Builder.op b C.alloc ~operands:[ rows ] ~results:[ res.Ir.vty ] ())
+        in
+        Hashtbl.replace env res.Ir.vid a
+      end
+      else if op.Ir.name = Spnc_lospn.Ops.dealloc_name then
+        emit_ e
+          (Builder.op b C.dealloc
+             ~operands:[ Hashtbl.find env (Ir.operand_n op 0).Ir.vid ]
+             ())
+      else if op.Ir.name = Spnc_lospn.Ops.copy_name then
+        emit_ e
+          (Builder.op b C.copy
+             ~operands:
+               [
+                 Hashtbl.find env (Ir.operand_n op 0).Ir.vid;
+                 Hashtbl.find env (Ir.operand_n op 1).Ir.vid;
+               ]
+             ())
+      else if op.Ir.name = Spnc_lospn.Ops.task_name then
+        emit_ e
+          (C.call_op b
+             ~callee:(Hashtbl.find task_funcs op)
+             ~operands:
+               (List.map (fun (v : Ir.value) -> Hashtbl.find env v.Ir.vid) op.Ir.operands))
+      else if op.Ir.name = Spnc_lospn.Ops.return_name then ()
+      else invalid_arg ("lower_cpu: unexpected kernel op " ^ op.Ir.name))
+    kb.Ir.bops;
+  emit_ e (Builder.op b C.return_ ());
+  sink.func_end ()
+
+(* The sink that builds the cir functions: the open function's block and
+   its open loops' blocks, innermost first, each its arguments and its
+   ops so far (reversed). *)
+let block_sink b (funcs : Ir.op list ref) : sink =
+  let name = ref "" and frames = ref [] in
+  let add op =
+    match !frames with
+    | (_, ops) :: _ -> ops := op :: !ops
+    | [] -> invalid_arg "lower_cpu: op outside a function"
+  in
+  let pop () =
+    match !frames with
+    | frame :: outer ->
+        frames := outer;
+        frame
+    | [] -> invalid_arg "lower_cpu: end outside a function"
+  in
+  {
+    op = (fun loc op -> add (stamp loc op));
+    func_start =
+      (fun n args ->
+        name := n;
+        frames := [ (args, ref []) ]);
+    loop_start = (fun iv -> frames := ([ iv ], ref []) :: !frames);
+    loop_end =
+      (fun ~lb ~ub ~step ->
+        let bargs, ops = pop () in
+        let bops = List.rev (Builder.op b C.yield () :: !ops) in
+        add (C.for_op b ~lb ~ub ~step ~body_block:{ Ir.bargs; bops }));
+    func_end =
+      (fun () ->
+        let bargs, ops = pop () in
+        let block = { Ir.bargs; bops = List.rev !ops } in
+        funcs := C.func_op b ~sym_name:!name ~block :: !funcs);
+  }
 
 (** [run ?options m] lowers every bufferized LoSPN kernel of [m] to a cir
     module with one function per task plus the kernel entry function. *)
 let run ?(options = scalar_options) (m : Ir.modul) : Ir.modul =
   Spnc_cir.Ops.register ();
   let b = Builder.seed_from m in
-  let out_ops = ref [] in
+  let funcs = ref [] in
+  let sink = block_sink b funcs in
+  Builder.modul ~name:m.Ir.mname
+    (List.concat_map
+       (fun (op : Ir.op) ->
+         if op.Ir.name = Spnc_lospn.Ops.kernel_name then begin
+           funcs := [];
+           lower_kernel b options sink op;
+           List.rev !funcs
+         end
+         else [ op ])
+       m.Ir.mops)
+
+(** [isel ?options m] — the same walk with each cir op handed to the
+    instruction selector as it is emitted: no cir module is built.
+    {!Isel.finish} closes the result. *)
+let isel ?(options = scalar_options) (m : Ir.modul) : Isel.t =
+  let b = Builder.seed_from m in
+  let sel = Isel.create () in
+  let sink =
+    {
+      op = (fun loc op -> Isel.op sel loc op);
+      func_start = (fun name args -> Isel.func_start sel name args);
+      loop_start = (fun iv -> Isel.loop_start sel iv);
+      loop_end = (fun ~lb ~ub ~step -> Isel.loop_end sel ~lb ~ub ~step);
+      func_end = (fun () -> Isel.func_end sel);
+    }
+  in
   List.iter
-    (fun (kernel : Ir.op) ->
-      if kernel.Ir.name = Spnc_lospn.Ops.kernel_name then begin
-        let sym =
-          Option.value ~default:"spn_kernel" (Ir.string_attr kernel "sym_name")
-        in
-        let kb = Option.get (Ir.entry_block kernel) in
-        (* lower each task to a function *)
-        let task_funcs = Hashtbl.create 8 in
-        let counter = ref 0 in
-        List.iter
-          (fun (op : Ir.op) ->
-            if op.Ir.name = Spnc_lospn.Ops.task_name then begin
-              let name = Printf.sprintf "%s_task_%d" sym !counter in
-              incr counter;
-              let f = lower_task b options op ~name in
-              out_ops := f :: !out_ops;
-              Hashtbl.replace task_funcs op name
-            end)
-          kb.Ir.bops;
-        (* kernel entry function *)
-        let arg_tys = List.map (fun (v : Ir.value) -> v.Ir.vty) kb.Ir.bargs in
-        let block =
-          Builder.block b ~arg_tys (fun args ->
-              let e = { b; opts = options; acc = []; cur_loc = Loc.Unknown } in
-              let env = Hashtbl.create 16 in
-              List.iter2
-                (fun (old_arg : Ir.value) newv ->
-                  Hashtbl.replace env old_arg.Ir.vid newv)
-                kb.Ir.bargs args;
-              let rows = emit e (C.dim_op b (List.hd args) ~index:0) in
-              List.iter
-                (fun (op : Ir.op) ->
-                  if op.Ir.name = Spnc_lospn.Ops.alloc_name then begin
-                    let res = Ir.result op in
-                    let a =
-                      emit e
-                        (Builder.op b C.alloc ~operands:[ rows ]
-                           ~results:[ res.Ir.vty ] ())
-                    in
-                    Hashtbl.replace env res.Ir.vid a
-                  end
-                  else if op.Ir.name = Spnc_lospn.Ops.dealloc_name then
-                    emit_ e
-                      (Builder.op b C.dealloc
-                         ~operands:
-                           [ Hashtbl.find env (Ir.operand_n op 0).Ir.vid ]
-                         ())
-                  else if op.Ir.name = Spnc_lospn.Ops.copy_name then
-                    emit_ e
-                      (Builder.op b C.copy
-                         ~operands:
-                           [
-                             Hashtbl.find env (Ir.operand_n op 0).Ir.vid;
-                             Hashtbl.find env (Ir.operand_n op 1).Ir.vid;
-                           ]
-                         ())
-                  else if op.Ir.name = Spnc_lospn.Ops.task_name then
-                    emit_ e
-                      (C.call_op b
-                         ~callee:(Hashtbl.find task_funcs op)
-                         ~operands:
-                           (List.map
-                              (fun (v : Ir.value) -> Hashtbl.find env v.Ir.vid)
-                              op.Ir.operands))
-                  else if op.Ir.name = Spnc_lospn.Ops.return_name then ()
-                  else
-                    invalid_arg ("lower_cpu: unexpected kernel op " ^ op.Ir.name))
-                kb.Ir.bops;
-              List.rev (Builder.op b C.return_ () :: e.acc))
-        in
-        out_ops := C.func_op b ~sym_name:sym ~block :: !out_ops
-      end
-      else out_ops := kernel :: !out_ops)
+    (fun (op : Ir.op) ->
+      if op.Ir.name = Spnc_lospn.Ops.kernel_name then lower_kernel b options sink op)
     m.Ir.mops;
-  Builder.modul ~name:m.Ir.mname (List.rev !out_ops)
+  sel

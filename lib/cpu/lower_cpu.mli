@@ -9,7 +9,11 @@
     transposed intermediate buffers; gathers or shuffled loads for
     strided input features); without [use_veclib], vector elementary
     functions are scalarized into extract/call/insert cascades — the
-    Fig. 6 penalty. *)
+    Fig. 6 penalty.
+
+    One walk, two sinks: {!isel}, the compile path, hands each cir op
+    to {!Isel} as it emits it, so a compile builds no cir module; {!run}
+    builds the module for spnc_opt's [cpu-lower] passes and the tests. *)
 
 open Spnc_mlir
 
@@ -28,16 +32,29 @@ val scalar_options : options
 (** Vectorization mode of an emission site. *)
 type mode = Scalar | Vec of int
 
-(** The emitter: accumulates ops in order (exposed so the GPU lowering
-    can reuse the scalar emission helpers). *)
+(** Where the walk's ops go: each cir op as it is emitted, with the
+    location it is to carry, between four structural points — a function
+    starts (its name and block arguments), a loop starts (its induction
+    variable), the loop ends (its bounds and step), the function ends.
+    {!run}'s sink builds the cir functions; {!isel}'s hands each op to
+    {!Isel}. *)
+type sink
+
+(** The emitter: hands ops to its sink in order (exposed so the GPU
+    lowering can reuse the scalar emission helpers). *)
 type emitter = {
   b : Builder.t;
   opts : options;
-  mutable acc : Ir.op list;  (** reversed *)
+  sink : sink;
   mutable cur_loc : Loc.t;
-      (** provenance of the op currently being expanded; [emit] stamps it
-          onto emitted ops that carry no location of their own *)
+      (** provenance of the op currently being expanded; [emit] gives it
+          to emitted ops that carry no location of their own *)
 }
+
+(** [collect b opts f] runs [f] on an emitter that collects what it
+    emits, and returns those ops in order (with their locations given);
+    its sink has no functions or loops. *)
+val collect : Builder.t -> options -> (emitter -> unit) -> Ir.op list
 
 val emit : emitter -> Ir.op -> Ir.value
 val emit_ : emitter -> Ir.op -> unit
@@ -82,3 +99,9 @@ val buffer_cols : Ir.value -> int
 (** [run ?options m] lowers every bufferized LoSPN kernel to a cir module
     with one function per task plus the kernel entry function. *)
 val run : ?options:options -> Ir.modul -> Ir.modul
+
+(** [isel ?options m] — {!run}'s walk with each cir op handed to
+    {!Isel} as soon as it is emitted, so no cir module is built: the
+    compile path.  Tasks are lowered before the kernel entry that calls
+    them.  {!Isel.finish} closes the selection. *)
+val isel : ?options:options -> Ir.modul -> Isel.t

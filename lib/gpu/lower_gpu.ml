@@ -163,7 +163,7 @@ let lower_task_kernel b (task : Ir.op) ~name : Ir.op =
   let base = Types.strip_log ct in
   let block =
     Builder.block b ~arg_tys (fun args ->
-        let e = { L.b; opts = L.scalar_options; acc = []; cur_loc = Spnc_mlir.Loc.Unknown } in
+        L.collect b L.scalar_options @@ fun e ->
         let arg_env = Hashtbl.create 8 in
         List.iter2
           (fun (old_arg : Ir.value) (newv : Ir.value) ->
@@ -192,7 +192,7 @@ let lower_task_kernel b (task : Ir.op) ~name : Ir.op =
         (* guarded body: reads, arithmetic, writes for this sample *)
         let then_block =
           Builder.block b ~arg_tys:[] (fun _ ->
-              let e' = { L.b; opts = L.scalar_options; acc = []; cur_loc = Spnc_mlir.Loc.Unknown } in
+              L.collect b L.scalar_options (fun e' ->
               let env = Hashtbl.create 64 in
               List.iter
                 (fun (op : Ir.op) ->
@@ -249,11 +249,11 @@ let lower_task_kernel b (task : Ir.op) ~name : Ir.op =
                           values
                     | _ -> invalid_arg "lower_gpu: malformed batch_write"
                   end)
-                tb.Ir.bops;
-              List.rev (Builder.op b C.yield () :: e'.acc))
+                tb.Ir.bops)
+              @ [ Builder.op b C.yield () ])
         in
         L.emit_ e (C.if_op b ~cond:guard ~then_block);
-        List.rev (Builder.op b C.return_ () :: e.acc))
+        L.emit_ e (Builder.op b C.return_ ()))
   in
   Builder.op b gpu_func
     ~attrs:
@@ -295,7 +295,7 @@ let run ?(options = default_options) (m : Ir.modul) : Ir.modul =
         let arg_tys = List.map (fun (v : Ir.value) -> v.Ir.vty) kb.Ir.bargs in
         let block =
           Builder.block b ~arg_tys (fun args ->
-              let e = { L.b; opts = L.scalar_options; acc = []; cur_loc = Spnc_mlir.Loc.Unknown } in
+              L.collect b L.scalar_options @@ fun e ->
               (* host-side buffer for each LoSPN value *)
               let host = Hashtbl.create 16 in
               List.iter2
@@ -376,7 +376,7 @@ let run ?(options = default_options) (m : Ir.modul) : Ir.modul =
               List.iter
                 (fun d -> L.emit_ e (Builder.op b gpu_dealloc ~operands:[ d ] ()))
                 (List.rev !device_buffers);
-              List.rev (Builder.op b C.return_ () :: e.acc))
+              L.emit_ e (Builder.op b C.return_ ()))
         in
         out_ops := C.func_op b ~sym_name:sym ~block :: !out_ops
       end

@@ -90,8 +90,14 @@ module Dict = struct
   let of_list l : t =
     if sorted l then l else List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
-  let find (d : t) key = List.assoc_opt key d
-  let mem (d : t) key = List.mem_assoc key d
+  (* [String.equal], not [List.assoc_opt]'s polymorphic comparison:
+     every selected op and most lowered ones look an attribute up *)
+  let rec find (d : t) key =
+    match d with
+    | (k, v) :: rest -> if String.equal k key then Some v else find rest key
+    | [] -> None
+
+  let mem (d : t) key = Option.is_some (find d key)
 
   let set (d : t) key v : t =
     of_list ((key, v) :: List.filter (fun (k, _) -> k <> key) d)

@@ -126,7 +126,10 @@ let dce (m : Ir.modul) : Ir.modul =
   in
   (* later ops first: a block is swept from its end, in an array *)
   let rec sweep_ops (ops : Ir.op list) =
-    let a = Array.of_list ops in
+    (* filled with [gone], not with a young op: a major-heap array made
+       with a young fill forces a minor collection *)
+    let a = Array.make (List.length ops) gone in
+    List.iteri (fun i op -> a.(i) <- op) ops;
     let changed = ref false in
     for i = Array.length a - 1 downto 0 do
       let op = a.(i) in

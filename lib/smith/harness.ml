@@ -159,8 +159,8 @@ let lowering f =
    level). *)
 let lower_lir ?(cpu_options = Spnc_cpu.Lower_cpu.scalar_options) lb =
   lowering (fun () ->
-      Spnc_cpu.Isel.run
-        (Spnc_cpu.Lower_cpu.run ~options:cpu_options lb)
+      Spnc_cpu.Isel.finish
+        (Spnc_cpu.Lower_cpu.isel ~options:cpu_options lb)
         ~entry:"spn_kernel")
 
 let optimize level lir = lowering (fun () -> Optimizer.run level lir)

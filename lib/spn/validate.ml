@@ -34,7 +34,12 @@ let scopes (t : Model.t) : scopes =
           if not (Hashtbl.mem vars v) then Hashtbl.add vars v (Hashtbl.length vars))
         (Model.var_of_leaf nd))
     t;
-  let nodes = Array.of_list (List.rev !order) in
+  (* filled with a constant node, not with a just-read one: a major-heap
+     array made with a young fill forces a minor collection *)
+  let nodes =
+    Array.make (Hashtbl.length index) { Model.id = -1; desc = Model.Product [] }
+  in
+  List.iteri (fun i nd -> nodes.(Array.length nodes - 1 - i) <- nd) !order;
   let words = max 1 ((Hashtbl.length vars + Sys.int_size - 1) / Sys.int_size) in
   let bits = Array.make (Array.length nodes * words) 0 in
   Array.iteri

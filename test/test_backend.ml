@@ -75,9 +75,8 @@ let to_lir ?(cpu_options = Lower.scalar_options) ?partition_size
   in
   let lo = Spnc_lospn.Bufferize.run lo in
   let lo = Spnc_lospn.Buffer_opt.run lo in
-  let cir = Lower.run ~options:cpu_options lo in
-  let lir = Spnc_cpu.Isel.run cir ~entry:"spn_kernel" in
-  Opt.run level lir
+  Opt.run level
+    (Spnc_cpu.Isel.finish (Lower.isel ~options:cpu_options lo) ~entry:"spn_kernel")
 
 (* The VM through the runtime, which pads a vectorized kernel's last
    partial group of rows. *)
@@ -357,6 +356,97 @@ let test_cost_higher_opt_cheaper_execution () =
   check tbool "O2 executes faster than O0" true
     (e2.Spnc_cpu.Cost.cycles < e0.Spnc_cpu.Cost.cycles)
 
+(* -- One walk, two sinks ----------------------------------------------------- *)
+
+(* Replay a built cir module through the selector's entry points: the
+   same ops, in order, that [Lower_cpu.isel] hands it while it lowers. *)
+let replay (m : Ir.modul) ~entry =
+  let module Isel = Spnc_cpu.Isel in
+  let sel = Isel.create () in
+  let rec ops (l : Ir.op list) =
+    List.iter
+      (fun (o : Ir.op) ->
+        if o.Ir.name = "scf.for" then begin
+          let blk = Option.get (Ir.entry_block o) in
+          Isel.loop_start sel (List.hd blk.Ir.bargs);
+          ops blk.Ir.bops;
+          Isel.loop_end sel ~lb:(Ir.operand_n o 0) ~ub:(Ir.operand_n o 1)
+            ~step:(Ir.operand_n o 2)
+        end
+        else Isel.op sel o.Ir.loc o)
+      l
+  in
+  List.iter
+    (fun (f : Ir.op) ->
+      if f.Ir.name = "func.func" then begin
+        let blk = Option.get (Ir.entry_block f) in
+        let name = Option.get (Ir.string_attr f "sym_name") in
+        Isel.func_start sel name blk.Ir.bargs;
+        ops blk.Ir.bops;
+        Isel.func_end sel
+      end)
+    m.Ir.mops;
+  Isel.finish sel ~entry
+
+(* The kernel golden's models (test/kernels.ml). *)
+let golden_models () =
+  let generate name cfg seed = Random_spn.generate ~name (Rng.create ~seed) cfg in
+  let speaker = generate "speaker" Random_spn.speaker_id_config
+  and generic = generate "random" Random_spn.default_config
+  and rat =
+    (Rat_spn.generate ~name_prefix:"rat" (Rng.create ~seed:11)
+       {
+         Rat_spn.num_features = 32;
+         depth = 3;
+         repetitions = 2;
+         num_sums = 4;
+         num_input_distributions = 4;
+         num_classes = 1;
+       }).(0)
+  in
+  List.map speaker [ 1; 2 ] @ [ rat ] @ List.init 9 (fun i -> generic (101 + i))
+
+(* The compile path selects each cir op as [Lower_cpu] emits it; the Lir
+   it stores (at -O0, selection's own output) must equal a replay of the
+   printed path's cir module, bit for bit, provenance included. *)
+let test_replayed_cir_equals_compiled () =
+  let module Options = Spnc.Options in
+  let base =
+    { Options.default with use_kernel_cache = false; threads = 1; opt_level = Opt.O0 }
+  in
+  let configs =
+    [
+      ("scalar", base);
+      ( "vectorized+marginal",
+        { base with vectorize = true; use_veclib = true; use_shuffle = true;
+          support_marginal = true } );
+      ( "partitioned",
+        { base with support_marginal = true; max_partition_size = Some 40 } );
+    ]
+  in
+  let digest x =
+    Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
+  in
+  List.iteri
+    (fun i model ->
+      List.iter
+        (fun (cname, options) ->
+          let c = Spnc.Compiler.compile ~options model in
+          match c.Spnc.Compiler.artifact with
+          | Spnc.Compiler.Cpu_kernel { lir; _ } ->
+              let cir =
+                Lower.run
+                  ~options:(Options.cpu_lower_options (Options.compile_of options))
+                  c.Spnc.Compiler.lospn
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "model %d %s" i cname)
+                (digest lir)
+                (digest (replay cir ~entry:"spn_kernel"))
+          | Spnc.Compiler.Gpu_kernel _ -> Alcotest.fail "expected a CPU artifact")
+        configs)
+    (golden_models ())
+
 let suite =
   [
     Alcotest.test_case "vm scalar all levels" `Quick test_vm_scalar_levels;
@@ -376,4 +466,6 @@ let suite =
     Alcotest.test_case "cost: no-veclib hurts" `Quick test_cost_vectorization_without_veclib_hurts;
     Alcotest.test_case "cost: shuffle beats gather" `Quick test_cost_shuffle_beats_gather;
     Alcotest.test_case "cost: higher opt faster" `Quick test_cost_higher_opt_cheaper_execution;
+    Alcotest.test_case "replayed cir equals compiled Lir" `Quick
+      test_replayed_cir_equals_compiled;
   ]

@@ -73,11 +73,47 @@ let test_stage_minor_words () =
   List.iter
     (fun (t : Compiler.timing) ->
       check tbool (t.Compiler.stage ^ " words >= 0") true (t.Compiler.minor_words >= 0.0);
+      check tbool (t.Compiler.stage ^ " major words >= 0") true
+        (t.Compiler.direct_words >= 0.0);
+      check tbool (t.Compiler.stage ^ " collections >= 0") true
+        (t.Compiler.minor_collections >= 0);
       if List.mem t.Compiler.stage [ "hispn-translation"; "lower-to-lospn"; "cpu-lowering" ]
       then check tbool (t.Compiler.stage ^ " allocates") true (t.Compiler.minor_words > 0.0))
     c.Compiler.timings;
   check tbool "cpu-lowering timed" true
-    (List.exists (fun (t : Compiler.timing) -> t.Compiler.stage = "cpu-lowering") c.Compiler.timings)
+    (List.exists (fun (t : Compiler.timing) -> t.Compiler.stage = "cpu-lowering") c.Compiler.timings);
+  (* a RAT-SPN class model: its stages allocate several minor heaps, and
+     register allocation's per-register arrays (one entry per vector
+     register, thousands) go straight to the major heap *)
+  let rat =
+    (Rat_spn.generate ~name_prefix:"rat" (Rng.create ~seed:11)
+       {
+         Rat_spn.num_features = 32;
+         depth = 3;
+         repetitions = 2;
+         num_sums = 4;
+         num_input_distributions = 4;
+         num_classes = 1;
+       }).(0)
+  in
+  let collections () = (Gc.quick_stat ()).Gc.minor_collections in
+  let before = collections () in
+  let c =
+    Compiler.compile ~options:{ (Options.best_cpu ()) with use_kernel_cache = false } rat
+  in
+  let during = collections () - before in
+  let sum f = List.fold_left (fun acc t -> acc + f t) 0 c.Compiler.timings in
+  let staged = sum (fun t -> t.Compiler.minor_collections) in
+  check tbool (Printf.sprintf "%d staged collections <= %d during" staged during) true
+    (staged <= during);
+  let minor = sum (fun t -> int_of_float t.Compiler.minor_words) in
+  if minor > 2 * (Gc.get ()).Gc.minor_heap_size then
+    check tbool "a stage reports a collection" true (staged > 0);
+  check tbool "register-allocation major words" true
+    (List.exists
+       (fun (t : Compiler.timing) ->
+         t.Compiler.stage = "register-allocation" && t.Compiler.direct_words > 256.0)
+       c.Compiler.timings)
 
 let test_invalid_model_rejected () =
   let g0 = Model.gaussian ~var:0 ~mean:0.0 ~stddev:1.0 in

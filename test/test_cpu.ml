@@ -41,9 +41,9 @@ let mixed_spn () =
              ] );
        ])
 
-(* Full pipeline to cir. *)
-let to_cir ?(space = Spnc_lospn.Lower_hispn.Force_log) ?(support_marginal = false)
-    ?partition_size ?(cpu_options = Spnc_cpu.Lower_cpu.scalar_options) t =
+(* Full pipeline to bufferized LoSPN. *)
+let to_lo ?(space = Spnc_lospn.Lower_hispn.Force_log) ?(support_marginal = false)
+    ?partition_size t =
   let query = { Spnc_hispn.From_model.default_query with support_marginal } in
   let hi = Spnc_hispn.From_model.translate ~query t in
   let lo =
@@ -62,8 +62,13 @@ let to_cir ?(space = Spnc_lospn.Lower_hispn.Force_log) ?(support_marginal = fals
     | None -> lo
   in
   let lo = Spnc_lospn.Bufferize.run lo in
-  let lo = Spnc_lospn.Buffer_opt.run lo in
-  Spnc_cpu.Lower_cpu.run ~options:cpu_options lo
+  Spnc_lospn.Buffer_opt.run lo
+
+(* ... and on to cir. *)
+let to_cir ?space ?support_marginal ?partition_size
+    ?(cpu_options = Spnc_cpu.Lower_cpu.scalar_options) t =
+  Spnc_cpu.Lower_cpu.run ~options:cpu_options
+    (to_lo ?space ?support_marginal ?partition_size t)
 
 (* A vectorized kernel has no scalar epilogue: pad the rows to a multiple
    of [width] with copies of the last one, as [Exec] does.  The output is
@@ -353,9 +358,10 @@ let test_gather_tables_cheaper () =
   (* cost-model ablation: for discrete-heavy models the indexed gather
      beats the scalarized per-lane lookup *)
   let lir opts =
-    let m = to_cir ~cpu_options:opts (mixed_spn ()) in
     Spnc_cpu.Optimizer.run Spnc_cpu.Optimizer.O1
-      (Spnc_cpu.Isel.run m ~entry:"spn_kernel")
+      (Spnc_cpu.Isel.finish
+         (Spnc_cpu.Lower_cpu.isel ~options:opts (to_lo (mixed_spn ())))
+         ~entry:"spn_kernel")
   in
   let machine = Spnc_machine.Machine.ryzen_3900xt in
   let g = Spnc_cpu.Cost.kernel_estimate machine (lir gather_options) ~rows:4096 () in

@@ -278,16 +278,14 @@ let compile_lir ?(vec = false) level t =
       hi
   in
   let lo = Spnc_lospn.Buffer_opt.run (Spnc_lospn.Bufferize.run lo) in
-  let cir =
-    Spnc_cpu.Lower_cpu.run
-      ~options:
-        (if vec then
-           { Spnc_cpu.Lower_cpu.scalar_options with vectorize = true;
-             width = 8; use_veclib = true; use_shuffle = true }
-         else Spnc_cpu.Lower_cpu.scalar_options)
-      lo
+  let options =
+    if vec then
+      { Spnc_cpu.Lower_cpu.scalar_options with vectorize = true;
+        width = 8; use_veclib = true; use_shuffle = true }
+    else Spnc_cpu.Lower_cpu.scalar_options
   in
-  Opt.run level (Spnc_cpu.Isel.run cir ~entry:"spn_kernel")
+  Opt.run level
+    (Spnc_cpu.Isel.finish (Spnc_cpu.Lower_cpu.isel ~options lo) ~entry:"spn_kernel")
 
 let run_lir lir ~rows ~num_features =
   let n = Array.length rows in
