@@ -311,7 +311,7 @@ let compile_breakdown () =
         }
       model
   in
-  Fmt.pr "CPU (-O1):@.%a" Compiler.pp_timings cpu;
+  Fmt.pr "CPU (-O1):@.%a" Spnc_mlir.Pass.pp_timings (`Stages cpu.Compiler.timings);
   (* selecting each cir op happens in the cpu-lowering walk; the
      instruction-selection stage only closes the functions *)
   let object_code =
@@ -334,7 +334,7 @@ let compile_breakdown () =
         }
       model
   in
-  Fmt.pr "GPU (-O1):@.%a" Compiler.pp_timings gpu;
+  Fmt.pr "GPU (-O1):@.%a" Spnc_mlir.Pass.pp_timings (`Stages gpu.Compiler.timings);
   Fmt.pr "CUBIN share: %.0f%% (paper: ~95%%)@."
     (100.0
     *. Compiler.stage_seconds gpu "cubin-assembly"

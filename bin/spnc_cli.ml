@@ -28,9 +28,6 @@ let guarded (f : unit -> int) : int =
   | Failure msg | Sys_error msg | Invalid_argument msg ->
       Fmt.epr "spnc: error: %s@." msg;
       1
-  | Spnc_mlir.Pass.Pipeline_error (p, msg) ->
-      Fmt.epr "spnc: error: pass %s failed: %s@." p msg;
-      exit_compile_failure
   | Spnc_resilience.Diag.Diag_error d ->
       Fmt.epr "spnc: error: %a@." Spnc_resilience.Diag.pp d;
       exit_compile_failure
@@ -556,7 +553,8 @@ let compile path options dump_ptx verbose obs =
   List.iter
     (fun d -> Fmt.pr "diagnostic: %a@." Spnc_resilience.Diag.pp d)
     c.Spnc.Compiler.diags;
-  Fmt.pr "--- compile time breakdown ---@.%a" Spnc.Compiler.pp_timings c;
+  Fmt.pr "--- compile time breakdown ---@.%a" Spnc_mlir.Pass.pp_timings
+    (`Stages c.Spnc.Compiler.timings);
   (match c.Spnc.Compiler.artifact with
   | Spnc.Compiler.Cpu_kernel { lir; regalloc; _ } ->
       Fmt.pr "kernel instructions: %d@." (Spnc_cpu.Lir.module_size lir);

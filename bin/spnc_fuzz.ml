@@ -40,8 +40,7 @@ let exit_internal = 70
 let is_clean_diagnostic = function
   | Spnc_resilience.Diag.Diag_error _ | Spnc_resilience.Guard.Guard_failure _
   | Fault.Transient _ | Spnc_runtime.Exec.Chunk_error _
-  | Spnc_runtime.Exec.Deadline_exceeded _ | Spnc_mlir.Pass.Pipeline_error _
-  | Spnc_spn.Validate.Invalid _ ->
+  | Spnc_runtime.Exec.Deadline_exceeded _ | Spnc_spn.Validate.Invalid _ ->
       true
   | _ -> false
 

@@ -82,8 +82,8 @@ let run pipeline input verify_each timings list_passes print_ir no_reproducer
         Fmt.epr "spnc_opt: %s@." (Spnc.Pipelines.run_error_to_string e);
         1
     | Ok result ->
-        if timings then Fmt.epr "%a" Spnc_mlir.Pass.pp_timings result;
-        print_string (Spnc_mlir.Printer.modul_to_string result.Spnc_mlir.Pass.modul);
+        if timings then Fmt.epr "%a" Pass.pp_timings (`Passes result.Pass.timings);
+        print_string (Spnc_mlir.Printer.modul_to_string result.Pass.modul);
         0
   end
 
@@ -105,9 +105,6 @@ let run pipeline input verify_each timings list_passes print_after_all
     with
     | Sys_error e ->
         Fmt.epr "spnc_opt: %s@." e;
-        1
-    | Pass.Pipeline_error (p, msg) ->
-        Fmt.epr "spnc_opt: pass %s failed: %s@." p msg;
         1
     | Spnc_resilience.Diag.Diag_error d ->
         Fmt.epr "spnc_opt: %a@." Spnc_resilience.Diag.pp d;
@@ -132,8 +129,9 @@ let cmd =
       value & flag
       & info [ "timings"; "timing" ]
           ~doc:
-            "Print the per-pass wall-time table (seconds, share, op-count \
-             delta, change marker) to stderr.")
+            "Print the per-pass timing table (seconds, share, minor words, \
+             minor collections, direct major words, op-count delta, change \
+             marker) to stderr.")
   in
   let list_passes =
     Arg.(value & flag & info [ "list-passes" ] ~doc:"List available passes and exit.")

@@ -47,8 +47,8 @@ let () =
   Fmt.pr "compiled all classes in %.2fs (tasks per class: %d)@."
     (Unix.gettimeofday () -. t0)
     classifier.Spnc.Classifier.compiled.(0).Spnc.Compiler.num_tasks;
-  Fmt.pr "compile-time breakdown of class 0:@.%a" Spnc.Compiler.pp_timings
-    classifier.Spnc.Classifier.compiled.(0);
+  Fmt.pr "compile-time breakdown of class 0:@.%a" Spnc_mlir.Pass.pp_timings
+    (`Stages classifier.Spnc.Classifier.compiled.(0).Spnc.Compiler.timings);
 
   (* classification: argmax of per-class log-likelihood *)
   let rows = images.Mnist.data.Spnc_data.Synth.samples in

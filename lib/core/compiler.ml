@@ -18,7 +18,7 @@ module Diag = Spnc_resilience.Diag
 module Guard = Spnc_resilience.Guard
 module Fault = Spnc_resilience.Fault
 
-type timing = {
+type timing = Pass.timing = {
   stage : string;
   seconds : float;
   minor_words : float;
@@ -76,22 +76,6 @@ let stage_seconds (c : compiled) stage =
   List.fold_left
     (fun acc t -> if t.stage = stage then acc +. t.seconds else acc)
     0.0 c.timings
-
-let pp_timings ppf (c : compiled) =
-  let total = compile_seconds c in
-  let sum f = List.fold_left (fun acc t -> acc +. f t) 0.0 c.timings in
-  Fmt.pf ppf "%-22s %9s %8s %11s %9s %11s@." "stage" "seconds" "share" "minor words"
-    "minor GCs" "major words";
-  List.iter
-    (fun t ->
-      Fmt.pf ppf "%-22s %8.4fs (%5.1f%%) %11.0f %9d %11.0f@." t.stage t.seconds
-        (if total > 0.0 then 100.0 *. t.seconds /. total else 0.0)
-        t.minor_words t.minor_collections t.direct_words)
-    c.timings;
-  Fmt.pf ppf "%-22s %8.4fs          %11.0f %9.0f %11.0f@." "TOTAL" total
-    (sum (fun t -> t.minor_words))
-    (sum (fun t -> float_of_int t.minor_collections))
-    (sum (fun t -> t.direct_words))
 
 (* Determine the output-slot count from the bufferized kernel signature. *)
 let out_cols_of_lospn (m : Ir.modul) =
@@ -173,23 +157,8 @@ let compile_full ~(options : Options.compile) (model : Spnc_spn.Model.t) :
        path a real bug in that stage would *)
     if Fault.fire ("compile." ^ stage) then
       Diag.fail ~pass:stage "injected failure at stage %s" stage;
-    (* one clock pair feeds both the stage ledger and the trace span;
-       the allocation counters are this domain's, which runs the stage,
-       and exact at any point ([Gc.quick_stat]'s word counts move only
-       at collections, so only its collection count is read) *)
-    let minor0, promoted0, major0 = Gc.counters () in
-    let collections0 = (Gc.quick_stat ()).Gc.minor_collections in
-    let r, seconds = Spnc_obs.Trace.timed ~cat:"compile" stage f in
-    let minor1, promoted1, major1 = Gc.counters () in
-    timings :=
-      {
-        stage;
-        seconds;
-        minor_words = minor1 -. minor0;
-        direct_words = major1 -. major0 -. (promoted1 -. promoted0);
-        minor_collections = (Gc.quick_stat ()).Gc.minor_collections - collections0;
-      }
-      :: !timings;
+    let r, t = Pass.timed ~cat:"compile" stage f in
+    timings := t :: !timings;
     r
   in
   (* the query's batch size only names the IR's [batchSize] attribute,
@@ -228,18 +197,22 @@ let compile_full ~(options : Options.compile) (model : Spnc_spn.Model.t) :
   (* LoSPN-level optimization (§IV-A5): constant folding through the
      canonicalization framework plus dialect-agnostic CSE/DCE.  Running it
      before partitioning lets the partitioner see the deduplicated DAG. *)
-  (* the driver runs these rewrites directly rather than through the Pass
-     manager, so give each one its own pass-category span here — traces
-     from [spnc_cli compile] should show the same per-pass breakdown as
-     [spnc_opt] pipelines *)
+  (* the stage runs the pass table's passes without the runner's
+     barrier, op counts or verifier, but each under the shared timer: its
+     pass-category span gives [spnc_cli compile] traces the same per-pass
+     breakdown as [spnc_opt] pipelines *)
   let lo =
     timed "lospn-optimization" (fun () ->
-        let span name f = Spnc_obs.Trace.with_span ~cat:"pass" name f in
         match Pipelines.lospn_opt_passes options.Options.lospn_opt_order with
         | Error e -> invalid_arg ("lospn_opt_order: " ^ e)
         | Ok passes ->
             List.fold_left
-              (fun lo (name, run) -> span name (fun () -> run lo))
+              (fun lo (p : Pass.pass) ->
+                fst
+                  (Pass.timed ~cat:"pass" p.Pass.name (fun () ->
+                       match p.Pass.run lo with
+                       | Ok lo -> lo
+                       | Error e -> Diag.fail ~pass:p.Pass.name "%s" e)))
               lo passes)
   in
   let lo =
@@ -402,11 +375,14 @@ let cache_key ~(options : Options.compile) (model : Spnc_spn.Model.t) : string =
 
 (* -- Persistent (on-disk) tier ------------------------------------------------- *)
 
-(* Bump the "v" whenever [stored] (or anything it transitively contains)
-   changes shape: the format tag keeps old entries from being
-   unmarshalled into the wrong layout.  The OCaml version rides along
-   because Marshal output is not stable across compiler versions. *)
-let disk_fmt = "spnc-compiled-v5/" ^ Sys.ocaml_version
+(* The format tag keeps old entries from being unmarshalled into the
+   wrong layout: [Marshal] decodes a stale layout without raising.  The
+   layout of [stored] can change only with a source under lib/, so the
+   tag carries their digest, taken at build time; the OCaml version
+   rides along because Marshal output is not stable across compiler
+   versions. *)
+let disk_fmt =
+  "spnc-compiled/" ^ Spnc_source_digest.hex ^ "/" ^ Sys.ocaml_version
 
 (* one warning per process for an unusable cache dir, not one per compile *)
 let disk_warned = Atomic.make false

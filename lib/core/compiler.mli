@@ -10,12 +10,10 @@
 
 open Spnc_mlir
 
-(** One stage of a compile: its wall-clock time, the words it allocated
-    on the minor heap and straight into the major heap ([Gc.counters]
-    around the stage, on the domain that runs it), and the minor
-    collections that ran meanwhile ([Gc.quick_stat]; on several domains
-    these include collections another domain requested). *)
-type timing = {
+(** One stage of a compile, measured by the timer every pass shares
+    ({!Spnc_mlir.Pass.timed}); print a compile's stages with
+    [Spnc_mlir.Pass.pp_timings ppf (`Stages c.timings)]. *)
+type timing = Pass.timing = {
   stage : string;
   seconds : float;
   minor_words : float;
@@ -79,8 +77,6 @@ val compile_seconds : compiled -> float
 
 (** [stage_seconds c stage] — time spent in the named stage. *)
 val stage_seconds : compiled -> string -> float
-
-val pp_timings : Format.formatter -> compiled -> unit
 
 (** [compile ?options model] runs the full pipeline — or, when
     [options.use_kernel_cache] is on (the default), returns a cached

@@ -14,10 +14,88 @@ let register_dialects () =
   Spnc_cir.Ops.register ();
   Spnc_gpu.Lower_gpu.register ()
 
-(** [pass_of_name name] resolves a pass by its textual name.  Parameterized
-    passes use [name=value], e.g. ["lospn-partition=5000"]. *)
-let pass_of_name (spec : string) : (Pass.pass, string) result =
-  register_dialects ();
+(* The pass table: every pass a pipeline can name, in [--list-passes]
+   order.  A parameterized pass takes one integer, [name=value]; its
+   entry carries the placeholder [available] shows and the default. *)
+let table : (string * (string * int) option * (int -> Pass.pass)) list =
+  let fixed (p : Pass.pass) = (p.Pass.name, None, fun _ -> p) in
+  (* The scalar-opt trio only ever runs in the LoSPN opt slot (between
+     lowering and bufferization), so legality pins them there;
+     [canonicalize] stays stage-agnostic — it also runs on HiSPN. *)
+  let lospn = Pass.preserves "lospn" in
+  let vectorized width =
+    {
+      Spnc_cpu.Lower_cpu.scalar_options with
+      Spnc_cpu.Lower_cpu.vectorize = true;
+      width;
+      use_veclib = true;
+      use_shuffle = true;
+    }
+  in
+  [
+    fixed
+      (Pass.make_fallible "verify" (fun m ->
+           match Verifier.verify m with
+           | [] -> Ok m
+           | errs -> Error (Verifier.errors_to_string errs)));
+    fixed (Pass.make "canonicalize" Canonicalize.run);
+    fixed (Pass.make ~legality:lospn "cse" Cse.run);
+    fixed (Pass.make ~legality:lospn "dce" Rewrite.dce);
+    fixed
+      (Pass.make ~legality:lospn "constfold" (fun m ->
+           Constfold.run (Builder.seed_from m) m));
+    fixed
+      (Pass.make
+         ~legality:(Pass.lowers ~from_:"hispn" ~to_:"lospn")
+         "lower-to-lospn"
+         (fun m -> Spnc_lospn.Lower_hispn.run m));
+    ( "lospn-partition",
+      Some ("N", 10_000),
+      fun size ->
+        Pass.make ~legality:lospn "lospn-partition" (fun m ->
+            Spnc_lospn.Partition_pass.run
+              ~options:
+                {
+                  Spnc_lospn.Partition_pass.default_options with
+                  max_partition_size = size;
+                }
+              m) );
+    fixed
+      (Pass.make
+         ~legality:(Pass.lowers ~from_:"lospn" ~to_:"lospn-buf")
+         "lospn-bufferize" Spnc_lospn.Bufferize.run);
+    fixed
+      (Pass.make
+         ~legality:(Pass.preserves "lospn-buf")
+         "lospn-buffer-opt" Spnc_lospn.Buffer_opt.run);
+    fixed
+      (Pass.make
+         ~legality:(Pass.lowers ~from_:"lospn-buf" ~to_:"cir")
+         "cpu-lower"
+         (fun m -> Spnc_cpu.Lower_cpu.run m));
+    ( "cpu-lower-vectorized",
+      Some ("W", 8),
+      fun width ->
+        Pass.make
+          ~legality:(Pass.lowers ~from_:"lospn-buf" ~to_:"cir")
+          "cpu-lower-vectorized"
+          (fun m -> Spnc_cpu.Lower_cpu.run ~options:(vectorized width) m) );
+    ( "gpu-lower",
+      Some ("BLOCK", 64),
+      fun block_size ->
+        Pass.make
+          ~legality:(Pass.lowers ~from_:"lospn-buf" ~to_:"gpu")
+          "gpu-lower"
+          (fun m ->
+            Spnc_gpu.Lower_gpu.run ~options:{ Spnc_gpu.Lower_gpu.block_size } m)
+    );
+    fixed
+      (Pass.make ~legality:(Pass.preserves "gpu") "gpu-copy-opt"
+         Spnc_gpu.Copy_opt.run);
+  ]
+
+(* The table entry [spec] names, built with its argument. *)
+let find (spec : string) : (Pass.pass, string) result =
   let name, arg =
     match String.index_opt spec '=' with
     | Some i ->
@@ -25,111 +103,42 @@ let pass_of_name (spec : string) : (Pass.pass, string) result =
           Some (String.sub spec (i + 1) (String.length spec - i - 1)) )
     | None -> (spec, None)
   in
-  let int_arg ~default =
-    match arg with
-    | None -> Ok default
-    | Some a -> (
-        match int_of_string_opt a with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "pass %s: bad integer argument %S" name a))
-  in
-  match name with
-  | "verify" -> Ok Pass.verify_pass
-  | "canonicalize" -> Ok Pass.canonicalize_pass
-  (* The scalar-opt trio only ever runs in the LoSPN opt slot (between
-     lowering and bufferization), so legality pins them there;
-     [canonicalize] stays stage-agnostic — it also runs on HiSPN. *)
-  | "cse" -> Ok { Pass.cse_pass with legality = Pass.preserves "lospn" }
-  | "dce" -> Ok { Pass.dce_pass with legality = Pass.preserves "lospn" }
-  | "constfold" ->
-      Ok
-        (Pass.make
-           ~legality:(Pass.preserves "lospn")
-           "constfold"
-           (fun m -> Constfold.run (Builder.seed_from m) m))
-  | "lower-to-lospn" ->
-      Ok
-        (Pass.make
-           ~legality:(Pass.lowers ~from_:"hispn" ~to_:"lospn")
-           "lower-to-lospn"
-           (fun m -> Spnc_lospn.Lower_hispn.run m))
-  | "lospn-partition" ->
-      let* size = int_arg ~default:10_000 in
-      Ok
-        (Pass.make
-           ~legality:(Pass.preserves "lospn")
-           "lospn-partition"
-           (fun m ->
-             Spnc_lospn.Partition_pass.run
-               ~options:
-                 {
-                   Spnc_lospn.Partition_pass.default_options with
-                   max_partition_size = size;
-                 }
-               m))
-  | "lospn-bufferize" ->
-      Ok
-        (Pass.make
-           ~legality:(Pass.lowers ~from_:"lospn" ~to_:"lospn-buf")
-           "lospn-bufferize" Spnc_lospn.Bufferize.run)
-  | "lospn-buffer-opt" ->
-      Ok
-        (Pass.make
-           ~legality:(Pass.preserves "lospn-buf")
-           "lospn-buffer-opt" Spnc_lospn.Buffer_opt.run)
-  | "cpu-lower" ->
-      Ok
-        (Pass.make
-           ~legality:(Pass.lowers ~from_:"lospn-buf" ~to_:"cir")
-           "cpu-lower"
-           (fun m -> Spnc_cpu.Lower_cpu.run m))
-  | "cpu-lower-vectorized" ->
-      let* width = int_arg ~default:8 in
-      Ok
-        (Pass.make
-           ~legality:(Pass.lowers ~from_:"lospn-buf" ~to_:"cir")
-           "cpu-lower-vectorized"
-           (fun m ->
-             Spnc_cpu.Lower_cpu.run
-               ~options:
-                 {
-                   Spnc_cpu.Lower_cpu.scalar_options with
-                   Spnc_cpu.Lower_cpu.vectorize = true;
-                   width;
-                   use_veclib = true;
-                   use_shuffle = true;
-                 }
-               m))
-  | "gpu-lower" ->
-      let* block_size = int_arg ~default:64 in
-      Ok
-        (Pass.make
-           ~legality:(Pass.lowers ~from_:"lospn-buf" ~to_:"gpu")
-           "gpu-lower"
-           (fun m ->
-             Spnc_gpu.Lower_gpu.run ~options:{ Spnc_gpu.Lower_gpu.block_size } m))
-  | "gpu-copy-opt" ->
-      Ok
-        (Pass.make
-           ~legality:(Pass.preserves "gpu")
-           "gpu-copy-opt" Spnc_gpu.Copy_opt.run)
-  | other -> Error (Printf.sprintf "unknown pass %S" other)
+  match List.find_opt (fun (n, _, _) -> String.equal n name) table with
+  | None -> Error (Printf.sprintf "unknown pass %S" name)
+  | Some (_, param, build) -> (
+      match (param, arg) with
+      | None, _ -> Ok (build 0)
+      | Some (_, default), None -> Ok (build default)
+      | Some _, Some a -> (
+          match int_of_string_opt a with
+          | Some v -> Ok (build v)
+          | None ->
+              Error (Printf.sprintf "pass %s: bad integer argument %S" name a)))
+
+(** [pass_of_name spec] resolves a pass by its textual name.  Parameterized
+    passes use [name=value], e.g. ["lospn-partition=5000"]. *)
+let pass_of_name (spec : string) : (Pass.pass, string) result =
+  register_dialects ();
+  find spec
+
+(* Resolve every name, or the first error. *)
+let resolve_all resolve names =
+  List.fold_left
+    (fun acc name ->
+      let* acc = acc in
+      let* p = resolve name in
+      Ok (p :: acc))
+    (Ok []) names
+  |> Result.map List.rev
 
 (** [parse_pipeline spec] parses a comma-separated pipeline such as
     ["canonicalize,lospn-partition=500,lospn-bufferize,verify"]. *)
 let parse_pipeline (spec : string) : (Pass.pass list, string) result =
-  let names =
-    String.split_on_char ',' spec
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-  in
-  List.fold_left
-    (fun acc name ->
-      let* acc = acc in
-      let* p = pass_of_name name in
-      Ok (p :: acc))
-    (Ok []) names
-  |> Result.map List.rev
+  register_dialects ();
+  String.split_on_char ',' spec
+  |> List.map String.trim
+  |> List.filter (fun s -> s <> "")
+  |> resolve_all find
 
 (** [validate_pipeline ?start spec] resolves the pipeline and checks its
     pass-ordering legality, threading the IR stage from [start] (default
@@ -153,42 +162,28 @@ let default_lospn_opt_order = [ "constfold"; "cse"; "dce" ]
 (** [lospn_opt_passes order] resolves each name in [order] against the
     stage-preserving optimization pool.  Names outside {!lospn_opt_pool}
     are rejected: dialect conversions must not sneak into the stage. *)
-let lospn_opt_passes (order : string list) :
-    ((string * (Ir.modul -> Ir.modul)) list, string) result =
+let lospn_opt_passes (order : string list) : (Pass.pass list, string) result =
   register_dialects ();
   let resolve name =
-    if not (List.mem name lospn_opt_pool) then
+    if List.mem name lospn_opt_pool then find name
+    else
       Error
         (Printf.sprintf
            "pass %S is not a legal lospn-optimization stage pass (pool: %s)"
            name
            (String.concat ", " lospn_opt_pool))
-    else
-      match name with
-      | "constfold" ->
-          Ok (name, fun m -> Constfold.run (Builder.seed_from m) m)
-      | "cse" -> Ok (name, Cse.run)
-      | "dce" -> Ok (name, Rewrite.dce)
-      | "canonicalize" -> Ok (name, fun m -> Canonicalize.run m)
-      | _ -> assert false
   in
   if order = [] then Error "lospn-optimization order must not be empty"
-  else
-    List.fold_left
-      (fun acc name ->
-        let* acc = acc in
-        let* p = resolve name in
-        Ok (p :: acc))
-      (Ok []) order
-    |> Result.map List.rev
+  else resolve_all resolve order
 
 (** [available ()] lists the registered pass names. *)
 let available () =
-  [
-    "verify"; "canonicalize"; "cse"; "dce"; "constfold"; "lower-to-lospn";
-    "lospn-partition[=N]"; "lospn-bufferize"; "lospn-buffer-opt"; "cpu-lower";
-    "cpu-lower-vectorized[=W]"; "gpu-lower[=BLOCK]"; "gpu-copy-opt";
-  ]
+  List.map
+    (fun (name, param, _) ->
+      match param with
+      | None -> name
+      | Some (placeholder, _) -> Printf.sprintf "%s[=%s]" name placeholder)
+    table
 
 (** What can go wrong when driving a pipeline from text. *)
 type run_error =
@@ -225,17 +220,3 @@ let run_on_source_checked ?(verify_each = false)
           with
           | Ok r -> Ok r
           | Error f -> Error (Pass_failure f)))
-
-(** [run_on_source ?verify_each ~pipeline src] — legacy string-error
-    interface over {!run_on_source_checked}; never dumps reproducers. *)
-let run_on_source ?(verify_each = false) ~(pipeline : string) (src : string) :
-    (Pass.result, string) result =
-  match
-    run_on_source_checked ~verify_each ~dump_policy:Pass.No_dump ~pipeline src
-  with
-  | Ok r -> Ok r
-  | Error (Pass_failure f) ->
-      Error
-        (Printf.sprintf "pass %s failed: %s" f.Pass.failed_pass
-           f.Pass.diag.Pass.Diag.message)
-  | Error e -> Error (run_error_to_string e)

@@ -1,5 +1,7 @@
-(** Named pass registry and textual pipeline parsing — the machinery
-    behind the [spnc_opt] tool (the analogue of MLIR's [mlir-opt]).
+(** The pass table and textual pipeline parsing — the machinery behind
+    the [spnc_opt] tool (the analogue of MLIR's [mlir-opt]).  One table
+    names every pass: {!pass_of_name}, {!available} and
+    {!lospn_opt_passes} all read it.
 
     Pipelines are comma-separated pass names; parameterized passes use
     [name=value], e.g.
@@ -11,7 +13,7 @@ open Spnc_mlir
     registry; idempotent. *)
 val register_dialects : unit -> unit
 
-(** [pass_of_name spec] resolves a single pass by name. *)
+(** [pass_of_name spec] resolves a single pass from the table. *)
 val pass_of_name : string -> (Pass.pass, string) result
 
 (** [parse_pipeline spec] resolves a comma-separated pipeline. *)
@@ -32,12 +34,11 @@ val lospn_opt_pool : string list
 val default_lospn_opt_order : string list
 
 (** [lospn_opt_passes order] resolves an ordering of
-    lospn-optimization-stage passes to named module transforms; rejects
-    names outside {!lospn_opt_pool} and empty orders. *)
-val lospn_opt_passes :
-  string list -> ((string * (Ir.modul -> Ir.modul)) list, string) result
+    lospn-optimization-stage passes from the pass table; rejects names
+    outside {!lospn_opt_pool} and empty orders. *)
+val lospn_opt_passes : string list -> (Pass.pass list, string) result
 
-(** [available ()] lists the registered pass names (with argument
+(** [available ()] lists the pass table's names (with argument
     placeholders). *)
 val available : unit -> string list
 
@@ -65,9 +66,3 @@ val run_on_source_checked :
   pipeline:string ->
   string ->
   (Pass.result, run_error) result
-
-(** [run_on_source ?verify_each ~pipeline src] — legacy string-error
-    interface over {!run_on_source_checked}; never dumps reproducers.
-    With [verify_each], the verifier runs after every pass. *)
-val run_on_source :
-  ?verify_each:bool -> pipeline:string -> string -> (Pass.result, string) result

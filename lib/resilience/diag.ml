@@ -5,7 +5,7 @@
     normalized into a {!t}: severity, the pass it originated in, the path
     of operations enclosing the fault, the human-readable message, and
     (for escaped exceptions) a [Printexc] backtrace.  This replaces the
-    bare [failwith]/[Pipeline_error] strings the pipeline used to throw:
+    bare [failwith] strings the pipeline used to throw:
     callers can render, log, or bundle a diagnostic without string
     parsing, and a crash inside a pass is indistinguishable in shape from
     a clean pass error. *)

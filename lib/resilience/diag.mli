@@ -3,8 +3,8 @@
     Normalizes every failure that crosses a component boundary — pass
     errors, verifier reports, escaped exceptions — into one record with
     severity, pass of origin, enclosing-op path, message, and an optional
-    [Printexc] backtrace.  Replaces the bare [failwith]/[Pipeline_error]
-    strings previously thrown across the pipeline. *)
+    [Printexc] backtrace.  Replaces bare [failwith] strings thrown
+    across the pipeline. *)
 
 type severity = Error | Warning | Note
 

@@ -111,8 +111,8 @@ let pp_outcome ppf = function
 (* -- Pipeline execution ------------------------------------------------------ *)
 
 (* Parse, legality-check from [start] and run a textual pipeline with the
-   verifier after every pass.  The pass manager's checked runner would
-   also print the IR after every pass; the fuzzer only needs the verdict. *)
+   verifier after every pass.  The shrinker only asks whether a case
+   still fails, so a failure is its "pass X: msg" line. *)
 let run_from ~start ~(pipeline : string) (m : Ir.modul) :
     (Ir.modul, string) result =
   let ( let* ) = Result.bind in
@@ -121,19 +121,13 @@ let run_from ~start ~(pipeline : string) (m : Ir.modul) :
       (Pipelines.parse_pipeline pipeline)
   in
   let* () = Pass.validate_ordering ~start passes in
-  List.fold_left
-    (fun acc (ps : Pass.pass) ->
-      let* m = acc in
-      let err e = Error (Fmt.str "pass %s: %s" ps.Pass.name e) in
-      match Result.map (fun m' -> (m', Verifier.verify m')) (ps.Pass.run m) with
-      | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
-      | exception e -> err (Printexc.to_string e)
-      | Error e -> err e
-      | Ok (m', []) -> Ok m'
-      | Ok (_, errs) ->
-          err
-            ("verifier failed after pass:\n" ^ Verifier.errors_to_string errs))
-    (Ok m) passes
+  match
+    Pass.run_pipeline_checked ~verify_each:true ~dump_policy:Pass.No_dump
+      passes m
+  with
+  | Ok r -> Ok r.Pass.modul
+  | Error f ->
+      Error (Fmt.str "pass %s: %s" f.Pass.failed_pass f.Pass.diag.Pass.Diag.message)
 
 (* A post-lowering pipeline suffix, starting at the "lospn" stage. *)
 let run_suffix = run_from ~start:"lospn"

@@ -282,6 +282,42 @@ let test_corrupt_disk_entry_recompiles () =
       check tint "no disk hit" 0 k.Compiler.disk_hits;
       check tbool "recompiled outputs bit-identical" true (first = second))
 
+(* An entry that another build wrote for the same key (its format tag
+   digests other sources) is a stale miss: the compile runs the pipeline
+   and replaces the entry, which is dropped quietly, not quarantined. *)
+let test_other_format_tag_recompiles () =
+  with_tmp_dir (fun dir ->
+      let options = disk_options dir in
+      let model = small_model () in
+      Compiler.reset_kernel_cache ();
+      let first = Compiler.execute (Compiler.compile ~options model) small_rows in
+      let kc = opened dir in
+      let key =
+        match Kcache.entry_keys kc with
+        | [ k ] -> k
+        | keys -> Alcotest.failf "expected one entry, found %d" (List.length keys)
+      in
+      (* the hand-kept tag of earlier builds, over a payload that is not
+         this build's layout *)
+      Kcache.store kc ~fmt:("spnc-compiled-v5/" ^ Sys.ocaml_version) ~key
+        (Marshal.to_string (42, "stale") []);
+      Kcache.reset_counters_for_tests ();
+      Compiler.reset_kernel_cache ();
+      let second = Compiler.execute (Compiler.compile ~options model) small_rows in
+      let k = Compiler.cache_counters () in
+      check tint "stale tag forces a recompile" 1 k.Compiler.full_compiles;
+      check tint "no disk hit" 0 k.Compiler.disk_hits;
+      let kk = Kcache.counters () in
+      check tint "a counted miss" 1 kk.Kcache.misses;
+      check tint "not corrupt" 0 kk.Kcache.corrupt;
+      check tint "nothing quarantined" 0 (Kcache.quarantined_count kc);
+      check tbool "recompiled outputs bit-identical" true (first = second);
+      (* the stale entry gave way to this build's *)
+      Compiler.reset_kernel_cache ();
+      ignore (Compiler.compile ~options model);
+      check tint "the republished entry is a disk hit" 1
+        (Compiler.cache_counters ()).Compiler.disk_hits)
+
 let test_runtime_knobs_share_disk_entry () =
   with_tmp_dir (fun dir ->
       let options = disk_options dir in
@@ -323,6 +359,8 @@ let suite =
       test_disk_hit_skips_pipeline;
     Alcotest.test_case "compiler: corrupt entry recompiles transparently"
       `Quick test_corrupt_disk_entry_recompiles;
+    Alcotest.test_case "compiler: another build's tag is a stale miss" `Quick
+      test_other_format_tag_recompiles;
     Alcotest.test_case "compiler: runtime-only knobs share the entry" `Quick
       test_runtime_knobs_share_disk_entry;
   ]

@@ -510,6 +510,8 @@ let test_loc_roundtrip () =
 
 (* -- Pass instrumentation ---------------------------------------------------- *)
 
+let cse_pass = Pass.make "cse" Cse.run
+
 (* --print-ir-after-change must stay silent across a pass that does not
    touch the IR, and must produce a diff when one does. *)
 let test_print_after_change_silent_when_unchanged () =
@@ -529,11 +531,32 @@ let test_print_after_change_silent_when_unchanged () =
     (run_with Pass.Print_after_change [ identity ]);
   (* the same module has no CSE opportunity either — still silent *)
   check tstr "cse without duplicates dumps nothing" ""
-    (run_with Pass.Print_after_change [ Pass.cse_pass ]);
+    (run_with Pass.Print_after_change [ cse_pass ]);
   (* after-all always dumps, and labels the unchanged pass as such *)
   let dump = run_with Pass.Print_after_all [ identity ] in
   check tbool "after-all dumps even without change" true
     (Astring_contains.contains dump "IR Dump After identity (no change)")
+
+(* A pass that rebuilds an identical module is [changed] (it returned a
+   different module) but prints no diff: the instrument compares text. *)
+let test_print_after_change_silent_on_identical_rebuild () =
+  let m, _ = simple_module () in
+  let rebuild =
+    Pass.make "rebuild" (fun m ->
+        { m with Ir.mops = List.map Fun.id m.Ir.mops })
+  in
+  let identity = Pass.make "identity" Fun.id in
+  let buf = Buffer.create 256 in
+  let fmt = Format.formatter_of_buffer buf in
+  let instr = Pass.instrument ~out:fmt Pass.Print_after_change in
+  (match Pass.run_pipeline_checked ~instr [ rebuild; identity ] m with
+  | Error f -> Alcotest.failf "pipeline failed in %s" f.Pass.failed_pass
+  | Ok r ->
+      check (Alcotest.list tbool) "rebuild changed, identity did not"
+        [ true; false ]
+        (List.map (fun t -> t.Pass.changed) r.Pass.timings));
+  Format.pp_print_flush fmt ();
+  check tstr "no diff for an identical rebuild" "" (Buffer.contents buf)
 
 let test_print_after_change_emits_diff () =
   Spnc_lospn.Ops.register ();
@@ -548,7 +571,7 @@ let test_print_after_change_emits_diff () =
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
   let instr = Pass.instrument ~out:fmt Pass.Print_after_change in
-  (match Pass.run_pipeline_checked ~instr [ Pass.cse_pass ] m with
+  (match Pass.run_pipeline_checked ~instr [ cse_pass ] m with
   | Ok r ->
       check tint "cse deduped" 2 (Ir.count_ops (fun _ -> true) r.Pass.modul)
   | Error f -> Alcotest.failf "pipeline failed in %s" f.Pass.failed_pass);
@@ -600,17 +623,57 @@ let test_constfold_emits_remark () =
 let test_pass_manager_timing () =
   let m, _ = simple_module () in
   let p1 = Pass.make "identity" Fun.id in
-  let r = Pass.run_pipeline [ p1; Pass.cse_pass; Pass.dce_pass ] m in
-  check tint "three timings" 3 (List.length r.Pass.timings);
-  check tbool "total nonnegative" true (Pass.total_seconds r >= 0.0)
+  let dce = Pass.make "dce" Rewrite.dce in
+  match Pass.run_pipeline_checked [ p1; cse_pass; dce ] m with
+  | Error f -> Alcotest.failf "pipeline failed in %s" f.Pass.failed_pass
+  | Ok r ->
+      check (Alcotest.list tstr) "one timing per pass, named by it"
+        [ "identity"; "cse"; "dce" ]
+        (List.map (fun t -> t.Pass.timing.Pass.stage) r.Pass.timings);
+      List.iter
+        (fun t ->
+          check tbool "seconds nonnegative" true
+            (t.Pass.timing.Pass.seconds >= 0.0))
+        r.Pass.timings
 
 let test_pass_manager_error () =
   let m, _ = simple_module () in
   let failing = Pass.make_fallible "boom" (fun _ -> Error "nope") in
-  match Pass.run_pipeline [ failing ] m with
-  | exception Pass.Pipeline_error ("boom", "nope") -> ()
-  | exception _ -> Alcotest.fail "wrong error"
-  | _ -> Alcotest.fail "expected failure"
+  match Pass.run_pipeline_checked [ failing ] m with
+  | Error f ->
+      check tstr "failing pass" "boom" f.Pass.failed_pass;
+      check tstr "message" "nope" f.Pass.diag.Pass.Diag.message
+  | Ok _ -> Alcotest.fail "expected failure"
+
+(* Each pass's row carries the collector's view of that pass alone: a
+   pass that allocates a large float array shows it as direct major-heap
+   words, one that allocates 30,000 words of small blocks shows them as
+   minor words (OCaml 5.1's [Gc.counters] would read about 3,750). *)
+let test_pass_timings_gc_columns () =
+  let m, _ = simple_module () in
+  let big =
+    Pass.make "big" (fun m ->
+        ignore (Sys.opaque_identity (Array.make 100_000 0.0));
+        m)
+  in
+  let small =
+    Pass.make "small" (fun m ->
+        ignore (Sys.opaque_identity (List.init 10_000 (fun i -> i)));
+        m)
+  in
+  match Pass.run_pipeline_checked [ big; small ] m with
+  | Error f -> Alcotest.failf "pipeline failed in %s" f.Pass.failed_pass
+  | Ok r -> (
+      match List.map (fun t -> t.Pass.timing) r.Pass.timings with
+      | [ b; s ] ->
+          check tbool "big: direct major words" true
+            (b.Pass.direct_words >= 100_000.0);
+          check tbool "small: minor words" true (s.Pass.minor_words >= 20_000.0);
+          check tbool "small: no direct major words" true
+            (s.Pass.direct_words < 1_000.0);
+          check tbool "collections nonnegative" true
+            (b.Pass.minor_collections >= 0 && s.Pass.minor_collections >= 0)
+      | _ -> Alcotest.fail "expected two timings")
 
 let suite =
   [
@@ -641,10 +704,14 @@ let suite =
     Alcotest.test_case "loc print/parse roundtrip" `Quick test_loc_roundtrip;
     Alcotest.test_case "print-after-change silent when unchanged" `Quick
       test_print_after_change_silent_when_unchanged;
+    Alcotest.test_case "print-after-change silent on an identical rebuild"
+      `Quick test_print_after_change_silent_on_identical_rebuild;
     Alcotest.test_case "print-after-change emits diff" `Quick
       test_print_after_change_emits_diff;
     Alcotest.test_case "constfold emits remark" `Quick
       test_constfold_emits_remark;
     Alcotest.test_case "pass manager timing" `Quick test_pass_manager_timing;
     Alcotest.test_case "pass manager error" `Quick test_pass_manager_error;
+    Alcotest.test_case "pass timings carry the GC columns" `Quick
+      test_pass_timings_gc_columns;
   ]

@@ -19,17 +19,29 @@ let hispn_source () =
   let m = Spnc_hispn.From_model.translate model in
   (model, Printer.modul_to_string m)
 
+(* Drive a textual pipeline; failures come back as their rendered text. *)
+let run ?verify_each ~pipeline src =
+  Result.map_error Pl.run_error_to_string
+    (Pl.run_on_source_checked ?verify_each ~dump_policy:Pass.No_dump ~pipeline src)
+
 let test_pass_resolution () =
+  (* every name [--list-passes] shows resolves, with its default argument *)
+  let listed =
+    List.map
+      (fun s -> List.hd (String.split_on_char '[' s))
+      (Pl.available ())
+  in
   List.iter
     (fun name ->
       match Pl.pass_of_name name with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "pass %s: %s" name e)
-    [
-      "verify"; "canonicalize"; "cse"; "dce"; "constfold"; "lower-to-lospn";
-      "lospn-partition=500"; "lospn-bufferize"; "lospn-buffer-opt"; "cpu-lower";
-      "cpu-lower-vectorized=4"; "gpu-lower=128"; "gpu-copy-opt";
-    ]
+    ([
+       "verify"; "canonicalize"; "cse"; "dce"; "constfold"; "lower-to-lospn";
+       "lospn-partition=500"; "lospn-bufferize"; "lospn-buffer-opt"; "cpu-lower";
+       "cpu-lower-vectorized=4"; "gpu-lower=128"; "gpu-copy-opt";
+     ]
+    @ listed)
 
 let test_unknown_pass_rejected () =
   (match Pl.pass_of_name "frobnicate" with
@@ -47,7 +59,7 @@ let test_parse_pipeline () =
 let test_run_on_source_full_cpu () =
   let _, src = hispn_source () in
   match
-    Pl.run_on_source ~verify_each:true
+    run ~verify_each:true
       ~pipeline:
         "verify,canonicalize,lower-to-lospn,lospn-partition=25,lospn-bufferize,lospn-buffer-opt,cpu-lower,verify"
       src
@@ -63,7 +75,7 @@ let test_run_on_source_full_cpu () =
 let test_run_on_source_gpu () =
   let _, src = hispn_source () in
   match
-    Pl.run_on_source
+    run
       ~pipeline:
         "lower-to-lospn,lospn-bufferize,lospn-buffer-opt,gpu-lower=32,gpu-copy-opt,verify"
       src
@@ -78,7 +90,7 @@ let test_pipeline_semantics_via_text () =
      with the reference evaluator *)
   let model, src = hispn_source () in
   match
-    Pl.run_on_source ~pipeline:"canonicalize,lower-to-lospn,lospn-bufferize,lospn-buffer-opt"
+    run ~pipeline:"canonicalize,lower-to-lospn,lospn-bufferize,lospn-buffer-opt"
       src
   with
   | Error e -> Alcotest.fail e
@@ -104,20 +116,20 @@ let test_pipeline_semantics_via_text () =
         rows
 
 let test_parse_error_reported () =
-  match Pl.run_on_source ~pipeline:"verify" "this is not IR" with
+  match run ~pipeline:"verify" "this is not IR" with
   | Error e -> check tbool "mentions parse" true (Astring_contains.contains e "error")
   | Ok _ -> Alcotest.fail "garbage accepted"
 
 let test_pipeline_failure_reported () =
   (* bufferizing a module with no kernel fails cleanly *)
   let src = "module @m {\n}\n" in
-  match Pl.run_on_source ~pipeline:"lospn-bufferize,verify" src with
+  match run ~pipeline:"lospn-bufferize,verify" src with
   | Ok _ -> ()  (* empty module: nothing to bufferize is fine *)
   | Error _ -> ()
 
 let test_timings_present () =
   let _, src = hispn_source () in
-  match Pl.run_on_source ~pipeline:"canonicalize,cse,dce" src with
+  match run ~pipeline:"canonicalize,cse,dce" src with
   | Error e -> Alcotest.fail e
   | Ok result -> check tint "three timings" 3 (List.length result.Pass.timings)
 

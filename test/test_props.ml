@@ -260,10 +260,11 @@ let test_verify_each_attributes_breakage () =
   let breaking =
     Pass.make "break-ir" (fun m -> { m with Ir.mops = List.tl m.Ir.mops })
   in
-  match Pass.run_pipeline ~verify_each:true [ Pass.cse_pass; breaking ] m with
-  | exception Pass.Pipeline_error ("break-ir", _) -> ()
-  | exception e -> Alcotest.failf "wrong error: %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "breakage not caught"
+  match
+    Pass.run_pipeline_checked ~verify_each:true [ Pass.make "cse" Cse.run; breaking ] m
+  with
+  | Error f -> Alcotest.(check string) "blamed pass" "break-ir" f.Pass.failed_pass
+  | Ok _ -> Alcotest.fail "breakage not caught"
 
 (* -- canonicalize is a fixpoint ------------------------------------------------------ *)
 

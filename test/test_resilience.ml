@@ -69,11 +69,14 @@ let breaking_pass =
 
 let throwing_pass = Pass.make "throw" (fun _ -> failwith "kaboom from pass")
 
+(* a pass from the table, as a pipeline names it *)
+let named name = Result.get_ok (Spnc.Pipelines.pass_of_name name)
+
 let test_checked_verifier_blames_pass () =
   let m = small_module () in
   match
     Pass.run_pipeline_checked ~verify_each:true ~dump_policy:Pass.No_dump
-      [ Pass.canonicalize_pass; breaking_pass ]
+      [ named "canonicalize"; breaking_pass ]
       m
   with
   | Ok _ -> Alcotest.fail "expected a pipeline failure"
@@ -92,7 +95,7 @@ let test_checked_verifier_blames_pass () =
          only the verifier after it failed — so both are on the ledger *)
       check (Alcotest.list tstr) "passes timed before the failure"
         [ "canonicalize"; "break-ssa" ]
-        (List.map (fun t -> t.Pass.pass_name) f.Pass.partial_timings)
+        (List.map (fun t -> t.Pass.timing.Pass.stage) f.Pass.partial_timings)
 
 let test_checked_captures_exception () =
   Printexc.record_backtrace true;
@@ -135,13 +138,47 @@ let test_checked_writes_bundle () =
   (* cleanup *)
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
-let test_legacy_pipeline_error () =
+(* A pipeline naming one pass twice fails at the second occurrence: the
+   replay starts there, not at the first. *)
+let test_replay_from_failing_repeat () =
   let m = small_module () in
-  match Pass.run_pipeline [ throwing_pass ] m with
-  | exception Pass.Pipeline_error (pass, msg) ->
-      check tstr "pass name" "throw" pass;
-      check tbool "message" true (Astring_contains.contains msg "kaboom")
-  | _ -> Alcotest.fail "expected Pipeline_error"
+  match
+    Pass.run_pipeline_checked
+      [ named "verify"; named "canonicalize"; breaking_pass; named "verify" ]
+      m
+  with
+  | Ok _ -> Alcotest.fail "expected a pipeline failure"
+  | Error f ->
+      check tstr "failing pass" "verify" f.Pass.failed_pass;
+      check tstr "replay pipeline" "verify" f.Pass.replay_pipeline;
+      check (Alcotest.list tstr) "passes timed before the failure"
+        [ "verify"; "canonicalize"; "break-ssa" ]
+        (List.map (fun t -> t.Pass.timing.Pass.stage) f.Pass.partial_timings)
+
+(* The snapshot is the failing pass's input, printed: byte for byte what
+   the printer gives for the module that pass was handed. *)
+let test_ir_before_is_the_failing_input () =
+  let m = small_module () in
+  let seen = ref None in
+  let failing =
+    Pass.make_fallible "spy-fail" (fun m ->
+        seen := Some m;
+        Error "refused")
+  in
+  match
+    Pass.run_pipeline_checked
+      [ named "canonicalize"; named "cse"; breaking_pass; failing ]
+      m
+  with
+  | Ok _ -> Alcotest.fail "expected a pipeline failure"
+  | Error f -> (
+      check tstr "failing pass" "spy-fail" f.Pass.failed_pass;
+      match !seen with
+      | None -> Alcotest.fail "the failing pass never ran"
+      | Some input ->
+          check tstr "ir_before = printed input"
+            (Spnc_mlir.Printer.modul_to_string input)
+            f.Pass.ir_before)
 
 (* Compile with the stage's [compile.<stage>] fault point firing every
    time; the kernel cache is off so the pipeline really runs. *)
@@ -464,8 +501,10 @@ let suite =
       test_checked_captures_exception;
     Alcotest.test_case "pass: failure writes a reproducer bundle" `Quick
       test_checked_writes_bundle;
-    Alcotest.test_case "pass: legacy Pipeline_error preserved" `Quick
-      test_legacy_pipeline_error;
+    Alcotest.test_case "pass: replay starts at the failing repeat" `Quick
+      test_replay_from_failing_repeat;
+    Alcotest.test_case "pass: ir_before is the failing pass's input" `Quick
+      test_ir_before_is_the_failing_input;
     Alcotest.test_case "compiler: stage fault point isolated" `Quick
       test_stage_fault_isolated;
     Alcotest.test_case "guard: Fail policy raises" `Quick test_guard_fail;
