@@ -386,7 +386,6 @@ let () =
       (W.cpu_avx2 ()) with
       Options.threads = !sustained_threads;
       use_kernel_cache = false;
-      profile = true;
       (* -O3 so the FMA-fusion rewrites fire and the remark stream shows
          what the optimizer did to this kernel; the capture pass is off
          the timed path, so the extra pipeline work costs nothing *)

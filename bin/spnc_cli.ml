@@ -239,18 +239,6 @@ let options_term =
             "Runtime worker threads; 0 (or negative) auto-detects from the \
              available cores.")
   in
-  let sched =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("static", Spnc.Options.Static); ("stealing", Spnc.Options.Stealing) ])
-          Spnc.Options.Stealing
-      & info [ "sched" ]
-          ~doc:
-            "Parallel chunk scheduler: stealing (work-stealing deques, \
-             default) or static (fixed contiguous blocks).")
-  in
   let streams =
     Arg.(
       value & opt int 1
@@ -395,7 +383,7 @@ let options_term =
              --smith-explore); $(b,--passorder) wins when both are given.")
   in
   let build target vectorize no_veclib no_shuffle opt_level partition batch block
-      marginal threads sched streams engine no_kernel_cache kernel_cache_dir
+      marginal threads streams engine no_kernel_cache kernel_cache_dir
       kernel_cache_mb deadline_ms exec_retries machine veclib output_guard
       no_gpu_fallback passorder passorder_file =
     {
@@ -418,8 +406,7 @@ let options_term =
       batch_size = batch;
       block_size = block;
       support_marginal = marginal;
-      threads = Spnc.Options.normalize_threads threads;
-      sched;
+      threads = Spnc_runtime.Exec.normalize_threads threads;
       streams = max 1 streams;
       engine;
       use_kernel_cache = not no_kernel_cache;
@@ -435,7 +422,7 @@ let options_term =
   in
   Term.(
     const build $ target $ vectorize $ no_veclib $ no_shuffle $ opt_level
-    $ partition $ batch $ block $ marginal $ threads $ sched $ streams $ engine
+    $ partition $ batch $ block $ marginal $ threads $ streams $ engine
     $ no_kernel_cache $ kernel_cache_dir $ kernel_cache_mb $ deadline_ms
     $ exec_retries $ machine $ veclib $ output_guard $ no_gpu_fallback
     $ passorder $ passorder_file)
@@ -542,7 +529,7 @@ let compile path options dump_ptx verbose obs =
   with_obs obs @@ fun () ->
   let model = Spnc_spn.Serialize.read_model path in
   let c = Spnc.Compiler.compile ~options model in
-  Fmt.pr "model: %a@." Spnc_spn.Stats.pp c.Spnc.Compiler.model_stats;
+  Fmt.pr "model: %a@." Spnc_spn.Stats.pp (Spnc_spn.Stats.compute model);
   Fmt.pr "options: %a@." Spnc.Options.pp options;
   Fmt.pr "datatype: %s (worst log2 magnitude %.1f)@."
     (if c.Spnc.Compiler.datatype.Spnc_lospn.Lower_hispn.use_log_space then
@@ -586,7 +573,6 @@ let compile_cmd =
 let run path options rows seed verify verbose profile tuned_config autotune obs =
   guarded @@ fun () ->
   with_obs obs @@ fun () ->
-  let options = { options with Spnc.Options.profile = profile <> None } in
   let options =
     match tuned_config with
     | None -> options

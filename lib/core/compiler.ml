@@ -56,7 +56,6 @@ type gpu_artifact = {
 type artifact = Cpu_kernel of cpu_artifact | Gpu_kernel of gpu_artifact
 
 type compiled = {
-  model_stats : Spnc_spn.Stats.t;
   options : Options.t;
   timings : timing list;
   lospn : Ir.modul;  (** final bufferized LoSPN (diagnostics) *)
@@ -117,7 +116,6 @@ type stored_artifact =
   | Stored_gpu of gpu_artifact
 
 type stored = {
-  s_model_stats : Spnc_spn.Stats.t;
   s_timings : timing list;
   s_lospn : Ir.modul;
   s_out_cols : int;
@@ -129,7 +127,6 @@ type stored = {
 let compiled_of_stored ~(options : Options.t) ?(diags = []) (s : stored) :
     compiled =
   {
-    model_stats = s.s_model_stats;
     options;
     timings = s.s_timings;
     lospn = s.s_lospn;
@@ -300,7 +297,6 @@ let compile_full ~(options : Options.compile) (model : Spnc_spn.Model.t) :
             (build_cpu (), [ warn ]))
   in
   ( {
-      s_model_stats = Spnc_spn.Stats.compute model;
       s_timings = List.rev !timings;
       s_lospn = lo;
       s_out_cols = out_cols;
@@ -503,7 +499,8 @@ let force_jit (cell : jit_cell) =
     handle for a CPU artifact: JIT closures forced (once, through the
     retryable cell shared by every caller of this cached artifact),
     worker pool wired up (the process-wide {!Spnc_runtime.Pool.global}
-    unless [?pool] is given), chunking/scheduling knobs taken from
+    unless [?pool] is given; it grows in place when [c.options] asks
+    for more threads than it has), chunking knobs taken from
     [c.options].  Loading is the per-call cost {!execute} used to pay on
     every invocation; a server holds the returned handle hot and
     amortizes it across the artifact's lifetime (the {!Spnc_serve}
@@ -541,7 +538,7 @@ let load_exec ?pool ?profile (c : compiled) : Spnc_runtime.Exec.t =
             else None
       in
       Spnc_runtime.Exec.load ~batch_size:c.options.Options.batch_size ~threads
-        ~engine ?jit:jk ?profile ~sched:c.options.Options.sched ?pool
+        ~engine ?jit:jk ?profile ?pool
         ~out_cols:c.out_cols lir
 
 (** [execute c rows] — run the compiled kernel on row-major samples and

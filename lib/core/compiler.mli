@@ -54,7 +54,6 @@ type gpu_artifact = {
 type artifact = Cpu_kernel of cpu_artifact | Gpu_kernel of gpu_artifact
 
 type compiled = {
-  model_stats : Spnc_spn.Stats.t;
   options : Options.t;
   timings : timing list;  (** per-stage wall-clock, in pipeline order *)
   lospn : Ir.modul;  (** final bufferized LoSPN (diagnostics) *)

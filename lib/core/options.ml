@@ -10,11 +10,6 @@ type target = Cpu | Gpu
 
 let target_to_string = function Cpu -> "cpu" | Gpu -> "gpu"
 
-type sched = Spnc_runtime.Pool.sched = Static | Stealing
-
-let sched_to_string = Spnc_runtime.Pool.sched_to_string
-let sched_of_string = Spnc_runtime.Pool.sched_of_string
-
 (* Declared before [t]: an unannotated label shared by both records
    resolves to [t], as it did before [compile] existed. *)
 type compile = {
@@ -53,13 +48,11 @@ type t = {
   base_type : Spnc_mlir.Types.t;
   support_marginal : bool;
   threads : int;
-  sched : sched;
   streams : int;
   engine : Spnc_cpu.Jit.engine;
   use_kernel_cache : bool;
   kernel_cache_dir : string option;
   kernel_cache_mb : int;
-  profile : bool;
   output_guard : Spnc_resilience.Guard.policy;
   gpu_fallback : bool;
   deadline_ms : float option;
@@ -90,13 +83,11 @@ let default =
     base_type = Spnc_mlir.Types.F32;
     support_marginal = false;
     threads = 1;
-    sched = Stealing;
     streams = 1;
     engine = Spnc_cpu.Jit.Jit;
     use_kernel_cache = true;
     kernel_cache_dir = None;
     kernel_cache_mb = 256;
-    profile = false;
     output_guard = Spnc_resilience.Guard.Warn;
     gpu_fallback = true;
     deadline_ms = None;
@@ -130,14 +121,7 @@ let cpu_lower_options (k : compile) : Spnc_cpu.Lower_cpu.options =
       && (match k.isa with M.AVX2 | M.AVX512 -> true | _ -> false);
   }
 
-(* [threads <= 0] means auto-detect; clamp explicit requests to something
-   a shared host survives.  The runtime layer applies the same rule, but
-   normalizing here keeps CLI output and pool sizing consistent. *)
-let normalize_threads n =
-  if n <= 0 then max 1 (min 64 (Domain.recommended_domain_count ()))
-  else min n 256
-
-let effective_threads (t : t) = normalize_threads t.threads
+let effective_threads (t : t) = Spnc_runtime.Exec.normalize_threads t.threads
 
 (* -- The compile key --------------------------------------------------------- *)
 
@@ -149,9 +133,9 @@ let compile_of (t : t) : compile =
         opt_level; lospn_opt_order; max_partition_size; block_size; space;
         base_type; support_marginal; gpu_fallback;
         (* the runtime reads these from the caller's options *)
-        gpu = _; batch_size = _; threads = _; sched = _; streams = _;
-        engine = _; use_kernel_cache = _; kernel_cache_dir = _;
-        kernel_cache_mb = _; profile = _; output_guard = _; deadline_ms = _;
+        gpu = _; batch_size = _; threads = _; streams = _; engine = _;
+        use_kernel_cache = _; kernel_cache_dir = _; kernel_cache_mb = _;
+        output_guard = _; deadline_ms = _;
         exec_retries = _; serve_max_batch = _; serve_queue_cap = _;
         serve_global_queue_cap = _; serve_engines_cap = _;
         serve_dispatchers = _; serve_starvation_ms = _ } =
@@ -296,24 +280,24 @@ let pp ppf (t : t) =
         use_gather_tables = _; opt_level = _; lospn_opt_order = _;
         max_partition_size = _; block_size = _; space = _; base_type = _;
         support_marginal = _; gpu_fallback = _;
-        machine; gpu; batch_size; threads; sched; streams; engine;
-        use_kernel_cache; kernel_cache_dir; kernel_cache_mb; profile;
-        output_guard; deadline_ms; exec_retries; serve_max_batch;
-        serve_queue_cap; serve_global_queue_cap; serve_engines_cap;
-        serve_dispatchers; serve_starvation_ms } =
+        machine; gpu; batch_size; threads; streams; engine;
+        use_kernel_cache; kernel_cache_dir; kernel_cache_mb; output_guard;
+        deadline_ms; exec_retries; serve_max_batch; serve_queue_cap;
+        serve_global_queue_cap; serve_engines_cap; serve_dispatchers;
+        serve_starvation_ms } =
     t
   in
   let opt f = function None -> "none" | Some x -> f x in
   Fmt.pf ppf
-    "%s machine=%S gpu=%S batch=%d threads=%d sched=%s streams=%d engine=%s \
-     cache=%b cache_dir=%s cache_mb=%d profile=%b guard=%s deadline_ms=%s \
+    "%s machine=%S gpu=%S batch=%d threads=%d streams=%d engine=%s \
+     cache=%b cache_dir=%s cache_mb=%d guard=%s deadline_ms=%s \
      retries=%d serve_batch=%d serve_queue=%d serve_global_queue=%d \
      serve_engines=%d serve_dispatchers=%d serve_starvation_ms=%g"
     (fingerprint (compile_of t))
-    machine.M.cpu_name gpu.M.gpu_name batch_size (normalize_threads threads)
-    (sched_to_string sched) streams
+    machine.M.cpu_name gpu.M.gpu_name batch_size
+    (Spnc_runtime.Exec.normalize_threads threads) streams
     (Spnc_cpu.Jit.engine_to_string engine)
-    use_kernel_cache (opt Fun.id kernel_cache_dir) kernel_cache_mb profile
+    use_kernel_cache (opt Fun.id kernel_cache_dir) kernel_cache_mb
     (Spnc_resilience.Guard.policy_to_string output_guard)
     (opt (Printf.sprintf "%g") deadline_ms)
     exec_retries serve_max_batch serve_queue_cap serve_global_queue_cap

@@ -14,12 +14,6 @@ type target = Cpu | Gpu
 
 val target_to_string : target -> string
 
-(** Parallel chunk scheduler — re-export of {!Spnc_runtime.Pool.sched}. *)
-type sched = Spnc_runtime.Pool.sched = Static | Stealing
-
-val sched_to_string : sched -> string
-val sched_of_string : string -> sched option
-
 (** Exactly what {!Compiler} reads to build a kernel: two option sets
     with equal [compile_of] build the same kernel.  Fields mean what the
     same-named fields of {!t} mean. *)
@@ -65,7 +59,6 @@ type t = {
   base_type : Spnc_mlir.Types.t;  (** computation base type: F32 or F64 *)
   support_marginal : bool;
   threads : int;  (** runtime worker domains; [<= 0] means auto *)
-  sched : sched;  (** parallel chunk scheduler (docs/PERFORMANCE.md §4) *)
   streams : int;
       (** GPU stream chunks for transfer/compute overlap; 1 = monolithic
           schedule (docs/PERFORMANCE.md §5) *)
@@ -80,11 +73,6 @@ type t = {
           [None] keeps the cache memory-only *)
   kernel_cache_mb : int;
       (** on-disk cache size budget in megabytes (LRU-evicted) *)
-  profile : bool;
-      (** per-SPN-node execution profiling: count every executed Lir
-          instruction into (node, opcode) cells via register provenance
-          (docs/OBSERVABILITY.md); the default execution path is
-          untouched when off *)
   (* resilience knobs (docs/RESILIENCE.md) *)
   output_guard : Spnc_resilience.Guard.policy;
       (** NaN/±inf/log-underflow policy on kernel outputs *)
@@ -128,12 +116,8 @@ val best_gpu : ?gpu:M.gpu -> unit -> t
     veclib availability, gather-table eligibility). *)
 val cpu_lower_options : compile -> Spnc_cpu.Lower_cpu.options
 
-(** [normalize_threads n] — resolve a thread-count request: [n <= 0]
-    means auto ([Domain.recommended_domain_count], clamped to [1..64]);
-    positive values are clamped to 256. *)
-val normalize_threads : int -> int
-
-(** [effective_threads t] = [normalize_threads t.threads]. *)
+(** [effective_threads t] — [t.threads] resolved by
+    {!Spnc_runtime.Exec.normalize_threads}. *)
 val effective_threads : t -> int
 
 (** {2 The compile key} *)

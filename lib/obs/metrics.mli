@@ -7,7 +7,7 @@
 
     Naming convention: dot-separated, layer-first —
     ["compiler.cache.hits"], ["runtime.exec.call_seconds"],
-    ["runtime.pool.steals"]. *)
+    ["runtime.pool.rounds"]. *)
 
 type counter
 type gauge

@@ -8,7 +8,7 @@
     process these chunks in parallel."  The user-provided batch size is
     an optimization hint and an upper bound on the chunk size; when
     running parallel, {!chunk_plan} shrinks chunks toward ~4 per worker
-    (oversubscription so work stealing has slack to rebalance).  A
+    (oversubscription, so a slow chunk is absorbed by the others).  A
     vectorized kernel has no scalar epilogue (DESIGN.md §4), so chunks
     are whole multiples of its SIMD width, and {!run_chunk} pads a
     segment's last, partial chunk with copies of its last real row.
@@ -84,7 +84,6 @@ type t = {
   out_cols : int;  (** slots per sample in the kernel output buffer *)
   batch_size : int;  (** chunk size hint / upper bound *)
   threads : int;
-  sched : Pool.sched;
   width : int;  (** SIMD width: every kernel call sees a multiple of it *)
   pool : Pool.t option;  (** worker pool iff [threads > 1] *)
   owns_pool : bool;  (** [shutdown] tears the pool down iff set *)
@@ -94,25 +93,27 @@ type t = {
           one [t] must serialize *)
 }
 
-let auto_threads () = max 1 (min 64 (Domain.recommended_domain_count ()))
+let normalize_threads n =
+  if n <= 0 then max 1 (min 64 (Domain.recommended_domain_count ()))
+  else min n 256
 
 let chunk_plan ~rows ~threads ~batch_size ~width =
   let width = max 1 width in
   let chunk =
     if rows <= 0 || threads <= 1 then batch_size
     else
-      (* ~4x oversubscription: aim for four chunks per worker so stealing
-         has slack to rebalance skewed chunk costs, but never exceed the
-         user's batch-size hint *)
+      (* ~4x oversubscription: aim for four chunks per worker so the
+         shared claim counter can even out skewed chunk costs, but never
+         exceed the user's batch-size hint *)
       min batch_size ((rows + (threads * 4) - 1) / (threads * 4))
   in
   (* whole SIMD groups, so only a segment's last chunk is ever padded *)
   max width (chunk / width * width)
 
 let load ?(batch_size = 4096) ?(threads = 1) ?(engine = Jit.Jit) ?jit ?profile
-    ?(sched = Pool.Stealing) ?pool ~out_cols kernel =
+    ?pool ~out_cols kernel =
   if batch_size <= 0 then invalid_arg "Exec.load: batch_size must be positive";
-  let threads = if threads <= 0 then auto_threads () else min threads 256 in
+  let threads = normalize_threads threads in
   (* compile eagerly (and on the caller's domain): Jit.kernel is immutable
      and shared by all workers, only the per-worker state is mutable *)
   let jit =
@@ -139,7 +140,6 @@ let load ?(batch_size = 4096) ?(threads = 1) ?(engine = Jit.Jit) ?jit ?profile
     out_cols;
     batch_size;
     threads;
-    sched;
     width =
       Array.fold_left (fun w f -> max w f.Spnc_cpu.Lir.vec_width) 1
         kernel.Spnc_cpu.Lir.funcs;
@@ -382,7 +382,7 @@ let run_segments ?deadline ?(retries = 0) (t : t) ~num_features
                  captured failure and an expired deadline: workers check
                  it before every chunk, so cancellation latency is one
                  chunk, not one round *)
-              Pool.run pool ~sched:t.sched ~workers:t.threads
+              Pool.run pool ~workers:t.threads
                 ~stop:(fun () -> Atomic.get failure <> None || over ())
                 ~num_tasks:n_chunks
                 (fun ~worker i -> process (get_ctx t worker) chunks.(i))

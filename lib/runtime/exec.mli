@@ -26,17 +26,15 @@
 
 type t
 
-(** [load ?batch_size ?threads ?engine ?jit ?sched ?pool ~out_cols
-    kernel] prepares a kernel whose output buffer has [out_cols] slots
-    per sample (slot 0 is the query result).  The SIMD width is the
-    kernel's own: the largest [vec_width] of its functions.
+(** [load ?batch_size ?threads ?engine ?jit ?pool ~out_cols kernel]
+    prepares a kernel whose output buffer has [out_cols] slots per
+    sample (slot 0 is the query result).  The SIMD width is the kernel's
+    own: the largest [vec_width] of its functions.
 
-    [threads <= 0] means auto: [Domain.recommended_domain_count],
-    clamped to [1..64]; positive values are clamped to 256.  [engine]
-    picks the execution engine (default {!Spnc_cpu.Jit.Jit}, the closure
+    [threads] is resolved by {!normalize_threads}.  [engine] picks the
+    execution engine (default {!Spnc_cpu.Jit.Jit}, the closure
     compiler); pass [?jit] to reuse an already-compiled
     {!Spnc_cpu.Jit.kernel} (e.g. from the compiler's kernel cache).
-    [sched] picks the parallel scheduler (default {!Pool.Stealing}).
     When [threads > 1] the kernel either uses the caller-provided [?pool]
     (shared; never shut down by {!shutdown}) or creates its own (torn
     down by {!shutdown}).
@@ -54,7 +52,6 @@ val load :
   ?engine:Spnc_cpu.Jit.engine ->
   ?jit:Spnc_cpu.Jit.kernel ->
   ?profile:Spnc_cpu.Profile.t ->
-  ?sched:Pool.sched ->
   ?pool:Pool.t ->
   out_cols:int ->
   Spnc_cpu.Lir.modul ->
@@ -71,14 +68,16 @@ val shutdown : t -> unit
 val chunk_plan : rows:int -> threads:int -> batch_size:int -> width:int -> int
 (** The adaptive chunk size used by [execute]: [batch_size] when
     single-threaded, otherwise [min batch_size (ceil (rows / (threads * 4)))]
-    — ~4 chunks per worker so work stealing has slack — rounded down to
-    a multiple of the SIMD [width] and floored at it ([width] is clamped
-    to at least 1).  Only a segment's last chunk can then be partial.
+    — ~4 chunks per worker, so a slow chunk is absorbed by the others —
+    rounded down to a multiple of the SIMD [width] and floored at it
+    ([width] is clamped to at least 1).  Only a segment's last chunk can
+    then be partial.
     Pure; exposed for tests. *)
 
-val auto_threads : unit -> int
-(** [Domain.recommended_domain_count ()] clamped to [1..64] — the
-    meaning of [threads <= 0]. *)
+val normalize_threads : int -> int
+(** The one thread-count rule: [n <= 0] means auto
+    ([Domain.recommended_domain_count ()], clamped to [1..64]); positive
+    values are clamped to 256. *)
 
 type chunk_error = {
   chunk_lo : int;  (** first sample index of the failing chunk *)

@@ -264,19 +264,17 @@ let model_checks ~config ~rng (p : Smith.program) (model : Spnc_spn.Model.t) =
         (level, out))
       levels
   in
-  (* random engine x threads x sched x batch, bit-identical to the
-     same level's one-thread run *)
+  (* random engine x threads x batch, bit-identical to the same
+     level's one-thread run *)
   for _ = 1 to 4 do
     let level = Rng.choose rng levels in
     let engine = Rng.choose rng Jit.[ Vm; Jit ] in
     let threads = Rng.choose rng [ 2; 3; 4; 8 ] in
-    let sched = Rng.choose rng Options.[ Static; Stealing ] in
     let batch_size = Rng.choose rng [ 1; 3; 5; 8; 16; 32 ] in
     let what =
-      Printf.sprintf "compiler %s-t%d %s sched=%s batch=%d"
+      Printf.sprintf "compiler %s-t%d %s batch=%d"
         (Jit.engine_to_string engine) threads
         (Optimizer.level_to_string level)
-        (Options.sched_to_string sched)
         batch_size
     in
     let out =
@@ -286,7 +284,6 @@ let model_checks ~config ~rng (p : Smith.program) (model : Spnc_spn.Model.t) =
           Options.opt_level = level;
           engine;
           threads;
-          sched;
           batch_size;
         }
     in
@@ -295,7 +292,8 @@ let model_checks ~config ~rng (p : Smith.program) (model : Spnc_spn.Model.t) =
   done;
   (* a variant may have grown the process-wide pool to 8 domains; retire
      it so later cases do not pay for idle domains at every
-     stop-the-world collection *)
+     stop-the-world collection.  No handle on it outlives this case, and
+     the next [Pool.global] creates a fresh pool. *)
   Pool.shutdown (Pool.global ~threads:1);
   (* the GPU simulator: streams 1 against Infer, 2 and 4 bit-identical *)
   let gpu_what streams = Printf.sprintf "gpu streams=%d" streams in

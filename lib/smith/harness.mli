@@ -45,7 +45,7 @@ val check_program :
 (** [check_model ?config p] — only the model-derived checks of
     {!check_program}: [Infer] against the LoSPN interpreter,
     [Compiler.compile]/[execute] at -O0..-O3 within tolerance of [Infer],
-    four random engine × threads × sched × batch variants bit-identical
+    four random engine × threads × batch variants bit-identical
     to the same level's one-thread run, and the GPU simulator (streams
     1 within tolerance, 2 and 4 bit-identical).  [None] for IR-level
     programs. *)

@@ -700,7 +700,7 @@ let tune ?(budget = default_budget) ?(use_profile = true) ?(profile_rows = 64)
       let dropped =
         match feedback with None -> [] | Some f -> f.fb_dropped
       in
-      let stats = ref_c.model_stats in
+      let stats = Spnc_spn.Stats.compute model in
       let space_size = List.length (enumerate ~stats options) in
       let lattice = enumerate ~dropped ~stats options in
       (* Stage 1: compile + cost-model score every surviving point. *)

@@ -316,7 +316,7 @@ let test_exec_load_validation () =
   let t = Exec.load ~threads:0 ~out_cols:1 lir in
   check tbool "threads=0 resolves to >= 1 workers" true (Exec.threads t >= 1);
   check tbool "auto matches the advertised resolution" true
-    (Exec.threads t = Exec.auto_threads ());
+    (Exec.threads t = Exec.normalize_threads 0);
   Exec.shutdown t
 
 (* Feeding a 2-feature kernel 1-feature rows makes the kernel index out

@@ -5,10 +5,11 @@
     kernels, buffer-view semantics, the JIT's column execution against
     the VM around chunk boundaries and under frame reuse, the kernel compilation cache counters, and the
     streaming layer (docs/PERFORMANCE.md §4-§5): persistent-pool domain
-    reuse, work stealing under skewed chunk costs, the adaptive chunk
-    plan, scheduler bit-identity, thread auto-detection, thread-safe
-    compilation/execution, and the GPU stream pipeline's output equality
-    and overlap-ledger accounting. *)
+    reuse, skewed task costs under the shared claim counter, rounds
+    restricted to fewer workers, in-place growth of the shared pool, the
+    adaptive chunk plan, thread-count bit-identity, thread
+    auto-detection, thread-safe compilation/execution, and the GPU
+    stream pipeline's output equality and overlap-ledger accounting. *)
 
 module Lir = Spnc_cpu.Lir
 module Vm = Spnc_cpu.Vm
@@ -741,7 +742,7 @@ let test_driver_engine_parity () =
         base (run engine threads))
     [ (Jit.Vm, 3); (Jit.Jit, 1); (Jit.Jit, 3) ]
 
-(* -- Streaming execution: persistent pool + work stealing --------------------- *)
+(* -- Streaming execution: persistent pool ------------------------------------- *)
 
 (* Loading a kernel spawns the pool's domains once; repeated executes
    must reuse them.  [Pool.total_domains_spawned] is the process-wide
@@ -758,90 +759,98 @@ let test_pool_persists_across_calls () =
     (Pool.total_domains_spawned ());
   Exec.shutdown t
 
-(* Worker 0 owns tasks 0..3 (16 tasks over 4 workers) and, popping its
-   own deque from the bottom, takes task 3 first.  Task 3 then blocks
-   until 0..2 complete — which only a thief can make happen, so the
-   round terminates iff stealing works, and at least 3 steals are
-   guaranteed in every interleaving.  A deadline keeps a broken
-   scheduler from hanging the suite (the assertions then fail). *)
-let test_stealing_rebalances_skewed_costs () =
-  let p = Pool.create ~size:4 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let n = 16 in
-      let runs = Array.init n (fun _ -> Atomic.make 0) in
-      let before = Pool.steal_count p in
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      Pool.run p ~sched:Pool.Stealing ~num_tasks:n (fun ~worker:_ i ->
-          if i = 3 then
-            while
-              (Atomic.get runs.(0) = 0
-              || Atomic.get runs.(1) = 0
-              || Atomic.get runs.(2) = 0)
-              && Unix.gettimeofday () < deadline
-            do
-              Domain.cpu_relax ()
-            done;
-          Atomic.incr runs.(i));
-      Array.iteri
-        (fun i r ->
-          check tint (Printf.sprintf "task %d ran exactly once" i) 1
-            (Atomic.get r))
-        runs;
-      check tbool "skewed round forced steals" true
-        (Pool.steal_count p - before >= 3);
-      (* static rounds on the same pool never steal *)
-      let before_static = Pool.steal_count p in
-      let runs2 = Array.init n (fun _ -> Atomic.make 0) in
-      Pool.run p ~sched:Pool.Static ~num_tasks:n (fun ~worker:_ i ->
-          Atomic.incr runs2.(i));
-      Array.iteri
-        (fun i r ->
-          check tint (Printf.sprintf "static task %d ran exactly once" i) 1
-            (Atomic.get r))
-        runs2;
-      check tint "static round stole nothing" before_static (Pool.steal_count p))
+(* Task 3 blocks until tasks 0..2 are done.  Those are claimed before
+   task 3, and the worker that claims task 3 has finished any of them it
+   ran, so none waits behind task 3: the round ends at once on every
+   pool size.  A scheduler that queued one of them behind task 3 would
+   hit the 10 s deadline, and the assertions fail instead of the suite
+   hanging. *)
+let test_skewed_round_finishes () =
+  List.iter
+    (fun size ->
+      let p = Pool.create ~size in
+      Fun.protect
+        ~finally:(fun () -> Pool.shutdown p)
+        (fun () ->
+          let n = 16 in
+          let runs = Array.init n (fun _ -> Atomic.make 0) in
+          let t0 = Unix.gettimeofday () in
+          let deadline = t0 +. 10.0 in
+          Pool.run p ~num_tasks:n (fun ~worker:_ i ->
+              if i = 3 then
+                while
+                  (Atomic.get runs.(0) = 0
+                  || Atomic.get runs.(1) = 0
+                  || Atomic.get runs.(2) = 0)
+                  && Unix.gettimeofday () < deadline
+                do
+                  Domain.cpu_relax ()
+                done;
+              Atomic.incr runs.(i));
+          check tbool
+            (Printf.sprintf "size %d: round finished well before its deadline"
+               size)
+            true
+            (Unix.gettimeofday () -. t0 < 5.0);
+          Array.iteri
+            (fun i r ->
+              check tint
+                (Printf.sprintf "size %d: task %d ran exactly once" size i)
+                1 (Atomic.get r))
+            runs))
+    [ 2; 3; 4 ]
 
-(* The Obs counters mirror the pool's own bookkeeping: process-wide
-   spawn and steal totals must move in lockstep with
-   [Pool.total_domains_spawned] / [Pool.steal_count] (the Obs counters
-   are process-wide, so deltas — not absolutes — are compared). *)
+(* The Obs counters mirror the pool's own bookkeeping: the spawn metric
+   moves in lockstep with [Pool.total_domains_spawned] and the round
+   metric with the rounds run (the Obs counters are process-wide, so
+   deltas — not absolutes — are compared). *)
 let test_pool_obs_metrics_parity () =
   let obs name =
     Spnc_obs.Metrics.(counter_value (counter name))
   in
   let spawns0 = obs "runtime.pool.spawns" in
-  let steals0 = obs "runtime.pool.steals" in
   let spawned0 = Pool.total_domains_spawned () in
   let p = Pool.create ~size:3 in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown p)
     (fun () ->
+      check tint "pool of 3 spawned 2 domains" 2
+        (Pool.total_domains_spawned () - spawned0);
       check tint "spawn metric mirrors total_domains_spawned"
         (Pool.total_domains_spawned () - spawned0)
         (obs "runtime.pool.spawns" - spawns0);
-      let stolen0 = Pool.steal_count p in
-      (* same skewed round as above: task 3 blocks until a thief runs
-         tasks 0..2, so at least 3 steals are forced *)
-      let n = 12 in
-      let runs = Array.init n (fun _ -> Atomic.make 0) in
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      Pool.run p ~sched:Pool.Stealing ~num_tasks:n (fun ~worker:_ i ->
-          if i = 3 then
-            while
-              (Atomic.get runs.(0) = 0
-              || Atomic.get runs.(1) = 0
-              || Atomic.get runs.(2) = 0)
-              && Unix.gettimeofday () < deadline
-            do
-              Domain.cpu_relax ()
-            done;
-          Atomic.incr runs.(i));
-      let pool_steals = Pool.steal_count p - stolen0 in
-      check tbool "round forced steals" true (pool_steals >= 3);
-      check tint "steal metric mirrors the pool's own count" pool_steals
-        (obs "runtime.pool.steals" - steals0))
+      let rounds0 = obs "runtime.pool.rounds" in
+      for _ = 1 to 5 do
+        Pool.run p ~num_tasks:12 (fun ~worker:_ _ -> ())
+      done;
+      Pool.run p ~num_tasks:0 (fun ~worker:_ _ -> ());
+      check tint "round metric counts the non-empty rounds" 5
+        (obs "runtime.pool.rounds" - rounds0))
+
+(* The bug this pins: growing the shared pool used to shut the old pool
+   down and create a bigger one, so every handle [Compiler.load_exec]
+   had built on the old pool failed each later call with "pool is shut
+   down".  Growth is in place: it spawns exactly the missing workers,
+   and the narrow handle keeps returning the same bits. *)
+let test_global_pool_grows_in_place () =
+  let m = Lazy.force small_model in
+  let rows = 2000 in
+  let flat = Array.init (rows * 2) (fun i -> float_of_int (i mod 37) /. 9.0) in
+  let base = Pool.size (Pool.global ~threads:1) in
+  let handle threads =
+    Compiler.load_exec
+      (Compiler.compile ~options:{ Options.default with threads } m)
+  in
+  let run t = Exec.execute t ~flat ~rows ~num_features:2 in
+  let narrow = handle (base + 1) in
+  let expect = run narrow in
+  let spawned = Pool.total_domains_spawned () in
+  let wide = handle (base + 3) in
+  check tint "growth spawned exactly the missing workers" 2
+    (Pool.total_domains_spawned () - spawned);
+  check tint "the shared pool grew" (base + 3) (Pool.size (Pool.global ~threads:1));
+  check_bits "wide handle" expect (run wide);
+  check_bits "narrow handle after growth" expect (run narrow)
 
 let test_adaptive_chunk_plan () =
   check tint "single-threaded: the batch size" 64
@@ -861,35 +870,28 @@ let test_adaptive_chunk_plan () =
   check tint "degenerate width clamps to 1" 1
     (Exec.chunk_plan ~rows:10 ~threads:4 ~batch_size:1 ~width:0)
 
-(* Static and Stealing must be observationally identical: per-sample
-   results do not depend on which worker ran which chunk. *)
-let test_sched_grid_bit_identical () =
+(* Per-sample results do not depend on how many workers ran the round
+   or which worker ran which chunk. *)
+let test_thread_grid_bit_identical () =
   let data = rows_2feat 37 in
   let expect = expected_2feat data in
   List.iter
-    (fun sched ->
-      List.iter
-        (fun threads ->
-          let t =
-            Exec.load ~batch_size:3 ~threads ~sched ~out_cols:1 kernel_2feat
-          in
-          check_bits
-            (Printf.sprintf "sched=%s threads=%d" (Pool.sched_to_string sched)
-               threads)
-            expect (Exec.execute_rows t data);
-          Exec.shutdown t)
-        [ 1; 2; 4 ])
-    [ Pool.Static; Pool.Stealing ]
+    (fun threads ->
+      let t = Exec.load ~batch_size:3 ~threads ~out_cols:1 kernel_2feat in
+      check_bits
+        (Printf.sprintf "threads=%d" threads)
+        expect (Exec.execute_rows t data);
+      Exec.shutdown t)
+    [ 1; 2; 3; 4 ]
 
 let test_threads_auto_normalization () =
-  let auto = Options.normalize_threads 0 in
+  let auto = Exec.normalize_threads 0 in
   check tbool "auto is at least 1" true (auto >= 1);
   check tbool "auto is clamped to 64" true (auto <= 64);
-  check tint "negative also means auto" auto (Options.normalize_threads (-3));
-  check tint "auto matches the runtime's resolution" (Exec.auto_threads ()) auto;
-  check tint "positive values pass through" 8 (Options.normalize_threads 8);
-  check tint "hard cap at 256" 256 (Options.normalize_threads 1000);
-  check tint "effective_threads resolves the record" auto
+  check tint "negative also means auto" auto (Exec.normalize_threads (-3));
+  check tint "positive values pass through" 8 (Exec.normalize_threads 8);
+  check tint "hard cap at 256" 256 (Exec.normalize_threads 1000);
+  check tint "effective_threads applies the same rule" auto
     (Options.effective_threads { Options.default with threads = -1 })
 
 (* Four domains compile the same model and execute the shared JIT
@@ -1135,11 +1137,11 @@ let test_permanent_failure_not_retried () =
    thread counts share one pool; [pool.round_stall] deschedules random
    workers between the round signal and their first task claim, so a
    stalled worker from a 4-worker round routinely wakes up inside the
-   next 2-worker round.  Pre-fix it would steal that round's tasks
-   under its stale (out-of-range) worker id, the swallowed raise
-   counted them complete, and rows came back unwritten.  Post-fix the
-   round-stamped deques refuse the stale claims, so every interleaving
-   must stay bit-identical. *)
+   next 2-worker round.  Had it claimed that round's tasks under its
+   stale (out-of-range) worker id, the swallowed raise would count them
+   complete and rows would come back unwritten.  The straggler holds
+   its own round's record, whose tasks are all claimed, so every
+   interleaving must stay bit-identical. *)
 let test_straggler_round_isolation () =
   let rows = 64 in
   let data = rows_2feat rows in
@@ -1163,6 +1165,37 @@ let test_straggler_round_isolation () =
         check_bits
           (Printf.sprintf "straggler round %d (threads=%d)" i (Exec.threads t))
           expect got
+      done;
+      check tbool "stall point exercised" true
+        (Fault.fired_count "pool.round_stall" > 0))
+
+(* [~workers:k] on a larger pool: the job never sees a worker id >= k,
+   even with stalled workers from wider rounds waking inside narrower
+   ones, and every task still runs exactly once. *)
+let test_workers_bound_the_round () =
+  let pool = Pool.create ~size:4 in
+  Fault.reset_for_tests ();
+  Fault.arm ~points:[ "pool.round_stall" ] ~seed:5 ~rate:0.4 ();
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.reset_for_tests ();
+      Pool.shutdown pool)
+    (fun () ->
+      for i = 1 to 40 do
+        let k = 1 + (i mod 4) in
+        let n = 32 in
+        let runs = Array.init n (fun _ -> Atomic.make 0) in
+        let out_of_range = Atomic.make false in
+        Pool.run pool ~workers:k ~num_tasks:n (fun ~worker j ->
+            if worker >= k then Atomic.set out_of_range true;
+            Atomic.incr runs.(j));
+        check tbool
+          (Printf.sprintf "round %d: no worker id >= %d" i k)
+          false (Atomic.get out_of_range);
+        check tbool
+          (Printf.sprintf "round %d: every task ran once" i)
+          true
+          (Array.for_all (fun r -> Atomic.get r = 1) runs)
       done;
       check tbool "stall point exercised" true
         (Fault.fired_count "pool.round_stall" > 0))
@@ -1208,12 +1241,14 @@ let suite =
     Alcotest.test_case "cache disabled counts compiles" `Quick test_cache_disabled_counts_full_compiles;
     Alcotest.test_case "driver engine parity" `Quick test_driver_engine_parity;
     Alcotest.test_case "pool persists across calls" `Quick test_pool_persists_across_calls;
-    Alcotest.test_case "stealing rebalances skewed costs" `Quick
-      test_stealing_rebalances_skewed_costs;
+    Alcotest.test_case "skewed round finishes" `Quick
+      test_skewed_round_finishes;
     Alcotest.test_case "pool obs metrics parity" `Quick
       test_pool_obs_metrics_parity;
+    Alcotest.test_case "global pool grows in place" `Quick
+      test_global_pool_grows_in_place;
     Alcotest.test_case "adaptive chunk plan" `Quick test_adaptive_chunk_plan;
-    Alcotest.test_case "sched grid bit-identical" `Quick test_sched_grid_bit_identical;
+    Alcotest.test_case "thread grid bit-identical" `Quick test_thread_grid_bit_identical;
     Alcotest.test_case "threads auto normalization" `Quick test_threads_auto_normalization;
     Alcotest.test_case "concurrent compile and execute" `Quick
       test_concurrent_compile_and_execute;
@@ -1237,5 +1272,7 @@ let suite =
       test_permanent_failure_not_retried;
     Alcotest.test_case "straggler round isolation" `Quick
       test_straggler_round_isolation;
+    Alcotest.test_case "workers bound the round" `Quick
+      test_workers_bound_the_round;
     Alcotest.test_case "driver deadline option" `Quick test_driver_deadline_option;
   ]

@@ -101,9 +101,9 @@ let test_compile_key_structure () =
   check tstr "runtime and serve knobs leave the key alone" (key base)
     (key
        { base with batch_size = 512; gpu = M.radeon_6800; threads = 8;
-         sched = Options.Static; streams = 4; engine = Spnc_cpu.Jit.Vm;
+         streams = 4; engine = Spnc_cpu.Jit.Vm;
          use_kernel_cache = false; kernel_cache_dir = Some "/nonexistent";
-         kernel_cache_mb = 1; profile = true;
+         kernel_cache_mb = 1;
          output_guard = Spnc_resilience.Guard.Fail; deadline_ms = Some 5.0;
          exec_retries = 0; serve_max_batch = 1; serve_queue_cap = 1;
          serve_global_queue_cap = 1;
