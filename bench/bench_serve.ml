@@ -159,9 +159,8 @@ let () =
         { tn_name = name; tn_model = model; tn_pool = pool; tn_ref })
   in
   let a = A.create "bench_serve" in
-  (* Model compiles hit the process-wide memory cache warmed by the
-     reference pass, so engine loads are cheap and identical for both
-     servers. *)
+  (* Each server compiles every tenant on its warm-up request, before
+     its clock starts, so engine loads stay out of both windows. *)
   let capacity label opts ~seed =
     Fmt.pr "capacity (%s, %d clients, %.1fs)...@." label !clients !duration;
     let server = Serve.create ~options:opts () in

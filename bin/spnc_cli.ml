@@ -257,12 +257,6 @@ let options_term =
             "CPU execution engine: jit (closure compiler, default) or vm \
              (reference interpreter).")
   in
-  let no_kernel_cache =
-    Arg.(
-      value & flag
-      & info [ "no-kernel-cache" ]
-          ~doc:"Always run the full pass pipeline; skip the kernel cache.")
-  in
   let kernel_cache_dir =
     Arg.(
       value
@@ -383,8 +377,8 @@ let options_term =
              --smith-explore); $(b,--passorder) wins when both are given.")
   in
   let build target vectorize no_veclib no_shuffle opt_level partition batch block
-      marginal threads streams engine no_kernel_cache kernel_cache_dir
-      kernel_cache_mb deadline_ms exec_retries machine veclib output_guard
+      marginal threads streams engine kernel_cache_dir kernel_cache_mb
+      deadline_ms exec_retries machine veclib output_guard
       no_gpu_fallback passorder passorder_file =
     {
       Spnc.Options.default with
@@ -409,7 +403,6 @@ let options_term =
       threads = Spnc_runtime.Exec.normalize_threads threads;
       streams = max 1 streams;
       engine;
-      use_kernel_cache = not no_kernel_cache;
       kernel_cache_dir;
       kernel_cache_mb = max 1 kernel_cache_mb;
       deadline_ms;
@@ -423,7 +416,7 @@ let options_term =
   Term.(
     const build $ target $ vectorize $ no_veclib $ no_shuffle $ opt_level
     $ partition $ batch $ block $ marginal $ threads $ streams $ engine
-    $ no_kernel_cache $ kernel_cache_dir $ kernel_cache_mb $ deadline_ms
+    $ kernel_cache_dir $ kernel_cache_mb $ deadline_ms
     $ exec_retries $ machine $ veclib $ output_guard $ no_gpu_fallback
     $ passorder $ passorder_file)
 
@@ -512,10 +505,8 @@ let load_tuned_config path (o : Spnc.Options.t) : Spnc.Options.t =
 
 let pp_cache_counters () =
   let k = Spnc.Compiler.cache_counters () in
-  Fmt.pr
-    "kernel cache: %d hit(s), %d miss(es), %d disk hit(s), %d full compile(s)@."
-    k.Spnc.Compiler.hits k.Spnc.Compiler.misses k.Spnc.Compiler.disk_hits
-    k.Spnc.Compiler.full_compiles;
+  Fmt.pr "kernel cache: %d disk hit(s), %d full compile(s)@."
+    k.Spnc.Compiler.disk_hits k.Spnc.Compiler.full_compiles;
   let d = Spnc.Kcache.counters () in
   if d.Spnc.Kcache.stores + d.Spnc.Kcache.hits + d.Spnc.Kcache.misses > 0 then
     Fmt.pr

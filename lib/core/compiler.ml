@@ -5,9 +5,10 @@
     interface: {!compile} runs the full pipeline
 
     {v
-    model → HiSPN → canonicalize → LoSPN → partition → bufferize →
-    buffer-opt → (CPU: cir → Lir → -O pipeline → regalloc → kernel)
-                 (GPU: kernels + host → copy-opt → PTX → CUBIN)
+    model → validation → HiSPN → canonicalize → LoSPN → optimize →
+    partition → bufferize → buffer-opt →
+      (CPU: one LoSPN → Lir walk → -O pipeline → regalloc → kernel)
+      (GPU: kernels + host → copy-opt → PTX → CUBIN)
     v}
 
     and {!execute} runs the compiled artifact over data.  The timing
@@ -142,10 +143,10 @@ let compiled_of_stored ~(options : Options.t) ?(diags = []) (s : stored) :
     diags;
   }
 
-(* The full pipeline, unconditionally (the cache wrapper is below), on a
-   model [compile] has validated.  It reads only the compile key, so two
-   option sets with one key build one kernel; [compile] attaches the
-   caller's options to the result. *)
+(* The full pipeline, unconditionally (the disk tier wraps it in
+   [compile], below), on a model [compile] has validated.  It reads only
+   the compile key, so two option sets with one key build one kernel;
+   [compile] attaches the caller's options to the result. *)
 let compile_full ~(options : Options.compile) (model : Spnc_spn.Model.t) :
     stored * Diag.t list =
   let timings = ref [] in
@@ -306,59 +307,30 @@ let compile_full ~(options : Options.compile) (model : Spnc_spn.Model.t) :
     },
     diags )
 
-(* -- Kernel compilation cache -------------------------------------------------- *)
+(* -- The persistent kernel cache ------------------------------------------------ *)
 
-(* Content-addressed cache over (model, compile key): bench sweeps and the
-   fuzzer compile the same speaker/RAT-SPN models over and over; a hit
-   returns the previously compiled artifact and skips the whole pass
-   pipeline (docs/PERFORMANCE.md).  Keyed by an MD5 digest of the
-   deterministic model serialization plus [Options.fingerprint], so any
-   change to either — including the fuzzer's [inject_bad_peephole] fault
-   switch, which silently alters what the -O1+ pipeline produces —
-   yields a different key. *)
+(* The counters live in the process-wide Obs registry as atomics, so
+   concurrent compiles bump them safely and `--metrics` snapshots carry
+   them. *)
+type cache_counters = { full_compiles : int; disk_hits : int }
 
-type cache_counters = {
-  hits : int;
-  misses : int;
-  full_compiles : int;
-  disk_hits : int;
-}
-
-let cache : (string, compiled) Hashtbl.t = Hashtbl.create 64
-let cache_lock = Mutex.create ()
-let cache_capacity = 128
-
-(* Counters live in the process-wide Obs registry as atomics: the old
-   plain [int ref]s were also bumped outside [with_lock] from concurrent
-   compiles, which was a data race under multiple domains.  Atomic
-   counters make every bump safe regardless of the lock, and the same
-   numbers now show up in `--metrics` snapshots for free. *)
-let n_hits = Spnc_obs.Metrics.counter "compiler.cache.hits"
-let n_misses = Spnc_obs.Metrics.counter "compiler.cache.misses"
 let n_full = Spnc_obs.Metrics.counter "compiler.cache.full_compiles"
 let n_disk_hits = Spnc_obs.Metrics.counter "compiler.cache.disk_hits"
 
-let with_lock f =
-  Mutex.lock cache_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_lock) f
-
 let cache_counters () =
   let open Spnc_obs.Metrics in
-  {
-    hits = counter_value n_hits;
-    misses = counter_value n_misses;
-    full_compiles = counter_value n_full;
-    disk_hits = counter_value n_disk_hits;
-  }
+  { full_compiles = counter_value n_full; disk_hits = counter_value n_disk_hits }
 
 let reset_kernel_cache () =
-  with_lock (fun () -> Hashtbl.reset cache);
   let open Spnc_obs.Metrics in
-  reset (counter_name n_hits);
-  reset (counter_name n_misses);
   reset (counter_name n_full);
   reset (counter_name n_disk_hits)
 
+(* Content-addressed: an MD5 digest of the deterministic model
+   serialization plus [Options.fingerprint], so any change to either —
+   including the fuzzer's [inject_bad_peephole] fault switch, which
+   silently alters what the -O1+ pipeline produces — yields a different
+   key. *)
 let cache_key ~(options : Options.compile) (model : Spnc_spn.Model.t) : string =
   Digest.to_hex
     (Digest.string
@@ -368,8 +340,6 @@ let cache_key ~(options : Options.compile) (model : Spnc_spn.Model.t) : string =
             Spnc_spn.Serialize.to_string model;
             (if !Spnc_cpu.Optimizer.inject_bad_peephole then "fault" else "");
           ]))
-
-(* -- Persistent (on-disk) tier ------------------------------------------------- *)
 
 (* The format tag keeps old entries from being unmarshalled into the
    wrong layout: [Marshal] decodes a stale layout without raising.  The
@@ -415,70 +385,60 @@ let disk_store (kc : Kcache.t) ~key (s : stored) : unit =
   | payload -> Kcache.store kc ~fmt:disk_fmt ~key payload
   | exception _ -> ()
 
-(** [compile ?options model] — the full pipeline, or a cache hit for an
-    identical (model, compile key) pair: memory first, then — when
-    [options.kernel_cache_dir] is set — the persistent on-disk tier
-    ({!Kcache}), then a full compile (published to both tiers).  Every
-    result, hit or not, carries the caller's [options], so the runtime
-    knobs (threads, engine, output guard, deadline, batch size) apply.
+(** [compile ?options model] — validation, then the full pipeline, or a
+    disk hit when [options.kernel_cache_dir] is set ({!Kcache}); a full
+    compile is published there.  The result carries the caller's
+    [options], so the runtime knobs (threads, engine, output guard,
+    deadline, batch size) apply.
     @raise Spnc_spn.Validate.Invalid if the model is structurally invalid. *)
 let compile ?(options = Options.default) (model : Spnc_spn.Model.t) : compiled =
   (* validate before anything else: the pipeline and the cache key must
      only ever see well-formed models *)
-  Spnc_spn.Validate.validate_exn model;
+  let (), validation =
+    Pass.timed ~cat:"compile" "validation" (fun () ->
+        Spnc_spn.Validate.validate_exn model)
+  in
   let k = Options.compile_of options in
   let build () =
     let s, diags = compile_full ~options:k model in
+    let s = { s with s_timings = validation :: s.s_timings } in
+    (* counted after the compile, so a raising pipeline (injected
+       faults, invalid stages) is not *)
+    Spnc_obs.Metrics.counter_incr n_full;
     (s, compiled_of_stored ~options ~diags s)
   in
-  if not options.Options.use_kernel_cache then begin
-    Spnc_obs.Metrics.counter_incr n_full;
-    snd (build ())
-  end
-  else begin
-    let key = cache_key ~options:k model in
-    match with_lock (fun () -> Hashtbl.find_opt cache key) with
-    | Some c ->
-        Spnc_obs.Metrics.counter_incr n_hits;
-        { c with options }
-    | None -> (
-        let publish_memory c =
-          with_lock (fun () ->
-              if Hashtbl.length cache >= cache_capacity then Hashtbl.reset cache;
-              Hashtbl.replace cache key c)
-        in
-        let kc = disk_cache options in
-        match Option.bind kc (fun kc -> disk_find kc ~options key) with
-        | Some c ->
-            (* a memory miss either way; the disk tier saved the compile *)
-            Spnc_obs.Metrics.counter_incr n_misses;
-            Spnc_obs.Metrics.counter_incr n_disk_hits;
-            publish_memory c;
-            c
-        | None ->
-            let s, c = build () in
-            (* counted after the compile so a raising pipeline (injected
-               faults, invalid stages) doesn't inflate the miss count —
-               same semantics as the old ref-based counters *)
-            Spnc_obs.Metrics.counter_incr n_misses;
-            Spnc_obs.Metrics.counter_incr n_full;
-            publish_memory c;
-            Option.iter (fun kc -> disk_store kc ~key s) kc;
-            c)
-  end
+  match disk_cache options with
+  | None -> snd (build ())
+  | Some kc -> (
+      let key = cache_key ~options:k model in
+      match disk_find kc ~options key with
+      | Some c ->
+          Spnc_obs.Metrics.counter_incr n_disk_hits;
+          c
+      | None ->
+          let s, c = build () in
+          disk_store kc ~key s;
+          c)
+
+(** [with_options c options] — [c] under another caller's runtime knobs.
+    @raise Invalid_argument unless [options] has [c]'s compile key. *)
+let with_options (c : compiled) (options : Options.t) : compiled =
+  if Options.compile_of options <> Options.compile_of c.options then
+    invalid_arg "Compiler.with_options: the options build another kernel";
+  { c with options }
 
 (* -- Execution ---------------------------------------------------------------- *)
 
 let jit_lock = Mutex.create ()
 let jit_build_failures = Spnc_obs.Metrics.counter "compiler.jit.build_failures"
 
-(* Building the closures is serialized process-wide: cached artifacts
-   (and their [jit] cell) are shared by every caller of [compile], and a
-   mutable cell is not safe under concurrent mutation in OCaml 5.  A
-   build that raises leaves the cell [Jit_pending] — the next force
-   retries — where the previous [Lazy.t] representation poisoned the
-   cell permanently (every later force re-raised), turning one transient
-   JIT failure into a permanently dead cached artifact. *)
+(* Building the closures is serialized process-wide: a caller may share
+   one artifact (and its [jit] cell) across domains, and a mutable cell
+   is not safe under concurrent mutation in OCaml 5.  A build that
+   raises leaves the cell [Jit_pending] — the next force retries — where
+   the previous [Lazy.t] representation poisoned the cell permanently
+   (every later force re-raised), turning one transient JIT failure into
+   a permanently dead artifact. *)
 let force_jit (cell : jit_cell) =
   Mutex.lock jit_lock;
   Fun.protect
@@ -497,7 +457,7 @@ let force_jit (cell : jit_cell) =
 
 (** [load_exec ?pool ?profile c] — build the reusable runtime engine
     handle for a CPU artifact: JIT closures forced (once, through the
-    retryable cell shared by every caller of this cached artifact),
+    retryable cell shared by every holder of this artifact),
     worker pool wired up (the process-wide {!Spnc_runtime.Pool.global}
     unless [?pool] is given; it grows in place when [c.options] asks
     for more threads than it has), chunking knobs taken from
@@ -544,8 +504,9 @@ let load_exec ?pool ?profile (c : compiled) : Spnc_runtime.Exec.t =
 (** [execute c rows] — run the compiled kernel on row-major samples and
     return one {e log}-likelihood per sample (kernels compiled for linear
     space have their probabilities converted on the way out, so the API is
-    uniform).  CPU kernels run on the VM through the multi-threaded
-    runtime; GPU kernels run in the functional GPU simulator.  Outputs
+    uniform).  CPU kernels run on [options.engine] (the JIT by default,
+    or the reference VM) through the multi-threaded runtime; GPU kernels
+    run in the functional GPU simulator.  Outputs
     pass through the configured NaN/±inf/log-underflow guard
     ([options.output_guard]; docs/RESILIENCE.md).
     @raise Spnc_resilience.Guard.Guard_failure under the [Fail] policy. *)
@@ -555,7 +516,7 @@ let rec execute (c : compiled) (rows : float array array) : float array =
 (** [execute_profiled c rows] — like {!execute}, but every Lir instruction
     the CPU kernel executes is counted into a fresh per-SPN-node profile
     (docs/OBSERVABILITY.md).  The JIT is re-compiled with the counters
-    baked in (the cached unprofiled closures are left alone), so the
+    baked in (the artifact's unprofiled closures are left alone), so the
     default {!execute} path pays nothing.  GPU artifacts execute normally
     and the returned profile is empty. *)
 and execute_profiled (c : compiled) (rows : float array array) :

@@ -3,10 +3,14 @@
     the paper's single-API-call Python interface.
 
     {v
-    model → HiSPN → canonicalize → LoSPN → optimize → partition →
-    bufferize → buffer-opt → (CPU: cir → Lir → -O pipeline → regalloc)
-                             (GPU: kernels + host → copy-opt → PTX → CUBIN)
-    v} *)
+    model → validation → HiSPN → canonicalize → LoSPN → optimize →
+    partition → bufferize → buffer-opt →
+      (CPU: one LoSPN → Lir walk → -O pipeline → regalloc)
+      (GPU: kernels + host → copy-opt → PTX → CUBIN)
+    v}
+
+    The driver holds no compiled kernel: a caller that runs one kernel
+    many times keeps the {!compiled} value it got. *)
 
 open Spnc_mlir
 
@@ -33,7 +37,7 @@ val make_jit_cell : Spnc_cpu.Lir.modul -> jit_cell
 
 val force_jit : jit_cell -> Spnc_cpu.Jit.kernel
 (** Build (or return the already-built) JIT kernel.  Serialized
-    process-wide: cells live in shared cached artifacts.
+    process-wide: a caller may share one artifact across domains.
     @raise whatever the underlying build raises; the cell stays
     retryable. *)
 
@@ -77,35 +81,33 @@ val compile_seconds : compiled -> float
 (** [stage_seconds c stage] — time spent in the named stage. *)
 val stage_seconds : compiled -> string -> float
 
-(** [compile ?options model] runs the full pipeline — or, when
-    [options.use_kernel_cache] is on (the default), returns a cached
-    artifact for an identical (model, {!Options.compile_of} options)
-    pair.
-    Lookup order: in-memory cache, then — when
-    [options.kernel_cache_dir] is set — the crash-safe persistent
-    on-disk tier ({!Kcache}; checksummed, LRU-bounded, corruption falls
-    back to a recompile), then a full compile published to both tiers.
-    A hit reuses the compiled artifact and original timings but carries
-    the caller's [options], so the runtime knobs (threads, engine,
-    output guard, deadline, batch size) still apply.
+(** [compile ?options model] validates [model] (the ["validation"] row
+    of [timings]), then runs the full pipeline.  When
+    [options.kernel_cache_dir] is set, it first asks the crash-safe
+    persistent on-disk cache ({!Kcache}; checksummed, LRU-bounded,
+    corruption falls back to a recompile) for the same (model,
+    {!Options.compile_of} options) pair, and publishes a full compile
+    there.  A disk hit keeps the original compile's timings.  Either
+    way the result carries the caller's [options], so the runtime knobs
+    (threads, engine, output guard, deadline, batch size) apply.
     @raise Spnc_spn.Validate.Invalid if the model is structurally invalid. *)
 val compile : ?options:Options.t -> Spnc_spn.Model.t -> compiled
 
-(** Kernel-cache observability: [hits]/[misses] count memory-tier
-    lookups with the cache enabled; [disk_hits] counts compiles served
-    by the persistent tier; [full_compiles] counts actual pass-pipeline
-    runs (misses not served by disk, plus cache-disabled compiles). *)
-type cache_counters = {
-  hits : int;
-  misses : int;
-  full_compiles : int;
-  disk_hits : int;
-}
+(** [with_options c options] — the same artifact (physically shared,
+    JIT cell included) under another caller's [options]: how one
+    compile serves several engines, thread counts or batch sizes.
+    @raise Invalid_argument unless [Options.compile_of options =
+    Options.compile_of c.options]. *)
+val with_options : compiled -> Options.t -> compiled
+
+(** Compile counters since the last {!reset_kernel_cache}:
+    [full_compiles] counts pass-pipeline runs, [disk_hits] compiles the
+    persistent tier served. *)
+type cache_counters = { full_compiles : int; disk_hits : int }
 
 val cache_counters : unit -> cache_counters
 
-(** [reset_kernel_cache ()] empties the cache and zeroes the counters
-    (tests, or long-lived processes that mutate global compiler state). *)
+(** [reset_kernel_cache ()] zeroes the counters. *)
 val reset_kernel_cache : unit -> unit
 
 (** [load_exec ?pool ?profile c] — the engine-handle reuse point: build
@@ -128,8 +130,9 @@ val load_exec :
 (** [execute c rows] runs the compiled kernel on row-major samples and
     returns one {e log}-likelihood per sample (linear-space kernels have
     their probabilities converted on the way out).  CPU kernels run on
-    the register VM through the multi-threaded runtime; GPU kernels run
-    in the functional GPU simulator.  Outputs pass through the
+    [options.engine] (the JIT by default, or the reference VM) through
+    the multi-threaded runtime; GPU kernels run in the functional GPU
+    simulator.  Outputs pass through the
     configured NaN/±inf/log-underflow guard ([options.output_guard]).
 
     When [options.deadline_ms] is set the call gets that wall-clock
@@ -145,8 +148,8 @@ val execute : compiled -> float array array -> float array
     instruction the CPU kernel executes is counted into a fresh
     per-SPN-node profile (docs/OBSERVABILITY.md): render it with
     {!Spnc_cpu.Profile.pp_report} or export with
-    {!Spnc_cpu.Profile.write_file}.  The artifact's cached unprofiled
-    JIT closures are left alone, so the default {!execute} path pays
+    {!Spnc_cpu.Profile.write_file}.  The artifact's unprofiled JIT
+    closures are left alone, so the default {!execute} path pays
     nothing.  GPU artifacts execute normally; their profile is empty. *)
 val execute_profiled :
   compiled -> float array array -> float array * Spnc_cpu.Profile.t

@@ -50,7 +50,6 @@ type t = {
   threads : int;
   streams : int;
   engine : Spnc_cpu.Jit.engine;
-  use_kernel_cache : bool;
   kernel_cache_dir : string option;
   kernel_cache_mb : int;
   output_guard : Spnc_resilience.Guard.policy;
@@ -85,7 +84,6 @@ let default =
     threads = 1;
     streams = 1;
     engine = Spnc_cpu.Jit.Jit;
-    use_kernel_cache = true;
     kernel_cache_dir = None;
     kernel_cache_mb = 256;
     output_guard = Spnc_resilience.Guard.Warn;
@@ -134,7 +132,7 @@ let compile_of (t : t) : compile =
         base_type; support_marginal; gpu_fallback;
         (* the runtime reads these from the caller's options *)
         gpu = _; batch_size = _; threads = _; streams = _; engine = _;
-        use_kernel_cache = _; kernel_cache_dir = _; kernel_cache_mb = _;
+        kernel_cache_dir = _; kernel_cache_mb = _;
         output_guard = _; deadline_ms = _;
         exec_retries = _; serve_max_batch = _; serve_queue_cap = _;
         serve_global_queue_cap = _; serve_engines_cap = _;
@@ -281,7 +279,7 @@ let pp ppf (t : t) =
         max_partition_size = _; block_size = _; space = _; base_type = _;
         support_marginal = _; gpu_fallback = _;
         machine; gpu; batch_size; threads; streams; engine;
-        use_kernel_cache; kernel_cache_dir; kernel_cache_mb; output_guard;
+        kernel_cache_dir; kernel_cache_mb; output_guard;
         deadline_ms; exec_retries; serve_max_batch; serve_queue_cap;
         serve_global_queue_cap; serve_engines_cap; serve_dispatchers;
         serve_starvation_ms } =
@@ -290,14 +288,14 @@ let pp ppf (t : t) =
   let opt f = function None -> "none" | Some x -> f x in
   Fmt.pf ppf
     "%s machine=%S gpu=%S batch=%d threads=%d streams=%d engine=%s \
-     cache=%b cache_dir=%s cache_mb=%d guard=%s deadline_ms=%s \
+     cache_dir=%s cache_mb=%d guard=%s deadline_ms=%s \
      retries=%d serve_batch=%d serve_queue=%d serve_global_queue=%d \
      serve_engines=%d serve_dispatchers=%d serve_starvation_ms=%g"
     (fingerprint (compile_of t))
     machine.M.cpu_name gpu.M.gpu_name batch_size
     (Spnc_runtime.Exec.normalize_threads threads) streams
     (Spnc_cpu.Jit.engine_to_string engine)
-    use_kernel_cache (opt Fun.id kernel_cache_dir) kernel_cache_mb
+    (opt Fun.id kernel_cache_dir) kernel_cache_mb
     (Spnc_resilience.Guard.policy_to_string output_guard)
     (opt (Printf.sprintf "%g") deadline_ms)
     exec_retries serve_max_batch serve_queue_cap serve_global_queue_cap

@@ -5,8 +5,8 @@
 
     {!t} is the flat record callers build.  {!compile} is the part of it
     the compile pipeline reads, derived by {!compile_of}; its one
-    encoding, {!fingerprint}, keys the kernel cache and is the
-    tuned-config file. *)
+    encoding, {!fingerprint}, keys the persistent kernel cache and is
+    the tuned-config file. *)
 
 module M = Spnc_machine.Machine
 
@@ -65,12 +65,10 @@ type t = {
   engine : Spnc_cpu.Jit.engine;
       (** CPU execution engine: closure compiler (default) or reference
           interpreter VM (docs/PERFORMANCE.md) *)
-  use_kernel_cache : bool;
-      (** reuse compiled artifacts for identical (model, options) pairs
-          via the content-addressed kernel cache in {!Compiler} *)
   kernel_cache_dir : string option;
-      (** persistent on-disk kernel cache directory ({!Kcache});
-          [None] keeps the cache memory-only *)
+      (** persistent on-disk kernel cache directory ({!Kcache}) that
+          {!Compiler.compile} asks before running the pipeline; [None]
+          compiles every time *)
   kernel_cache_mb : int;
       (** on-disk cache size budget in megabytes (LRU-evicted) *)
   (* resilience knobs (docs/RESILIENCE.md) *)
@@ -146,7 +144,7 @@ val compile_to_json : compile -> Spnc_obs.Json.t
 val compile_of_json : Spnc_obs.Json.t -> (compile, string) result
 
 (** [fingerprint k] — the compact text of [compile_to_json k]: the
-    kernel-cache key (in memory and on disk) and the tuned-config file. *)
+    persistent kernel-cache key and the tuned-config file. *)
 val fingerprint : compile -> string
 
 val pp : Format.formatter -> t -> unit

@@ -6,7 +6,7 @@
     operations — safe and non-blocking under any number of domains.
 
     Naming convention: dot-separated, layer-first —
-    ["compiler.cache.hits"], ["runtime.exec.call_seconds"],
+    ["compiler.cache.disk_hits"], ["runtime.exec.call_seconds"],
     ["runtime.pool.rounds"]. *)
 
 type counter

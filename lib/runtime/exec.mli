@@ -34,7 +34,7 @@ type t
     [threads] is resolved by {!normalize_threads}.  [engine] picks the
     execution engine (default {!Spnc_cpu.Jit.Jit}, the closure
     compiler); pass [?jit] to reuse an already-compiled
-    {!Spnc_cpu.Jit.kernel} (e.g. from the compiler's kernel cache).
+    {!Spnc_cpu.Jit.kernel} (e.g. the one a compiled artifact holds).
     When [threads > 1] the kernel either uses the caller-provided [?pool]
     (shared; never shut down by {!shutdown}) or creates its own (torn
     down by {!shutdown}).

@@ -4,16 +4,16 @@
     {!Spnc_spn.Model.t} or a path (binary [.spn] or text DSL), and are
     loaded/compiled lazily on first request through {!Spnc.Compiler} —
     so a fleet of thousands of per-tenant models costs nothing until
-    traffic arrives, and repeat compiles are served by the in-memory
-    kernel cache or the persistent {!Spnc.Kcache} disk tier when
-    [options.kernel_cache_dir] is set (the 23x cold-start lever).
+    traffic arrives.
 
     A loaded {e engine} is the compiled artifact plus a hot
     {!Spnc_runtime.Exec.t} handle ({!Spnc.Compiler.load_exec}: JIT
     closures forced once, process-wide pool wired up).  At most [cap]
     engines stay resident; loading one more evicts the least-recently
-    used.  An evicted model's next request reloads through the compiler
-    cache tiers — typically a disk hit, not a recompile. *)
+    used, and with it the engine's kernel: this LRU is the process's
+    only in-memory kernel cache.  An evicted model's next request is a
+    persistent {!Spnc.Kcache} disk hit when [options.kernel_cache_dir]
+    is set (the 23x cold-start lever), otherwise a compile. *)
 
 module Metrics = Spnc_obs.Metrics
 
@@ -138,7 +138,7 @@ let engine t name : (engine, string) result =
               | exception exn -> Error (Printexc.to_string exn))))
 
 (** Drop every resident engine (tests: forces the next request through
-    the compiler cache tiers). *)
+    {!Spnc.Compiler.compile}). *)
 let flush_engines t =
   locked t (fun () ->
       Hashtbl.iter (fun _ e -> Spnc_runtime.Exec.shutdown e.eng_exec) t.engines;

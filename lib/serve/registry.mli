@@ -1,11 +1,12 @@
 (** Multi-tenant model registry with a bounded LRU of hot engines.
 
     Models are registered by name (in-memory or a [.spn]/text path) and
-    compiled lazily on first request through {!Spnc.Compiler} — repeat
-    loads are served by the kernel cache's memory tier or the persistent
-    {!Spnc.Kcache} disk tier.  At most [cap] engines (compiled artifact
-    + hot {!Spnc_runtime.Exec.t} handle) stay resident; the least
-    recently used is evicted first. *)
+    compiled lazily on first request through {!Spnc.Compiler}.  At most
+    [cap] engines (compiled artifact + hot {!Spnc_runtime.Exec.t}
+    handle) stay resident; the least recently used is evicted first,
+    and nothing else keeps its kernel.  An evicted model's next request
+    is a {!Spnc.Kcache} disk hit when [options.kernel_cache_dir] is set,
+    otherwise a compile. *)
 
 type source = Src_model of Spnc_spn.Model.t | Src_path of string
 
@@ -41,5 +42,5 @@ val engine : t -> string -> (engine, string) result
     needed.  [Error] on an unregistered name or failed load. *)
 
 val flush_engines : t -> unit
-(** Drop every resident engine; the next request reloads through the
-    compiler cache tiers (tests). *)
+(** Drop every resident engine; the next request reloads through
+    {!Spnc.Compiler.compile} (tests). *)

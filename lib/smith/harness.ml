@@ -233,35 +233,41 @@ let model_checks ~config ~rng (p : Smith.program) (model : Spnc_spn.Model.t) =
     | (Stack_overflow | Out_of_memory | Check_failed _) as e -> raise e
     | e -> fail "model-crash" what (Printexc.to_string e)
   in
-  let run what options =
-    guard what (fun () ->
-        Compiler.execute (Compiler.compile ~options model) p.Smith.data)
+  let compile what options =
+    guard what (fun () -> Compiler.compile ~options model)
   in
+  (* one compile per kernel: the variants below rerun these artifacts
+     under other runtime knobs *)
+  let run what c = guard what (fun () -> Compiler.execute c p.Smith.data) in
   let within what got =
     if not (tol_eq ~tol expected got) then
       fail "model-reference" what
         (Fmt.str "Infer %a but %a" pp_outcome (Ok expected) pp_outcome (Ok got))
   in
   (* the LoSPN interpreter on the compiler's bufferized module *)
+  let base_c = compile "lospn-interp" base in
   within "lospn-interp"
     (guard "lospn-interp" (fun () ->
-         let c = Compiler.compile ~options:base model in
          let raw =
            Array.sub
-             (Interp.run_kernel c.Compiler.lospn
+             (Interp.run_kernel base_c.Compiler.lospn
                 ~inputs:[ Smith.flat_data p ] ~rows:p.Smith.rows)
              0 p.Smith.rows
          in
-         if c.Compiler.datatype.Spnc_lospn.Lower_hispn.use_log_space then raw
+         if base_c.Compiler.datatype.Spnc_lospn.Lower_hispn.use_log_space then raw
          else Array.map log raw));
   (* Compiler.compile/execute at every level, one thread *)
   let at_level =
     List.map
       (fun level ->
         let what = "compiler vm-t1 " ^ Optimizer.level_to_string level in
-        let out = run what { base with Options.opt_level = level } in
+        let c =
+          if level = base.Options.opt_level then base_c
+          else compile what { base with Options.opt_level = level }
+        in
+        let out = run what c in
         within what out;
-        (level, out))
+        (level, (c, out)))
       levels
   in
   (* random engine x threads x batch, bit-identical to the same
@@ -277,17 +283,19 @@ let model_checks ~config ~rng (p : Smith.program) (model : Spnc_spn.Model.t) =
         (Optimizer.level_to_string level)
         batch_size
     in
+    let c, at_t1 = List.assoc level at_level in
     let out =
       run what
-        {
-          base with
-          Options.opt_level = level;
-          engine;
-          threads;
-          batch_size;
-        }
+        (Compiler.with_options c
+           {
+             base with
+             Options.opt_level = level;
+             engine;
+             threads;
+             batch_size;
+           })
     in
-    if not (exact_eq (List.assoc level at_level) out) then
+    if not (exact_eq at_t1 out) then
       fail "model-bit-identity" what "differs from the same level's vm-t1 run"
   done;
   (* a variant may have grown the process-wide pool to 8 domains; retire
@@ -297,16 +305,19 @@ let model_checks ~config ~rng (p : Smith.program) (model : Spnc_spn.Model.t) =
   Pool.shutdown (Pool.global ~threads:1);
   (* the GPU simulator: streams 1 against Infer, 2 and 4 bit-identical *)
   let gpu_what streams = Printf.sprintf "gpu streams=%d" streams in
+  let gpu_options streams =
+    {
+      base with
+      Options.target = Options.Gpu;
+      batch_size = 16;
+      block_size = 8;
+      gpu_fallback = false;
+      streams;
+    }
+  in
+  let gpu_c = compile (gpu_what 1) (gpu_options 1) in
   let gpu streams =
-    run (gpu_what streams)
-      {
-        base with
-        Options.target = Options.Gpu;
-        batch_size = 16;
-        block_size = 8;
-        gpu_fallback = false;
-        streams;
-      }
+    run (gpu_what streams) (Compiler.with_options gpu_c (gpu_options streams))
   in
   let g1 = gpu 1 in
   within (gpu_what 1) g1;

@@ -703,11 +703,15 @@ let tune ?(budget = default_budget) ?(use_profile = true) ?(profile_rows = 64)
       let stats = Spnc_spn.Stats.compute model in
       let space_size = List.length (enumerate ~stats options) in
       let lattice = enumerate ~dropped ~stats options in
-      (* Stage 1: compile + cost-model score every surviving point. *)
+      (* Stage 1: compile + cost-model score every surviving point (the
+         reference's own point reuses its artifact). *)
       let scored =
         List.map
           (fun o ->
-            let c = Compiler.compile ~options:o model in
+            let c =
+              if key_of o = key_of options then Compiler.with_options ref_c o
+              else Compiler.compile ~options:o model
+            in
             (o, c, Compiler.estimate_seconds c ~rows:est_rows))
           lattice
       in

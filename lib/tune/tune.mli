@@ -10,9 +10,10 @@
     {b Stage 1 (static DSE).}  {!enumerate} builds the configuration
     lattice (optimization level × vectorize × veclib × shuffle/gather ×
     gather-tables × partition-size buckets), every point is compiled
-    (sharing the kernel cache, so repeated tunes are cheap) and scored
-    with the calibrated {!Spnc_machine.Machine} cost model applied to the
-    actually-generated instruction stream.  The top-[budget] candidates
+    (through the persistent kernel cache when [options.kernel_cache_dir]
+    is set, so repeated tunes are cheap) and scored with the calibrated
+    {!Spnc_machine.Machine} cost model applied to the actually-generated
+    instruction stream.  The top-[budget] candidates
     by modelled time are then {e wall-clock validated} through the
     ordinary JIT + pool execution path, asserting bit-identical outputs
     against the reference configuration for every measured candidate.

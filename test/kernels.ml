@@ -42,7 +42,7 @@ let models : (string * Model.t) list =
 let levels = Spnc_cpu.Optimizer.[ O0; O1; O2; O3 ]
 
 let configs : (string * Options.t) list =
-  let base = { Options.default with use_kernel_cache = false; threads = 1 } in
+  let base = { Options.default with threads = 1 } in
   List.concat_map
     (fun level ->
       let l = Spnc_cpu.Optimizer.level_to_string level in

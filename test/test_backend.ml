@@ -412,7 +412,7 @@ let golden_models () =
 let test_replayed_cir_equals_compiled () =
   let module Options = Spnc.Options in
   let base =
-    { Options.default with use_kernel_cache = false; threads = 1; opt_level = Opt.O0 }
+    { Options.default with threads = 1; opt_level = Opt.O0 }
   in
   let configs =
     [

@@ -66,9 +66,7 @@ let test_one_call_api () =
    the lowering stages build new IR, so theirs cannot be 0 *)
 let test_stage_minor_words () =
   let c =
-    Compiler.compile
-      ~options:{ (Options.best_cpu ()) with use_kernel_cache = false }
-      (speaker_like_spn ())
+    Compiler.compile ~options:(Options.best_cpu ()) (speaker_like_spn ())
   in
   List.iter
     (fun (t : Compiler.timing) ->
@@ -98,9 +96,7 @@ let test_stage_minor_words () =
   in
   let collections () = (Gc.quick_stat ()).Gc.minor_collections in
   let before = collections () in
-  let c =
-    Compiler.compile ~options:{ (Options.best_cpu ()) with use_kernel_cache = false } rat
-  in
+  let c = Compiler.compile ~options:(Options.best_cpu ()) rat in
   let during = collections () - before in
   let sum f = List.fold_left (fun acc t -> acc + f t) 0 c.Compiler.timings in
   let staged = sum (fun t -> t.Compiler.minor_collections) in

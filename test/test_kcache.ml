@@ -1,7 +1,7 @@
 (** Tests for the crash-safe persistent kernel cache (docs/RESILIENCE.md
     §1): checksum-verified round-trips, corruption quarantine, LRU
     eviction under a size budget, injected I/O faults, and the
-    compiler's memory → disk → compile lookup order. *)
+    compiler's disk → compile lookup order. *)
 
 module Kcache = Spnc.Kcache
 module Compiler = Spnc.Compiler
@@ -223,7 +223,7 @@ let test_open_errors () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "open over a regular file must fail")
 
-(* -- Compiler integration: memory -> disk -> compile ---------------------------- *)
+(* -- Compiler integration: disk -> compile --------------------------------------- *)
 
 let small_model () =
   let g0 = Model.gaussian ~var:0 ~mean:0.0 ~stddev:1.0 in
@@ -251,7 +251,6 @@ let test_disk_hit_skips_pipeline () =
       let first = Compiler.execute (Compiler.compile ~options model) small_rows in
       let k = Compiler.cache_counters () in
       check tint "first compile runs the pipeline" 1 k.Compiler.full_compiles;
-      (* a fresh process-equivalent: memory tier dropped, disk survives *)
       Compiler.reset_kernel_cache ();
       let second = Compiler.execute (Compiler.compile ~options model) small_rows in
       let k = Compiler.cache_counters () in
@@ -263,7 +262,6 @@ let test_corrupt_disk_entry_recompiles () =
   with_tmp_dir (fun dir ->
       let options = disk_options dir in
       let model = small_model () in
-      Compiler.reset_kernel_cache ();
       let first = Compiler.execute (Compiler.compile ~options model) small_rows in
       (* scribble over every stored entry *)
       Array.iter
@@ -289,7 +287,6 @@ let test_other_format_tag_recompiles () =
   with_tmp_dir (fun dir ->
       let options = disk_options dir in
       let model = small_model () in
-      Compiler.reset_kernel_cache ();
       let first = Compiler.execute (Compiler.compile ~options model) small_rows in
       let kc = opened dir in
       let key =
@@ -322,7 +319,6 @@ let test_runtime_knobs_share_disk_entry () =
   with_tmp_dir (fun dir ->
       let options = disk_options dir in
       let model = small_model () in
-      Compiler.reset_kernel_cache ();
       ignore (Compiler.compile ~options model);
       Compiler.reset_kernel_cache ();
       (* threads and engine are runtime-only: same disk entry *)
@@ -333,6 +329,16 @@ let test_runtime_knobs_share_disk_entry () =
       let k = Compiler.cache_counters () in
       check tint "runtime-only change still hits disk" 1 k.Compiler.disk_hits;
       check tint "rows out" (Array.length small_rows) (Array.length out))
+
+(* A compile publishes to the directory it names, whatever compiled the
+   same model before it without one. *)
+let test_compile_publishes_after_uncached () =
+  with_tmp_dir (fun dir ->
+      let model = small_model () in
+      ignore (Compiler.compile model);
+      ignore (Compiler.compile ~options:(disk_options dir) model);
+      check tbool "the directory holds the kernel" true
+        (Kcache.entry_keys (opened dir) <> []))
 
 let suite =
   [
@@ -363,4 +369,6 @@ let suite =
       test_other_format_tag_recompiles;
     Alcotest.test_case "compiler: runtime-only knobs share the entry" `Quick
       test_runtime_knobs_share_disk_entry;
+    Alcotest.test_case "compiler: publishes after an uncached compile" `Quick
+      test_compile_publishes_after_uncached;
   ]

@@ -305,8 +305,8 @@ let test_dce_matches_rounds_on_kernels () =
       List.iter
         (fun vectorize ->
           let options =
-            { Spnc.Options.default with vectorize; use_kernel_cache = false;
-              opt_level = Opt.O0; support_marginal = vectorize }
+            { Spnc.Options.default with vectorize; opt_level = Opt.O0;
+              support_marginal = vectorize }
           in
           match (Spnc.Compiler.compile ~options model).Spnc.Compiler.artifact with
           | Spnc.Compiler.Cpu_kernel { lir; _ } ->

@@ -181,14 +181,12 @@ let test_ir_before_is_the_failing_input () =
             f.Pass.ir_before)
 
 (* Compile with the stage's [compile.<stage>] fault point firing every
-   time; the kernel cache is off so the pipeline really runs. *)
+   time. *)
 let compile_failing_at stage (options : Options.t) =
   Fault.reset_for_tests ();
   Fault.arm ~points:[ "compile." ^ stage ] ~seed:1 ~rate:1.0 ();
   Fun.protect ~finally:Fault.reset_for_tests (fun () ->
-      Compiler.compile
-        ~options:{ options with Options.use_kernel_cache = false }
-        (small_model ()))
+      Compiler.compile ~options (small_model ()))
 
 let test_stage_fault_isolated () =
   match compile_failing_at "bufferization" Options.default with
@@ -470,7 +468,6 @@ let test_reproducer_write_under_injected_fault () =
 (* The jit cell must stay retryable after an injected build failure —
    the Lazy.t it replaced would poison permanently. *)
 let test_force_jit_retryable () =
-  Compiler.reset_kernel_cache ();
   let options = { Options.default with Options.engine = Spnc_cpu.Jit.Jit } in
   let c = Compiler.compile ~options (small_model ()) in
   Fault.reset_for_tests ();

@@ -291,8 +291,7 @@ let test_jit_columns_match_vm () =
     (fun (vectorize, counts) ->
       let options =
         { Options.default with vectorize; use_veclib = vectorize;
-          use_shuffle = vectorize; support_marginal = true;
-          use_kernel_cache = false }
+          use_shuffle = vectorize; support_marginal = true }
       in
       let compiled = Compiler.compile ~options model in
       let lir =
@@ -434,8 +433,7 @@ let test_jit_fuses_speaker_kernel () =
     (fun opt_level ->
       let options =
         { Options.default with vectorize = true; use_veclib = true;
-          use_shuffle = true; support_marginal = true; opt_level;
-          use_kernel_cache = false }
+          use_shuffle = true; support_marginal = true; opt_level }
       in
       let lir =
         match (Compiler.compile ~options model).Compiler.artifact with
@@ -644,44 +642,84 @@ let small_model =
               ];
           ]))
 
+(* a fresh kernel cache directory, removed afterwards *)
+let with_cache_dir f =
+  let dir = Filename.temp_file "spnc-key" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
+    (fun () -> f dir)
+
+(* with a cache directory the second compile of a model is a disk hit:
+   it skips the pass pipeline, and the kernel it loads runs on both
+   engines bit-identically to the one the first compile built *)
 let test_cache_hit_skips_pipeline () =
-  Compiler.reset_kernel_cache ();
+  with_cache_dir (fun dir ->
+      Compiler.reset_kernel_cache ();
+      let m = Lazy.force small_model in
+      let options = { Options.default with kernel_cache_dir = Some dir } in
+      let c1 = Compiler.compile ~options m in
+      let k1 = Compiler.cache_counters () in
+      check tint "first compile misses" 0 k1.Compiler.disk_hits;
+      check tint "first compile runs the pipeline" 1 k1.Compiler.full_compiles;
+      let c2 = Compiler.compile ~options m in
+      let k2 = Compiler.cache_counters () in
+      check tint "second compile hits" 1 k2.Compiler.disk_hits;
+      check tint "hit skips the pass pipeline" 1 k2.Compiler.full_compiles;
+      let rows = [| [| 0.1; 0.2 |]; [| -1.0; 3.0 |] |] in
+      List.iter
+        (fun engine ->
+          let run c =
+            Compiler.execute (Compiler.with_options c { options with engine }) rows
+          in
+          check_bits ("cached artifact executes: " ^ Jit.engine_to_string engine)
+            (run c1) (run c2))
+        [ Jit.Vm; Jit.Jit ])
+
+(* the caller's way to run one artifact under other runtime knobs *)
+let test_with_options_shares_artifact () =
   let m = Lazy.force small_model in
-  let c1 = Compiler.compile m in
-  let k1 = Compiler.cache_counters () in
-  check tint "first compile misses" 1 k1.Compiler.misses;
-  check tint "first compile runs the pipeline" 1 k1.Compiler.full_compiles;
-  let c2 = Compiler.compile m in
-  let k2 = Compiler.cache_counters () in
-  check tint "second compile hits" 1 k2.Compiler.hits;
-  check tint "hit skips the pass pipeline" 1 k2.Compiler.full_compiles;
-  (* the artifact is shared, not merely equal *)
-  check tbool "artifact physically shared" true (c1.Compiler.artifact == c2.Compiler.artifact);
-  (* and the cached kernel still executes *)
-  let out = Compiler.execute c2 [| [| 0.1; 0.2 |]; [| -1.0; 3.0 |] |] in
-  check tint "cached artifact executes" 2 (Array.length out)
+  let c = Compiler.compile m in
+  let o = { Options.default with engine = Jit.Vm; threads = 3; batch_size = 5 } in
+  let v = Compiler.with_options c o in
+  check tbool "artifact physically shared" true
+    (v.Compiler.artifact == c.Compiler.artifact);
+  check tbool "carries the caller's options" true (v.Compiler.options = o);
+  let rows = Array.init 11 (fun i -> [| float_of_int i *. 0.4; 1.0 |]) in
+  check_bits "bit-identical" (Compiler.execute c rows) (Compiler.execute v rows);
+  match
+    Compiler.with_options c
+      { Options.default with opt_level = Spnc_cpu.Optimizer.O3 }
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "with_options accepted another compile key"
 
 let test_cache_key_sensitivity () =
-  (* one full compile per compile key: a change the pipeline never reads
-     hits the memory tier, and a change it reads misses *)
+  (* one full compile per compile key: against one cache directory, a
+     change the pipeline never reads is a disk hit, and a change it
+     reads a miss *)
   let module M = Spnc_machine.Machine in
   let m = Lazy.force small_model in
   let expect ~misses base changes =
-    Compiler.reset_kernel_cache ();
-    ignore (Compiler.compile ~options:base m);
-    List.iteri
-      (fun i (name, (o : Options.t)) ->
-        let c = Compiler.compile ~options:o m in
-        let k = Compiler.cache_counters () in
-        check tint (name ^ ": full compiles")
-          (if misses then i + 2 else 1)
-          k.Compiler.full_compiles;
-        check tint (name ^ ": memory hits")
-          (if misses then 0 else i + 1)
-          k.Compiler.hits;
-        check tbool (name ^ ": carries the caller's options") true
-          (c.Compiler.options = o))
-      changes
+    with_cache_dir (fun dir ->
+        let in_dir (o : Options.t) = { o with kernel_cache_dir = Some dir } in
+        Compiler.reset_kernel_cache ();
+        ignore (Compiler.compile ~options:(in_dir base) m);
+        List.iteri
+          (fun i (name, (o : Options.t)) ->
+            let o = in_dir o in
+            let c = Compiler.compile ~options:o m in
+            let k = Compiler.cache_counters () in
+            check tint (name ^ ": full compiles")
+              (if misses then i + 2 else 1)
+              k.Compiler.full_compiles;
+            check tint (name ^ ": disk hits")
+              (if misses then 0 else i + 1)
+              k.Compiler.disk_hits;
+            check tbool (name ^ ": carries the caller's options") true
+              (c.Compiler.options = o))
+          changes)
   in
   let s = Options.default in
   expect ~misses:false s
@@ -712,20 +750,24 @@ let test_cache_key_sensitivity () =
       ("vector use_shuffle", { v with use_shuffle = false });
       ("use_gather_tables", { v with use_gather_tables = true }) ]
 
+(* the cache is off without a directory: [Compiler] holds no kernel, so
+   each compile runs the pipeline and returns its own artifact *)
 let test_cache_disabled_counts_full_compiles () =
   Compiler.reset_kernel_cache ();
   let m = Lazy.force small_model in
-  let off = { Options.default with use_kernel_cache = false } in
-  ignore (Compiler.compile ~options:off m);
-  ignore (Compiler.compile ~options:off m);
+  let c1 = Compiler.compile m in
+  let c2 = Compiler.compile m in
   let k = Compiler.cache_counters () in
-  check tint "no lookups happened" 0 (k.Compiler.hits + k.Compiler.misses);
-  check tint "every compile ran the pipeline" 2 k.Compiler.full_compiles
+  check tint "no disk hits" 0 k.Compiler.disk_hits;
+  check tint "every compile ran the pipeline" 2 k.Compiler.full_compiles;
+  check tbool "each compile builds its own artifact" true
+    (c1.Compiler.artifact != c2.Compiler.artifact);
+  let rows = [| [| 0.1; 0.2 |]; [| -1.0; 3.0 |] |] in
+  check_bits "same kernel" (Compiler.execute c1 rows) (Compiler.execute c2 rows)
 
 (* -- Engine parity through the full driver ------------------------------------ *)
 
 let test_driver_engine_parity () =
-  Compiler.reset_kernel_cache ();
   let m = Lazy.force small_model in
   let data =
     Array.init 23 (fun i -> [| float_of_int i *. 0.3 -. 3.0; 1.5 -. float_of_int i *. 0.2 |])
@@ -894,10 +936,10 @@ let test_threads_auto_normalization () =
   check tint "effective_threads applies the same rule" auto
     (Options.effective_threads { Options.default with threads = -1 })
 
-(* Four domains compile the same model and execute the shared JIT
-   artifact concurrently.  This races the kernel-cache lookup and —
-   the PR-3 fix — the [Lazy.force] of the cached closure kernel, which
-   unsynchronized raises [CamlinternalLazy.Undefined] cross-domain. *)
+(* Four domains compile the same model and execute one shared JIT
+   artifact concurrently.  This races the compile counters and the first
+   force of the shared closure kernel, which, unsynchronized, raised
+   [CamlinternalLazy.Undefined] cross-domain. *)
 let test_concurrent_compile_and_execute () =
   Compiler.reset_kernel_cache ();
   let m = Lazy.force small_model in
@@ -905,21 +947,22 @@ let test_concurrent_compile_and_execute () =
     Array.init 17 (fun i -> [| (0.4 *. float_of_int i) -. 2.0; 1.0 -. (0.3 *. float_of_int i) |])
   in
   let options = { Options.default with engine = Jit.Jit; threads = 2 } in
+  let shared = Compiler.compile ~options m in
   let workers =
     Array.init 4 (fun _ ->
         Domain.spawn (fun () ->
-            let c = Compiler.compile ~options m in
-            Array.init 3 (fun _ -> Compiler.execute c data)))
+            let own = Compiler.compile ~options m in
+            Array.append
+              [| Compiler.execute own data |]
+              (Array.init 3 (fun _ -> Compiler.execute shared data))))
   in
   let results = Array.map Domain.join workers in
-  let expect = Compiler.execute (Compiler.compile ~options m) data in
+  let expect = Compiler.execute shared data in
   Array.iter
     (Array.iter (fun got -> check_bits "concurrent execute" expect got))
     results;
-  let k = Compiler.cache_counters () in
-  check tint "every compile was a cache lookup" 5 (k.Compiler.hits + k.Compiler.misses);
-  check tbool "the artifact was compiled at least once" true
-    (k.Compiler.misses >= 1 && k.Compiler.full_compiles >= 1)
+  check tint "every compile ran the pipeline" 5
+    (Compiler.cache_counters ()).Compiler.full_compiles
 
 (* -- GPU stream pipeline ------------------------------------------------------- *)
 
@@ -1201,7 +1244,6 @@ let test_workers_bound_the_round () =
         (Fault.fired_count "pool.round_stall" > 0))
 
 let test_driver_deadline_option () =
-  Compiler.reset_kernel_cache ();
   let m = Lazy.force small_model in
   let rows = Array.init 8 (fun i -> [| float_of_int i; 0.5 |]) in
   (* a microscopic budget must fail structurally through the driver *)
@@ -1237,6 +1279,8 @@ let suite =
     Alcotest.test_case "binary fma traps (both engines)" `Quick test_binary_fma_traps_both_engines;
     Alcotest.test_case "chunk error bounds" `Quick test_chunk_error_bounds;
     Alcotest.test_case "cache hit skips pipeline" `Quick test_cache_hit_skips_pipeline;
+    Alcotest.test_case "with_options shares one artifact" `Quick
+      test_with_options_shares_artifact;
     Alcotest.test_case "cache key sensitivity" `Quick test_cache_key_sensitivity;
     Alcotest.test_case "cache disabled counts compiles" `Quick test_cache_disabled_counts_full_compiles;
     Alcotest.test_case "driver engine parity" `Quick test_driver_engine_parity;

@@ -605,32 +605,45 @@ let test_registry_kcache_reload () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "spnc-serve-kc-%d" (Unix.getpid ()))
   in
-  let options =
-    {
-      base_options with
-      use_kernel_cache = true;
-      kernel_cache_dir = Some dir;
-    }
-  in
+  let options = { base_options with kernel_cache_dir = Some dir } in
   let reg = Registry.create ~options () in
   Registry.register_model reg ~name:"m0" (model 0);
-  (* earlier tests may have this artifact hot in the in-memory tier; a
-     memory hit would skip the disk publish, so start from a cold cache *)
-  Compiler.reset_kernel_cache ();
   (match Registry.engine reg "m0" with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "first load: %s" e);
-  (* drop the hot engine AND the in-memory compile cache; the reload
-     must come back through the persistent disk tier *)
+  (* drop the hot engine; the reload must come back through the
+     persistent disk tier *)
   Registry.flush_engines reg;
   check (Alcotest.list Alcotest.string) "flushed" [] (Registry.loaded reg);
-  Compiler.reset_kernel_cache ();
   let before = (Compiler.cache_counters ()).Compiler.disk_hits in
   (match Registry.engine reg "m0" with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "reload: %s" e);
   let after = (Compiler.cache_counters ()).Compiler.disk_hits in
   check tbool "reload served from the kcache disk tier" true (after > before)
+
+(* An evicted engine takes its kernel with it: nothing else in the
+   process keeps the artifact, with its built JIT closures, alive. *)
+let test_registry_eviction_frees_kernel () =
+  let reg = Registry.create ~cap:1 ~options:base_options () in
+  Registry.register_model reg ~name:"a" (model 0);
+  Registry.register_model reg ~name:"b" (model 1);
+  let load name =
+    match Registry.engine reg name with
+    | Ok e -> e
+    | Error e -> Alcotest.failf "engine %s: %s" name e
+  in
+  let artifact = Weak.create 1 in
+  (* in a frame of its own, so no local of this test holds the engine *)
+  let[@inline never] load_a () =
+    Weak.set artifact 0 (Some (load "a").Registry.eng_compiled.Compiler.artifact)
+  in
+  load_a ();
+  ignore (load "b");
+  check (Alcotest.list Alcotest.string) "a evicted" [ "b" ] (Registry.loaded reg);
+  Gc.full_major ();
+  Gc.full_major ();
+  check tbool "a's artifact collected" true (Option.is_none (Weak.get artifact 0))
 
 let suite =
   [
@@ -663,4 +676,7 @@ let suite =
       scatter_identity ~vectorize:true ~threads:2 );
     ("registry: engine LRU eviction", `Quick, test_registry_lru);
     ("registry: kcache disk reload", `Quick, test_registry_kcache_reload);
+    ( "registry: eviction frees the kernel",
+      `Quick,
+      test_registry_eviction_frees_kernel );
   ]

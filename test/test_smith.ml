@@ -197,7 +197,7 @@ let test_opt_order_promotion_bit_identical () =
       { Spnc_spn.Random_spn.speaker_id_config with num_features = 8 }
       ~min_ops:120
   in
-  let base = { (Spnc.Options.best_cpu ()) with use_kernel_cache = false } in
+  let base = Spnc.Options.best_cpu () in
   let permuted =
     { base with lospn_opt_order = Some [ "dce"; "cse"; "constfold" ] }
   in
@@ -224,7 +224,6 @@ let test_bad_opt_order_raises () =
   let options =
     {
       (Spnc.Options.best_cpu ()) with
-      use_kernel_cache = false;
       lospn_opt_order = Some [ "nonsense" ];
     }
   in
@@ -323,11 +322,8 @@ let test_model_cases_clean () =
    deliberately unsound peephole, and the rows-only shrink must keep the
    module and the failure. *)
 let test_model_checks_flag_injected_miscompile () =
-  Spnc.Compiler.reset_kernel_cache ();
   Fun.protect
-    ~finally:(fun () ->
-      Spnc_cpu.Optimizer.inject_bad_peephole := false;
-      Spnc.Compiler.reset_kernel_cache ())
+    ~finally:(fun () -> Spnc_cpu.Optimizer.inject_bad_peephole := false)
     (fun () ->
       Spnc_cpu.Optimizer.inject_bad_peephole := true;
       let rec find id =

@@ -102,7 +102,7 @@ let test_compile_key_structure () =
     (key
        { base with batch_size = 512; gpu = M.radeon_6800; threads = 8;
          streams = 4; engine = Spnc_cpu.Jit.Vm;
-         use_kernel_cache = false; kernel_cache_dir = Some "/nonexistent";
+         kernel_cache_dir = Some "/nonexistent";
          kernel_cache_mb = 1;
          output_guard = Spnc_resilience.Guard.Fail; deadline_ms = Some 5.0;
          exec_retries = 0; serve_max_batch = 1; serve_queue_cap = 1;
@@ -200,7 +200,6 @@ let test_string_parsers () =
 (* -- The explorer ----------------------------------------------------------- *)
 
 let run_tune ?(use_profile = true) ?(measure = 4) ?(options = base) () =
-  Compiler.reset_kernel_cache ();
   Tune.tune
     ~budget:{ Tune.measure; reps = 2 }
     ~use_profile ~profile_rows:32 ~options ~data:(data 96) (Lazy.force model)
@@ -435,7 +434,6 @@ let test_per_task_refinement () =
       opt_level = Optimizer.O1;
     }
   in
-  Compiler.reset_kernel_cache ();
   let c = Compiler.compile ~options (Lazy.force model) in
   check tbool "model partitioned into several tasks" true
     (c.Compiler.num_tasks > 1);
